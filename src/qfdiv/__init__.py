@@ -13,9 +13,9 @@ from .channels import (DpiResult, EqualityReport, KrausChannel,
                        embedding_channel, equality_check, identity_channel,
                        kraus_channel, lambda_sigma, random_channel,
                        random_state, unitary_channel, v_adjoint, v_operator)
-from .divergence import (ReverseTest, d_max, d_prime, minimal_reverse_test,
-                         perturbation_limit_probe, reverse_test_value,
-                         rn_derivative)
+from .divergence import (PairAnalysis, ReverseTest, analyze, d_max, d_prime,
+                         minimal_reverse_test, perturbation_limit_probe,
+                         reverse_test_value, rn_derivative)
 from .errors import (DimensionMismatch, DomainError, InfiniteDivergence,
                      InvalidDistribution, InvalidOperator, MissingRecession,
                      NonCommuting, NotPSD, QfdivError, StepError,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .divergence import d_max, minimal_reverse_test, rn_derivative
+from .divergence import analyze, d_max
 from .errors import (DimensionMismatch, InfiniteDivergence, InvalidOperator,
                      ZeroSigma)
 from .generators import DivergenceGenerator
@@ -168,8 +168,11 @@ def lambda_sigma(ch: KrausChannel, sigma, Z,
         raise ZeroSigma("sigma is the zero operator")
     Z = linalg.as_hermitian(Z)
     s_half = linalg.matrix_sqrt(sigma, rank_tol)
-    out_sigma = ch.apply(sigma)
-    out_inv = linalg.gen_inverse_sqrt(out_sigma, rank_tol)
+    out_inv = linalg.gen_inverse_sqrt(ch.apply(sigma), rank_tol)
+    return _conjugated(ch, s_half, out_inv, Z)
+
+
+def _conjugated(ch: KrausChannel, s_half, out_inv, Z) -> np.ndarray:
     res = out_inv @ ch.apply(s_half @ Z @ s_half) @ out_inv
     return (res + res.conj().T) / 2
 
@@ -261,41 +264,40 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
                    rank_tol: float | None = None) -> EqualityReport:
     """Check whether the channel preserves d_max(rho||sigma) and why.
 
+    The pair and its image are each analysed once (divergence.analyze).
     Requires both divergence values finite.  When they agree within
     max(tol, tol*|value|) the structural consequences are verified:
 
     * each spectral indicator h of d = d(rho_tilde, sigma) satisfies
-      Lambda_sigma(h(d)) = h(Lambda_sigma(d)) (skipped, reported as None,
-      for generators whose representing measure lacks full support);
+      Lambda_sigma(h(d)) = h(d_out), d_out the derivative of the image pair
+      (equal to Lambda_sigma(d) when the channel maps rho_tilde onto the
+      image's reduction); skipped, reported as None, for generators whose
+      representing measure lacks full support;
     * the channel maps the minimal reverse test atomwise onto the minimal
       reverse test of the image pair, with identical weight vectors.
     """
-    rho = linalg.require_psd(rho)
-    sigma = linalg.require_psd(sigma)
-    value_in = d_max(rho, sigma, f, rank_tol)
-    value_out = d_max(ch.apply(rho), ch.apply(sigma), f, rank_tol)
+    pair = analyze(rho, sigma, rank_tol)
+    image = analyze(ch.apply(pair.rho), ch.apply(pair.sigma), rank_tol)
+    value_in = pair.d_max(f)
+    value_out = image.d_max(f)
     if not (math.isfinite(value_in) and math.isfinite(value_out)):
         raise InfiniteDivergence(
             "equality analysis requires finite divergences on both sides")
     equal = abs(value_in - value_out) <= max(tol, tol * abs(value_in))
 
-    tilde = linalg.schur_tilde(rho, sigma, rank_tol)
-    d_in = rn_derivative(tilde, sigma, rank_tol, check_support=False)
-    out_sigma = ch.apply(sigma)
-    d_out = rn_derivative(ch.apply(tilde), out_sigma, rank_tol,
-                          check_support=False)
-    dec_in = linalg.herm_eig(d_in)
-    dec_out = linalg.herm_eig(d_out)
-
     mult_ok: bool | None = None
     if f.mu_full_support:
         mult_ok = True
+        dec_in = pair.spectrum()
+        dec_out = image.spectrum()
+        s_half = pair.sigma_power(0.5)
+        out_inv = image.sigma_power(-0.5)
         scale = max(1.0, float(np.abs(dec_in.eigenvalues).max()))
         for dx, proj in zip(dec_in.eigenvalues, dec_in.projectors):
-            if dx <= linalg.KERNEL_FLOOR * d_in.shape[0] * scale:
+            if dx <= linalg.KERNEL_FLOOR * pair.rho.shape[0] * scale:
                 continue
-            lhs = lambda_sigma(ch, sigma, proj, rank_tol)
-            rhs = np.zeros_like(d_out)
+            lhs = _conjugated(ch, s_half, out_inv, proj)
+            rhs = np.zeros_like(image.sigma)
             for dy, proj_out in zip(dec_out.eigenvalues, dec_out.projectors):
                 if abs(dy - dx) <= max(10 * tol, tol * abs(dx)):
                     rhs = rhs + proj_out
@@ -303,8 +305,8 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
                 mult_ok = False
                 break
 
-    rt_in = minimal_reverse_test(rho, sigma, rank_tol=rank_tol)
-    rt_out = minimal_reverse_test(ch.apply(rho), out_sigma, rank_tol=rank_tol)
+    rt_in = pair.reverse_test()
+    rt_out = image.reverse_test()
     p_match = _match_weights(rt_in.p, rt_out.p, weight_tol)
     q_match = _match_weights(rt_in.q, rt_out.q, weight_tol)
     preserved = len(rt_in) == len(rt_out)

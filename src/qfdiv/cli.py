@@ -24,10 +24,9 @@ import numpy as np
 
 from . import matio
 from .channels import equality_check
-from .divergence import d_max, minimal_reverse_test
+from .divergence import analyze, minimal_reverse_test
 from .errors import QfdivError
 from .generators import from_spec
-from .linalg import schur_tilde
 from .rld import second_derivative_check
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -47,14 +46,13 @@ def _cmd_compute(args) -> int:
     rho = matio.load_matrix(args.rho)
     sigma = matio.load_matrix(args.sigma)
     f = _parse_generator(args)
-    value = d_max(rho, sigma, f)
-    tilde = schur_tilde(rho, sigma)
-    rt = minimal_reverse_test(rho, sigma, tol=args.tol)
+    pair = analyze(rho, sigma, mass_tol=args.tol)
+    value = pair.d_max(f)
     out = {
         "value": _json_value(value),
         "finite": math.isfinite(value),
-        "rho_tilde_trace": float(np.trace(tilde).real),
-        "atoms": len(rt),
+        "rho_tilde_trace": float(np.trace(pair.rho_tilde).real),
+        "atoms": len(pair.reverse_test()),
     }
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0

@@ -7,6 +7,9 @@ Outside that regime the pair is reduced by the Schur complement of rho
 against supp sigma; the mass that cannot be pushed into supp sigma is
 weighted by the recession constant of f.  The minimal reverse test realizes
 the same value as a classical f-divergence and reconstructs the pair.
+
+analyze() makes one spectral analysis of a pair (PairAnalysis); d_max,
+d_prime, the reverse test, rho_tilde and d all read from it.
 """
 
 from __future__ import annotations
@@ -17,101 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, SupportError, UnsupportedGenerator, ZeroSigma
+from .errors import (DimensionMismatch, DomainError, SupportError,
+                     UnsupportedGenerator, ZeroSigma)
 from .generators import DivergenceGenerator, classical_f_divergence, recession_value
 
 # Relative trace below which leftover mass outside supp sigma is ignored
 # (numerical Schur complements leave dust; implements 0 * inf = 0).
 MASS_TOL = 1e-10
-
-
-def _check_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    rho = linalg.require_psd(rho)
-    sigma = linalg.require_psd(sigma)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch("rho and sigma must have equal dimensions")
-    if float(np.linalg.eigvalsh(sigma).max()) <= 0.0:
-        raise ZeroSigma("sigma is the zero operator")
-    return rho, sigma
-
-
-def rn_derivative(rho, sigma, rank_tol: float | None = None,
-                  check_support: bool = True) -> np.ndarray:
-    """Commutative Radon-Nikodym derivative sigma^{-1/2} rho sigma^{-1/2}.
-
-    Requires supp rho inside supp sigma (generalized inverse on the kernel);
-    the output is symmetrized to suppress roundoff asymmetry.
-    """
-    rho, sigma = _check_pair(rho, sigma)
-    if check_support and not linalg.support_dominates(sigma, rho, rank_tol):
-        raise SupportError("supp rho is not contained in supp sigma")
-    s_inv = linalg.gen_inverse_sqrt(sigma, rank_tol)
-    d = s_inv @ rho @ s_inv
-    return (d + d.conj().T) / 2
-
-
-def _spectral_weights(rho, sigma, rank_tol=None):
-    """Eigenvalues of d(rho, sigma) paired with their sigma-weights.
-
-    Returns (evals, weights) with weights_i = <v_i| sigma |v_i>; eigenvalues
-    below the kernel floor are snapped to exact zero so that f(0) = 0 holds
-    exactly for them.
-    """
-    d = rn_derivative(rho, sigma, rank_tol, check_support=False)
-    evals, vecs = np.linalg.eigh(d)
-    lam_max = float(np.abs(evals).max()) if evals.size else 0.0
-    floor = linalg.KERNEL_FLOOR * d.shape[0] * lam_max
-    evals = np.where(evals > floor, evals, 0.0)
-    weights = np.einsum("ij,jk,ki->i", vecs.conj().T, sigma, vecs).real
-    weights = np.maximum(weights, 0.0)
-    return evals, weights
-
-
-def _dominated_value(rho, sigma, f: DivergenceGenerator, rank_tol=None) -> float:
-    evals, weights = _spectral_weights(rho, sigma, rank_tol)
-    vals = np.asarray(f.eval(evals), dtype=float)
-    if np.isnan(vals).any():
-        from .errors import DomainError
-        raise DomainError(f"generator {f.name!r} undefined on the spectrum of d")
-    return float(np.dot(weights, vals))
-
-
-def d_prime(rho, sigma, f: DivergenceGenerator,
-            rank_tol: float | None = None) -> float:
-    """The divergence tr sigma f(d(rho, sigma)), extended to all PSD pairs.
-
-    When supp rho is not inside supp sigma, the value is
-    d_prime(rho_tilde, sigma) + tr(rho - rho_tilde) * recession(f)
-    with rho_tilde the Schur reduction of rho; +inf exactly when the
-    recession is infinite and mass is left outside supp sigma.
-    """
-    rho, sigma = _check_pair(rho, sigma)
-    if linalg.support_dominates(sigma, rho, rank_tol):
-        return _dominated_value(rho, sigma, f, rank_tol)
-    tilde = linalg.schur_tilde(rho, sigma, rank_tol, MASS_TOL)
-    missing = float(np.trace(rho).real - np.trace(tilde).real)
-    base = _dominated_value(tilde, sigma, f, rank_tol)
-    if missing <= MASS_TOL * max(float(np.trace(rho).real), 1.0):
-        return base
-    rec = recession_value(f)
-    if rec == math.inf:
-        return math.inf
-    return base + missing * rec
-
-
-def d_max(rho, sigma, f: DivergenceGenerator,
-          rank_tol: float | None = None) -> float:
-    """Maximal f-divergence: the infimum of D_f(p||q) over reverse tests.
-
-    Computed in closed form (it coincides with d_prime for operator convex
-    generators); refuses generators not flagged operator convex, since the
-    closed form is only valid for them.
-    """
-    if not f.operator_convex:
-        raise UnsupportedGenerator(
-            f"d_max requires an operator convex generator, {f.name!r} is not "
-            "flagged as one")
-    return d_prime(rho, sigma, f, rank_tol)
 
 
 @dataclass(frozen=True)
@@ -141,51 +56,219 @@ class ReverseTest:
         return rho, sigma
 
 
+def _schur_reduce(rho, pi_s, rank_tol, mass_tol) -> np.ndarray:
+    """rho_11 - rho_12 rho_22^{-1} rho_21 against pi_s and the support pibar
+    of the compression of rho onto the complement of pi_s."""
+    comp = np.eye(rho.shape[0]) - pi_s
+    off = comp @ rho @ comp
+    evals, vecs = np.linalg.eigh((off + off.conj().T) / 2)
+    keep = linalg.support_mask(evals, rank_tol)
+    # rho_22 = pibar rho pibar is the compression itself on pibar, so its
+    # generalized inverse reads from the same eigensolve.
+    top = pi_s @ rho
+    r12 = top @ vecs[:, keep]
+    tilde = top @ pi_s - (r12 / evals[keep]) @ r12.conj().T
+    tilde = (tilde + tilde.conj().T) / 2
+    if float(np.trace(tilde).real) <= mass_tol * max(float(np.trace(rho).real), 1e-300):
+        return np.zeros_like(rho)
+    return linalg.require_psd(tilde)
+
+
+@dataclass(frozen=True)
+class PairAnalysis:
+    """The spectral analysis of one (rho, sigma) pair, made once by analyze().
+
+    Every quantity of the pair reads from it: the divergence for any
+    generator, the minimal reverse test, rho_tilde and d.
+
+    rho, sigma     the validated, symmetrized inputs
+    rho_tilde      the Schur reduction of rho into supp sigma (rho itself
+                   when supp rho lies inside supp sigma)
+    dominated      whether supp rho lies inside supp sigma
+    escaped        tr(rho - rho_tilde), or 0 when it is at most
+                   mass_tol * max(tr rho, 1)
+    basis          orthonormal columns spanning supp sigma
+    sigma_evals    the eigenvalues of sigma on those columns
+    evals          the eigenvalues of d = sigma^{-1/2} rho_tilde sigma^{-1/2}
+                   on supp sigma, ascending, the kernel snapped to exact 0
+    coords         their eigenvectors, in the coordinates of basis
+    weights        the sigma-weights <v|sigma|v> of those eigenvectors
+    """
+
+    rho: np.ndarray
+    sigma: np.ndarray
+    rho_tilde: np.ndarray
+    dominated: bool
+    escaped: float
+    basis: np.ndarray
+    sigma_evals: np.ndarray
+    evals: np.ndarray
+    coords: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """The eigenvectors of d as columns of the full space."""
+        return self.basis @ self.coords
+
+    @property
+    def d(self) -> np.ndarray:
+        """The commutative Radon-Nikodym derivative d as a matrix."""
+        V = self.eigenvectors
+        out = (V * self.evals) @ V.conj().T
+        return (out + out.conj().T) / 2
+
+    def sigma_power(self, t: float) -> np.ndarray:
+        """sigma^t on supp sigma, zero on its kernel (any real t)."""
+        out = (self.basis * self.sigma_evals ** t) @ self.basis.conj().T
+        return (out + out.conj().T) / 2
+
+    def spectrum(self, cluster_tol: float = linalg.DEFAULT_CLUSTER_TOL
+                 ) -> linalg.SpectralDecomposition:
+        """The clustered spectral decomposition of d on supp sigma."""
+        return linalg.clustered(self.evals, self.eigenvectors, cluster_tol)
+
+    def d_prime(self, f: DivergenceGenerator) -> float:
+        """weights . f(evals) + escaped * recession(f); see d_prime()."""
+        vals = np.asarray(f.eval(self.evals), dtype=float)
+        if np.isnan(vals).any():
+            raise DomainError(f"generator {f.name!r} undefined on the spectrum of d")
+        base = float(np.dot(self.weights, vals))
+        if not self.escaped:
+            return base
+        rec = recession_value(f)
+        if rec == math.inf:
+            return math.inf
+        return base + self.escaped * rec
+
+    def d_max(self, f: DivergenceGenerator) -> float:
+        """The maximal f-divergence of the pair; see d_max()."""
+        if not f.operator_convex:
+            raise UnsupportedGenerator(
+                f"d_max requires an operator convex generator, {f.name!r} is "
+                "not flagged as one")
+        return self.d_prime(f)
+
+    def reverse_test(self, cluster_tol: float = linalg.DEFAULT_CLUSTER_TOL
+                     ) -> ReverseTest:
+        """The minimal reverse test; see minimal_reverse_test()."""
+        W = (self.basis * np.sqrt(self.sigma_evals)) @ self.coords  # sigma^{1/2} V
+        q_floor = 1e-14 * float(np.trace(self.sigma).real)
+        outputs: list[np.ndarray] = []
+        p_list: list[float] = []
+        q_list: list[float] = []
+        for g in linalg.cluster_groups(self.evals, cluster_tol):
+            Wg = W[:, g]
+            qx = float(np.vdot(Wg, Wg).real)      # tr Wg Wg^H
+            if qx <= q_floor:
+                continue
+            out = Wg @ Wg.conj().T / qx
+            outputs.append((out + out.conj().T) / 2)
+            p_list.append(float(self.evals[g].mean()) * qx)
+            q_list.append(qx)
+        labels = [str(i) for i in range(len(outputs))]
+        if self.escaped:
+            rest = (self.rho - self.rho_tilde) / self.escaped
+            outputs.append((rest + rest.conj().T) / 2)
+            p_list.append(self.escaped)
+            q_list.append(0.0)
+            labels.append("x0")
+        return ReverseTest(tuple(outputs), np.array(p_list), np.array(q_list),
+                           tuple(labels))
+
+
+def analyze(rho, sigma, rank_tol: float | None = None,
+            mass_tol: float = MASS_TOL) -> PairAnalysis:
+    """Validate a PSD pair and analyse it with one spectral pass.
+
+    One eigensolve of sigma gives its support and sigma^{+-1/2}; one of rho
+    gives its PSD check and, unless sigma has full rank, its support.  The
+    Schur reduction runs only when supp rho is not inside supp sigma
+    (entrywise |P_rho - P_sigma P_rho| above 1e-8).  One eigensolve of d,
+    formed on supp sigma, gives its spectrum and the sigma-weights.
+    """
+    sigma, s_evals, s_vecs = linalg.psd_spectrum(sigma)
+    keep = linalg.support_mask(s_evals, rank_tol)
+    # With sigma of full rank every support is dominated, so rho needs no
+    # eigenvectors.
+    full = bool(keep.all())
+    rho, r_evals, r_vecs = linalg.psd_spectrum(rho, vectors=not full)
+    if rho.shape != sigma.shape:
+        raise DimensionMismatch("rho and sigma must have equal dimensions")
+    if not keep.any():
+        raise ZeroSigma("sigma is the zero operator")
+    n = sigma.shape[0]
+
+    dominated, tilde = True, rho
+    if not full:
+        pi_s = linalg.projector(s_vecs[:, keep])
+        pi_r = linalg.projector(r_vecs[:, linalg.support_mask(r_evals, rank_tol)])
+        if not linalg.projector_dominates(pi_s, pi_r):
+            dominated = False
+            tilde = _schur_reduce(rho, pi_s, rank_tol, mass_tol)
+    tr_rho = float(np.trace(rho).real)
+    missing = tr_rho - float(np.trace(tilde).real)
+    escaped = missing if missing > mass_tol * max(tr_rho, 1.0) else 0.0
+
+    basis, s = s_vecs[:, keep], s_evals[keep]
+    inv_sqrt = 1.0 / np.sqrt(s)
+    d = (basis.conj().T @ tilde @ basis) * np.outer(inv_sqrt, inv_sqrt)
+    evals, coords = np.linalg.eigh((d + d.conj().T) / 2)
+    # d is PSD: negative roundoff belongs to the kernel as well.
+    evals = np.maximum(linalg.snap_kernel(evals, n), 0.0)
+    weights = s @ np.abs(coords) ** 2
+    return PairAnalysis(rho, sigma, tilde, dominated, escaped, basis, s,
+                        evals, coords, weights)
+
+
+def rn_derivative(rho, sigma, rank_tol: float | None = None) -> np.ndarray:
+    """Commutative Radon-Nikodym derivative sigma^{-1/2} rho sigma^{-1/2}.
+
+    Requires supp rho inside supp sigma (generalized inverse on the kernel);
+    the output is symmetrized to suppress roundoff asymmetry.
+    """
+    analysis = analyze(rho, sigma, rank_tol)
+    if not analysis.dominated:
+        raise SupportError("supp rho is not contained in supp sigma")
+    return analysis.d
+
+
+def d_prime(rho, sigma, f: DivergenceGenerator,
+            rank_tol: float | None = None) -> float:
+    """The divergence tr sigma f(d(rho, sigma)), extended to all PSD pairs.
+
+    When supp rho is not inside supp sigma, the value is
+    d_prime(rho_tilde, sigma) + tr(rho - rho_tilde) * recession(f)
+    with rho_tilde the Schur reduction of rho; +inf exactly when the
+    recession is infinite and mass is left outside supp sigma.
+    """
+    return analyze(rho, sigma, rank_tol).d_prime(f)
+
+
+def d_max(rho, sigma, f: DivergenceGenerator,
+          rank_tol: float | None = None) -> float:
+    """Maximal f-divergence: the infimum of D_f(p||q) over reverse tests.
+
+    Computed in closed form (it coincides with d_prime for operator convex
+    generators); refuses generators not flagged operator convex, since the
+    closed form is only valid for them.
+    """
+    return analyze(rho, sigma, rank_tol).d_max(f)
+
+
 def minimal_reverse_test(rho, sigma, tol: float = MASS_TOL,
                          rank_tol: float | None = None,
                          cluster_tol: float = linalg.DEFAULT_CLUSTER_TOL) -> ReverseTest:
     """The reverse test achieving d_max, built from the spectrum of d.
 
-    One atom per clustered eigenvalue d_x of d(rho_tilde, sigma):
-    q(x) = tr sigma P_x, p(x) = d_x q(x), output sigma^{1/2} P_x sigma^{1/2}
-    normalized.  When mass of rho is left outside supp sigma (more than tol
-    relative to tr rho), one extra atom carries it with q = 0.
+    One atom per clustered eigenvalue d_x of d(rho_tilde, sigma), with
+    W_x = sigma^{1/2} V_x for the eigenvectors V_x of the cluster:
+    output W_x W_x^H / q(x), q(x) = tr W_x W_x^H, p(x) = d_x q(x); atoms
+    with q(x) at most 1e-14 tr(sigma) are dropped.  When mass of rho is left
+    outside supp sigma (more than tol relative to tr rho), one extra atom
+    carries it with q = 0.
     """
-    rho, sigma = _check_pair(rho, sigma)
-    tilde = linalg.schur_tilde(rho, sigma, rank_tol, tol)
-    d = rn_derivative(tilde, sigma, rank_tol, check_support=False)
-    dec = linalg.herm_eig(d, cluster_tol)
-    s_half = linalg.matrix_sqrt(sigma, rank_tol)
-    lam_max = float(np.abs(dec.eigenvalues).max()) if len(dec.eigenvalues) else 0.0
-    floor = linalg.KERNEL_FLOOR * d.shape[0] * lam_max
-    tr_sigma = float(np.trace(sigma).real)
-    q_floor = 1e-14 * tr_sigma
-
-    outputs: list[np.ndarray] = []
-    p_list: list[float] = []
-    q_list: list[float] = []
-    labels: list[str] = []
-    for i, (dx, proj) in enumerate(zip(dec.eigenvalues, dec.projectors)):
-        qx = float(np.trace(sigma @ proj).real)
-        if qx <= q_floor:
-            continue
-        dx = float(dx) if dx > floor else 0.0
-        out = s_half @ proj @ s_half / qx
-        outputs.append((out + out.conj().T) / 2)
-        p_list.append(dx * qx)
-        q_list.append(qx)
-        labels.append(str(len(labels)))
-
-    missing = float(np.trace(rho).real - np.trace(tilde).real)
-    if missing > tol * max(float(np.trace(rho).real), 1.0):
-        rest = (rho - tilde) / missing
-        outputs.append((rest + rest.conj().T) / 2)
-        p_list.append(missing)
-        q_list.append(0.0)
-        labels.append("x0")
-
-    return ReverseTest(tuple(outputs), np.array(p_list), np.array(q_list),
-                       tuple(labels))
+    return analyze(rho, sigma, rank_tol, tol).reverse_test(cluster_tol)
 
 
 def reverse_test_value(rt: ReverseTest, f: DivergenceGenerator) -> float:
@@ -206,6 +289,6 @@ def perturbation_limit_probe(rho, sigma, f: DivergenceGenerator,
         raise ValueError("epsilons must be positive")
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly descending")
-    rho, sigma = _check_pair(rho, sigma)
-    eye = np.eye(sigma.shape[0])
-    return [(e, d_prime(rho, sigma + e * eye, f)) for e in eps]
+    pair = analyze(rho, sigma)
+    eye = np.eye(pair.sigma.shape[0])
+    return [(e, d_prime(pair.rho, pair.sigma + e * eye, f)) for e in eps]

@@ -1,8 +1,8 @@
 """Dense complex Hermitian linear algebra.
 
 Spectral decompositions with eigenvalue clustering, functional calculus,
-support projectors, generalized inverses, and the Schur-complement reduction
-that pushes a positive operator into the support of another.  All functions
+support projectors and generalized inverses, and the shared tolerance rules
+for PSD checks, numerical rank, kernel snapping and clustering.  All functions
 are pure: inputs are never mutated and outputs are freshly allocated.
 """
 
@@ -14,11 +14,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidOperator, NotPSD
 
-# Relative gap below which eigenvalues are merged into one projector.
+# Neighbouring eigenvalues whose gap is at most this share of the larger
+# magnitude of the two are merged into one projector.
 DEFAULT_CLUSTER_TOL = 1e-8
 
-# Eigenvalues of a functional-calculus argument below this multiple of the
-# spectral radius are treated as an exact kernel (so f(0) = 0 applies).
+# Eigenvalues within this multiple of dim times the spectral radius of 0 are
+# an exact kernel (so f(0) = 0 applies); see snap_kernel.
 KERNEL_FLOOR = 100 * np.finfo(float).eps
 
 
@@ -45,16 +46,42 @@ def as_hermitian(A, tol: float | None = None) -> np.ndarray:
     return (A + A.conj().T) / 2
 
 
-def require_psd(A, tol: float | None = None) -> np.ndarray:
-    """Check positive semidefiniteness (within tol) and return A symmetrized."""
+def psd_spectrum(A, vectors: bool = True, tol: float | None = None):
+    """Check A Hermitian and PSD (within tol) from one eigensolve.
+
+    Returns (A symmetrized, ascending eigenvalues, eigenvectors or None).
+    The default tol is 100 * dim * 1e-12 times max(1, spectral radius).
+    """
     A = as_hermitian(A)
-    evals = np.linalg.eigvalsh(A)
+    if vectors:
+        evals, vecs = np.linalg.eigh(A)
+    else:
+        evals, vecs = np.linalg.eigvalsh(A), None
     scale = max(1.0, float(np.abs(evals).max())) if evals.size else 1.0
     if tol is None:
         tol = default_rank_tol(A.shape[0]) * scale * 100
     if evals.size and evals[0] < -tol:
         raise NotPSD(f"minimum eigenvalue {evals[0]:.3e} below -{tol:.3e}")
-    return A
+    return A, evals, vecs
+
+
+def require_psd(A, tol: float | None = None) -> np.ndarray:
+    """Check positive semidefiniteness (within tol) and return A symmetrized."""
+    return psd_spectrum(A, vectors=False, tol=tol)[0]
+
+
+def support_mask(evals: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
+    """Eigenvalues of a PSD operator that count as its support.
+
+    Those above rank_tol (default dim * 1e-12) times the largest; none when
+    the largest is not positive.
+    """
+    if rank_tol is None:
+        rank_tol = default_rank_tol(evals.size)
+    lam_max = float(evals.max()) if evals.size else 0.0
+    if lam_max <= 0.0:
+        return np.zeros(evals.shape, dtype=bool)
+    return evals > rank_tol * lam_max
 
 
 def is_psd(A, tol: float = 1e-10) -> bool:
@@ -91,30 +118,53 @@ class SpectralDecomposition:
         return out
 
 
+def projector(V: np.ndarray) -> np.ndarray:
+    """The orthogonal projector V V† onto orthonormal columns V, symmetrized."""
+    P = V @ V.conj().T
+    return (P + P.conj().T) / 2
+
+
+def snap_kernel(evals: np.ndarray, dim: int) -> np.ndarray:
+    """Eigenvalues within KERNEL_FLOOR * dim * spectral radius of 0, set to 0."""
+    radius = float(np.abs(evals).max()) if evals.size else 0.0
+    return np.where(np.abs(evals) > KERNEL_FLOOR * dim * radius, evals, 0.0)
+
+
+def cluster_groups(evals: np.ndarray,
+                   cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[np.ndarray]:
+    """Index runs of ascending (kernel-snapped) eigenvalues sharing a cluster.
+
+    Neighbours merge when their gap is at most cluster_tol times the larger
+    of the two magnitudes.  The gap is local and relative, so one large
+    eigenvalue cannot pull distinct small ones together, and the exact zeros
+    left by snap_kernel form one cluster.
+    """
+    if not evals.size:
+        return []
+    bound = cluster_tol * np.maximum(np.abs(evals[1:]), np.abs(evals[:-1]))
+    cuts = np.flatnonzero(np.diff(evals) > bound) + 1
+    return np.split(np.arange(evals.size), cuts)
+
+
+def clustered(evals: np.ndarray, vecs: np.ndarray,
+              cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomposition:
+    """The clustered decomposition of an eigensystem (evals, vecs)."""
+    groups = cluster_groups(evals, cluster_tol)
+    reps = np.array([evals[g].mean() for g in groups])
+    projs = tuple(projector(vecs[:, g]) for g in groups)
+    mults = np.array([len(g) for g in groups], dtype=int)
+    return SpectralDecomposition(reps, projs, mults)
+
+
 def herm_eig(A, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomposition:
     """Eigendecomposition with near-degenerate eigenvalues merged.
 
-    Consecutive eigenvalues whose gap is at most cluster_tol times the
-    spectral radius share one projector.
+    Eigenvalues at the kernel floor become exact zeros; then neighbours merge
+    by the local relative gap of cluster_groups.
     """
     A = as_hermitian(A)
     evals, vecs = np.linalg.eigh(A)
-    scale = float(np.abs(evals).max()) if evals.size else 0.0
-    gap = cluster_tol * scale
-    groups: list[list[int]] = [[0]]
-    for i in range(1, evals.size):
-        if evals[i] - evals[i - 1] <= gap:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    reps = np.array([evals[g].mean() for g in groups])
-    projs = []
-    for g in groups:
-        V = vecs[:, g]
-        P = V @ V.conj().T
-        projs.append((P + P.conj().T) / 2)
-    mults = np.array([len(g) for g in groups], dtype=int)
-    return SpectralDecomposition(reps, tuple(projs), mults)
+    return clustered(snap_kernel(evals, A.shape[0]), vecs, cluster_tol)
 
 
 def support_projector(A, rank_tol: float | None = None) -> np.ndarray:
@@ -123,49 +173,38 @@ def support_projector(A, rank_tol: float | None = None) -> np.ndarray:
     Eigenvalues at or below rank_tol times the largest eigenvalue count as
     kernel.  Default rank_tol is dim * 1e-12.
     """
-    A = require_psd(A)
-    n = A.shape[0]
-    if rank_tol is None:
-        rank_tol = default_rank_tol(n)
-    evals, vecs = np.linalg.eigh(A)
-    lam_max = float(evals.max()) if evals.size else 0.0
-    if lam_max <= 0.0:
-        return np.zeros_like(A)
-    keep = evals > rank_tol * lam_max
-    V = vecs[:, keep]
-    P = V @ V.conj().T
-    return (P + P.conj().T) / 2
+    A, evals, vecs = psd_spectrum(A)
+    return projector(vecs[:, support_mask(evals, rank_tol)])
 
 
 def support_dominates(B, A, rank_tol: float | None = None, tol: float = 1e-8) -> bool:
     """True iff supp A is contained in supp B (both PSD), within tolerance."""
-    pa = support_projector(A, rank_tol)
-    pb = support_projector(B, rank_tol)
-    resid = pa - pb @ pa
-    return float(np.abs(resid).max()) <= tol
+    return projector_dominates(support_projector(B, rank_tol),
+                               support_projector(A, rank_tol), tol)
+
+
+def projector_dominates(pb: np.ndarray, pa: np.ndarray, tol: float = 1e-8) -> bool:
+    """True iff the range of projector pa lies in that of pb, entrywise within tol."""
+    return float(np.abs(pa - pb @ pa).max()) <= tol
 
 
 def _spectral_map(A, fn, rank_tol: float | None = None) -> np.ndarray:
     """Apply fn to the spectrum of PSD A, with kernel cut at rank_tol."""
-    A = require_psd(A)
-    n = A.shape[0]
-    if rank_tol is None:
-        rank_tol = default_rank_tol(n)
-    evals, vecs = np.linalg.eigh(A)
-    lam_max = float(evals.max()) if evals.size else 0.0
-    vals = np.where(evals > rank_tol * lam_max, fn(np.maximum(evals, 0.0)), 0.0)
+    A, evals, vecs = psd_spectrum(A)
+    keep = support_mask(evals, rank_tol)
+    vals = np.where(keep, fn(np.where(keep, evals, 1.0)), 0.0)
     out = (vecs * vals) @ vecs.conj().T
     return (out + out.conj().T) / 2
 
 
 def gen_inverse_sqrt(A, rank_tol: float | None = None) -> np.ndarray:
     """A^{-1/2} on supp A, zero on the kernel (generalized inverse)."""
-    return _spectral_map(A, lambda w: 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), rank_tol)
+    return _spectral_map(A, lambda w: 1.0 / np.sqrt(w), rank_tol)
 
 
 def gen_inverse(A, rank_tol: float | None = None) -> np.ndarray:
     """Generalized (Moore-Penrose) inverse of a PSD operator."""
-    return _spectral_map(A, lambda w: 1.0 / np.where(w > 0, w, 1.0), rank_tol)
+    return _spectral_map(A, lambda w: 1.0 / w, rank_tol)
 
 
 def matrix_sqrt(A, rank_tol: float | None = None) -> np.ndarray:
@@ -203,28 +242,13 @@ def schur_tilde(rho, sigma, rank_tol: float | None = None,
 
     Blocks are taken against pi = supp projector of sigma and the smallest
     complement projector pibar covering the rest of supp rho:
-    returns rho_11 - rho_12 rho_22^{-1} rho_21.  If supp rho is already
-    inside supp sigma, rho itself is returned.  A result whose trace is
-    below mass_tol * tr(rho) is snapped to exact zero.
+    rho_11 - rho_12 rho_22^{-1} rho_21.  If supp rho is already inside
+    supp sigma, rho itself is returned.  A result whose trace is below
+    mass_tol * tr(rho) is snapped to exact zero.  Read from
+    divergence.analyze, which computes it once per pair.
     """
-    rho = require_psd(rho)
-    sigma = require_psd(sigma)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch("rho and sigma must have equal dimensions")
-    pi_s = support_projector(sigma, rank_tol)
-    if support_dominates(sigma, rho, rank_tol):
-        return rho
-    eye = np.eye(rho.shape[0])
-    off = (eye - pi_s) @ rho @ (eye - pi_s)
-    pibar = support_projector(off, rank_tol)
-    r11 = pi_s @ rho @ pi_s
-    r12 = pi_s @ rho @ pibar
-    r22 = pibar @ rho @ pibar
-    tilde = r11 - r12 @ gen_inverse(r22, rank_tol) @ r12.conj().T
-    tilde = (tilde + tilde.conj().T) / 2
-    if float(np.trace(tilde).real) <= mass_tol * max(float(np.trace(rho).real), 1e-300):
-        return np.zeros_like(rho)
-    return tilde
+    from .divergence import analyze  # the pair analysis builds on this module
+    return analyze(rho, sigma, rank_tol, mass_tol).rho_tilde
 
 
 def block_positivity_check(X, C, Y, tol: float = 1e-10) -> bool:

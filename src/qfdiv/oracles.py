@@ -10,7 +10,6 @@ constraints.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import linalg
 from .divergence import ReverseTest
@@ -82,6 +81,8 @@ def bs_relative_entropy(rho, sigma) -> float:
 
 def _solve_nonneg(outputs, target, tol: float) -> np.ndarray | None:
     """Nonnegative weights w with sum_x w_x outputs_x = target, or None."""
+    from scipy.optimize import nnls  # imported here: costly, and only this oracle needs it
+
     dim = target.shape[0]
     cols = []
     for out in outputs:

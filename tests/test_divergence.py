@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qfdiv import errors
+from qfdiv.channels import random_state as seeded_state
 from qfdiv.divergence import (d_max, d_prime, minimal_reverse_test,
                               perturbation_limit_probe, reverse_test_value,
                               rn_derivative)
@@ -332,3 +333,65 @@ def test_schur_tilde_feeds_closed_form():
         direct = d_prime(rho, sigma, HALF)
         assembled = d_prime(tilde, sigma, HALF) + missing * 0.0
         assert direct == pytest.approx(assembled, abs=1e-10)
+
+
+def wishart(rng, n, k=None):
+    k = n if k is None else k
+    G = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    W = G @ G.conj().T
+    W = W / np.trace(W).real
+    return (W + W.conj().T) / 2
+
+
+def near_threshold_pair(eps):
+    """A fixed rho and a real rotation of diag(0.5, 0.5 - eps, eps)."""
+    rho = seeded_state(3, 3, 5)
+    O, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+    sigma = (O * np.array([0.5, 0.5 - eps, eps])) @ O.T
+    return rho, sigma.astype(complex)
+
+
+def assert_optimal_reverse_test(rho, sigma, rt, rebuild_tol, value_tol):
+    """Unit-trace PSD atoms that rebuild the pair and attain d_max."""
+    for out in rt.outputs:
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(out).min() > -1e-12
+    rho_hat, sigma_hat = rt.reconstruct()
+    assert np.abs(rho_hat - rho).max() < rebuild_tol
+    assert np.abs(sigma_hat - sigma).max() < rebuild_tol
+    for f in GENS:
+        want = d_max(rho, sigma, f)
+        got = reverse_test_value(rt, f)
+        if math.isinf(want):
+            assert math.isinf(got)
+        else:
+            assert abs(got - want) <= value_tol * max(1.0, abs(want))
+
+
+class TestReverseTestClustering:
+    """Clusters of d are cut by their local relative gap, so a large
+    eigenvalue cannot merge distinct small ones and drop their atoms."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_plain_wishart_dim_128(self, seed):
+        rng = np.random.default_rng(seed)
+        rho, sigma = wishart(rng, 128), wishart(rng, 128)
+        rt = minimal_reverse_test(rho, sigma)
+        assert len(rt) == 128
+        assert_optimal_reverse_test(rho, sigma, rt, 1e-9, 1e-8)
+
+    @pytest.mark.parametrize("eps", [1e-9, 3e-10, 1e-11, 3e-12])
+    def test_near_threshold_keeps_three_atoms(self, eps):
+        rho, sigma = near_threshold_pair(eps)
+        rt = minimal_reverse_test(rho, sigma)
+        assert len(rt) == 3
+        assert_optimal_reverse_test(rho, sigma, rt, 1e-9, 1e-8)
+
+    def test_direction_cut_from_sigma_leaves_no_atom(self):
+        # at eps = 1e-13 the third direction of sigma is below the rank
+        # cutoff; no atom is built from it, the rest escapes as x0
+        rho, sigma = near_threshold_pair(1e-13)
+        rt = minimal_reverse_test(rho, sigma)
+        assert rt.labels[-1] == "x0"
+        assert np.all(rt.q[:-1] > 1e-3)
+        assert_optimal_reverse_test(rho, sigma, rt, 1e-9, 1e-8)

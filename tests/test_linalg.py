@@ -242,3 +242,43 @@ def test_is_psd():
     assert is_psd(np.diag([1.0, 0.0]))
     assert not is_psd(np.diag([1.0, -1.0]))
     assert not is_psd(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+class TestClusterRule:
+    def test_large_eigenvalue_does_not_merge_small_ones(self):
+        from qfdiv.linalg import cluster_groups
+        groups = cluster_groups(np.array([0.0, 0.0, 0.05, 0.87, 1e9]))
+        assert [g.tolist() for g in groups] == [[0, 1], [2], [3], [4]]
+
+    def test_relative_gap_merges_near_degenerate_neighbours(self):
+        from qfdiv.linalg import cluster_groups
+        groups = cluster_groups(np.array([1e-6, 1e-6 * (1 + 1e-9), 2.0]))
+        assert [g.tolist() for g in groups] == [[0, 1], [2]]
+
+    def test_kernel_floor_snaps_to_zero(self):
+        from qfdiv.linalg import snap_kernel
+        snapped = snap_kernel(np.array([-1e-17, 1e-17, 1e-3, 1.0]), 4)
+        np.testing.assert_array_equal(snapped, [0.0, 0.0, 1e-3, 1.0])
+
+    def test_herm_eig_keeps_small_distinct_eigenvalues(self):
+        dec = herm_eig(np.diag([0.05, 0.87, 1e9]))
+        assert len(dec.eigenvalues) == 3
+
+    def test_matches_loop_reference(self):
+        from qfdiv.linalg import cluster_groups
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            evals = np.sort(np.concatenate([
+                np.zeros(int(rng.integers(0, 3))),
+                10.0 ** rng.uniform(-12, 9, int(rng.integers(1, 8)))]))
+            evals = np.repeat(evals, rng.integers(1, 3, evals.size))
+            evals[1:] += evals[1:] * 1e-10 * rng.random(evals.size - 1)
+            evals.sort()
+            groups = [[0]]
+            for i in range(1, evals.size):
+                a, b = evals[i - 1], evals[i]
+                if b - a <= 1e-8 * max(abs(a), abs(b)):
+                    groups[-1].append(i)
+                else:
+                    groups.append([i])
+            assert [g.tolist() for g in cluster_groups(evals)] == groups
