@@ -19,8 +19,6 @@ from .errors import (DimensionMismatch, InfiniteDivergence, InvalidOperator,
                      ZeroSigma)
 from .generators import DivergenceGenerator
 
-TP_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class KrausChannel:
@@ -56,7 +54,7 @@ class KrausChannel:
 
 
 def kraus_channel(operators) -> KrausChannel:
-    """Validate a Kraus family (trace preservation) and wrap it."""
+    """Validate a Kraus family (trace preservation, linalg.TP_TOL) and wrap it."""
     ops = tuple(np.asarray(K, dtype=complex) for K in operators)
     if not ops:
         raise InvalidOperator("a channel needs at least one Kraus operator")
@@ -64,7 +62,7 @@ def kraus_channel(operators) -> KrausChannel:
     if any(K.shape != (dim_out, dim_in) for K in ops):
         raise DimensionMismatch("Kraus operators have inconsistent shapes")
     acc = sum(K.conj().T @ K for K in ops)
-    if float(np.abs(acc - np.eye(dim_in)).max()) > TP_TOL:
+    if float(np.abs(acc - np.eye(dim_in)).max()) > linalg.TP_TOL:
         raise InvalidOperator("Kraus family is not trace preserving")
     return KrausChannel(ops, dim_in, dim_out)
 
@@ -154,8 +152,7 @@ def random_channel(dim_in: int, dim_out: int, env_dim: int, seed) -> KrausChanne
     return kraus_channel([V[:, e, :] for e in range(env_dim)])
 
 
-def lambda_sigma(ch: KrausChannel, sigma, Z,
-                 rank_tol: float | None = None) -> np.ndarray:
+def lambda_sigma(ch: KrausChannel, sigma, Z) -> np.ndarray:
     """The sigma-weighted conjugation of the channel:
 
     Lambda(sigma)^{-1/2} Lambda(sigma^{1/2} Z sigma^{1/2}) Lambda(sigma)^{-1/2}.
@@ -163,12 +160,12 @@ def lambda_sigma(ch: KrausChannel, sigma, Z,
     Unital as a map from supp sigma to supp Lambda(sigma); intertwines the
     Radon-Nikodym derivatives of a dominated pair and its image.
     """
-    sigma = linalg.require_psd(sigma)
-    if float(np.linalg.eigvalsh(sigma).max()) <= 0.0:
+    sigma, evals, vecs = linalg.psd_spectrum(sigma)
+    if not linalg.support_mask(evals).any():
         raise ZeroSigma("sigma is the zero operator")
     Z = linalg.as_hermitian(Z)
-    s_half = linalg.matrix_sqrt(sigma, rank_tol)
-    out_inv = linalg.gen_inverse_sqrt(ch.apply(sigma), rank_tol)
+    s_half = linalg.support_map(evals, vecs, np.sqrt)
+    out_inv = linalg.gen_inverse_sqrt(ch.apply(sigma))
     return _conjugated(ch, s_half, out_inv, Z)
 
 
@@ -193,35 +190,33 @@ def dpi_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
     return DpiResult(before, after, bool(holds))
 
 
-def v_operator(ch: KrausChannel, sigma, Z,
-               rank_tol: float | None = None) -> np.ndarray:
+def v_operator(ch: KrausChannel, sigma, Z) -> np.ndarray:
     """V(Z) = Lambda†(Z Lambda(sigma)^{-1/2}) sigma^{1/2}.
 
     A Hilbert-Schmidt contraction mapping the output space back to the
     input space; V(Lambda(sigma)^{1/2}) = sigma^{1/2}.
     """
-    sigma = linalg.require_psd(sigma)
+    sigma, evals, vecs = linalg.psd_spectrum(sigma)
     Z = np.asarray(Z, dtype=complex)
     if Z.shape != (ch.dim_out, ch.dim_out):
         raise DimensionMismatch(
             f"Z of shape {Z.shape} incompatible with output dimension "
             f"{ch.dim_out}")
-    out_inv = linalg.gen_inverse_sqrt(ch.apply(sigma), rank_tol)
-    s_half = linalg.matrix_sqrt(sigma, rank_tol)
+    out_inv = linalg.gen_inverse_sqrt(ch.apply(sigma))
+    s_half = linalg.support_map(evals, vecs, np.sqrt)
     return ch.adjoint_apply(Z @ out_inv) @ s_half
 
 
-def v_adjoint(ch: KrausChannel, sigma, Z,
-              rank_tol: float | None = None) -> np.ndarray:
+def v_adjoint(ch: KrausChannel, sigma, Z) -> np.ndarray:
     """V†(Z) = Lambda(Z sigma^{1/2}) Lambda(sigma)^{-1/2}."""
-    sigma = linalg.require_psd(sigma)
+    sigma, evals, vecs = linalg.psd_spectrum(sigma)
     Z = np.asarray(Z, dtype=complex)
     if Z.shape != (ch.dim_in, ch.dim_in):
         raise DimensionMismatch(
             f"Z of shape {Z.shape} incompatible with input dimension "
             f"{ch.dim_in}")
-    s_half = linalg.matrix_sqrt(sigma, rank_tol)
-    out_inv = linalg.gen_inverse_sqrt(ch.apply(sigma), rank_tol)
+    s_half = linalg.support_map(evals, vecs, np.sqrt)
+    out_inv = linalg.gen_inverse_sqrt(ch.apply(sigma))
     # The Kraus action extends to non-Hermitian arguments linearly.
     acc = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
     for K in ch.kraus:
@@ -260,8 +255,7 @@ def _match_weights(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 
 
 def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
-                   tol: float = 1e-8, weight_tol: float = 1e-10,
-                   rank_tol: float | None = None) -> EqualityReport:
+                   tol: float = 1e-8, weight_tol: float = 1e-10) -> EqualityReport:
     """Check whether the channel preserves d_max(rho||sigma) and why.
 
     The pair and its image are each analysed once (divergence.analyze).
@@ -276,8 +270,8 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
     * the channel maps the minimal reverse test atomwise onto the minimal
       reverse test of the image pair, with identical weight vectors.
     """
-    pair = analyze(rho, sigma, rank_tol)
-    image = analyze(ch.apply(pair.rho), ch.apply(pair.sigma), rank_tol)
+    pair = analyze(rho, sigma)
+    image = analyze(ch.apply(pair.rho), ch.apply(pair.sigma))
     value_in = pair.d_max(f)
     value_out = image.d_max(f)
     if not (math.isfinite(value_in) and math.isfinite(value_out)):
@@ -292,9 +286,8 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
         dec_out = image.spectrum()
         s_half = pair.sigma_power(0.5)
         out_inv = image.sigma_power(-0.5)
-        scale = max(1.0, float(np.abs(dec_in.eigenvalues).max()))
         for dx, proj in zip(dec_in.eigenvalues, dec_in.projectors):
-            if dx <= linalg.KERNEL_FLOOR * pair.rho.shape[0] * scale:
+            if dx == 0.0:  # the kernel of d, already snapped to exact zero
                 continue
             lhs = _conjugated(ch, s_half, out_inv, proj)
             rhs = np.zeros_like(image.sigma)

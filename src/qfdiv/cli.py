@@ -1,13 +1,14 @@
 """Command-line front end.
 
-    qfdiv compute      --rho F --sigma F --f SPEC [--tol T]
-    qfdiv reverse-test --rho F --sigma F [--tol T]
+    qfdiv compute      --rho F --sigma F --f SPEC
+    qfdiv reverse-test --rho F --sigma F
     qfdiv check        --rho F --sigma F --channel F --f SPEC [--tol T]
     qfdiv rld          --rho F --x F --y F --f SPEC [--step S]
     qfdiv suite        --suite NAME [--dims 2,3] [--trials N] [--seed S]
                        [--tol T] [--out PATH] [--format json|csv]
 
 Matrices and channels are read from the JSON wire formats of qfdiv.matio.
+Generator parameters go in the spec, e.g. neg_power:0.5.
 QFDIV_SEED provides the default suite seed.  Exit codes: 0 ok, 1 property
 failure, 2 usage error, 3 numeric/domain error.
 """
@@ -35,18 +36,11 @@ def _json_value(x: float):
     return x if math.isfinite(x) else None
 
 
-def _parse_generator(args):
-    spec = args.f
-    if args.alpha is not None and ":" not in spec:
-        spec = f"{spec}:{args.alpha}"
-    return from_spec(spec)
-
-
 def _cmd_compute(args) -> int:
     rho = matio.load_matrix(args.rho)
     sigma = matio.load_matrix(args.sigma)
-    f = _parse_generator(args)
-    pair = analyze(rho, sigma, mass_tol=args.tol)
+    f = from_spec(args.f)
+    pair = analyze(rho, sigma)
     value = pair.d_max(f)
     out = {
         "value": _json_value(value),
@@ -61,7 +55,7 @@ def _cmd_compute(args) -> int:
 def _cmd_reverse_test(args) -> int:
     rho = matio.load_matrix(args.rho)
     sigma = matio.load_matrix(args.sigma)
-    rt = minimal_reverse_test(rho, sigma, tol=args.tol)
+    rt = minimal_reverse_test(rho, sigma)
     out = {
         "labels": list(rt.labels),
         "p": rt.p.tolist(),
@@ -76,7 +70,7 @@ def _cmd_check(args) -> int:
     rho = matio.load_matrix(args.rho)
     sigma = matio.load_matrix(args.sigma)
     ch = matio.load_channel(args.channel)
-    f = _parse_generator(args)
+    f = from_spec(args.f)
     report = equality_check(rho, sigma, ch, f, tol=args.tol)
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     return 0
@@ -86,7 +80,7 @@ def _cmd_rld(args) -> int:
     rho = matio.load_matrix(args.rho)
     X = matio.load_matrix(args.x)
     Y = matio.load_matrix(args.y)
-    f = _parse_generator(args)
+    f = from_spec(args.f)
     res = second_derivative_check(rho, X, Y, f, step=args.step)
     out = {"fd": res.fd_value, "analytic": res.analytic, "err": res.abs_err}
     print(json.dumps(out, indent=2, sort_keys=True))
@@ -151,27 +145,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="evaluate the maximal f-divergence")
     add_common(p)
     p.add_argument("--f", required=True, help='generator spec, e.g. "xlogx"')
-    p.add_argument("--alpha", type=float, default=None,
-                   help="generator parameter (alternative to spec suffix)")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("reverse-test", help="dump the minimal reverse test")
     add_common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_reverse_test)
 
     p = sub.add_parser("check", help="channel equality/preservation report")
     add_common(p, channel=True)
     p.add_argument("--f", required=True)
-    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("rld", help="RLD metric finite-difference check")
     add_common(p, xy=True)
     p.add_argument("--f", required=True)
-    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--step", type=float, default=1e-3)
     p.set_defaults(func=_cmd_rld)
 

@@ -24,10 +24,6 @@ from .errors import (DimensionMismatch, DomainError, SupportError,
                      UnsupportedGenerator, ZeroSigma)
 from .generators import DivergenceGenerator, classical_f_divergence, recession_value
 
-# Relative trace below which leftover mass outside supp sigma is ignored
-# (numerical Schur complements leave dust; implements 0 * inf = 0).
-MASS_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class ReverseTest:
@@ -56,20 +52,20 @@ class ReverseTest:
         return rho, sigma
 
 
-def _schur_reduce(rho, pi_s, rank_tol, mass_tol) -> np.ndarray:
+def _schur_reduce(rho, pi_s) -> np.ndarray:
     """rho_11 - rho_12 rho_22^{-1} rho_21 against pi_s and the support pibar
     of the compression of rho onto the complement of pi_s."""
     comp = np.eye(rho.shape[0]) - pi_s
     off = comp @ rho @ comp
     evals, vecs = np.linalg.eigh((off + off.conj().T) / 2)
-    keep = linalg.support_mask(evals, rank_tol)
+    keep = linalg.support_mask(evals)
     # rho_22 = pibar rho pibar is the compression itself on pibar, so its
     # generalized inverse reads from the same eigensolve.
     top = pi_s @ rho
     r12 = top @ vecs[:, keep]
     tilde = top @ pi_s - (r12 / evals[keep]) @ r12.conj().T
     tilde = (tilde + tilde.conj().T) / 2
-    if float(np.trace(tilde).real) <= mass_tol * max(float(np.trace(rho).real), 1e-300):
+    if linalg.negligible_mass(float(np.trace(tilde).real), float(np.trace(rho).real)):
         return np.zeros_like(rho)
     return linalg.require_psd(tilde)
 
@@ -85,8 +81,8 @@ class PairAnalysis:
     rho_tilde      the Schur reduction of rho into supp sigma (rho itself
                    when supp rho lies inside supp sigma)
     dominated      whether supp rho lies inside supp sigma
-    escaped        tr(rho - rho_tilde), or 0 when it is at most
-                   mass_tol * max(tr rho, 1)
+    escaped        tr(rho - rho_tilde), or 0 when that is negligible
+                   against tr rho (linalg.negligible_mass)
     basis          orthonormal columns spanning supp sigma
     sigma_evals    the eigenvalues of sigma on those columns
     evals          the eigenvalues of d = sigma^{-1/2} rho_tilde sigma^{-1/2}
@@ -123,10 +119,9 @@ class PairAnalysis:
         out = (self.basis * self.sigma_evals ** t) @ self.basis.conj().T
         return (out + out.conj().T) / 2
 
-    def spectrum(self, cluster_tol: float = linalg.DEFAULT_CLUSTER_TOL
-                 ) -> linalg.SpectralDecomposition:
+    def spectrum(self) -> linalg.SpectralDecomposition:
         """The clustered spectral decomposition of d on supp sigma."""
-        return linalg.clustered(self.evals, self.eigenvectors, cluster_tol)
+        return linalg.clustered(self.evals, self.eigenvectors)
 
     def d_prime(self, f: DivergenceGenerator) -> float:
         """weights . f(evals) + escaped * recession(f); see d_prime()."""
@@ -149,15 +144,14 @@ class PairAnalysis:
                 "not flagged as one")
         return self.d_prime(f)
 
-    def reverse_test(self, cluster_tol: float = linalg.DEFAULT_CLUSTER_TOL
-                     ) -> ReverseTest:
+    def reverse_test(self) -> ReverseTest:
         """The minimal reverse test; see minimal_reverse_test()."""
         W = (self.basis * np.sqrt(self.sigma_evals)) @ self.coords  # sigma^{1/2} V
-        q_floor = 1e-14 * float(np.trace(self.sigma).real)
+        q_floor = linalg.ATOM_FLOOR * float(np.trace(self.sigma).real)
         outputs: list[np.ndarray] = []
         p_list: list[float] = []
         q_list: list[float] = []
-        for g in linalg.cluster_groups(self.evals, cluster_tol):
+        for g in linalg.cluster_groups(self.evals):
             Wg = W[:, g]
             qx = float(np.vdot(Wg, Wg).real)      # tr Wg Wg^H
             if qx <= q_floor:
@@ -177,18 +171,18 @@ class PairAnalysis:
                            tuple(labels))
 
 
-def analyze(rho, sigma, rank_tol: float | None = None,
-            mass_tol: float = MASS_TOL) -> PairAnalysis:
+def analyze(rho, sigma) -> PairAnalysis:
     """Validate a PSD pair and analyse it with one spectral pass.
 
     One eigensolve of sigma gives its support and sigma^{+-1/2}; one of rho
     gives its PSD check and, unless sigma has full rank, its support.  The
     Schur reduction runs only when supp rho is not inside supp sigma
-    (entrywise |P_rho - P_sigma P_rho| above 1e-8).  One eigensolve of d,
-    formed on supp sigma, gives its spectrum and the sigma-weights.
+    (linalg.projector_dominates).  One eigensolve of d, formed on supp
+    sigma, gives its spectrum and the sigma-weights.  The rank, kernel,
+    domination and escaped-mass decisions are the rules of linalg.
     """
     sigma, s_evals, s_vecs = linalg.psd_spectrum(sigma)
-    keep = linalg.support_mask(s_evals, rank_tol)
+    keep = linalg.support_mask(s_evals)
     # With sigma of full rank every support is dominated, so rho needs no
     # eigenvectors.
     full = bool(keep.all())
@@ -202,13 +196,13 @@ def analyze(rho, sigma, rank_tol: float | None = None,
     dominated, tilde = True, rho
     if not full:
         pi_s = linalg.projector(s_vecs[:, keep])
-        pi_r = linalg.projector(r_vecs[:, linalg.support_mask(r_evals, rank_tol)])
+        pi_r = linalg.projector(r_vecs[:, linalg.support_mask(r_evals)])
         if not linalg.projector_dominates(pi_s, pi_r):
             dominated = False
-            tilde = _schur_reduce(rho, pi_s, rank_tol, mass_tol)
+            tilde = _schur_reduce(rho, pi_s)
     tr_rho = float(np.trace(rho).real)
     missing = tr_rho - float(np.trace(tilde).real)
-    escaped = missing if missing > mass_tol * max(tr_rho, 1.0) else 0.0
+    escaped = 0.0 if linalg.negligible_mass(missing, tr_rho) else missing
 
     basis, s = s_vecs[:, keep], s_evals[keep]
     inv_sqrt = 1.0 / np.sqrt(s)
@@ -221,20 +215,19 @@ def analyze(rho, sigma, rank_tol: float | None = None,
                         evals, coords, weights)
 
 
-def rn_derivative(rho, sigma, rank_tol: float | None = None) -> np.ndarray:
+def rn_derivative(rho, sigma) -> np.ndarray:
     """Commutative Radon-Nikodym derivative sigma^{-1/2} rho sigma^{-1/2}.
 
     Requires supp rho inside supp sigma (generalized inverse on the kernel);
     the output is symmetrized to suppress roundoff asymmetry.
     """
-    analysis = analyze(rho, sigma, rank_tol)
+    analysis = analyze(rho, sigma)
     if not analysis.dominated:
         raise SupportError("supp rho is not contained in supp sigma")
     return analysis.d
 
 
-def d_prime(rho, sigma, f: DivergenceGenerator,
-            rank_tol: float | None = None) -> float:
+def d_prime(rho, sigma, f: DivergenceGenerator) -> float:
     """The divergence tr sigma f(d(rho, sigma)), extended to all PSD pairs.
 
     When supp rho is not inside supp sigma, the value is
@@ -242,33 +235,30 @@ def d_prime(rho, sigma, f: DivergenceGenerator,
     with rho_tilde the Schur reduction of rho; +inf exactly when the
     recession is infinite and mass is left outside supp sigma.
     """
-    return analyze(rho, sigma, rank_tol).d_prime(f)
+    return analyze(rho, sigma).d_prime(f)
 
 
-def d_max(rho, sigma, f: DivergenceGenerator,
-          rank_tol: float | None = None) -> float:
+def d_max(rho, sigma, f: DivergenceGenerator) -> float:
     """Maximal f-divergence: the infimum of D_f(p||q) over reverse tests.
 
     Computed in closed form (it coincides with d_prime for operator convex
     generators); refuses generators not flagged operator convex, since the
     closed form is only valid for them.
     """
-    return analyze(rho, sigma, rank_tol).d_max(f)
+    return analyze(rho, sigma).d_max(f)
 
 
-def minimal_reverse_test(rho, sigma, tol: float = MASS_TOL,
-                         rank_tol: float | None = None,
-                         cluster_tol: float = linalg.DEFAULT_CLUSTER_TOL) -> ReverseTest:
+def minimal_reverse_test(rho, sigma) -> ReverseTest:
     """The reverse test achieving d_max, built from the spectrum of d.
 
     One atom per clustered eigenvalue d_x of d(rho_tilde, sigma), with
     W_x = sigma^{1/2} V_x for the eigenvectors V_x of the cluster:
     output W_x W_x^H / q(x), q(x) = tr W_x W_x^H, p(x) = d_x q(x); atoms
-    with q(x) at most 1e-14 tr(sigma) are dropped.  When mass of rho is left
-    outside supp sigma (more than tol relative to tr rho), one extra atom
+    with q(x) at most linalg.ATOM_FLOOR * tr(sigma) are dropped.  When mass
+    of rho escapes supp sigma (linalg.negligible_mass), one extra atom
     carries it with q = 0.
     """
-    return analyze(rho, sigma, rank_tol, tol).reverse_test(cluster_tol)
+    return analyze(rho, sigma).reverse_test()
 
 
 def reverse_test_value(rt: ReverseTest, f: DivergenceGenerator) -> float:

@@ -144,8 +144,7 @@ def recession_value(f: DivergenceGenerator) -> float:
 
 def _as_weights(v, label: str) -> np.ndarray:
     v = np.asarray(v, dtype=float).ravel()
-    scale = max(1.0, float(np.abs(v).max())) if v.size else 1.0
-    if v.size and v.min() < -1e-12 * scale:
+    if v.size and v.min() < -1e-12 * float(np.abs(v).max()):
         raise InvalidDistribution(f"{label} has negative entries")
     return np.maximum(v, 0.0)
 

@@ -1,9 +1,11 @@
 """Dense complex Hermitian linear algebra.
 
 Spectral decompositions with eigenvalue clustering, functional calculus,
-support projectors and generalized inverses, and the shared tolerance rules
-for PSD checks, numerical rank, kernel snapping and clustering.  All functions
-are pure: inputs are never mutated and outputs are freshly allocated.
+support projectors and generalized inverses, and the package's tolerance
+policy: one constant and one function for each of the PSD, Hermiticity,
+rank, kernel, clustering, escaped-mass and domination decisions.  All
+functions are pure: inputs are never mutated and outputs are freshly
+allocated.
 """
 
 from __future__ import annotations
@@ -14,18 +16,27 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidOperator, NotPSD
 
-# Neighbouring eigenvalues whose gap is at most this share of the larger
-# magnitude of the two are merged into one projector.
-DEFAULT_CLUSTER_TOL = 1e-8
+# The tolerance policy: each numerical decision of the package reads one of
+# these constants, through the one function named in its comment.
 
-# Eigenvalues within this multiple of dim times the spectral radius of 0 are
-# an exact kernel (so f(0) = 0 applies); see snap_kernel.
+# Rank (support_mask): eigenvalues <= dim * this * lambda_max are eigh roundoff.
+RANK_CUTOFF = 1e-12
+# PSD check (psd_spectrum): a valid kernel dips to -PSD_SLACK rank cutoffs.
+PSD_SLACK = 100
+# Hermiticity (as_hermitian): relative asymmetry that products like K A K† leave.
+HERMITIAN_TOL = 1e-12
+# Kernel (snap_kernel): within dim * this * radius of 0 is 0, so f(0) = 0 applies.
 KERNEL_FLOOR = 100 * np.finfo(float).eps
-
-
-def default_rank_tol(dim: int) -> float:
-    """Relative eigenvalue cutoff for numerical rank decisions."""
-    return dim * 1e-12
+# Clusters (cluster_groups): neighbours within this relative gap share a projector.
+CLUSTER_GAP = 1e-8
+# Escaped mass (negligible_mass): up to this share of tr rho is Schur roundoff.
+MASS_TOL = 1e-10
+# Domination (projector_dominates): entrywise |P_A - P_B P_A|, projectors are O(1).
+DOMINATION_TOL = 1e-8
+# Atoms (divergence.PairAnalysis.reverse_test): q(x) <= this * tr sigma is dust.
+ATOM_FLOOR = 1e-14
+# Trace preservation (channels.kraus_channel): entrywise roundoff of sum K†K - 1.
+TP_TOL = 1e-10
 
 
 def as_matrix(A) -> np.ndarray:
@@ -35,53 +46,54 @@ def as_matrix(A) -> np.ndarray:
     return A
 
 
-def as_hermitian(A, tol: float | None = None) -> np.ndarray:
-    """Check Hermiticity and return the symmetrized (A + A†)/2."""
+def as_hermitian(A) -> np.ndarray:
+    """Check Hermiticity (see HERMITIAN_TOL) and return the symmetrized (A + A†)/2."""
     A = as_matrix(A)
-    scale = max(1.0, float(np.abs(A).max())) if A.size else 1.0
-    if tol is None:
-        tol = 1e-12 * scale
-    if float(np.abs(A - A.conj().T).max()) > tol:
+    scale = float(np.abs(A).max()) if A.size else 0.0
+    if float(np.abs(A - A.conj().T).max()) > HERMITIAN_TOL * scale:
         raise InvalidOperator("matrix is not Hermitian within tolerance")
     return (A + A.conj().T) / 2
 
 
-def psd_spectrum(A, vectors: bool = True, tol: float | None = None):
-    """Check A Hermitian and PSD (within tol) from one eigensolve.
+def psd_spectrum(A, vectors: bool = True):
+    """Check A Hermitian and PSD from one eigensolve.
 
     Returns (A symmetrized, ascending eigenvalues, eigenvectors or None).
-    The default tol is 100 * dim * 1e-12 times max(1, spectral radius).
+    Eigenvalues down to -PSD_SLACK * RANK_CUTOFF * dim times the spectral
+    radius are accepted.
     """
     A = as_hermitian(A)
     if vectors:
         evals, vecs = np.linalg.eigh(A)
     else:
         evals, vecs = np.linalg.eigvalsh(A), None
-    scale = max(1.0, float(np.abs(evals).max())) if evals.size else 1.0
-    if tol is None:
-        tol = default_rank_tol(A.shape[0]) * scale * 100
+    radius = float(np.abs(evals).max()) if evals.size else 0.0
+    tol = RANK_CUTOFF * A.shape[0] * radius * PSD_SLACK
     if evals.size and evals[0] < -tol:
         raise NotPSD(f"minimum eigenvalue {evals[0]:.3e} below -{tol:.3e}")
     return A, evals, vecs
 
 
-def require_psd(A, tol: float | None = None) -> np.ndarray:
-    """Check positive semidefiniteness (within tol) and return A symmetrized."""
-    return psd_spectrum(A, vectors=False, tol=tol)[0]
+def require_psd(A) -> np.ndarray:
+    """Check positive semidefiniteness (see psd_spectrum); return A symmetrized."""
+    return psd_spectrum(A, vectors=False)[0]
 
 
-def support_mask(evals: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
+def support_mask(evals: np.ndarray) -> np.ndarray:
     """Eigenvalues of a PSD operator that count as its support.
 
-    Those above rank_tol (default dim * 1e-12) times the largest; none when
-    the largest is not positive.
+    Those above RANK_CUTOFF * dim times the largest; none when the largest
+    is not positive.  Every rank decision of the package is made here.
     """
-    if rank_tol is None:
-        rank_tol = default_rank_tol(evals.size)
     lam_max = float(evals.max()) if evals.size else 0.0
     if lam_max <= 0.0:
         return np.zeros(evals.shape, dtype=bool)
-    return evals > rank_tol * lam_max
+    return evals > RANK_CUTOFF * evals.size * lam_max
+
+
+def negligible_mass(mass: float, total: float) -> bool:
+    """Whether mass is at most MASS_TOL * total: escaped mass, or a vanishing rho_tilde."""
+    return mass <= MASS_TOL * total
 
 
 def is_psd(A, tol: float = 1e-10) -> bool:
@@ -130,33 +142,31 @@ def snap_kernel(evals: np.ndarray, dim: int) -> np.ndarray:
     return np.where(np.abs(evals) > KERNEL_FLOOR * dim * radius, evals, 0.0)
 
 
-def cluster_groups(evals: np.ndarray,
-                   cluster_tol: float = DEFAULT_CLUSTER_TOL) -> list[np.ndarray]:
+def cluster_groups(evals: np.ndarray) -> list[np.ndarray]:
     """Index runs of ascending (kernel-snapped) eigenvalues sharing a cluster.
 
-    Neighbours merge when their gap is at most cluster_tol times the larger
+    Neighbours merge when their gap is at most CLUSTER_GAP times the larger
     of the two magnitudes.  The gap is local and relative, so one large
     eigenvalue cannot pull distinct small ones together, and the exact zeros
     left by snap_kernel form one cluster.
     """
     if not evals.size:
         return []
-    bound = cluster_tol * np.maximum(np.abs(evals[1:]), np.abs(evals[:-1]))
+    bound = CLUSTER_GAP * np.maximum(np.abs(evals[1:]), np.abs(evals[:-1]))
     cuts = np.flatnonzero(np.diff(evals) > bound) + 1
     return np.split(np.arange(evals.size), cuts)
 
 
-def clustered(evals: np.ndarray, vecs: np.ndarray,
-              cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomposition:
+def clustered(evals: np.ndarray, vecs: np.ndarray) -> SpectralDecomposition:
     """The clustered decomposition of an eigensystem (evals, vecs)."""
-    groups = cluster_groups(evals, cluster_tol)
+    groups = cluster_groups(evals)
     reps = np.array([evals[g].mean() for g in groups])
     projs = tuple(projector(vecs[:, g]) for g in groups)
     mults = np.array([len(g) for g in groups], dtype=int)
     return SpectralDecomposition(reps, projs, mults)
 
 
-def herm_eig(A, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomposition:
+def herm_eig(A) -> SpectralDecomposition:
     """Eigendecomposition with near-degenerate eigenvalues merged.
 
     Eigenvalues at the kernel floor become exact zeros; then neighbours merge
@@ -164,52 +174,53 @@ def herm_eig(A, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecompositi
     """
     A = as_hermitian(A)
     evals, vecs = np.linalg.eigh(A)
-    return clustered(snap_kernel(evals, A.shape[0]), vecs, cluster_tol)
+    return clustered(snap_kernel(evals, A.shape[0]), vecs)
 
 
-def support_projector(A, rank_tol: float | None = None) -> np.ndarray:
-    """Orthogonal projector onto the range of a PSD operator.
-
-    Eigenvalues at or below rank_tol times the largest eigenvalue count as
-    kernel.  Default rank_tol is dim * 1e-12.
-    """
+def support_projector(A) -> np.ndarray:
+    """Orthogonal projector onto the range (see support_mask) of a PSD operator."""
     A, evals, vecs = psd_spectrum(A)
-    return projector(vecs[:, support_mask(evals, rank_tol)])
+    return projector(vecs[:, support_mask(evals)])
 
 
-def support_dominates(B, A, rank_tol: float | None = None, tol: float = 1e-8) -> bool:
-    """True iff supp A is contained in supp B (both PSD), within tolerance."""
-    return projector_dominates(support_projector(B, rank_tol),
-                               support_projector(A, rank_tol), tol)
+def support_dominates(B, A) -> bool:
+    """True iff supp A is contained in supp B (both PSD); see projector_dominates."""
+    return projector_dominates(support_projector(B), support_projector(A))
 
 
-def projector_dominates(pb: np.ndarray, pa: np.ndarray, tol: float = 1e-8) -> bool:
-    """True iff the range of projector pa lies in that of pb, entrywise within tol."""
-    return float(np.abs(pa - pb @ pa).max()) <= tol
+def projector_dominates(pb: np.ndarray, pa: np.ndarray) -> bool:
+    """True iff the range of projector pa lies in that of pb, entrywise
+    within DOMINATION_TOL."""
+    return float(np.abs(pa - pb @ pa).max()) <= DOMINATION_TOL
 
 
-def _spectral_map(A, fn, rank_tol: float | None = None) -> np.ndarray:
-    """Apply fn to the spectrum of PSD A, with kernel cut at rank_tol."""
-    A, evals, vecs = psd_spectrum(A)
-    keep = support_mask(evals, rank_tol)
+def support_map(evals: np.ndarray, vecs: np.ndarray, fn) -> np.ndarray:
+    """fn of a PSD operator from its eigensystem: fn on the support, 0 on the kernel."""
+    keep = support_mask(evals)
     vals = np.where(keep, fn(np.where(keep, evals, 1.0)), 0.0)
     out = (vecs * vals) @ vecs.conj().T
     return (out + out.conj().T) / 2
 
 
-def gen_inverse_sqrt(A, rank_tol: float | None = None) -> np.ndarray:
+def _spectral_map(A, fn) -> np.ndarray:
+    """Validate PSD A and apply fn on its support (see support_map)."""
+    A, evals, vecs = psd_spectrum(A)
+    return support_map(evals, vecs, fn)
+
+
+def gen_inverse_sqrt(A) -> np.ndarray:
     """A^{-1/2} on supp A, zero on the kernel (generalized inverse)."""
-    return _spectral_map(A, lambda w: 1.0 / np.sqrt(w), rank_tol)
+    return _spectral_map(A, lambda w: 1.0 / np.sqrt(w))
 
 
-def gen_inverse(A, rank_tol: float | None = None) -> np.ndarray:
+def gen_inverse(A) -> np.ndarray:
     """Generalized (Moore-Penrose) inverse of a PSD operator."""
-    return _spectral_map(A, lambda w: 1.0 / w, rank_tol)
+    return _spectral_map(A, lambda w: 1.0 / w)
 
 
-def matrix_sqrt(A, rank_tol: float | None = None) -> np.ndarray:
+def matrix_sqrt(A) -> np.ndarray:
     """Principal square root of a PSD operator."""
-    return _spectral_map(A, np.sqrt, rank_tol)
+    return _spectral_map(A, np.sqrt)
 
 
 def apply_scalar_function(A, h) -> np.ndarray:
@@ -236,19 +247,18 @@ def apply_scalar_function(A, h) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
-def schur_tilde(rho, sigma, rank_tol: float | None = None,
-                mass_tol: float = 1e-10) -> np.ndarray:
+def schur_tilde(rho, sigma) -> np.ndarray:
     """Largest PSD operator below rho that is supported inside supp sigma.
 
     Blocks are taken against pi = supp projector of sigma and the smallest
     complement projector pibar covering the rest of supp rho:
     rho_11 - rho_12 rho_22^{-1} rho_21.  If supp rho is already inside
-    supp sigma, rho itself is returned.  A result whose trace is below
-    mass_tol * tr(rho) is snapped to exact zero.  Read from
+    supp sigma, rho itself is returned.  A result whose trace is negligible
+    against tr(rho) (negligible_mass) is snapped to exact zero.  Read from
     divergence.analyze, which computes it once per pair.
     """
     from .divergence import analyze  # the pair analysis builds on this module
-    return analyze(rho, sigma, rank_tol, mass_tol).rho_tilde
+    return analyze(rho, sigma).rho_tilde
 
 
 def block_positivity_check(X, C, Y, tol: float = 1e-10) -> bool:

@@ -1,9 +1,11 @@
 """JSON wire formats for matrices and channels.
 
 Matrix:  {"dim": n, "entries": [[re, im], ...]}   row-major, doubles.
-Channel: {"dim_in": n, "dim_out": m, "kraus": [matrix, ...]}.
+Channel: {"dim_in": n, "dim_out": m, "kraus": [kraus, ...]},
+         kraus = {"dim_out": m, "dim_in": n, "entries": [[re, im], ...]}.
 
-Readers reject entry lists whose length differs from dim**2.
+Readers reject entry lists whose length differs from dim**2 (dim_out *
+dim_in for a Kraus operator, whose own dim fields are not read).
 """
 
 from __future__ import annotations
@@ -43,19 +45,10 @@ def matrix_from_json(obj) -> np.ndarray:
 
 
 def channel_to_json(ch: KrausChannel) -> dict:
-    # square Kraus operators reuse the matrix format; rectangular ones
-    # carry explicit row/column counts
-    def kraus_obj(K):
-        entries = [[float(z.real), float(z.imag)] for z in K.ravel()]
-        if ch.dim_in == ch.dim_out:
-            return {"dim": ch.dim_in, "entries": entries}
-        return {"dim_out": ch.dim_out, "dim_in": ch.dim_in, "entries": entries}
-
-    return {
-        "dim_in": ch.dim_in,
-        "dim_out": ch.dim_out,
-        "kraus": [kraus_obj(K) for K in ch.kraus],
-    }
+    kraus = [{"dim_out": ch.dim_out, "dim_in": ch.dim_in,
+              "entries": [[float(z.real), float(z.imag)] for z in K.ravel()]}
+             for K in ch.kraus]
+    return {"dim_in": ch.dim_in, "dim_out": ch.dim_out, "kraus": kraus}
 
 
 def _rect_from_json(obj, rows: int, cols: int) -> np.ndarray:

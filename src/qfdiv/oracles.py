@@ -30,7 +30,7 @@ def joint_eigenvalues(rho, sigma, comm_tol: float = 1e-10):
     w, V = np.linalg.eigh(sigma)
     n = w.size
     scale = max(1.0, float(np.abs(w).max()))
-    gap = linalg.default_rank_tol(n) * scale
+    gap = linalg.RANK_CUTOFF * n * scale
     p = np.empty(n)
     q = np.empty(n)
     start = 0
@@ -59,8 +59,8 @@ def classical_oracle(rho, sigma, f: DivergenceGenerator,
     return classical_f_divergence(p, q, f)
 
 
-def _logm_psd(A, rank_tol=None) -> np.ndarray:
-    return linalg._spectral_map(A, np.log, rank_tol)
+def _logm_psd(A) -> np.ndarray:
+    return linalg._spectral_map(A, np.log)
 
 
 def umegaki_relative_entropy(rho, sigma) -> float:
@@ -192,8 +192,7 @@ def random_reverse_test(rho, sigma, rng: np.random.Generator,
     return ReverseTest(tuple(outputs), p, q, labels)
 
 
-def shrunk_feasible_operator(rho, sigma, tilde, rng: np.random.Generator,
-                             rank_tol=None) -> np.ndarray:
+def shrunk_feasible_operator(rho, sigma, tilde, rng: np.random.Generator) -> np.ndarray:
     """A random PSD rho_1 with supp rho_1 in supp sigma and rho_1 <= rho.
 
     Built as a convex mix of the Schur reduction with a scaled compression
@@ -201,16 +200,16 @@ def shrunk_feasible_operator(rho, sigma, tilde, rng: np.random.Generator,
     Any such operator must sit below the Schur reduction.
     """
     rho = linalg.require_psd(rho)
-    pi_s = linalg.support_projector(sigma, rank_tol)
+    pi_s = linalg.support_projector(sigma)
     comp = pi_s @ rho @ pi_s
     comp = (comp + comp.conj().T) / 2
-    pi_r = linalg.support_projector(rho, rank_tol)
+    pi_r = linalg.support_projector(rho)
     eye = np.eye(rho.shape[0])
     leak = (eye - pi_r) @ comp @ (eye - pi_r)
     if float(np.abs(leak).max()) > 1e-10 * max(1.0, float(np.abs(comp).max())):
         s_max = 0.0
     else:
-        r_inv = linalg.gen_inverse_sqrt(rho, rank_tol)
+        r_inv = linalg.gen_inverse_sqrt(rho)
         lam = float(np.linalg.eigvalsh(r_inv @ comp @ r_inv).max())
         s_max = 0.0 if lam <= 0 else 1.0 / lam
     t = rng.uniform(0.0, 1.0)

@@ -21,26 +21,43 @@ from .generators import DivergenceGenerator
 DEFAULT_STEP = 1e-3
 
 
-def _check_in_support(rho, X, label: str, rank_tol=None) -> np.ndarray:
+def _spectrum(rho):
+    """rho validated, with its eigensystem and its support projector.
+
+    The one eigensolve of rho that each public function here makes: the
+    support, lambda_min and the generalized inverse all read from it.
+    """
+    rho, evals, vecs = linalg.psd_spectrum(rho)
+    return rho, evals, vecs, linalg.projector(vecs[:, linalg.support_mask(evals)])
+
+
+def _lam_min(evals) -> float:
+    """The smallest eigenvalue of rho on its support."""
+    return float(evals[linalg.support_mask(evals)].min())
+
+
+def _check_in_support(pi, X, label: str) -> np.ndarray:
     X = linalg.as_hermitian(X)
-    pi = linalg.support_projector(rho, rank_tol)
     scale = max(1.0, float(np.abs(X).max()))
     if float(np.abs(X - pi @ X @ pi).max()) > 1e-10 * scale:
         raise SupportError(f"{label} is not supported inside supp rho")
     return X
 
 
-def rld_metric(rho, X, Y, rank_tol: float | None = None) -> complex:
+def _metric(evals, vecs, X, Y) -> complex:
+    rho_inv = linalg.support_map(evals, vecs, lambda w: 1.0 / w)
+    return complex(np.trace(X @ rho_inv @ Y))
+
+
+def rld_metric(rho, X, Y) -> complex:
     """RLD Fisher metric tr X rho^{-1} Y (generalized inverse).
 
     Hermitian in its arguments: J(X, Y) = conj(J(Y, X)).  Requires X and Y
     supported inside supp rho.
     """
-    rho = linalg.require_psd(rho)
-    X = _check_in_support(rho, X, "X", rank_tol)
-    Y = _check_in_support(rho, Y, "Y", rank_tol)
-    rho_inv = linalg.gen_inverse(rho, rank_tol)
-    return complex(np.trace(X @ rho_inv @ Y))
+    rho, evals, vecs, pi = _spectrum(rho)
+    return _metric(evals, vecs, _check_in_support(pi, X, "X"),
+                   _check_in_support(pi, Y, "Y"))
 
 
 @dataclass(frozen=True)
@@ -55,35 +72,35 @@ class TangentPerturbation:
     step_bound: float
 
 
-def tangent_perturbation(rho, direction, rank_tol: float | None = None) -> TangentPerturbation:
+def tangent_perturbation(rho, direction) -> TangentPerturbation:
     """Validate a perturbation direction and compute its PSD step bound."""
-    rho = linalg.require_psd(rho)
-    X = _check_in_support(rho, direction, "direction", rank_tol)
+    rho, evals, _, pi = _spectrum(rho)
+    return _tangent(rho, evals, pi, direction)
+
+
+def _tangent(rho, evals, pi, direction) -> TangentPerturbation:
+    X = _check_in_support(pi, direction, "direction")
     if abs(float(np.trace(X).real)) > 1e-12 * max(1.0, float(np.abs(X).max())):
         raise SupportError("perturbation direction must be traceless")
-    evals = np.linalg.eigvalsh(rho)
-    lam_min = float(evals[evals > (rank_tol or linalg.default_rank_tol(rho.shape[0]))
-                          * evals.max()].min())
     norm = float(np.linalg.norm(X, 2))
-    bound = lam_min / norm if norm > 0 else np.inf
+    bound = _lam_min(evals) / norm if norm > 0 else np.inf
     return TangentPerturbation(rho, X, bound)
 
 
-def random_tangent(rho, seed_or_rng, rank_tol: float | None = None) -> TangentPerturbation:
+def random_tangent(rho, seed_or_rng) -> TangentPerturbation:
     """Draw a random normalized traceless direction inside supp rho."""
     rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
            else np.random.default_rng(seed_or_rng))
-    rho = linalg.require_psd(rho)
+    rho, evals, _, pi = _spectrum(rho)
     n = rho.shape[0]
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     X = (G + G.conj().T) / 2
-    pi = linalg.support_projector(rho, rank_tol)
     X = pi @ X @ pi
     rank = round(float(np.trace(pi).real))
     X = X - (np.trace(X).real / rank) * pi
     X = (X + X.conj().T) / 2
     X = X / max(float(np.linalg.norm(X, 2)), 1e-300)
-    return tangent_perturbation(rho, X, rank_tol)
+    return _tangent(rho, evals, pi, X)
 
 
 @dataclass(frozen=True)
@@ -110,8 +127,7 @@ def _mixed_difference(values, s, t) -> float:
 
 
 def second_derivative_check(rho, X, Y, f: DivergenceGenerator,
-                            step: float = DEFAULT_STEP,
-                            rank_tol: float | None = None) -> SecondDerivativeResult:
+                            step: float = DEFAULT_STEP) -> SecondDerivativeResult:
     """Compare the mixed finite difference of the divergence with the metric.
 
     The raw step is rescaled by lambda_min(rho)/||direction|| per direction
@@ -120,13 +136,11 @@ def second_derivative_check(rho, X, Y, f: DivergenceGenerator,
     if f.second_deriv_at_1 is None:
         raise UnsupportedGenerator(
             f"generator {f.name!r} has no declared second derivative at 1")
-    rho = linalg.require_psd(rho)
-    X = _check_in_support(rho, X, "X", rank_tol)
-    Y = _check_in_support(rho, Y, "Y", rank_tol)
+    rho, evals, vecs, pi = _spectrum(rho)
+    X = _check_in_support(pi, X, "X")
+    Y = _check_in_support(pi, Y, "Y")
 
-    evals = np.linalg.eigvalsh(rho)
-    cut = (rank_tol or linalg.default_rank_tol(rho.shape[0])) * float(evals.max())
-    lam_min = float(evals[evals > cut].min())
+    lam_min = _lam_min(evals)
     norm_x = float(np.linalg.norm(X, 2))
     norm_y = float(np.linalg.norm(Y, 2))
     s = step * lam_min / norm_x if norm_x > 0 else step
@@ -138,7 +152,7 @@ def second_derivative_check(rho, X, Y, f: DivergenceGenerator,
         return M
 
     def probe(first, second) -> float:
-        return d_prime(_psd(first), _psd(second), f, rank_tol)
+        return d_prime(_psd(first), _psd(second), f)
 
     fd1 = _mixed_difference(
         [probe(rho + a * s * X, rho - b * t * Y)
@@ -150,7 +164,7 @@ def second_derivative_check(rho, X, Y, f: DivergenceGenerator,
         [probe(rho + a * s * X + b * t * Y, rho)
          for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))], s, t)
 
-    metric = rld_metric(rho, X, Y, rank_tol)
+    metric = _metric(evals, vecs, X, Y)
     analytic = f.second_deriv_at_1 * metric.real
     return SecondDerivativeResult(
         fd_value=fd1, analytic=analytic, abs_err=abs(fd1 - analytic),

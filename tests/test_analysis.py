@@ -151,7 +151,6 @@ class TestReaders:
         rho = np.diag([1.0, 1e-9]).astype(complex)
         sigma = np.diag([1.0, 0.0]).astype(complex)
         assert analyze(rho, sigma).escaped == pytest.approx(1e-9)
-        assert analyze(rho, sigma, mass_tol=1e-8).escaped == 0.0
 
 
 def test_import_does_not_load_scipy():

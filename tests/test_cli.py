@@ -45,8 +45,15 @@ class TestMatrixJson:
         assert back.dim_in == 2 and back.dim_out == 2
         for K1, K2 in zip(ch.kraus, back.kraus):
             np.testing.assert_array_equal(K1, K2)
-        # square Kraus blocks reuse the matrix wire format
-        assert channel_to_json(ch)["kraus"][0]["dim"] == 2
+        # every Kraus operator carries its row and column counts
+        kraus = channel_to_json(ch)["kraus"][0]
+        assert (kraus["dim_out"], kraus["dim_in"]) == (2, 2)
+        assert "dim" not in kraus
+        # files that wrote square Kraus operators in the matrix format load
+        old = {"dim_in": 2, "dim_out": 2,
+               "kraus": [matrix_to_json(K) for K in ch.kraus]}
+        for K1, K2 in zip(ch.kraus, channel_from_json(old).kraus):
+            np.testing.assert_array_equal(K1, K2)
 
     def test_rectangular_channel_roundtrip(self):
         from qfdiv.channels import embedding_channel
@@ -70,7 +77,7 @@ class TestComputeCommand:
     def test_alpha_flag(self, qubit_files, capsys):
         code = main(["compute", "--rho", qubit_files["rho"],
                      "--sigma", qubit_files["sigma"],
-                     "--f", "neg_power", "--alpha", "0.5"])
+                     "--f", "neg_power:0.5"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["finite"] is True
@@ -196,3 +203,45 @@ class TestSuiteCommand:
         first.pop("wall_time_s")
         second.pop("wall_time_s")
         assert first == second
+
+
+class TestNoToleranceKnobs:
+    """The tolerances of rank, clustering and escaped mass are constants of
+    qfdiv.linalg, not parameters, and the CLI has no flag for them or for a
+    generator parameter outside the spec."""
+
+    def test_no_public_callable_takes_a_tolerance_knob(self):
+        import importlib
+        import inspect
+        import pkgutil
+
+        import qfdiv
+        knobs = {"rank_tol", "cluster_tol", "mass_tol"}
+        found = []
+        for info in pkgutil.iter_modules(qfdiv.__path__):
+            if info.name.startswith("_"):
+                continue
+            mod = importlib.import_module(f"qfdiv.{info.name}")
+            for name, obj in vars(mod).items():
+                if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                    continue
+                fns = [obj] if inspect.isfunction(obj) else []
+                if inspect.isclass(obj):
+                    fns = [fn for meth, fn in vars(obj).items()
+                           if not meth.startswith("_") and inspect.isfunction(fn)]
+                for fn in fns:
+                    params = inspect.signature(fn).parameters
+                    found += [f"{info.name}.{name}({p})" for p in params if p in knobs]
+        assert found == []
+
+    def test_help_lists_no_tol_or_alpha(self, capsys):
+        for command, flags in (("compute", ("--tol", "--alpha")),
+                               ("reverse-test", ("--tol",)),
+                               ("check", ("--alpha",)), ("rld", ("--alpha",))):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            text = capsys.readouterr().out
+            assert "--rho" in text
+            for flag in flags:
+                assert flag not in text, (command, flag)

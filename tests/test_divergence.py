@@ -7,7 +7,7 @@ import pytest
 
 from qfdiv import errors
 from qfdiv.channels import random_state as seeded_state
-from qfdiv.divergence import (d_max, d_prime, minimal_reverse_test,
+from qfdiv.divergence import (analyze, d_max, d_prime, minimal_reverse_test,
                               perturbation_limit_probe, reverse_test_value,
                               rn_derivative)
 from qfdiv.generators import (builtin, classical_f_divergence, custom)
@@ -395,3 +395,57 @@ class TestReverseTestClustering:
         assert rt.labels[-1] == "x0"
         assert np.all(rt.q[:-1] > 1e-3)
         assert_optimal_reverse_test(rho, sigma, rt, 1e-9, 1e-8)
+
+
+def homogeneity_pairs():
+    """Seeded pairs at dims 2-4: dominated with full and deficient rank,
+    rho inside a deficient supp sigma, and mass escaping supp sigma."""
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 3
+        full, low = random_state(rng, dim), random_state(rng, dim, dim - 1)
+        sigma_low = random_state(rng, dim, dim - 1)
+        V = np.linalg.eigh(sigma_low)[1][:, 1:]      # supp sigma_low
+        inside = V @ random_state(rng, dim - 1) @ V.conj().T
+        yield from [(full, random_state(rng, dim)), (low, full),
+                    (inside, sigma_low), (full, sigma_low), (low, sigma_low)]
+
+
+class TestScaleHomogeneity:
+    """D(c rho || c sigma) = c D(rho || sigma): every tolerance decision is
+    relative to the scale of its operand."""
+
+    SCALES = (1e-14, 1e-12, 1e-10, 1e-6, 1e3, 1e10)
+
+    def test_homogeneous_across_scales(self):
+        infinite = 0
+        for rho, sigma in homogeneity_pairs():
+            base = analyze(rho, sigma)
+            # eigensolver roundoff grows with the condition number of sigma
+            # on its support; a scale-dependent decision errs by far more
+            s = base.sigma_evals
+            cond = max(1.0, s.max() / s.min() / 100)
+            for c in self.SCALES:
+                scaled = analyze(c * rho, c * sigma)
+                for f in GENS:
+                    want, got = base.d_max(f), scaled.d_max(f)
+                    assert math.isinf(got) == math.isinf(want), (c, f.name)
+                    if math.isinf(want):
+                        infinite += 1
+                    else:
+                        assert abs(got / c - want) <= 1e-13 * max(1.0, abs(want)) * cond
+        assert infinite > 0
+
+    def test_escaped_mass_at_small_scale(self):
+        # half of rho escapes supp sigma at every scale, so xlogx gives +inf
+        c = 1e-12
+        rho, sigma = c * np.diag([0.5, 0.5]), c * np.diag([1.0, 0.0])
+        assert d_max(rho, sigma, XLOGX) == math.inf
+        pair = analyze(rho, sigma)
+        assert pair.escaped == pytest.approx(0.5 * c, rel=1e-12)
+        assert minimal_reverse_test(rho, sigma).labels[-1] == "x0"
+
+    def test_not_psd_at_small_scale(self):
+        rho = 1e-12 * np.diag([1.0, -0.5])
+        with pytest.raises(errors.NotPSD):
+            d_max(rho, 1e-12 * np.diag([0.5, 0.5]), XLOGX)

@@ -162,6 +162,9 @@ class TestClassicalDivergence:
             classical_f_divergence([-0.1, 1.1], [0.5, 0.5], builtin("square"))
         with pytest.raises(errors.InvalidDistribution):
             classical_f_divergence([1.0], [0.5, 0.5], builtin("square"))
+        # the slack for negative entries scales with the weights themselves
+        with pytest.raises(errors.InvalidDistribution):
+            classical_f_divergence([1e-12, -0.5e-12], [0.5, 0.5], builtin("square"))
 
     def test_tangent_line_lower_bound(self):
         # convexity gives D_f(p||q) >= f'(1) tr p + (f(1) - f'(1)) tr q,

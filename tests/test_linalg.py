@@ -41,7 +41,7 @@ class TestHermEig:
         np.testing.assert_allclose(dec.projectors[0], np.eye(2), atol=1e-14)
 
     def test_near_degenerate_cluster(self):
-        dec = herm_eig(np.diag([1.0, 1.0 + 1e-12]), cluster_tol=1e-8)
+        dec = herm_eig(np.diag([1.0, 1.0 + 1e-12]))
         assert len(dec.eigenvalues) == 1
         assert dec.eigenvalues[0] == pytest.approx(1.0, abs=1e-11)
 
@@ -106,6 +106,16 @@ class TestSupport:
     def test_not_psd(self):
         with pytest.raises(errors.NotPSD):
             support_projector(np.diag([1.0, -0.2]))
+
+    def test_validation_slack_scales_with_the_operand(self):
+        # a negative eigenvalue or an asymmetry of half the scale is rejected
+        # however small the scale; the roundoff of a valid kernel is not
+        with pytest.raises(errors.NotPSD):
+            support_projector(1e-12 * np.diag([1.0, -0.5]))
+        with pytest.raises(errors.InvalidOperator):
+            as_hermitian(1e-12 * np.array([[1.0, 0.5], [0.0, 1.0]]))
+        np.testing.assert_array_equal(
+            support_projector(1e-12 * np.diag([1.0, -1e-15])), np.diag([1.0, 0.0]))
 
     def test_dominates(self):
         assert support_dominates(np.diag([1.0, 1.0]), np.diag([1.0, 0.0]))
