@@ -9,10 +9,10 @@ identity.  Divergence values are floats in (-inf, +inf]; +inf is math.inf.
 """
 
 from .channels import (DpiResult, EqualityReport, KrausChannel,
-                       dephasing_channel, depolarizing_channel, dpi_check,
-                       embedding_channel, equality_check, identity_channel,
-                       kraus_channel, lambda_sigma, random_channel,
-                       random_state, unitary_channel, v_adjoint, v_operator)
+                       depolarizing_channel, dpi_check, embedding_channel,
+                       equality_check, identity_channel, kraus_channel,
+                       lambda_sigma, random_channel, random_state,
+                       unitary_channel, v_operator)
 from .divergence import (PairAnalysis, ReverseTest, analyze, d_max, d_prime,
                          minimal_reverse_test, perturbation_limit_probe,
                          reverse_test_value, rn_derivative)
@@ -25,13 +25,12 @@ from .generators import (DivergenceGenerator, LownerForm, builtin,
                          lebesgue_atoms, lowner_quadrature_check,
                          recession_value)
 from .linalg import (SpectralDecomposition, apply_scalar_function,
-                     block_positivity_check, gen_inverse, gen_inverse_sqrt,
-                     herm_eig, is_psd, matrix_sqrt, schur_tilde,
-                     support_dominates, support_projector)
+                     gen_inverse_sqrt, matrix_sqrt, schur_tilde,
+                     support_projector)
 from .oracles import (bs_relative_entropy, classical_oracle,
                       umegaki_relative_entropy)
 from .rld import (SecondDerivativeResult, TangentPerturbation, random_tangent,
-                  rld_metric, second_derivative_check, tangent_perturbation)
+                  rld_metric, second_derivative_check)
 from .suites import SUITE_NAMES, SuiteConfig, SuiteReport, run_suite, trial_rng
 
 __version__ = "0.1.0"

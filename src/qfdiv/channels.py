@@ -92,16 +92,6 @@ def depolarizing_channel(dim: int, noise: float) -> KrausChannel:
     return kraus_channel(ops)
 
 
-def dephasing_channel(dim: int) -> KrausChannel:
-    """Projective measurement in the computational basis."""
-    ops = []
-    for i in range(dim):
-        P = np.zeros((dim, dim), dtype=complex)
-        P[i, i] = 1.0
-        ops.append(P)
-    return kraus_channel(ops)
-
-
 def embedding_channel(dim_in: int, dim_out: int) -> KrausChannel:
     """Direct-sum embedding A -> [[A, 0], [0, 0]] via an isometry."""
     if dim_out < dim_in:
@@ -205,23 +195,6 @@ def v_operator(ch: KrausChannel, sigma, Z) -> np.ndarray:
     out_inv = linalg.gen_inverse_sqrt(ch.apply(sigma))
     s_half = linalg.support_map(evals, vecs, np.sqrt)
     return ch.adjoint_apply(Z @ out_inv) @ s_half
-
-
-def v_adjoint(ch: KrausChannel, sigma, Z) -> np.ndarray:
-    """V†(Z) = Lambda(Z sigma^{1/2}) Lambda(sigma)^{-1/2}."""
-    sigma, evals, vecs = linalg.psd_spectrum(sigma)
-    Z = np.asarray(Z, dtype=complex)
-    if Z.shape != (ch.dim_in, ch.dim_in):
-        raise DimensionMismatch(
-            f"Z of shape {Z.shape} incompatible with input dimension "
-            f"{ch.dim_in}")
-    s_half = linalg.support_map(evals, vecs, np.sqrt)
-    out_inv = linalg.gen_inverse_sqrt(ch.apply(sigma))
-    # The Kraus action extends to non-Hermitian arguments linearly.
-    acc = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
-    for K in ch.kraus:
-        acc += K @ (Z @ s_half) @ K.conj().T
-    return acc @ out_inv
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidOperator, NotPSD
+from .errors import DomainError, InvalidOperator, NotPSD
 
 # The tolerance policy: each numerical decision of the package reads one of
 # these constants, through the one function named in its comment.
@@ -40,16 +40,17 @@ TP_TOL = 1e-10
 
 
 def as_matrix(A) -> np.ndarray:
+    """A as a complex array; InvalidOperator unless it is a non-empty square matrix."""
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidOperator(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise InvalidOperator(f"expected a non-empty square matrix, got shape {A.shape}")
     return A
 
 
 def as_hermitian(A) -> np.ndarray:
     """Check Hermiticity (see HERMITIAN_TOL) and return the symmetrized (A + A†)/2."""
     A = as_matrix(A)
-    scale = float(np.abs(A).max()) if A.size else 0.0
+    scale = float(np.abs(A).max())
     if float(np.abs(A - A.conj().T).max()) > HERMITIAN_TOL * scale:
         raise InvalidOperator("matrix is not Hermitian within tolerance")
     return (A + A.conj().T) / 2
@@ -67,9 +68,8 @@ def psd_spectrum(A, vectors: bool = True):
         evals, vecs = np.linalg.eigh(A)
     else:
         evals, vecs = np.linalg.eigvalsh(A), None
-    radius = float(np.abs(evals).max()) if evals.size else 0.0
-    tol = RANK_CUTOFF * A.shape[0] * radius * PSD_SLACK
-    if evals.size and evals[0] < -tol:
+    tol = RANK_CUTOFF * A.shape[0] * float(np.abs(evals).max()) * PSD_SLACK
+    if evals[0] < -tol:
         raise NotPSD(f"minimum eigenvalue {evals[0]:.3e} below -{tol:.3e}")
     return A, evals, vecs
 
@@ -85,7 +85,7 @@ def support_mask(evals: np.ndarray) -> np.ndarray:
     Those above RANK_CUTOFF * dim times the largest; none when the largest
     is not positive.  Every rank decision of the package is made here.
     """
-    lam_max = float(evals.max()) if evals.size else 0.0
+    lam_max = float(evals.max())
     if lam_max <= 0.0:
         return np.zeros(evals.shape, dtype=bool)
     return evals > RANK_CUTOFF * evals.size * lam_max
@@ -94,16 +94,6 @@ def support_mask(evals: np.ndarray) -> np.ndarray:
 def negligible_mass(mass: float, total: float) -> bool:
     """Whether mass is at most MASS_TOL * total: escaped mass, or a vanishing rho_tilde."""
     return mass <= MASS_TOL * total
-
-
-def is_psd(A, tol: float = 1e-10) -> bool:
-    """True iff A is Hermitian and its spectrum is above -tol."""
-    try:
-        A = as_hermitian(A)
-    except InvalidOperator:
-        return False
-    evals = np.linalg.eigvalsh(A)
-    return bool(evals.size == 0 or evals[0] >= -tol)
 
 
 @dataclass(frozen=True)
@@ -119,16 +109,6 @@ class SpectralDecomposition:
     projectors: tuple[np.ndarray, ...]
     multiplicities: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.projectors[0])
-        for lam, proj in zip(self.eigenvalues, self.projectors):
-            out = out + lam * proj
-        return out
-
 
 def projector(V: np.ndarray) -> np.ndarray:
     """The orthogonal projector V V† onto orthonormal columns V, symmetrized."""
@@ -138,7 +118,7 @@ def projector(V: np.ndarray) -> np.ndarray:
 
 def snap_kernel(evals: np.ndarray, dim: int) -> np.ndarray:
     """Eigenvalues within KERNEL_FLOOR * dim * spectral radius of 0, set to 0."""
-    radius = float(np.abs(evals).max()) if evals.size else 0.0
+    radius = float(np.abs(evals).max())
     return np.where(np.abs(evals) > KERNEL_FLOOR * dim * radius, evals, 0.0)
 
 
@@ -150,8 +130,6 @@ def cluster_groups(evals: np.ndarray) -> list[np.ndarray]:
     eigenvalue cannot pull distinct small ones together, and the exact zeros
     left by snap_kernel form one cluster.
     """
-    if not evals.size:
-        return []
     bound = CLUSTER_GAP * np.maximum(np.abs(evals[1:]), np.abs(evals[:-1]))
     cuts = np.flatnonzero(np.diff(evals) > bound) + 1
     return np.split(np.arange(evals.size), cuts)
@@ -166,26 +144,10 @@ def clustered(evals: np.ndarray, vecs: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(reps, projs, mults)
 
 
-def herm_eig(A) -> SpectralDecomposition:
-    """Eigendecomposition with near-degenerate eigenvalues merged.
-
-    Eigenvalues at the kernel floor become exact zeros; then neighbours merge
-    by the local relative gap of cluster_groups.
-    """
-    A = as_hermitian(A)
-    evals, vecs = np.linalg.eigh(A)
-    return clustered(snap_kernel(evals, A.shape[0]), vecs)
-
-
 def support_projector(A) -> np.ndarray:
     """Orthogonal projector onto the range (see support_mask) of a PSD operator."""
     A, evals, vecs = psd_spectrum(A)
     return projector(vecs[:, support_mask(evals)])
-
-
-def support_dominates(B, A) -> bool:
-    """True iff supp A is contained in supp B (both PSD); see projector_dominates."""
-    return projector_dominates(support_projector(B), support_projector(A))
 
 
 def projector_dominates(pb: np.ndarray, pa: np.ndarray) -> bool:
@@ -202,25 +164,21 @@ def support_map(evals: np.ndarray, vecs: np.ndarray, fn) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
-def _spectral_map(A, fn) -> np.ndarray:
-    """Validate PSD A and apply fn on its support (see support_map)."""
+def _spectral_map(A, fn) -> tuple[np.ndarray, np.ndarray]:
+    """A validated as PSD (see psd_spectrum) and fn applied on its support
+    (see support_map), from one eigensolve."""
     A, evals, vecs = psd_spectrum(A)
-    return support_map(evals, vecs, fn)
+    return A, support_map(evals, vecs, fn)
 
 
 def gen_inverse_sqrt(A) -> np.ndarray:
     """A^{-1/2} on supp A, zero on the kernel (generalized inverse)."""
-    return _spectral_map(A, lambda w: 1.0 / np.sqrt(w))
-
-
-def gen_inverse(A) -> np.ndarray:
-    """Generalized (Moore-Penrose) inverse of a PSD operator."""
-    return _spectral_map(A, lambda w: 1.0 / w)
+    return _spectral_map(A, lambda w: 1.0 / np.sqrt(w))[1]
 
 
 def matrix_sqrt(A) -> np.ndarray:
     """Principal square root of a PSD operator."""
-    return _spectral_map(A, np.sqrt)
+    return _spectral_map(A, np.sqrt)[1]
 
 
 def apply_scalar_function(A, h) -> np.ndarray:
@@ -229,8 +187,6 @@ def apply_scalar_function(A, h) -> np.ndarray:
     h must accept a float array; a NaN or an exception from h raises
     DomainError.
     """
-    from .errors import DomainError
-
     A = as_hermitian(A)
     evals, vecs = np.linalg.eigh(A)
     try:
@@ -259,20 +215,6 @@ def schur_tilde(rho, sigma) -> np.ndarray:
     """
     from .divergence import analyze  # the pair analysis builds on this module
     return analyze(rho, sigma).rho_tilde
-
-
-def block_positivity_check(X, C, Y, tol: float = 1e-10) -> bool:
-    """True iff the block matrix [[X, C], [C†, Y]] is PSD within tol."""
-    X = as_hermitian(X)
-    Y = as_hermitian(Y)
-    C = np.asarray(C, dtype=complex)
-    if C.ndim != 2 or C.shape != (X.shape[0], Y.shape[0]):
-        raise DimensionMismatch(
-            f"off-diagonal block shape {C.shape} incompatible with "
-            f"{X.shape[0]}x{Y.shape[0]}")
-    top = np.hstack([X, C])
-    bottom = np.hstack([C.conj().T, Y])
-    return is_psd(np.vstack([top, bottom]), tol)
 
 
 def commutator_norm(A, B) -> float:

@@ -24,13 +24,11 @@ def joint_eigenvalues(rho, sigma, comm_tol: float = 1e-10):
     Raises NonCommuting when ||[rho, sigma]||_F exceeds comm_tol.
     """
     rho = linalg.require_psd(rho)
-    sigma = linalg.require_psd(sigma)
+    sigma, w, V = linalg.psd_spectrum(sigma)
     if linalg.commutator_norm(rho, sigma) > comm_tol:
         raise NonCommuting("inputs do not commute within tolerance")
-    w, V = np.linalg.eigh(sigma)
     n = w.size
-    scale = max(1.0, float(np.abs(w).max()))
-    gap = linalg.RANK_CUTOFF * n * scale
+    gap = linalg.RANK_CUTOFF * n * float(np.abs(w).max())
     p = np.empty(n)
     q = np.empty(n)
     start = 0
@@ -59,24 +57,19 @@ def classical_oracle(rho, sigma, f: DivergenceGenerator,
     return classical_f_divergence(p, q, f)
 
 
-def _logm_psd(A) -> np.ndarray:
-    return linalg._spectral_map(A, np.log)
-
-
 def umegaki_relative_entropy(rho, sigma) -> float:
     """tr rho (log rho - log sigma) for an invertible pair (nats)."""
-    rho = linalg.require_psd(rho)
-    sigma = linalg.require_psd(sigma)
-    return float(np.trace(rho @ (_logm_psd(rho) - _logm_psd(sigma))).real)
+    rho, log_rho = linalg._spectral_map(rho, np.log)
+    _, log_sigma = linalg._spectral_map(sigma, np.log)
+    return float(np.trace(rho @ (log_rho - log_sigma)).real)
 
 
 def bs_relative_entropy(rho, sigma) -> float:
     """The largest quantum relative entropy tr rho log(rho^{1/2} sigma^{-1} rho^{1/2})."""
-    rho = linalg.require_psd(rho)
-    sigma = linalg.require_psd(sigma)
-    r_half = linalg.matrix_sqrt(rho)
-    M = r_half @ linalg.gen_inverse(sigma) @ r_half
-    return float(np.trace(rho @ _logm_psd(M)).real)
+    rho, r_half = linalg._spectral_map(rho, np.sqrt)
+    _, s_inv = linalg._spectral_map(sigma, lambda w: 1.0 / w)
+    _, log_m = linalg._spectral_map(r_half @ s_inv @ r_half, np.log)
+    return float(np.trace(rho @ log_m).real)
 
 
 def _solve_nonneg(outputs, target, tol: float) -> np.ndarray | None:
@@ -95,9 +88,11 @@ def _solve_nonneg(outputs, target, tol: float) -> np.ndarray | None:
     return w
 
 
-def _rank1_resolution(A, rng, n):
-    """A = sum_j |c_j><c_j| with c_j the columns of A^{1/2} U, U Haar."""
-    root = linalg.matrix_sqrt(A)
+def _rank1_resolution(A, root, rng):
+    """A = sum_j |c_j><c_j| with c_j the columns of root U, root = A^{1/2} and
+    U Haar; columns of weight at most linalg.ATOM_FLOOR * tr A are dropped."""
+    n = A.shape[0]
+    floor = linalg.ATOM_FLOOR * float(np.trace(A).real)
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     U, _ = np.linalg.qr(G)
     cols = root @ U
@@ -105,7 +100,7 @@ def _rank1_resolution(A, rng, n):
     for j in range(n):
         c = cols[:, j]
         w = float(np.vdot(c, c).real)
-        if w > 1e-14:
+        if w > floor:
             outs.append(np.outer(c, c.conj()) / w)
             weights.append(w)
     return outs, weights
@@ -117,11 +112,10 @@ def disjoint_reverse_test(rho, sigma, rng: np.random.Generator) -> ReverseTest:
     rho-atoms carry q = 0 and sigma-atoms carry p = 0, so its divergence is
     tr(rho) times the recession constant; exact by construction.
     """
-    rho = linalg.require_psd(rho)
-    sigma = linalg.require_psd(sigma)
-    n = rho.shape[0]
-    outs_r, w_r = _rank1_resolution(rho, rng, n)
-    outs_s, w_s = _rank1_resolution(sigma, rng, n)
+    rho, r_half = linalg._spectral_map(rho, np.sqrt)
+    sigma, s_half = linalg._spectral_map(sigma, np.sqrt)
+    outs_r, w_r = _rank1_resolution(rho, r_half, rng)
+    outs_s, w_s = _rank1_resolution(sigma, s_half, rng)
     outputs = tuple(outs_r + outs_s)
     p = np.array(w_r + [0.0] * len(outs_s))
     q = np.array([0.0] * len(outs_r) + w_s)
@@ -170,11 +164,11 @@ def random_reverse_test(rho, sigma, rng: np.random.Generator,
     when it leaves ambiguous near-zero weights (solver dust that a
     divergence with infinite slope at 0 would amplify past any tolerance).
     """
-    rho = linalg.require_psd(rho)
-    sigma = linalg.require_psd(sigma)
+    rho, r_half = linalg._spectral_map(rho, np.sqrt)
+    sigma, s_half = linalg._spectral_map(sigma, np.sqrt)
     n = rho.shape[0]
-    outs_r, _ = _rank1_resolution(rho, rng, n)
-    outs_s, _ = _rank1_resolution(sigma, rng, n)
+    outs_r, _ = _rank1_resolution(rho, r_half, rng)
+    outs_s, _ = _rank1_resolution(sigma, s_half, rng)
     outputs = outs_r + outs_s
     for _ in range(extra_atoms):
         G = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
@@ -199,17 +193,17 @@ def shrunk_feasible_operator(rho, sigma, tilde, rng: np.random.Generator) -> np.
     pi_sigma rho pi_sigma, the compression shrunk until it fits under rho.
     Any such operator must sit below the Schur reduction.
     """
-    rho = linalg.require_psd(rho)
+    rho, r_evals, r_vecs = linalg.psd_spectrum(rho)
     pi_s = linalg.support_projector(sigma)
     comp = pi_s @ rho @ pi_s
     comp = (comp + comp.conj().T) / 2
-    pi_r = linalg.support_projector(rho)
+    pi_r = linalg.projector(r_vecs[:, linalg.support_mask(r_evals)])
     eye = np.eye(rho.shape[0])
     leak = (eye - pi_r) @ comp @ (eye - pi_r)
-    if float(np.abs(leak).max()) > 1e-10 * max(1.0, float(np.abs(comp).max())):
+    if float(np.abs(leak).max()) > 1e-10 * float(np.abs(comp).max()):
         s_max = 0.0
     else:
-        r_inv = linalg.gen_inverse_sqrt(rho)
+        r_inv = linalg.support_map(r_evals, r_vecs, lambda w: 1.0 / np.sqrt(w))
         lam = float(np.linalg.eigvalsh(r_inv @ comp @ r_inv).max())
         s_max = 0.0 if lam <= 0 else 1.0 / lam
     t = rng.uniform(0.0, 1.0)

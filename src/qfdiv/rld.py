@@ -37,9 +37,10 @@ def _lam_min(evals) -> float:
 
 
 def _check_in_support(pi, X, label: str) -> np.ndarray:
+    """X validated as Hermitian; SupportError unless X = pi X pi to within
+    1e-10 of its own scale."""
     X = linalg.as_hermitian(X)
-    scale = max(1.0, float(np.abs(X).max()))
-    if float(np.abs(X - pi @ X @ pi).max()) > 1e-10 * scale:
+    if float(np.abs(X - pi @ X @ pi).max()) > 1e-10 * float(np.abs(X).max()):
         raise SupportError(f"{label} is not supported inside supp rho")
     return X
 
@@ -72,21 +73,6 @@ class TangentPerturbation:
     step_bound: float
 
 
-def tangent_perturbation(rho, direction) -> TangentPerturbation:
-    """Validate a perturbation direction and compute its PSD step bound."""
-    rho, evals, _, pi = _spectrum(rho)
-    return _tangent(rho, evals, pi, direction)
-
-
-def _tangent(rho, evals, pi, direction) -> TangentPerturbation:
-    X = _check_in_support(pi, direction, "direction")
-    if abs(float(np.trace(X).real)) > 1e-12 * max(1.0, float(np.abs(X).max())):
-        raise SupportError("perturbation direction must be traceless")
-    norm = float(np.linalg.norm(X, 2))
-    bound = _lam_min(evals) / norm if norm > 0 else np.inf
-    return TangentPerturbation(rho, X, bound)
-
-
 def random_tangent(rho, seed_or_rng) -> TangentPerturbation:
     """Draw a random normalized traceless direction inside supp rho."""
     rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
@@ -100,7 +86,8 @@ def random_tangent(rho, seed_or_rng) -> TangentPerturbation:
     X = X - (np.trace(X).real / rank) * pi
     X = (X + X.conj().T) / 2
     X = X / max(float(np.linalg.norm(X, 2)), 1e-300)
-    return _tangent(rho, evals, pi, X)
+    norm = float(np.linalg.norm(X, 2))
+    return TangentPerturbation(rho, X, _lam_min(evals) / norm if norm > 0 else np.inf)
 
 
 @dataclass(frozen=True)

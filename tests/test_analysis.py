@@ -12,6 +12,7 @@ import pytest
 import qfdiv
 import qfdiv.channels
 import qfdiv.cli
+from qfdiv import oracles
 from qfdiv import errors
 from qfdiv.channels import equality_check, unitary_channel
 from qfdiv.divergence import (PairAnalysis, analyze, d_max, d_prime,
@@ -105,6 +106,43 @@ class TestEigensolveCount:
         assert eigensolves[0] <= 6
         out = json.loads(capsys.readouterr().out)
         assert out["atoms"] == 3   # one per eigenvalue of d on supp sigma, one escaped
+
+
+class TestOracleEigensolveCount:
+    """Each oracle validates an operand from the eigensolve it needs anyway."""
+
+    @pytest.mark.parametrize("oracle, ceiling", [
+        (oracles.umegaki_relative_entropy, 2),    # log rho, log sigma
+        (oracles.bs_relative_entropy, 3),         # rho^1/2, sigma^-1, log M
+    ])
+    def test_entropies(self, eigensolves, oracle, ceiling):
+        rho, sigma = dominated_pair()
+        oracle(rho, sigma)
+        assert 0 < eigensolves[0] <= ceiling
+
+    @pytest.mark.parametrize("oracle", [oracles.disjoint_reverse_test,
+                                        oracles.random_reverse_test])
+    def test_reverse_tests(self, eigensolves, oracle):
+        rho, sigma = schur_pair()
+        oracle(rho, sigma, np.random.default_rng(34))
+        assert 0 < eigensolves[0] <= 2          # rho^1/2, sigma^1/2
+
+    def test_shrunk_feasible_operator(self, eigensolves):
+        rho, sigma = schur_pair()
+        tilde = schur_tilde(rho, sigma)
+        eigensolves[0] = 0
+        oracles.shrunk_feasible_operator(rho, sigma, tilde,
+                                         np.random.default_rng(35))
+        assert 0 < eigensolves[0] <= 3          # rho, sigma, the fitting bound
+
+    def test_joint_eigenvalues(self, eigensolves):
+        rng = np.random.default_rng(36)
+        U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        rho = U @ np.diag([0.2, 0.3, 0.5]) @ U.T
+        sigma = U @ np.diag([0.1, 0.6, 0.3]) @ U.T
+        eigensolves[0] = 0
+        oracles.joint_eigenvalues(rho, sigma)
+        assert 0 < eigensolves[0] <= 5          # rho, sigma, one per block
 
 
 class TestReaders:

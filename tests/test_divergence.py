@@ -319,6 +319,19 @@ class TestClassicalOracle:
         with pytest.raises(errors.NonCommuting):
             classical_oracle(PROJ0, PROJP, XLOGX)
 
+    def test_degenerate_rho_at_small_scale(self):
+        # sigma's eigenvalues split into blocks by a gap relative to sigma,
+        # so at small scale they stay apart and a degenerate rho cannot mix them
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                            + 1j * rng.standard_normal((3, 3)))
+        rho = Q @ np.diag([0.5, 0.25, 0.25]) @ Q.conj().T
+        sigma = Q @ np.diag([0.2, 0.3, 0.5]) @ Q.conj().T
+        want = d_max(rho, sigma, XLOGX)
+        for c in (1.0, 1e-13):
+            got = classical_oracle(c * rho, c * sigma, XLOGX)
+            assert abs(got - c * want) <= 1e-9 * c * want
+
 
 def test_schur_tilde_feeds_closed_form():
     # the general-case value is the dominated value of the reduction plus
@@ -409,6 +422,13 @@ def homogeneity_pairs():
         inside = V @ random_state(rng, dim - 1) @ V.conj().T
         yield from [(full, random_state(rng, dim)), (low, full),
                     (inside, sigma_low), (full, sigma_low), (low, sigma_low)]
+
+
+@pytest.mark.parametrize("call", [lambda A, B: d_max(A, B, XLOGX),
+                                  minimal_reverse_test])
+def test_empty_operator_rejected(call):
+    with pytest.raises(errors.InvalidOperator):
+        call(np.zeros((0, 0)), np.zeros((0, 0)))
 
 
 class TestScaleHomogeneity:

@@ -6,8 +6,7 @@ import pytest
 from qfdiv import errors
 from qfdiv.channels import random_state
 from qfdiv.generators import builtin, custom
-from qfdiv.rld import (random_tangent, rld_metric, second_derivative_check,
-                       tangent_perturbation)
+from qfdiv.rld import random_tangent, rld_metric, second_derivative_check
 
 XLOGX = builtin("xlogx")
 SQUARE = builtin("square")
@@ -48,9 +47,13 @@ class TestMetric:
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_support_violation(self):
+        # the check is relative to the direction, so a direction half
+        # outside supp rho is rejected however small it is
         rho = np.diag([1.0, 0.0])
-        with pytest.raises(errors.SupportError):
-            rld_metric(rho, np.diag([0.5, -0.5]), np.diag([0.5, -0.5]))
+        for c in (1.0, 1e-12):
+            X = c * np.diag([0.5, -0.5])
+            with pytest.raises(errors.SupportError):
+                rld_metric(rho, X, X)
 
 
 class TestTangent:
@@ -64,9 +67,10 @@ class TestTangent:
             assert np.linalg.eigvalsh(rho + s * tp.direction).min() > -1e-12
             assert np.linalg.eigvalsh(rho - s * tp.direction).min() > -1e-12
 
-    def test_rejects_traceful_direction(self):
-        with pytest.raises(errors.SupportError):
-            tangent_perturbation(MAX_MIXED, np.eye(2))
+    def test_pure_state_has_only_the_zero_direction(self):
+        tp = random_tangent(np.diag([1.0, 0.0]), 3)
+        np.testing.assert_array_equal(tp.direction, np.zeros((2, 2)))
+        assert tp.step_bound == np.inf
 
 
 class TestSecondDerivative:

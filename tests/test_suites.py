@@ -107,6 +107,18 @@ class TestAlternativeReverseTests:
             assert np.abs(rho_hat - rho).max() < 1e-12
             assert np.abs(sigma_hat - sigma).max() < 1e-12
 
+    def test_disjoint_family_at_small_scale(self):
+        # rank-1 columns are cut relative to the trace of the operand, so a
+        # tiny pair keeps its atoms and is rebuilt
+        rng = np.random.default_rng(3)
+        c = 1e-15
+        rho, sigma = c * random_state(3, 3, rng), c * random_state(3, 2, rng)
+        alt = disjoint_reverse_test(rho, sigma, rng)
+        assert len(alt) == 6
+        rho_hat, sigma_hat = alt.reconstruct()
+        assert np.abs(rho_hat - rho).max() < 1e-12 * c
+        assert np.abs(sigma_hat - sigma).max() < 1e-12 * c
+
     def test_alternatives_never_beat_minimal(self):
         rng = np.random.default_rng(1)
         half = builtin("neg_power", 0.5)
