@@ -9,8 +9,8 @@ recovers the same value from full-rank data.
 
 import numpy as np
 
-from qfdiv import (builtin, d_max, minimal_reverse_test,
-                   perturbation_limit_probe, schur_tilde)
+from qfdiv import (analyze, builtin, d_max, minimal_reverse_test,
+                   perturbation_limit_probe)
 
 ket0 = np.array([1, 0], dtype=complex)
 ketp = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -18,7 +18,7 @@ rho = np.outer(ket0, ket0)
 sigma = np.outer(ketp, ketp)
 
 print("rho = |0><0|, sigma = |+><+|: pure states with different supports")
-tilde = schur_tilde(rho, sigma)
+tilde = analyze(rho, sigma).rho_tilde
 print(f"Schur reduction of rho into supp sigma: max entry {np.abs(tilde).max()}")
 print("Nothing of rho fits under sigma, so the whole unit mass escapes.")
 

@@ -24,8 +24,7 @@ from .generators import (DivergenceGenerator, LownerForm, builtin,
                          classical_f_divergence, custom, from_spec,
                          lebesgue_atoms, lowner_quadrature_check,
                          recession_value)
-from .linalg import (SpectralDecomposition, apply_scalar_function,
-                     gen_inverse_sqrt, matrix_sqrt, schur_tilde,
+from .linalg import (apply_scalar_function, gen_inverse_sqrt, matrix_sqrt,
                      support_projector)
 from .oracles import (bs_relative_entropy, classical_oracle,
                       umegaki_relative_entropy)

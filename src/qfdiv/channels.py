@@ -255,18 +255,19 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
     mult_ok: bool | None = None
     if f.mu_full_support:
         mult_ok = True
-        dec_in = pair.spectrum()
-        dec_out = image.spectrum()
         s_half = pair.sigma_power(0.5)
         out_inv = image.sigma_power(-0.5)
-        for dx, proj in zip(dec_in.eigenvalues, dec_in.projectors):
+        V_in, V_out = pair.eigenvectors, image.eigenvectors
+        groups_out = linalg.cluster_groups(image.evals)
+        for g in linalg.cluster_groups(pair.evals):
+            dx = pair.evals[g].mean()
             if dx == 0.0:  # the kernel of d, already snapped to exact zero
                 continue
-            lhs = _conjugated(ch, s_half, out_inv, proj)
+            lhs = _conjugated(ch, s_half, out_inv, linalg.projector(V_in[:, g]))
             rhs = np.zeros_like(image.sigma)
-            for dy, proj_out in zip(dec_out.eigenvalues, dec_out.projectors):
-                if abs(dy - dx) <= max(10 * tol, tol * abs(dx)):
-                    rhs = rhs + proj_out
+            for h in groups_out:
+                if abs(image.evals[h].mean() - dx) <= max(10 * tol, tol * abs(dx)):
+                    rhs = rhs + linalg.projector(V_out[:, h])
             if float(np.abs(lhs - rhs).max()) > 10 * tol:
                 mult_ok = False
                 break

@@ -119,10 +119,6 @@ class PairAnalysis:
         out = (self.basis * self.sigma_evals ** t) @ self.basis.conj().T
         return (out + out.conj().T) / 2
 
-    def spectrum(self) -> linalg.SpectralDecomposition:
-        """The clustered spectral decomposition of d on supp sigma."""
-        return linalg.clustered(self.evals, self.eigenvectors)
-
     def d_prime(self, f: DivergenceGenerator) -> float:
         """weights . f(evals) + escaped * recession(f); see d_prime()."""
         vals = np.asarray(f.eval(self.evals), dtype=float)

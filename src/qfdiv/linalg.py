@@ -1,16 +1,13 @@
 """Dense complex Hermitian linear algebra.
 
-Spectral decompositions with eigenvalue clustering, functional calculus,
-support projectors and generalized inverses, and the package's tolerance
-policy: one constant and one function for each of the PSD, Hermiticity,
-rank, kernel, clustering, escaped-mass and domination decisions.  All
-functions are pure: inputs are never mutated and outputs are freshly
-allocated.
+Eigenvalue clustering, functional calculus, support projectors and
+generalized inverses, and the package's tolerance policy: one constant and
+one function for each of the PSD, Hermiticity, rank, kernel, clustering,
+escaped-mass and domination decisions.  All functions are pure: inputs are
+never mutated and outputs are freshly allocated.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +18,7 @@ from .errors import DomainError, InvalidOperator, NotPSD
 
 # Rank (support_mask): eigenvalues <= dim * this * lambda_max are eigh roundoff.
 RANK_CUTOFF = 1e-12
-# PSD check (psd_spectrum): a valid kernel dips to -PSD_SLACK rank cutoffs.
+# PSD check (psd_slack): a valid kernel dips to -PSD_SLACK rank cutoffs.
 PSD_SLACK = 100
 # Hermiticity (as_hermitian): relative asymmetry that products like K A K† leave.
 HERMITIAN_TOL = 1e-12
@@ -60,18 +57,23 @@ def psd_spectrum(A, vectors: bool = True):
     """Check A Hermitian and PSD from one eigensolve.
 
     Returns (A symmetrized, ascending eigenvalues, eigenvectors or None).
-    Eigenvalues down to -PSD_SLACK * RANK_CUTOFF * dim times the spectral
-    radius are accepted.
+    Eigenvalues down to -psd_slack(eigenvalues) are accepted.
     """
     A = as_hermitian(A)
     if vectors:
         evals, vecs = np.linalg.eigh(A)
     else:
         evals, vecs = np.linalg.eigvalsh(A), None
-    tol = RANK_CUTOFF * A.shape[0] * float(np.abs(evals).max()) * PSD_SLACK
+    tol = psd_slack(evals)
     if evals[0] < -tol:
         raise NotPSD(f"minimum eigenvalue {evals[0]:.3e} below -{tol:.3e}")
     return A, evals, vecs
+
+
+def psd_slack(evals: np.ndarray) -> float:
+    """How far below 0 the eigenvalues of a PSD operator may reach:
+    PSD_SLACK * RANK_CUTOFF * dim times the spectral radius."""
+    return RANK_CUTOFF * evals.size * float(np.abs(evals).max()) * PSD_SLACK
 
 
 def require_psd(A) -> np.ndarray:
@@ -94,20 +96,6 @@ def support_mask(evals: np.ndarray) -> np.ndarray:
 def negligible_mass(mass: float, total: float) -> bool:
     """Whether mass is at most MASS_TOL * total: escaped mass, or a vanishing rho_tilde."""
     return mass <= MASS_TOL * total
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Clustered spectral decomposition  A = sum_x d_x P_x.
-
-    ``eigenvalues`` holds one representative per cluster (ascending), each
-    the multiplicity-weighted mean of the merged eigenvalues; ``projectors``
-    are the corresponding orthogonal eigenprojectors.
-    """
-
-    eigenvalues: np.ndarray
-    projectors: tuple[np.ndarray, ...]
-    multiplicities: np.ndarray
 
 
 def projector(V: np.ndarray) -> np.ndarray:
@@ -133,15 +121,6 @@ def cluster_groups(evals: np.ndarray) -> list[np.ndarray]:
     bound = CLUSTER_GAP * np.maximum(np.abs(evals[1:]), np.abs(evals[:-1]))
     cuts = np.flatnonzero(np.diff(evals) > bound) + 1
     return np.split(np.arange(evals.size), cuts)
-
-
-def clustered(evals: np.ndarray, vecs: np.ndarray) -> SpectralDecomposition:
-    """The clustered decomposition of an eigensystem (evals, vecs)."""
-    groups = cluster_groups(evals)
-    reps = np.array([evals[g].mean() for g in groups])
-    projs = tuple(projector(vecs[:, g]) for g in groups)
-    mults = np.array([len(g) for g in groups], dtype=int)
-    return SpectralDecomposition(reps, projs, mults)
 
 
 def support_projector(A) -> np.ndarray:
@@ -201,20 +180,6 @@ def apply_scalar_function(A, h) -> np.ndarray:
         raise DomainError(f"scalar function undefined at eigenvalue(s) {bad}")
     out = (vecs * vals) @ vecs.conj().T
     return (out + out.conj().T) / 2
-
-
-def schur_tilde(rho, sigma) -> np.ndarray:
-    """Largest PSD operator below rho that is supported inside supp sigma.
-
-    Blocks are taken against pi = supp projector of sigma and the smallest
-    complement projector pibar covering the rest of supp rho:
-    rho_11 - rho_12 rho_22^{-1} rho_21.  If supp rho is already inside
-    supp sigma, rho itself is returned.  A result whose trace is negligible
-    against tr(rho) (negligible_mass) is snapped to exact zero.  Read from
-    divergence.analyze, which computes it once per pair.
-    """
-    from .divergence import analyze  # the pair analysis builds on this module
-    return analyze(rho, sigma).rho_tilde
 
 
 def commutator_norm(A, B) -> float:

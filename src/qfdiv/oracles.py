@@ -3,8 +3,8 @@
 Nothing here reuses the divergence engine's computation route: the
 commutative oracle goes through joint diagonalization, the entropy
 comparisons through direct matrix logarithms, and the alternative reverse
-tests through nonnegative least squares on vectorized reconstruction
-constraints.
+tests through random rank-1 resolutions of each operand or through the
+spectrum of rho relative to a random mixture of the pair.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .divergence import ReverseTest
-from .errors import NonCommuting
+from .errors import DimensionMismatch, NonCommuting, NotPSD, ZeroSigma
 from .generators import DivergenceGenerator, classical_f_divergence
 
 
@@ -70,22 +70,6 @@ def bs_relative_entropy(rho, sigma) -> float:
     _, s_inv = linalg._spectral_map(sigma, lambda w: 1.0 / w)
     _, log_m = linalg._spectral_map(r_half @ s_inv @ r_half, np.log)
     return float(np.trace(rho @ log_m).real)
-
-
-def _solve_nonneg(outputs, target, tol: float) -> np.ndarray | None:
-    """Nonnegative weights w with sum_x w_x outputs_x = target, or None."""
-    from scipy.optimize import nnls  # imported here: costly, and only this oracle needs it
-
-    dim = target.shape[0]
-    cols = []
-    for out in outputs:
-        cols.append(np.concatenate([out.real.ravel(), out.imag.ravel()]))
-    A = np.array(cols).T
-    b = np.concatenate([target.real.ravel(), target.imag.ravel()])
-    w, resid = nnls(A, b)
-    if resid > tol * max(1.0, float(np.linalg.norm(b))):
-        return None
-    return w
 
 
 def _rank1_resolution(A, root, rng):
@@ -153,37 +137,48 @@ def concat_reverse_tests(first: ReverseTest, second: ReverseTest,
     return ReverseTest(outputs, p, q, labels)
 
 
-def random_reverse_test(rho, sigma, rng: np.random.Generator,
-                        extra_atoms: int = 2,
-                        tol: float = 1e-10) -> ReverseTest | None:
-    """A random valid (generally suboptimal) reverse test of the pair.
+def random_reverse_test(rho, sigma, rng: np.random.Generator) -> ReverseTest:
+    """A random exact (generally suboptimal) reverse test of the pair.
 
-    Atoms are random rank-1 resolutions of rho and sigma plus a few random
-    states; the weight vectors are recovered by nonnegative least squares.
-    Returns None when the solver cannot match the pair within tolerance or
-    when it leaves ambiguous near-zero weights (solver dust that a
-    divergence with infinite slope at 0 would amplify past any tolerance).
+    With t uniform in (0.1, 0.9) and tau = t rho + (1 - t) sigma, the
+    eigenvectors u_j of M = tau^{-1/2} rho tau^{-1/2} on supp tau give atoms
+    c_j c_j^H / w_j with c_j = tau^{1/2} u_j and w_j = |c_j|^2, weighted
+    p_j = m_j w_j and q_j = (1 - t m_j) w_j / (1 - t).  Since
+    t M + (1 - t) tau^{-1/2} sigma tau^{-1/2} = 1 on supp tau, the atoms
+    rebuild both operands.  NotPSD when tau or one of the shares t m_j,
+    1 - t m_j is not PSD, or when the operands do not vanish on ker tau;
+    DimensionMismatch on unequal shapes; ZeroSigma when both are 0.
     """
-    rho, r_half = linalg._spectral_map(rho, np.sqrt)
-    sigma, s_half = linalg._spectral_map(sigma, np.sqrt)
-    n = rho.shape[0]
-    outs_r, _ = _rank1_resolution(rho, r_half, rng)
-    outs_s, _ = _rank1_resolution(sigma, s_half, rng)
-    outputs = outs_r + outs_s
-    for _ in range(extra_atoms):
-        G = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-        M = G @ G.conj().T
-        outputs.append(M / np.trace(M).real)
-
-    p = _solve_nonneg(outputs, rho, tol)
-    q = _solve_nonneg(outputs, sigma, tol)
-    if p is None or q is None:
-        return None
-    for v in (p, q):
-        if v.max() > 0 and ((v > 0) & (v < 1e-6 * v.max())).any():
-            return None
+    rho = linalg.as_hermitian(rho)
+    sigma = linalg.as_hermitian(sigma)
+    if rho.shape != sigma.shape:
+        raise DimensionMismatch("rho and sigma must have equal dimensions")
+    t = rng.uniform(0.1, 0.9)
+    _, evals, vecs = linalg.psd_spectrum(t * rho + (1.0 - t) * sigma)
+    keep = linalg.support_mask(evals)
+    R = vecs.conj().T @ rho @ vecs              # rho in the eigenbasis of tau
+    # the shares see only supp tau, so rho's part on ker tau is checked here:
+    # 0 <= t rho <= tau gives |t R_kj|^2 <= (lam_k + slack)(lam_j + slack)
+    cap = np.sqrt(np.abs(evals) + linalg.psd_slack(evals))
+    if (np.abs(t * R[~keep]) > np.outer(cap[~keep], cap)).any():
+        raise NotPSD("rho and sigma do not vanish on the kernel of their mixture")
+    if not keep.any():
+        raise ZeroSigma("rho and sigma are both the zero operator")
+    root = np.sqrt(evals[keep])
+    M = R[np.ix_(keep, keep)] / np.outer(root, root)
+    m, U = np.linalg.eigh((M + M.conj().T) / 2)
+    shares = []
+    for share in (t * m, 1.0 - t * m):
+        if share.min() < -linalg.psd_slack(share):
+            raise NotPSD(f"share {share.min():.3e} of the mixture is negative")
+        # snap dust to 0: a divergence with infinite slope at 0 amplifies it
+        shares.append(np.where(linalg.support_mask(share), share, 0.0))
+    C = (vecs[:, keep] * root) @ U          # columns c_j = tau^{1/2} u_j
+    w = np.sum(np.abs(C) ** 2, axis=0)
+    outputs = tuple(np.outer(c, c.conj()) / wj for c, wj in zip(C.T, w))
     labels = tuple(str(i) for i in range(len(outputs)))
-    return ReverseTest(tuple(outputs), p, q, labels)
+    return ReverseTest(outputs, shares[0] * w / t, shares[1] * w / (1.0 - t),
+                       labels)
 
 
 def shrunk_feasible_operator(rho, sigma, tilde, rng: np.random.Generator) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .divergence import d_prime
-from .errors import StepError, SupportError, UnsupportedGenerator
+from .errors import NotPSD, StepError, SupportError, UnsupportedGenerator
 from .generators import DivergenceGenerator
 
 DEFAULT_STEP = 1e-3
@@ -133,13 +133,11 @@ def second_derivative_check(rho, X, Y, f: DivergenceGenerator,
     s = step * lam_min / norm_x if norm_x > 0 else step
     t = step * lam_min / norm_y if norm_y > 0 else step
 
-    def _psd(M):
-        if float(np.linalg.eigvalsh(M).min()) < -1e-12 * max(1.0, float(np.abs(M).max())):
-            raise StepError("finite-difference step leaves the PSD cone")
-        return M
-
     def probe(first, second) -> float:
-        return d_prime(_psd(first), _psd(second), f)
+        try:
+            return d_prime(first, second, f)
+        except NotPSD as exc:
+            raise StepError("finite-difference step leaves the PSD cone") from exc
 
     fd1 = _mixed_difference(
         [probe(rho + a * s * X, rho - b * t * Y)

@@ -19,7 +19,6 @@ from qfdiv.divergence import (PairAnalysis, analyze, d_max, d_prime,
                               minimal_reverse_test, reverse_test_value,
                               rn_derivative)
 from qfdiv.generators import builtin
-from qfdiv.linalg import schur_tilde
 from qfdiv.matio import save_matrix
 
 GENS = [builtin("xlogx"), builtin("square"), builtin("neg_power", 0.5),
@@ -125,11 +124,11 @@ class TestOracleEigensolveCount:
     def test_reverse_tests(self, eigensolves, oracle):
         rho, sigma = schur_pair()
         oracle(rho, sigma, np.random.default_rng(34))
-        assert 0 < eigensolves[0] <= 2          # rho^1/2, sigma^1/2
+        assert 0 < eigensolves[0] <= 2          # rho^1/2 and sigma^1/2, or tau and M
 
     def test_shrunk_feasible_operator(self, eigensolves):
         rho, sigma = schur_pair()
-        tilde = schur_tilde(rho, sigma)
+        tilde = analyze(rho, sigma).rho_tilde
         eigensolves[0] = 0
         oracles.shrunk_feasible_operator(rho, sigma, tilde,
                                          np.random.default_rng(35))
@@ -154,7 +153,6 @@ class TestReaders:
             sigma = random_state(rng, dim, rank=int(rng.integers(1, dim + 1)))
             pair = analyze(rho, sigma)
             assert isinstance(pair, PairAnalysis)
-            np.testing.assert_array_equal(schur_tilde(rho, sigma), pair.rho_tilde)
             for f in GENS:
                 assert d_max(rho, sigma, f) == pair.d_max(f)
                 assert d_prime(rho, sigma, f) == pair.d_prime(f)
@@ -191,8 +189,19 @@ class TestReaders:
         assert analyze(rho, sigma).escaped == pytest.approx(1e-9)
 
 
-def test_import_does_not_load_scipy():
-    code = "import qfdiv, sys; assert 'scipy' not in sys.modules"
+def _run_python(code: str) -> None:
     src = os.path.dirname(os.path.dirname(qfdiv.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_import_does_not_load_scipy():
+    _run_python("import qfdiv, sys; assert 'scipy' not in sys.modules")
+
+
+def test_suites_do_not_load_scipy():
+    _run_python(
+        "import sys, qfdiv\n"
+        "for name in qfdiv.SUITE_NAMES:\n"
+        "    assert qfdiv.run_suite(qfdiv.SuiteConfig(suite=name, trials=4)).ok()\n"
+        "assert 'scipy' not in sys.modules, 'a suite loaded scipy'\n")

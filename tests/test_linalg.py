@@ -1,13 +1,15 @@
 """Tests for the Hermitian linear algebra core."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from qfdiv import errors
 from qfdiv.divergence import analyze
 from qfdiv.linalg import (apply_scalar_function, as_hermitian, as_matrix,
-                          clustered, gen_inverse_sqrt, matrix_sqrt,
-                          schur_tilde, snap_kernel, support_projector)
+                          cluster_groups, gen_inverse_sqrt, matrix_sqrt,
+                          projector, snap_kernel, support_projector)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 KET0 = np.array([1, 0], dtype=complex)
@@ -27,12 +29,18 @@ def eig2x2(A):
 
 
 def herm_eig(A):
-    """The clustered decomposition of a Hermitian A, formed as
-    PairAnalysis.spectrum forms that of d: eigh, the kernel snapped to
-    exact zeros, then linalg.clustered."""
+    """The clustered decomposition  A = sum_x d_x P_x  of a Hermitian A,
+    formed as the analysis clusters d: eigh, the kernel snapped to exact
+    zeros, then one projector per linalg.cluster_groups run, its eigenvalue
+    the mean of the run."""
     A = as_hermitian(A)
     evals, vecs = np.linalg.eigh(A)
-    return clustered(snap_kernel(evals, A.shape[0]), vecs)
+    evals = snap_kernel(evals, A.shape[0])
+    groups = cluster_groups(evals)
+    return SimpleNamespace(
+        eigenvalues=np.array([evals[g].mean() for g in groups]),
+        projectors=tuple(projector(vecs[:, g]) for g in groups),
+        multiplicities=np.array([len(g) for g in groups]))
 
 
 def reconstruct(dec):
@@ -47,7 +55,7 @@ def random_psd(rng, dim, rank=None):
 
 
 class TestHermEig:
-    """linalg.clustered on the eigensystem of a Hermitian matrix."""
+    """linalg.cluster_groups on the eigensystem of a Hermitian matrix."""
 
     def test_identity(self):
         dec = herm_eig(np.eye(2))
@@ -193,19 +201,19 @@ class TestFunctionalCalculus:
 
 class TestSchurTilde:
     def test_disjoint_pure_states(self):
-        tilde = schur_tilde(PROJ0, PROJP)
+        tilde = analyze(PROJ0, PROJP).rho_tilde
         np.testing.assert_allclose(tilde, np.zeros((2, 2)), atol=1e-12)
 
     def test_dominated_returns_rho(self):
         rng = np.random.default_rng(4)
         rho = random_psd(rng, 3, rank=2)
         sigma = random_psd(rng, 3)
-        np.testing.assert_allclose(schur_tilde(rho, sigma), as_hermitian(rho))
+        np.testing.assert_allclose(analyze(rho, sigma).rho_tilde, as_hermitian(rho))
 
     def test_diagonal_block_formula(self):
         rho = np.diag([0.3, 0.7])
         sigma = np.diag([0.9, 0.0])
-        np.testing.assert_allclose(schur_tilde(rho, sigma),
+        np.testing.assert_allclose(analyze(rho, sigma).rho_tilde,
                                    np.diag([0.3, 0.0]), atol=1e-12)
 
     def test_rho_minus_tilde_psd(self):
@@ -214,7 +222,7 @@ class TestSchurTilde:
             dim = int(rng.integers(2, 7))
             rho = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
             sigma = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
-            tilde = schur_tilde(rho, sigma)
+            tilde = analyze(rho, sigma).rho_tilde
             assert np.linalg.eigvalsh(rho - tilde).min() > -1e-10 * np.abs(rho).max()
             assert analyze(tilde, sigma).dominated
 
@@ -227,7 +235,7 @@ class TestSchurTilde:
             rho = random_psd(rng, dim)
             rho /= np.trace(rho).real
             sigma = random_psd(rng, dim, rank=int(rng.integers(1, dim + 1)))
-            tilde = schur_tilde(rho, sigma)
+            tilde = analyze(rho, sigma).rho_tilde
             rho1 = shrunk_feasible_operator(rho, sigma, tilde, rng)
             assert np.linalg.eigvalsh(rho1 - tilde).max() <= 1e-9
             done += 1
@@ -242,18 +250,16 @@ class TestSchurTilde:
             rho, sigma = c * PROJP, PROJ0
             for _ in range(20):
                 rho1 = shrunk_feasible_operator(rho, sigma,
-                                                schur_tilde(rho, sigma), rng)
+                                                analyze(rho, sigma).rho_tilde, rng)
                 assert np.linalg.eigvalsh(rho - rho1).min() >= -1e-10 * c
 
 
 class TestClusterRule:
     def test_large_eigenvalue_does_not_merge_small_ones(self):
-        from qfdiv.linalg import cluster_groups
         groups = cluster_groups(np.array([0.0, 0.0, 0.05, 0.87, 1e9]))
         assert [g.tolist() for g in groups] == [[0, 1], [2], [3], [4]]
 
     def test_relative_gap_merges_near_degenerate_neighbours(self):
-        from qfdiv.linalg import cluster_groups
         groups = cluster_groups(np.array([1e-6, 1e-6 * (1 + 1e-9), 2.0]))
         assert [g.tolist() for g in groups] == [[0, 1], [2]]
 
@@ -267,7 +273,6 @@ class TestClusterRule:
         assert len(dec.eigenvalues) == 3
 
     def test_matches_loop_reference(self):
-        from qfdiv.linalg import cluster_groups
         rng = np.random.default_rng(22)
         for _ in range(50):
             evals = np.sort(np.concatenate([

@@ -123,3 +123,23 @@ class TestSecondDerivative:
         bare = custom("lin", lambda y: y - 1 + (1 - y), recession=0.0)
         with pytest.raises(errors.UnsupportedGenerator):
             second_derivative_check(MAX_MIXED, Z_DIR, Z_DIR, bare)
+
+
+def test_check_takes_one_analysis_per_probe(monkeypatch):
+    # one eigensolve of rho, then 3 per d_prime probe of a full-rank pair
+    # (sigma, rho, d) for the 12 probes; the probes are not checked twice
+    count = [0]
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            count[0] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(5)
+    rho = random_state(3, 3, rng)
+    X = random_tangent(rho, rng).direction
+    Y = random_tangent(rho, rng).direction
+    count[0] = 0
+    second_derivative_check(rho, X, Y, XLOGX)
+    assert count[0] <= 37

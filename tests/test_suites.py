@@ -1,12 +1,14 @@
 """Tests for the suite runner: determinism, reporting, and the oracles."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qfdiv.channels import random_state
 from qfdiv.divergence import minimal_reverse_test, reverse_test_value
+from qfdiv.errors import DimensionMismatch, NotPSD
 from qfdiv.generators import builtin
 from qfdiv.oracles import (concat_reverse_tests, disjoint_reverse_test,
                            random_reverse_test, refine_reverse_test)
@@ -131,16 +133,49 @@ class TestAlternativeReverseTests:
             for alt in (disjoint_reverse_test(rho, sigma, rng),
                         refine_reverse_test(minimal, rng, 2),
                         random_reverse_test(rho, sigma, rng)):
-                if alt is None:
-                    continue
                 assert reverse_test_value(alt, half) >= best - 1e-8
 
-    def test_nnls_solution_when_feasible(self):
+    @pytest.mark.parametrize("rank_rho, rank_sigma, support", [
+        (3, 3, 3),   # dominated, both invertible
+        (2, 3, 3),   # dominated, rho rank-deficient
+        (2, 2, 2),   # both inside one plane: the mixture has a kernel
+        (2, 2, 3),   # rank-deficient, supp rho escapes supp sigma
+        (3, 1, 3),   # undominated
+    ])
+    def test_random_reverse_test_is_exact(self, rank_rho, rank_sigma, support):
         rng = np.random.default_rng(2)
-        rho = random_state(2, 2, rng)
-        sigma = random_state(2, 2, rng)
-        alt = random_reverse_test(rho, sigma, rng)
-        if alt is not None:
+        pad = ((0, 3 - support), (0, 3 - support))
+        for _ in range(20):
+            rho = np.pad(random_state(support, rank_rho, rng), pad)
+            sigma = np.pad(random_state(support, rank_sigma, rng), pad)
+            alt = random_reverse_test(rho, sigma, rng)
+            assert (alt.p >= 0).all() and (alt.q >= 0).all()
+            # weights on the kernel of an operand are exact zeros, not dust
+            # that a generator with infinite slope at 0 would amplify
+            assert np.count_nonzero(alt.p) == rank_rho
+            assert np.count_nonzero(alt.q) == rank_sigma
+            for out in alt.outputs:
+                assert abs(np.trace(out).real - 1.0) < 1e-12
+                assert np.linalg.eigvalsh(out).min() > -1e-12
             rho_hat, sigma_hat = alt.reconstruct()
-            assert np.abs(rho_hat - rho).max() < 1e-8
-            assert np.abs(sigma_hat - sigma).max() < 1e-8
+            assert np.abs(rho_hat - rho).max() < 1e-12
+            assert np.abs(sigma_hat - sigma).max() < 1e-12
+
+    def test_random_reverse_test_validates_the_pair(self):
+        rng = np.random.default_rng(4)
+        state = np.eye(2) / 2
+        bad = np.diag([1.0, -0.3])
+        with pytest.raises(NotPSD):
+            random_reverse_test(bad, state, rng)
+        with pytest.raises(NotPSD):
+            random_reverse_test(state, bad, rng)
+        # neither operand is PSD and their mixture is diag(1, 0) for every
+        # t; only the check on the kernel of the mixture sees rho's part there
+        t = 0.5
+        rho = np.array([[1.0, 1.0], [1.0, 0.0]])
+        sigma = np.array([[1.0, -t / (1 - t)], [-t / (1 - t), 0.0]])
+        fixed_t = SimpleNamespace(uniform=lambda low, high: t)
+        with pytest.raises(NotPSD):
+            random_reverse_test(rho, sigma, fixed_t)
+        with pytest.raises(DimensionMismatch):
+            random_reverse_test(np.eye(2) / 2, np.eye(3) / 3, rng)
