@@ -46,7 +46,7 @@ def _cmd_compute(args) -> int:
         "value": _json_value(value),
         "finite": math.isfinite(value),
         "rho_tilde_trace": float(np.trace(pair.rho_tilde).real),
-        "atoms": len(pair.reverse_test()),
+        "atoms": pair.atom_count(),
     }
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0

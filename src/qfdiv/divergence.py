@@ -140,31 +140,40 @@ class PairAnalysis:
                 "not flagged as one")
         return self.d_prime(f)
 
+    def _atom_weights(self):
+        """The weights pass of the reverse test: W = sigma^{1/2} V, the start
+        and size of each cluster of d (linalg.cluster_starts), its d_x and
+        q(x) = tr W_x W_x^H, and the mask of clusters kept as atoms (q(x)
+        above linalg.ATOM_FLOOR * tr sigma)."""
+        W = (self.basis * np.sqrt(self.sigma_evals)) @ self.coords
+        starts = linalg.cluster_starts(self.evals)
+        sizes = np.diff(starts, append=self.evals.size)
+        q = np.add.reduceat((W.real ** 2 + W.imag ** 2).sum(axis=0), starts)
+        d_x = np.add.reduceat(self.evals, starts) / sizes
+        keep = q > linalg.ATOM_FLOOR * float(np.trace(self.sigma).real)
+        return W, starts, sizes, d_x, q, keep
+
+    def atom_count(self) -> int:
+        """len(self.reverse_test()), without building the atoms."""
+        return int(self._atom_weights()[-1].sum()) + bool(self.escaped)
+
     def reverse_test(self) -> ReverseTest:
         """The minimal reverse test; see minimal_reverse_test()."""
-        W = (self.basis * np.sqrt(self.sigma_evals)) @ self.coords  # sigma^{1/2} V
-        q_floor = linalg.ATOM_FLOOR * float(np.trace(self.sigma).real)
-        outputs: list[np.ndarray] = []
-        p_list: list[float] = []
-        q_list: list[float] = []
-        for g in linalg.cluster_groups(self.evals):
-            Wg = W[:, g]
-            qx = float(np.vdot(Wg, Wg).real)      # tr Wg Wg^H
-            if qx <= q_floor:
-                continue
-            out = Wg @ Wg.conj().T / qx
-            outputs.append((out + out.conj().T) / 2)
-            p_list.append(float(self.evals[g].mean()) * qx)
-            q_list.append(qx)
+        W, starts, sizes, d_x, q, keep = self._atom_weights()
+        scale = np.zeros(q.size)
+        scale[keep] = 1.0 / np.sqrt(q[keep])
+        X = W * np.repeat(scale, sizes)        # W_x / sqrt(q(x)), 0 when dropped
+        Xh = X.conj().T
+        outputs = [X[:, a:a + k] @ Xh[a:a + k]
+                   for a, k in zip(starts[keep], sizes[keep])]
+        p, q = d_x[keep] * q[keep], q[keep]
         labels = [str(i) for i in range(len(outputs))]
         if self.escaped:
             rest = (self.rho - self.rho_tilde) / self.escaped
             outputs.append((rest + rest.conj().T) / 2)
-            p_list.append(self.escaped)
-            q_list.append(0.0)
+            p, q = np.append(p, self.escaped), np.append(q, 0.0)
             labels.append("x0")
-        return ReverseTest(tuple(outputs), np.array(p_list), np.array(q_list),
-                           tuple(labels))
+        return ReverseTest(tuple(outputs), p, q, tuple(labels))
 
 
 def analyze(rho, sigma) -> PairAnalysis:

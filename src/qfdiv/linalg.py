@@ -24,7 +24,7 @@ PSD_SLACK = 100
 HERMITIAN_TOL = 1e-12
 # Kernel (snap_kernel): within dim * this * radius of 0 is 0, so f(0) = 0 applies.
 KERNEL_FLOOR = 100 * np.finfo(float).eps
-# Clusters (cluster_groups): neighbours within this relative gap share a projector.
+# Clusters (cluster_starts): neighbours within this relative gap share a projector.
 CLUSTER_GAP = 1e-8
 # Escaped mass (negligible_mass): up to this share of tr rho is Schur roundoff.
 MASS_TOL = 1e-10
@@ -110,8 +110,9 @@ def snap_kernel(evals: np.ndarray, dim: int) -> np.ndarray:
     return np.where(np.abs(evals) > KERNEL_FLOOR * dim * radius, evals, 0.0)
 
 
-def cluster_groups(evals: np.ndarray) -> list[np.ndarray]:
-    """Index runs of ascending (kernel-snapped) eigenvalues sharing a cluster.
+def cluster_starts(evals: np.ndarray) -> np.ndarray:
+    """Start index of each run of ascending (kernel-snapped) eigenvalues
+    sharing a cluster; the first is 0.
 
     Neighbours merge when their gap is at most CLUSTER_GAP times the larger
     of the two magnitudes.  The gap is local and relative, so one large
@@ -119,8 +120,12 @@ def cluster_groups(evals: np.ndarray) -> list[np.ndarray]:
     left by snap_kernel form one cluster.
     """
     bound = CLUSTER_GAP * np.maximum(np.abs(evals[1:]), np.abs(evals[:-1]))
-    cuts = np.flatnonzero(np.diff(evals) > bound) + 1
-    return np.split(np.arange(evals.size), cuts)
+    return np.flatnonzero(np.concatenate(([True], np.diff(evals) > bound)))
+
+
+def cluster_groups(evals: np.ndarray) -> list[np.ndarray]:
+    """Index runs of the clusters of cluster_starts."""
+    return np.split(np.arange(evals.size), cluster_starts(evals)[1:])
 
 
 def support_projector(A) -> np.ndarray:

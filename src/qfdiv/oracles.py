@@ -80,14 +80,10 @@ def _rank1_resolution(A, root, rng):
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     U, _ = np.linalg.qr(G)
     cols = root @ U
-    outs, weights = [], []
-    for j in range(n):
-        c = cols[:, j]
-        w = float(np.vdot(c, c).real)
-        if w > floor:
-            outs.append(np.outer(c, c.conj()) / w)
-            weights.append(w)
-    return outs, weights
+    w = (cols.real ** 2 + cols.imag ** 2).sum(axis=0)
+    keep = w > floor
+    X = cols[:, keep] / np.sqrt(w[keep])   # c_j / |c_j|
+    return [np.outer(x, x.conj()) for x in X.T], w[keep].tolist()
 
 
 def disjoint_reverse_test(rho, sigma, rng: np.random.Generator) -> ReverseTest:
@@ -174,8 +170,9 @@ def random_reverse_test(rho, sigma, rng: np.random.Generator) -> ReverseTest:
         # snap dust to 0: a divergence with infinite slope at 0 amplifies it
         shares.append(np.where(linalg.support_mask(share), share, 0.0))
     C = (vecs[:, keep] * root) @ U          # columns c_j = tau^{1/2} u_j
-    w = np.sum(np.abs(C) ** 2, axis=0)
-    outputs = tuple(np.outer(c, c.conj()) / wj for c, wj in zip(C.T, w))
+    w = (C.real ** 2 + C.imag ** 2).sum(axis=0)
+    X = C / np.sqrt(w)                      # c_j / |c_j|
+    outputs = tuple(np.outer(x, x.conj()) for x in X.T)
     labels = tuple(str(i) for i in range(len(outputs)))
     return ReverseTest(outputs, shares[0] * w / t, shares[1] * w / (1.0 - t),
                        labels)

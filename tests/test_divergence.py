@@ -1,17 +1,20 @@
 """Tests for the divergence engine and the minimal reverse test."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from qfdiv import errors
+from qfdiv import errors, linalg
 from qfdiv.channels import random_state as seeded_state
-from qfdiv.divergence import (analyze, d_max, d_prime, minimal_reverse_test,
-                              perturbation_limit_probe, reverse_test_value,
-                              rn_derivative)
+from qfdiv.cli import main
+from qfdiv.divergence import (PairAnalysis, analyze, d_max, d_prime,
+                              minimal_reverse_test, perturbation_limit_probe,
+                              reverse_test_value, rn_derivative)
 from qfdiv.generators import (builtin, classical_f_divergence, custom)
 from qfdiv.linalg import support_projector
+from qfdiv.matio import save_matrix
 from qfdiv.oracles import (bs_relative_entropy, classical_oracle,
                            umegaki_relative_entropy)
 
@@ -408,6 +411,54 @@ class TestReverseTestClustering:
         assert rt.labels[-1] == "x0"
         assert np.all(rt.q[:-1] > 1e-3)
         assert_optimal_reverse_test(rho, sigma, rt, 1e-9, 1e-8)
+
+    @pytest.mark.parametrize("case", ["wishart-128", "degenerate", "kernel"])
+    def test_atoms_match_their_cluster_products(self, case):
+        rng = np.random.default_rng(0)
+        if case == "wishart-128":
+            rho, sigma = wishart(rng, 128), wishart(rng, 128)
+        elif case == "degenerate":             # d = 1 on supp sigma: one cluster
+            sigma = wishart(rng, 8)
+            rho = sigma
+        else:                                  # d has a 5-fold kernel cluster
+            sigma, rho = wishart(rng, 8), wishart(rng, 8, 3)
+        pair = analyze(rho, sigma)
+        W = (pair.basis * np.sqrt(pair.sigma_evals)) @ pair.coords  # sigma^{1/2} V
+        atoms, p, q = [], [], []
+        for g in linalg.cluster_groups(pair.evals):
+            qg = float(np.trace(W[:, g] @ W[:, g].conj().T).real)
+            if qg > linalg.ATOM_FLOOR * float(np.trace(sigma).real):
+                atoms.append(W[:, g] @ W[:, g].conj().T / qg)
+                p.append(pair.evals[g].mean() * qg)
+                q.append(qg)
+        sizes = [g.size for g in linalg.cluster_groups(pair.evals)]
+        assert max(sizes) == {"wishart-128": 1, "degenerate": 8, "kernel": 5}[case]
+        rt = pair.reverse_test()
+        assert len(rt) == len(atoms)
+        for out, ref in zip(rt.outputs, atoms):
+            assert np.abs(out - ref).max() <= 1e-14
+            assert np.abs(out - out.conj().T).max() <= 1e-15
+        np.testing.assert_allclose(rt.p, p, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(rt.q, q, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("eps", [1e-9, 3e-10, 1e-11, 3e-12, 1e-13, None])
+    def test_cli_counts_atoms_without_building_them(self, eps, tmp_path,
+                                                    capsys, monkeypatch):
+        if eps is None:                        # mass escapes supp sigma: x0
+            rng = np.random.default_rng(2)
+            rho, sigma = random_state(rng, 4), random_state(rng, 4, 2)
+        else:
+            rho, sigma = near_threshold_pair(eps)
+        want = len(minimal_reverse_test(rho, sigma))
+        for name, M in [("rho", rho), ("sigma", sigma)]:
+            save_matrix(str(tmp_path / f"{name}.json"), M)
+
+        def refuse(self):
+            raise AssertionError("qfdiv compute built the atoms")
+        monkeypatch.setattr(PairAnalysis, "reverse_test", refuse)
+        assert main(["compute", "--rho", str(tmp_path / "rho.json"), "--sigma",
+                     str(tmp_path / "sigma.json"), "--f", "square"]) == 0
+        assert json.loads(capsys.readouterr().out)["atoms"] == want
 
 
 def homogeneity_pairs():
