@@ -10,12 +10,12 @@ identity.  Divergence values are floats in (-inf, +inf]; +inf is math.inf.
 
 from .channels import (DpiResult, EqualityReport, KrausChannel,
                        depolarizing_channel, dpi_check, embedding_channel,
-                       equality_check, identity_channel, kraus_channel,
-                       lambda_sigma, random_channel, random_state,
-                       unitary_channel, v_operator)
+                       equality_check, kraus_channel, lambda_sigma,
+                       random_channel, random_state, unitary_channel,
+                       v_operator)
 from .divergence import (PairAnalysis, ReverseTest, analyze, d_max, d_prime,
                          minimal_reverse_test, perturbation_limit_probe,
-                         reverse_test_value, rn_derivative)
+                         reverse_test_value)
 from .errors import (DimensionMismatch, DomainError, InfiniteDivergence,
                      InvalidDistribution, InvalidOperator, MissingRecession,
                      NonCommuting, NotPSD, QfdivError, StepError,
@@ -24,8 +24,7 @@ from .generators import (DivergenceGenerator, LownerForm, builtin,
                          classical_f_divergence, custom, from_spec,
                          lebesgue_atoms, lowner_quadrature_check,
                          recession_value)
-from .linalg import (apply_scalar_function, gen_inverse_sqrt, matrix_sqrt,
-                     support_projector)
+from .linalg import gen_inverse_sqrt, matrix_sqrt, support_projector
 from .oracles import (bs_relative_entropy, classical_oracle,
                       umegaki_relative_entropy)
 from .rld import (SecondDerivativeResult, TangentPerturbation, random_tangent,

@@ -5,17 +5,20 @@
     qfdiv check        --rho F --sigma F --channel F --f SPEC [--tol T]
     qfdiv rld          --rho F --x F --y F --f SPEC [--step S]
     qfdiv suite        --suite NAME [--dims 2,3] [--trials N] [--seed S]
-                       [--tol T] [--out PATH] [--format json|csv]
+                       [--tol T] [--out PATH] [--format json|csv] [--rows]
 
-Matrices and channels are read from the JSON wire formats of qfdiv.matio.
-Generator parameters go in the spec, e.g. neg_power:0.5.
-QFDIV_SEED provides the default suite seed.  Exit codes: 0 ok, 1 property
-failure, 2 usage error, 3 numeric/domain error.
+Matrices and channels are read from the JSON wire formats of qfdiv.matio;
+an operator with a non-finite entry is rejected.  Generator parameters go
+in the spec, e.g. neg_power:0.5.  The suites cycle through xlogx, square,
+neg_power:0.5 and power:1.5.  QFDIV_SEED provides the default suite seed.
+Exit codes: 0 ok, 1 property failure, 2 usage error (including a bad
+--dims or QFDIV_SEED), 3 numeric/domain error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -72,7 +75,7 @@ def _cmd_check(args) -> int:
     ch = matio.load_channel(args.channel)
     f = from_spec(args.f)
     report = equality_check(rho, sigma, ch, f, tol=args.tol)
-    print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     return 0
 
 
@@ -87,30 +90,32 @@ def _cmd_rld(args) -> int:
     return 0
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _cmd_suite(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("QFDIV_SEED", "0"))
-    dims = tuple(int(d) for d in args.dims.split(","))
-    names = SUITE_NAMES if args.suite == "all" else tuple(args.suite.split(","))
     failures = 0
     reports = []
-    for name in names:
-        kwargs = {}
-        if args.f:
-            kwargs["generators"] = tuple(args.f.split(","))
-        cfg = SuiteConfig(suite=name, dims=dims, trials=args.trials, seed=seed,
-                          tol=args.tol, **kwargs)
-        try:
-            report = run_suite(cfg)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        reports.append(report)
-        failures += report.total_fail
-        status = "ok" if report.ok() else "FAIL"
-        print(f"suite {name}: {report.total_pass} pass, "
-              f"{report.total_fail} fail [{status}]", file=sys.stderr)
+    try:
+        seed = (_int(os.environ.get("QFDIV_SEED", "0"), "QFDIV_SEED")
+                if args.seed is None else args.seed)
+        dims = tuple(_int(d, "each of --dims") for d in args.dims.split(","))
+        names = SUITE_NAMES if args.suite == "all" else tuple(args.suite.split(","))
+        for name in names:
+            report = run_suite(SuiteConfig(suite=name, dims=dims, trials=args.trials,
+                                           seed=seed, tol=args.tol))
+            reports.append(report)
+            failures += report.total_fail
+            status = "ok" if report.ok() else "FAIL"
+            print(f"suite {name}: {report.total_pass} pass, "
+                  f"{report.total_fail} fail [{status}]", file=sys.stderr)
+    except ValueError as exc:  # a bad --suite, --dims, --trials or QFDIV_SEED
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "csv":
         payload = "".join(r.to_csv() for r in reports)
     elif len(reports) == 1:
@@ -171,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="master seed (default: QFDIV_SEED or 0)")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--f", default=None,
-                   help="comma list of generator specs for the ensembles")
     p.add_argument("--out", default=None, help="write the report to a file")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--rows", action="store_true",

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (DimensionMismatch, DomainError, SupportError,
-                     UnsupportedGenerator, ZeroSigma)
+from .errors import (DimensionMismatch, DomainError, UnsupportedGenerator,
+                     ZeroSigma)
 from .generators import DivergenceGenerator, classical_f_divergence, recession_value
 
 
@@ -67,7 +67,7 @@ def _schur_reduce(rho, pi_s) -> np.ndarray:
     tilde = (tilde + tilde.conj().T) / 2
     if linalg.negligible_mass(float(np.trace(tilde).real), float(np.trace(rho).real)):
         return np.zeros_like(rho)
-    return linalg.require_psd(tilde)
+    return linalg.psd_spectrum(tilde, vectors=False)[0]
 
 
 @dataclass(frozen=True)
@@ -218,18 +218,6 @@ def analyze(rho, sigma) -> PairAnalysis:
     weights = s @ np.abs(coords) ** 2
     return PairAnalysis(rho, sigma, tilde, dominated, escaped, basis, s,
                         evals, coords, weights)
-
-
-def rn_derivative(rho, sigma) -> np.ndarray:
-    """Commutative Radon-Nikodym derivative sigma^{-1/2} rho sigma^{-1/2}.
-
-    Requires supp rho inside supp sigma (generalized inverse on the kernel);
-    the output is symmetrized to suppress roundoff asymmetry.
-    """
-    analysis = analyze(rho, sigma)
-    if not analysis.dominated:
-        raise SupportError("supp rho is not contained in supp sigma")
-    return analysis.d
 
 
 def d_prime(rho, sigma, f: DivergenceGenerator) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, InvalidOperator, NotPSD
+from .errors import InvalidOperator, NotPSD
 
 # The tolerance policy: each numerical decision of the package reads one of
 # these constants, through the one function named in its comment.
@@ -45,9 +45,11 @@ def as_matrix(A) -> np.ndarray:
 
 
 def as_hermitian(A) -> np.ndarray:
-    """Check Hermiticity (see HERMITIAN_TOL) and return the symmetrized (A + A†)/2."""
+    """Check A finite and Hermitian (see HERMITIAN_TOL); return (A + A†)/2."""
     A = as_matrix(A)
     scale = float(np.abs(A).max())
+    if not np.isfinite(scale):
+        raise InvalidOperator("matrix has a non-finite entry")
     if float(np.abs(A - A.conj().T).max()) > HERMITIAN_TOL * scale:
         raise InvalidOperator("matrix is not Hermitian within tolerance")
     return (A + A.conj().T) / 2
@@ -74,11 +76,6 @@ def psd_slack(evals: np.ndarray) -> float:
     """How far below 0 the eigenvalues of a PSD operator may reach:
     PSD_SLACK * RANK_CUTOFF * dim times the spectral radius."""
     return RANK_CUTOFF * evals.size * float(np.abs(evals).max()) * PSD_SLACK
-
-
-def require_psd(A) -> np.ndarray:
-    """Check positive semidefiniteness (see psd_spectrum); return A symmetrized."""
-    return psd_spectrum(A, vectors=False)[0]
 
 
 def support_mask(evals: np.ndarray) -> np.ndarray:
@@ -163,32 +160,3 @@ def gen_inverse_sqrt(A) -> np.ndarray:
 def matrix_sqrt(A) -> np.ndarray:
     """Principal square root of a PSD operator."""
     return _spectral_map(A, np.sqrt)[1]
-
-
-def apply_scalar_function(A, h) -> np.ndarray:
-    """Spectral functional calculus h(A) = sum_x h(d_x) P_x.
-
-    h must accept a float array; a NaN or an exception from h raises
-    DomainError.
-    """
-    A = as_hermitian(A)
-    evals, vecs = np.linalg.eigh(A)
-    try:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            vals = np.asarray(h(evals), dtype=float)
-    except (ValueError, ZeroDivisionError, FloatingPointError) as exc:
-        raise DomainError(f"scalar function failed on spectrum: {exc}") from exc
-    if vals.shape != evals.shape:
-        vals = np.broadcast_to(vals, evals.shape)
-    if np.isnan(vals).any():
-        bad = evals[np.isnan(vals)]
-        raise DomainError(f"scalar function undefined at eigenvalue(s) {bad}")
-    out = (vecs * vals) @ vecs.conj().T
-    return (out + out.conj().T) / 2
-
-
-def commutator_norm(A, B) -> float:
-    """Frobenius norm of [A, B]."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    return float(np.linalg.norm(A @ B - B @ A))

@@ -4,8 +4,9 @@ Matrix:  {"dim": n, "entries": [[re, im], ...]}   row-major, doubles.
 Channel: {"dim_in": n, "dim_out": m, "kraus": [kraus, ...]},
          kraus = {"dim_out": m, "dim_in": n, "entries": [[re, im], ...]}.
 
-Readers reject entry lists whose length differs from dim**2 (dim_out *
-dim_in for a Kraus operator, whose own dim fields are not read).
+Readers raise InvalidOperator unless the dimensions are positive integers
+and the entries are dim**2 [re, im] pairs of numbers (dim_out * dim_in for
+a Kraus operator, whose own dim fields are not read).
 """
 
 from __future__ import annotations
@@ -26,22 +27,23 @@ def matrix_to_json(A) -> dict:
     return {"dim": int(A.shape[0]), "entries": entries}
 
 
+def _entries(obj, rows, cols) -> np.ndarray:
+    """The rows x cols matrix of obj's row-major [re, im] 'entries'."""
+    try:
+        rows, cols = int(rows), int(cols)
+        pairs = np.array(obj["entries"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidOperator(f"malformed matrix JSON: {exc}") from exc
+    if min(rows, cols) < 1 or pairs.shape != (rows * cols, 2):
+        raise InvalidOperator(
+            f"entries of shape {pairs.shape} are not {rows}x{cols} [re, im] pairs")
+    return pairs.view(complex).reshape(rows, cols)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise InvalidOperator("matrix JSON needs 'dim' and 'entries' fields")
-    dim = int(obj["dim"])
-    entries = obj["entries"]
-    if dim < 1:
-        raise InvalidOperator(f"matrix dimension must be positive, got {dim}")
-    if len(entries) != dim * dim:
-        raise InvalidOperator(
-            f"entries length {len(entries)} does not equal dim^2 = {dim * dim}")
-    flat = np.empty(dim * dim, dtype=complex)
-    for k, pair in enumerate(entries):
-        if len(pair) != 2:
-            raise InvalidOperator(f"entry {k} is not a [re, im] pair")
-        flat[k] = complex(float(pair[0]), float(pair[1]))
-    return flat.reshape(dim, dim)
+    return _entries(obj, obj["dim"], obj["dim"])
 
 
 def channel_to_json(ch: KrausChannel) -> dict:
@@ -51,23 +53,11 @@ def channel_to_json(ch: KrausChannel) -> dict:
     return {"dim_in": ch.dim_in, "dim_out": ch.dim_out, "kraus": kraus}
 
 
-def _rect_from_json(obj, rows: int, cols: int) -> np.ndarray:
-    entries = obj["entries"]
-    if len(entries) != rows * cols:
-        raise InvalidOperator(
-            f"Kraus entries length {len(entries)} does not equal "
-            f"{rows}x{cols}")
-    flat = np.array([complex(float(e[0]), float(e[1])) for e in entries])
-    return flat.reshape(rows, cols)
-
-
 def channel_from_json(obj) -> KrausChannel:
     for field in ("dim_in", "dim_out", "kraus"):
         if field not in obj:
             raise InvalidOperator(f"channel JSON is missing {field!r}")
-    dim_in = int(obj["dim_in"])
-    dim_out = int(obj["dim_out"])
-    ops = [_rect_from_json(k, dim_out, dim_in) for k in obj["kraus"]]
+    ops = [_entries(k, obj["dim_out"], obj["dim_in"]) for k in obj["kraus"]]
     return kraus_channel(ops)
 
 

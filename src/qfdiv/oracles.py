@@ -23,9 +23,9 @@ def joint_eigenvalues(rho, sigma, comm_tol: float = 1e-10):
     Returns (p, q): the eigenvalues of rho and sigma in a common eigenbasis.
     Raises NonCommuting when ||[rho, sigma]||_F exceeds comm_tol.
     """
-    rho = linalg.require_psd(rho)
+    rho = linalg.psd_spectrum(rho, vectors=False)[0]
     sigma, w, V = linalg.psd_spectrum(sigma)
-    if linalg.commutator_norm(rho, sigma) > comm_tol:
+    if float(np.linalg.norm(rho @ sigma - sigma @ rho)) > comm_tol:
         raise NonCommuting("inputs do not commute within tolerance")
     n = w.size
     gap = linalg.RANK_CUTOFF * n * float(np.abs(w).max())
@@ -44,10 +44,8 @@ def joint_eigenvalues(rho, sigma, comm_tol: float = 1e-10):
         start = stop
     # snap diagonalization dust to exact zero so a vanishing entry cannot
     # masquerade as escaped mass and trigger a recession term
-    for v in (p, q):
-        floor = linalg.KERNEL_FLOOR * n * max(float(np.abs(v).max()), 0.0)
-        v[np.abs(v) <= floor] = 0.0
-    return np.maximum(p, 0.0), np.maximum(q, 0.0)
+    return (np.maximum(linalg.snap_kernel(p, n), 0.0),
+            np.maximum(linalg.snap_kernel(q, n), 0.0))
 
 
 def classical_oracle(rho, sigma, f: DivergenceGenerator,

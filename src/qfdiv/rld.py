@@ -9,6 +9,7 @@ share that limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +119,8 @@ def second_derivative_check(rho, X, Y, f: DivergenceGenerator,
     """Compare the mixed finite difference of the divergence with the metric.
 
     The raw step is rescaled by lambda_min(rho)/||direction|| per direction
-    so the perturbed operators stay PSD; StepError if they do not.
+    so the perturbed operators stay PSD; StepError if they do not, or if the
+    step is not finite and positive.
     """
     if f.second_deriv_at_1 is None:
         raise UnsupportedGenerator(
@@ -132,6 +134,8 @@ def second_derivative_check(rho, X, Y, f: DivergenceGenerator,
     norm_y = float(np.linalg.norm(Y, 2))
     s = step * lam_min / norm_x if norm_x > 0 else step
     t = step * lam_min / norm_y if norm_y > 0 else step
+    if not (0 < step < math.inf and s * t > 0):
+        raise StepError(f"step {step} is not finite and positive, or underflows")
 
     def probe(first, second) -> float:
         try:

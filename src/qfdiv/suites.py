@@ -23,11 +23,13 @@ from .channels import (depolarizing_channel, embedding_channel, random_channel,
                        random_state, equality_check, dpi_check, unitary_channel)
 from .divergence import (analyze, d_max, d_prime, minimal_reverse_test,
                          perturbation_limit_probe, reverse_test_value)
-from .generators import (DivergenceGenerator, LownerForm, builtin, from_spec,
-                         lebesgue_atoms, lowner_quadrature_check)
+from .generators import (LownerForm, builtin, lebesgue_atoms,
+                         lowner_quadrature_check)
 from .rld import random_tangent, second_derivative_check
 
-DEFAULT_GENERATORS = ("xlogx", "square", "neg_power:0.5", "power:1.5")
+# The generators the ensembles cycle through, trial by trial.
+_GENERATORS = (builtin("xlogx"), builtin("square"), builtin("neg_power", 0.5),
+               builtin("power", 1.5))
 
 SUITE_TOLS = {
     "dpi": 1e-8,
@@ -53,12 +55,6 @@ class SuiteConfig:
     trials: int = 100
     seed: int = 0
     tol: float | None = None
-    generators: tuple[str, ...] = DEFAULT_GENERATORS
-
-    def resolved_tol(self) -> float:
-        if self.tol is not None:
-            return self.tol
-        return SUITE_TOLS[self.suite]
 
 
 @dataclass(frozen=True)
@@ -151,10 +147,6 @@ def _le_margin(lhs: float, rhs: float) -> float:
     return lhs - rhs
 
 
-def _gens(cfg: SuiteConfig) -> list[DivergenceGenerator]:
-    return [from_spec(s) for s in cfg.generators]
-
-
 # ---------------------------------------------------------------- ensembles
 
 def _pair(rng, dim, rank_rho=None, rank_sigma=None):
@@ -232,11 +224,10 @@ def _invertible_pair(rng, dim, floor=0.1):
 
 def _suite_dpi(cfg, tol):
     rows = []
-    gens = _gens(cfg)
     for i in range(cfg.trials):
         rng = trial_rng(cfg.seed, i)
         dim = cfg.dims[i % len(cfg.dims)]
-        f = gens[i % len(gens)]
+        f = _GENERATORS[i % len(_GENERATORS)]
         # alternate between arbitrary ranks and guaranteed-dominated pairs
         if i % 2 == 0:
             rho, sigma = _pair(rng, dim)
@@ -252,12 +243,11 @@ def _suite_dpi(cfg, tol):
 
 def _suite_convexity(cfg, tol):
     rows = []
-    gens = _gens(cfg)
     weights = [k / 10 for k in range(1, 10)]
     for i in range(cfg.trials):
         rng = trial_rng(cfg.seed, i)
         dim = cfg.dims[i % len(cfg.dims)]
-        f = gens[i % len(gens)]
+        f = _GENERATORS[i % len(_GENERATORS)]
         rho0, sigma0 = _pair(rng, dim)
         rho1, sigma1 = _pair(rng, dim)
         d0 = d_max(rho0, sigma0, f)
@@ -275,11 +265,10 @@ def _suite_convexity(cfg, tol):
 
 def _suite_sigma_monotonicity(cfg, tol):
     rows = []
-    gens = _gens(cfg)
     for i in range(cfg.trials):
         rng = trial_rng(cfg.seed, i)
         dim = cfg.dims[i % len(cfg.dims)]
-        f = gens[i % len(gens)]
+        f = _GENERATORS[i % len(_GENERATORS)]
         rho, sigma = _pair(rng, dim)
         bigger = sigma + float(rng.uniform(0.1, 1.0)) * random_state(
             dim, int(rng.integers(1, dim + 1)), rng)
@@ -382,11 +371,10 @@ def _suite_reverse_test_reconstruction(cfg, tol):
 
 def _suite_reverse_test_optimality(cfg, tol):
     rows = []
-    gens = _gens(cfg)
     for i in range(cfg.trials):
         rng = trial_rng(cfg.seed, i)
         dim = min(cfg.dims[i % len(cfg.dims)], 4)
-        f = gens[i % len(gens)]
+        f = _GENERATORS[i % len(_GENERATORS)]
         rho, sigma = _pair(rng, dim)
         minimal = minimal_reverse_test(rho, sigma)
         best = reverse_test_value(minimal, f)
@@ -447,12 +435,11 @@ def _suite_equality_preservation(cfg, tol):
 
 def _suite_rld(cfg, tol):
     rows = []
-    gens = _gens(cfg)
     square = builtin("square")
     for i in range(cfg.trials):
         rng = trial_rng(cfg.seed, i)
         dim = min(cfg.dims[i % len(cfg.dims)], 3)
-        f = gens[i % len(gens)]
+        f = _GENERATORS[i % len(_GENERATORS)]
         rho = 0.7 * random_state(dim, dim, rng) + 0.3 * np.eye(dim) / dim
         X = random_tangent(rho, rng).direction
         Y = random_tangent(rho, rng).direction
@@ -504,11 +491,10 @@ def _suite_geometric_mean_symmetry(cfg, tol):
 
 def _suite_commutative_oracle(cfg, tol):
     rows = []
-    gens = _gens(cfg)
     for i in range(cfg.trials):
         rng = trial_rng(cfg.seed, i)
         dim = cfg.dims[i % len(cfg.dims)]
-        f = gens[i % len(gens)]
+        f = _GENERATORS[i % len(_GENERATORS)]
         rho, sigma, _, _ = _commuting_pair(rng, dim, deficient=(i % 3 == 0))
         lhs = d_max(rho, sigma, f)
         rhs = oracles.classical_oracle(rho, sigma, f)
@@ -549,7 +535,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         raise ValueError("trials must be at least 1")
     if not cfg.dims or min(cfg.dims) < 2:
         raise ValueError("dims must contain integers >= 2")
-    tol = cfg.resolved_tol()
+    tol = SUITE_TOLS[cfg.suite] if cfg.tol is None else cfg.tol
     start = time.perf_counter()
     rows = _SUITES[cfg.suite](cfg, tol)
     wall = time.perf_counter() - start

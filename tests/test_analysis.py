@@ -13,11 +13,9 @@ import qfdiv
 import qfdiv.channels
 import qfdiv.cli
 from qfdiv import oracles
-from qfdiv import errors
 from qfdiv.channels import equality_check, unitary_channel
 from qfdiv.divergence import (PairAnalysis, analyze, d_max, d_prime,
-                              minimal_reverse_test, reverse_test_value,
-                              rn_derivative)
+                              minimal_reverse_test, reverse_test_value)
 from qfdiv.generators import builtin
 from qfdiv.matio import save_matrix
 
@@ -163,11 +161,7 @@ class TestReaders:
                 else:
                     assert via_test == pytest.approx(direct, abs=1e-10)
             if pair.dominated:
-                np.testing.assert_array_equal(rn_derivative(rho, sigma), pair.d)
                 assert pair.escaped == 0.0
-            else:
-                with pytest.raises(errors.SupportError):
-                    rn_derivative(rho, sigma)
 
     def test_weights_and_sigma_power(self):
         rho, sigma = schur_pair()

@@ -39,6 +39,22 @@ class TestMatrixJson:
         with pytest.raises(errors.InvalidOperator):
             matrix_from_json({"dim": 2})
 
+    @pytest.mark.parametrize("dim", ["a", None, 0, -1])
+    def test_rejects_bad_dimension(self, dim):
+        with pytest.raises(errors.InvalidOperator):
+            matrix_from_json({"dim": dim, "entries": []})
+        with pytest.raises(errors.InvalidOperator):
+            channel_from_json({"dim_in": 1, "dim_out": dim,
+                               "kraus": [{"entries": [[1.0, 0.0]]}]})
+
+    @pytest.mark.parametrize("entry", [["a", 0.0], [0.0], None, [0.0, 1.0, 2.0]])
+    def test_rejects_malformed_entry(self, entry):
+        with pytest.raises(errors.InvalidOperator):
+            matrix_from_json({"dim": 1, "entries": [entry]})
+        with pytest.raises(errors.InvalidOperator):
+            channel_from_json({"dim_in": 1, "dim_out": 1,
+                               "kraus": [{"entries": [entry]}]})
+
     def test_channel_roundtrip(self):
         ch = depolarizing_channel(2, 0.3)
         back = channel_from_json(channel_to_json(ch))
@@ -105,6 +121,23 @@ class TestComputeCommand:
             main(["compute", "--rho", "x.json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("entries", [
+        [["a", 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
+        [[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
+        [[float("inf"), 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]])
+    def test_malformed_or_non_finite_entries_exit_three(
+            self, tmp_path, capsys, qubit_files, entries):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dim": 2, "entries": entries}))
+        for rho, sigma in ((str(bad), qubit_files["sigma"]),
+                           (qubit_files["rho"], str(bad))):
+            code = main(["compute", "--rho", rho, "--sigma", sigma,
+                         "--f", "square"])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+
 
 class TestReverseTestCommand:
     def test_dump(self, qubit_files, capsys):
@@ -133,6 +166,20 @@ class TestCheckCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["equal"] is True
         assert out["reverse_test_preserved"] is True
+
+    @pytest.mark.parametrize("entries", [
+        [[0.0], [0.0], [0.0], [1.0, 0.0]],
+        [[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]])
+    def test_bad_kraus_entries_exit_three(self, qubit_files, tmp_path, capsys,
+                                          entries):
+        ch_path = tmp_path / "ch.json"
+        ch_path.write_text(json.dumps(
+            {"dim_in": 2, "dim_out": 2, "kraus": [{"entries": entries}]}))
+        code = main(["check", "--rho", qubit_files["rho"],
+                     "--sigma", qubit_files["sigma"],
+                     "--channel", str(ch_path), "--f", "square"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestRldCommand:
@@ -169,6 +216,18 @@ class TestSuiteCommand:
     def test_bad_trials_usage_error(self, capsys):
         code = main(["suite", "--suite", "dpi", "--trials", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("dims", ["a", "2,,3", "2.5"])
+    def test_bad_dims_usage_error(self, capsys, dims):
+        code = main(["suite", "--suite", "dpi", "--trials", "2", "--dims", dims])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bad_env_seed_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QFDIV_SEED", "x")
+        code = main(["suite", "--suite", "dpi", "--trials", "2"])
+        assert code == 2
+        assert "QFDIV_SEED" in capsys.readouterr().err
 
     def test_csv_output(self, tmp_path, capsys):
         out_path = tmp_path / "rows.csv"
@@ -208,7 +267,8 @@ class TestSuiteCommand:
 class TestNoToleranceKnobs:
     """The tolerances of rank, clustering and escaped mass are constants of
     qfdiv.linalg, not parameters, and the CLI has no flag for them or for a
-    generator parameter outside the spec."""
+    generator parameter outside the spec.  The suites' generators are fixed
+    too: neither SuiteConfig nor `qfdiv suite` takes a list of them."""
 
     def test_no_public_callable_takes_a_tolerance_knob(self):
         import importlib
@@ -233,6 +293,19 @@ class TestNoToleranceKnobs:
                     params = inspect.signature(fn).parameters
                     found += [f"{info.name}.{name}({p})" for p in params if p in knobs]
         assert found == []
+
+    def test_suites_have_no_generator_knob(self, capsys):
+        import dataclasses
+        import re
+
+        from qfdiv.suites import SuiteConfig
+        assert "generators" not in {f.name for f in dataclasses.fields(SuiteConfig)}
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert "--suite" in text
+        assert not re.search(r"--f\b", text)
 
     def test_help_lists_no_tol_or_alpha(self, capsys):
         for command, flags in (("compute", ("--tol", "--alpha")),

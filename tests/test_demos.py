@@ -1,4 +1,5 @@
-"""Smoke test: every demo runs to completion against the package."""
+"""Smoke test: every demo runs to completion against the package, with
+every warning an error (as pytest's own filterwarnings setting)."""
 
 import os
 import pathlib
@@ -16,6 +17,6 @@ DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
 def test_demo_runs(demo):
     src = os.path.dirname(os.path.dirname(qfdiv.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -11,7 +11,7 @@ from qfdiv.channels import random_state as seeded_state
 from qfdiv.cli import main
 from qfdiv.divergence import (PairAnalysis, analyze, d_max, d_prime,
                               minimal_reverse_test, perturbation_limit_probe,
-                              reverse_test_value, rn_derivative)
+                              reverse_test_value)
 from qfdiv.generators import (builtin, classical_f_divergence, custom)
 from qfdiv.linalg import support_projector
 from qfdiv.matio import save_matrix
@@ -41,15 +41,15 @@ class TestRnDerivative:
     def test_equal_pair_gives_support_projector(self):
         rng = np.random.default_rng(1)
         sigma = random_state(rng, 4, rank=2)
-        d = rn_derivative(sigma, sigma)
+        d = analyze(sigma, sigma).d
         np.testing.assert_allclose(d, support_projector(sigma), atol=1e-10)
 
     def test_diagonal_arithmetic(self):
-        d = rn_derivative(np.diag([0.5, 0.5]), np.diag([0.25, 0.75]))
+        d = analyze(np.diag([0.5, 0.5]), np.diag([0.25, 0.75])).d
         np.testing.assert_allclose(d, np.diag([2.0, 2.0 / 3.0]), atol=1e-12)
 
     def test_scalar_scaling(self):
-        d = rn_derivative(PROJ0, np.eye(2) / 2)
+        d = analyze(PROJ0, np.eye(2) / 2).d
         np.testing.assert_allclose(d, 2.0 * PROJ0, atol=1e-12)
 
     def test_reconstructs_rho(self):
@@ -60,14 +60,15 @@ class TestRnDerivative:
             pi = support_projector(sigma)
             raw = pi @ random_state(rng, dim) @ pi
             rho = raw / np.trace(raw).real
-            d = rn_derivative(rho, sigma)
+            pair = analyze(rho, sigma)
+            assert pair.dominated
+            d = pair.d
             from qfdiv.linalg import matrix_sqrt
             s = matrix_sqrt(sigma)
             assert np.abs(s @ d @ s - rho).max() < 1e-9
 
     def test_support_violation(self):
-        with pytest.raises(errors.SupportError):
-            rn_derivative(PROJ0, PROJP)
+        assert not analyze(PROJ0, PROJP).dominated
 
 
 class TestDPrime:
@@ -82,6 +83,13 @@ class TestDPrime:
 
     def test_disjoint_pure_neg_power_is_exactly_zero(self):
         assert d_prime(PROJ0, PROJP, HALF) == 0.0
+
+    def test_generator_undefined_on_the_spectrum(self):
+        # d = diag(2, 2/3); the generator is NaN above 1
+        partial = custom("partial", lambda y: np.where(y > 1.0, np.nan, y * y),
+                         recession=math.inf)
+        with pytest.raises(errors.DomainError):
+            d_prime(np.diag([0.5, 0.5]), np.diag([0.25, 0.75]), partial)
 
     def test_zero_sigma(self):
         with pytest.raises(errors.ZeroSigma):
@@ -113,6 +121,16 @@ class TestDMax:
         plain = custom("plain", lambda y: y * y, recession=math.inf)
         with pytest.raises(errors.UnsupportedGenerator):
             d_max(np.eye(2) / 2, np.eye(2) / 2, plain)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_operand(self, bad):
+        nonfinite = np.array([[bad, 0.0], [0.0, 0.5]])
+        for rho, sigma in ((nonfinite, np.eye(2) / 2), (np.eye(2) / 2, nonfinite)):
+            for f in GENS:
+                with pytest.raises(errors.InvalidOperator):
+                    d_max(rho, sigma, f)
+            with pytest.raises(errors.InvalidOperator):
+                minimal_reverse_test(rho, sigma)
 
     def test_commuting_matches_classical(self):
         rng = np.random.default_rng(5)
@@ -225,7 +243,7 @@ class TestMinimalReverseTest:
             sigma = random_state(rng, dim)
             rho = random_state(rng, dim)
             rt = minimal_reverse_test(rho, sigma)
-            d = rn_derivative(rho, sigma)
+            d = analyze(rho, sigma).d
             distinct = len(np.unique(np.round(np.linalg.eigvalsh(d), 6)))
             assert len(rt) == distinct
 

@@ -7,9 +7,9 @@ import pytest
 
 from qfdiv import errors
 from qfdiv.divergence import analyze
-from qfdiv.linalg import (apply_scalar_function, as_hermitian, as_matrix,
-                          cluster_groups, gen_inverse_sqrt, matrix_sqrt,
-                          projector, snap_kernel, support_projector)
+from qfdiv.linalg import (as_hermitian, as_matrix, cluster_groups,
+                          gen_inverse_sqrt, matrix_sqrt, projector,
+                          snap_kernel, support_projector)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 KET0 = np.array([1, 0], dtype=complex)
@@ -151,6 +151,13 @@ class TestSupport:
             with pytest.raises(errors.InvalidOperator):
                 as_matrix(np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(errors.InvalidOperator):
+            as_hermitian(np.array([[bad, 0.0], [0.0, 0.5]]))
+        with pytest.raises(errors.InvalidOperator):
+            support_projector(np.array([[0.5, bad], [bad, 0.5]]))
+
 
 class TestFunctionalCalculus:
     def test_gen_inverse_sqrt_diagonal(self):
@@ -179,24 +186,6 @@ class TestFunctionalCalculus:
         A = random_psd(rng, 4)
         R = matrix_sqrt(A)
         np.testing.assert_allclose(R @ R, A, atol=1e-10 * np.abs(A).max())
-
-    def test_apply_square(self):
-        out = apply_scalar_function(np.diag([2.0, 3.0]), lambda y: y ** 2)
-        np.testing.assert_allclose(out, np.diag([4.0, 9.0]), atol=1e-13)
-
-    def test_apply_identity(self):
-        rng = np.random.default_rng(2)
-        A = as_hermitian(random_psd(rng, 5) - random_psd(rng, 5))
-        np.testing.assert_allclose(apply_scalar_function(A, lambda y: y), A,
-                                   atol=1e-10 * np.abs(A).max())
-
-    def test_apply_rational(self):
-        out = apply_scalar_function(np.diag([1.0, 3.0]), lambda y: -y / (y + 1))
-        np.testing.assert_allclose(out, np.diag([-0.5, -0.75]), atol=1e-13)
-
-    def test_apply_domain_error(self):
-        with pytest.raises(errors.DomainError):
-            apply_scalar_function(np.diag([1.0, -1.0]), np.log)
 
 
 class TestSchurTilde:

@@ -1,5 +1,7 @@
 """Tests for the RLD metric and the divergence Hessian identity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,11 @@ class TestSecondDerivative:
     def test_step_error(self):
         with pytest.raises(errors.StepError):
             second_derivative_check(MAX_MIXED, Z_DIR, Z_DIR, XLOGX, step=3.0)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf, 1e-300])
+    def test_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(errors.StepError):
+            second_derivative_check(MAX_MIXED, Z_DIR, Z_DIR, XLOGX, step=step)
 
     def test_requires_curvature(self):
         bare = custom("lin", lambda y: y - 1 + (1 - y), recession=0.0)
