@@ -19,6 +19,10 @@ from .errors import (DimensionMismatch, InfiniteDivergence, InvalidOperator,
                      ZeroSigma)
 from .generators import DivergenceGenerator
 
+# Largest entrywise gap between two reverse tests' weight vectors that
+# equality_check still counts as a match.
+_WEIGHT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class KrausChannel:
@@ -99,9 +103,10 @@ def embedding_channel(dim_in: int, dim_out: int) -> KrausChannel:
 
 
 def _rng(seed) -> np.random.Generator:
-    # Philox: 64-bit counter-based, so (seed, index) keys give independent
-    # reproducible streams on every platform.  An existing Generator is
-    # passed through so callers can chain draws.
+    # The package's one seed convention.  Philox: 64-bit counter-based, so
+    # (seed, index) keys give independent reproducible streams on every
+    # platform.  An existing Generator is passed through so callers can
+    # chain draws.
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.Generator(np.random.Philox(key=np.asarray(seed, dtype=np.uint64)))
@@ -207,14 +212,14 @@ class EqualityReport:
     q_match: bool
 
 
-def _match_weights(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+def _match_weights(a: np.ndarray, b: np.ndarray) -> bool:
     if a.shape != b.shape:
         return False
-    return bool(np.abs(a - b).max() <= tol) if a.size else True
+    return bool(np.abs(a - b).max() <= _WEIGHT_TOL) if a.size else True
 
 
 def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
-                   tol: float = 1e-8, weight_tol: float = 1e-10) -> EqualityReport:
+                   tol: float = 1e-8) -> EqualityReport:
     """Check whether the channel preserves d_max(rho||sigma) and why.
 
     The pair and its image are each analysed once (divergence.analyze).
@@ -260,8 +265,8 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
 
     rt_in = pair.reverse_test()
     rt_out = image.reverse_test()
-    p_match = _match_weights(rt_in.p, rt_out.p, weight_tol)
-    q_match = _match_weights(rt_in.q, rt_out.q, weight_tol)
+    p_match = _match_weights(rt_in.p, rt_out.p)
+    q_match = _match_weights(rt_in.q, rt_out.q)
     preserved = len(rt_in) == len(rt_out)
     if preserved:
         for out_in, out_img in zip(rt_in.outputs, rt_out.outputs):

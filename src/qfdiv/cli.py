@@ -32,7 +32,7 @@ from .divergence import analyze, minimal_reverse_test
 from .errors import QfdivError
 from .generators import from_spec
 from .rld import second_derivative_check
-from .suites import SUITE_NAMES, SuiteConfig, run_suite
+from .suites import SUITE_NAMES, SuiteConfig, _csv, run_suite
 
 
 def _json_value(x: float):
@@ -117,7 +117,7 @@ def _cmd_suite(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "csv":
-        payload = "".join(r.to_csv() for r in reports)
+        payload = _csv(reports)
     elif len(reports) == 1:
         payload = reports[0].to_json(include_rows=args.rows)
     else:

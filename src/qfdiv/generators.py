@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (InvalidDistribution, MissingRecession,
+from .errors import (DomainError, InvalidDistribution, MissingRecession,
                      UnsupportedGenerator)
 
 INF = math.inf
@@ -166,7 +166,6 @@ def classical_f_divergence(p, q, f: DivergenceGenerator) -> float:
     if pos.any():
         vals = np.asarray(f.eval(p[pos] / q[pos]), dtype=float)
         if np.isnan(vals).any():
-            from .errors import DomainError
             raise DomainError("generator returned NaN on a likelihood ratio")
         total += float(np.dot(q[pos], vals))
     escaped = float(p[~pos].sum())

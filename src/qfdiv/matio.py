@@ -23,8 +23,12 @@ def matrix_to_json(A) -> dict:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidOperator(f"expected a square matrix, got shape {A.shape}")
-    entries = [[float(z.real), float(z.imag)] for z in A.ravel()]
-    return {"dim": int(A.shape[0]), "entries": entries}
+    return {"dim": int(A.shape[0]), "entries": _entries_json(A)}
+
+
+def _entries_json(A) -> list:
+    """A's row-major [re, im] pairs, the layout that _entries reads."""
+    return [[float(z.real), float(z.imag)] for z in A.ravel()]
 
 
 def _entries(obj, rows, cols) -> np.ndarray:
@@ -48,8 +52,7 @@ def matrix_from_json(obj) -> np.ndarray:
 
 def channel_to_json(ch: KrausChannel) -> dict:
     kraus = [{"dim_out": ch.dim_out, "dim_in": ch.dim_in,
-              "entries": [[float(z.real), float(z.imag)] for z in K.ravel()]}
-             for K in ch.kraus]
+              "entries": _entries_json(K)} for K in ch.kraus]
     return {"dim_in": ch.dim_in, "dim_out": ch.dim_out, "kraus": kraus}
 
 

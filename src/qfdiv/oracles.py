@@ -16,16 +16,19 @@ from .divergence import ReverseTest
 from .errors import DimensionMismatch, NonCommuting, NotPSD, ZeroSigma
 from .generators import DivergenceGenerator, classical_f_divergence
 
+# Frobenius norm of [rho, sigma] above which a pair does not commute.
+_COMM_TOL = 1e-10
 
-def joint_eigenvalues(rho, sigma, comm_tol: float = 1e-10):
+
+def joint_eigenvalues(rho, sigma):
     """Simultaneously diagonalize a commuting PSD pair.
 
     Returns (p, q): the eigenvalues of rho and sigma in a common eigenbasis.
-    Raises NonCommuting when ||[rho, sigma]||_F exceeds comm_tol.
+    Raises NonCommuting when ||[rho, sigma]||_F exceeds _COMM_TOL.
     """
     rho = linalg.psd_spectrum(rho, vectors=False)[0]
     sigma, w, V = linalg.psd_spectrum(sigma)
-    if float(np.linalg.norm(rho @ sigma - sigma @ rho)) > comm_tol:
+    if float(np.linalg.norm(rho @ sigma - sigma @ rho)) > _COMM_TOL:
         raise NonCommuting("inputs do not commute within tolerance")
     n = w.size
     gap = linalg.RANK_CUTOFF * n * float(np.abs(w).max())
@@ -48,10 +51,9 @@ def joint_eigenvalues(rho, sigma, comm_tol: float = 1e-10):
             np.maximum(linalg.snap_kernel(q, n), 0.0))
 
 
-def classical_oracle(rho, sigma, f: DivergenceGenerator,
-                     comm_tol: float = 1e-10) -> float:
+def classical_oracle(rho, sigma, f: DivergenceGenerator) -> float:
     """Brute-force divergence of a commuting pair via its joint spectrum."""
-    p, q = joint_eigenvalues(rho, sigma, comm_tol)
+    p, q = joint_eigenvalues(rho, sigma)
     return classical_f_divergence(p, q, f)
 
 

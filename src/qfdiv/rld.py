@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .channels import _rng
 from .divergence import d_prime
 from .errors import NotPSD, StepError, SupportError, UnsupportedGenerator
 from .generators import DivergenceGenerator
@@ -75,9 +76,11 @@ class TangentPerturbation:
 
 
 def random_tangent(rho, seed_or_rng) -> TangentPerturbation:
-    """Draw a random normalized traceless direction inside supp rho."""
-    rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
-           else np.random.default_rng(seed_or_rng))
+    """Draw a random normalized traceless direction inside supp rho.
+
+    seed_or_rng is a Generator, or a Philox key as for random_state.
+    """
+    rng = _rng(seed_or_rng)
     rho, evals, _, pi = _spectrum(rho)
     n = rho.shape[0]
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

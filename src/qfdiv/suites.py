@@ -1,10 +1,12 @@
 """Seeded ensemble property suites.
 
-Each suite draws its random instances from a Philox counter-based generator
-keyed by (master seed, trial index), so runs are reproducible across
-platforms and any failing trial can be replayed from its recorded index.
-A suite returns one row per checked inequality; ``margin`` is the signed
-violation the check rule compares against its tolerance.
+Each per-trial suite walks one trial loop, ``_trials``: trial i draws its
+random instances from a Philox counter-based generator keyed by (master
+seed, i) and cycles through the configured dims and the fixed generators,
+so runs are reproducible across platforms and any failing trial can be
+replayed from its recorded index.  A suite yields one row per checked
+inequality; ``margin`` is the signed violation the check rule compares
+against its tolerance, which ``_SUITES`` keeps next to the suite.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracles
-from .channels import (depolarizing_channel, embedding_channel, random_channel,
-                       random_state, equality_check, dpi_check, unitary_channel)
+from .channels import (_rng, depolarizing_channel, embedding_channel,
+                       random_channel, random_state, equality_check, dpi_check)
 from .divergence import (analyze, d_max, d_prime, minimal_reverse_test,
                          perturbation_limit_probe, reverse_test_value)
 from .generators import (LownerForm, builtin, lebesgue_atoms,
@@ -30,22 +32,6 @@ from .rld import random_tangent, second_derivative_check
 # The generators the ensembles cycle through, trial by trial.
 _GENERATORS = (builtin("xlogx"), builtin("square"), builtin("neg_power", 0.5),
                builtin("power", 1.5))
-
-SUITE_TOLS = {
-    "dpi": 1e-8,
-    "convexity": 1e-8,
-    "sigma-monotonicity": 1e-8,
-    "perturbation-limit": 1e-4,
-    "rho-tilde-maximality": 1e-9,
-    "umegaki-bound": 1e-8,
-    "reverse-test-reconstruction": 1e-9,
-    "reverse-test-optimality": 1e-8,
-    "equality-preservation": 1e-8,
-    "rld-second-derivative": 1e-4,
-    "lowner-quadrature": 1e-3,
-    "geometric-mean-symmetry": 1e-8,
-    "commutative-oracle": 1e-10,
-}
 
 
 @dataclass(frozen=True)
@@ -123,19 +109,32 @@ class SuiteReport:
         return json.dumps(self.as_dict(include_rows), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["suite", "dim", "seed", "lhs", "rhs", "margin", "pass"])
-        for r in self.rows:
+        return _csv([self])
+
+
+def _csv(reports) -> str:
+    """One header line, then the rows of each report in turn."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["suite", "dim", "seed", "lhs", "rhs", "margin", "pass"])
+    for report in reports:
+        for r in report.rows:
             writer.writerow([r.prop, r.dim, r.seed, repr(r.lhs), repr(r.rhs),
                              repr(r.margin), int(r.passed)])
-        return buf.getvalue()
+    return buf.getvalue()
 
 
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:
     """The per-trial stream: Philox keyed by (master seed, trial index)."""
-    key = np.array([master_seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return _rng((master_seed, index))
+
+
+def _trials(cfg):
+    """(index, stream, dim, generator) of each trial, cycling dims and
+    generators."""
+    for i in range(cfg.trials):
+        yield (i, trial_rng(cfg.seed, i), cfg.dims[i % len(cfg.dims)],
+               _GENERATORS[i % len(_GENERATORS)])
 
 
 def _le_margin(lhs: float, rhs: float) -> float:
@@ -147,6 +146,12 @@ def _le_margin(lhs: float, rhs: float) -> float:
     return lhs - rhs
 
 
+def _le_row(prop, dim, index, lhs, rhs, tol) -> TrialRow:
+    """The row of the check lhs <= rhs within tol."""
+    margin = _le_margin(lhs, rhs)
+    return TrialRow(prop, dim, index, lhs, rhs, margin, margin <= tol)
+
+
 # ---------------------------------------------------------------- ensembles
 
 def _pair(rng, dim, rank_rho=None, rank_sigma=None):
@@ -155,42 +160,35 @@ def _pair(rng, dim, rank_rho=None, rank_sigma=None):
     return random_state(dim, rank_rho, rng), random_state(dim, rank_sigma, rng)
 
 
-def _haar_unitary(rng, dim):
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    Q, R = np.linalg.qr(G)
-    diag = np.diagonal(R)
-    return Q * (diag / np.abs(diag)).conj()
-
-
-def _commuting_pair(rng, dim, floor=0.05, deficient=False):
-    """rho = U diag(p) U†, sigma = U diag(q) U† with floored spectra.
+def _commuting_pair(rng, dim, deficient=False):
+    """rho = U diag(p) U†, sigma = U diag(q) U† with spectra floored at 0.05.
 
     With deficient=True the last direction is removed from both (aligned
     supports), exercising the rank-deficient dominated regime.
     """
-    U = _haar_unitary(rng, dim)
-    p = rng.random(dim) + floor
-    q = rng.random(dim) + floor
-    if deficient and dim > 1:
+    U = random_channel(dim, dim, 1, rng).kraus[0]
+    p = rng.random(dim) + 0.05
+    q = rng.random(dim) + 0.05
+    if deficient:
         p[-1] = 0.0
         q[-1] = 0.0
     p /= p.sum()
     q /= q.sum()
     rho = (U * p) @ U.conj().T
     sigma = (U * q) @ U.conj().T
-    return (rho + rho.conj().T) / 2, (sigma + sigma.conj().T) / 2, p, q
+    return (rho + rho.conj().T) / 2, (sigma + sigma.conj().T) / 2
 
 
-def _undominated_pair(rng, dim, m_cap=0.4):
+def _undominated_pair(rng, dim):
     """sigma of rank dim-1 and rho with calibrated mass outside its support.
 
     The mass tr(rho - rho_tilde) escaping supp sigma is kept inside
-    roughly [0.1, m_cap]: large enough that recession effects are visible,
+    roughly [0.1, 0.4]: large enough that recession effects are visible,
     small enough that the eps-perturbation gap sqrt(eps * mass) stays well
     inside the suite tolerance.  Uses that the escaping mass is convex in
     rho, so blending toward an in-support state can only shrink it.
     """
-    U = _haar_unitary(rng, dim)
+    U = random_channel(dim, dim, 1, rng).kraus[0]
     spec = rng.random(dim - 1) + 0.1
     spec /= spec.sum()
     sigma = (U[:, :-1] * spec) @ U[:, :-1].conj().T
@@ -206,28 +204,25 @@ def _undominated_pair(rng, dim, m_cap=0.4):
     rho = (rho + rho.conj().T) / 2
     tilde = analyze(rho, sigma).rho_tilde
     mass = float(np.trace(rho - tilde).real)
-    if mass > m_cap:
-        lam = m_cap / mass
+    if mass > 0.4:
+        lam = 0.4 / mass
         rho = lam * rho + (1 - lam) * bulk_in
         rho = (rho + rho.conj().T) / 2
     return rho, sigma
 
 
-def _invertible_pair(rng, dim, floor=0.1):
+def _invertible_pair(rng, dim):
+    """Two full-rank states: random states mixed with 1/dim at weight 0.1."""
     eye = np.eye(dim)
-    rho = (1 - floor) * random_state(dim, dim, rng) + floor * eye / dim
-    sigma = (1 - floor) * random_state(dim, dim, rng) + floor * eye / dim
+    rho = 0.9 * random_state(dim, dim, rng) + 0.1 * eye / dim
+    sigma = 0.9 * random_state(dim, dim, rng) + 0.1 * eye / dim
     return rho, sigma
 
 
 # ------------------------------------------------------------------- suites
 
 def _suite_dpi(cfg, tol):
-    rows = []
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        dim = cfg.dims[i % len(cfg.dims)]
-        f = _GENERATORS[i % len(_GENERATORS)]
+    for i, rng, dim, f in _trials(cfg):
         # alternate between arbitrary ranks and guaranteed-dominated pairs
         if i % 2 == 0:
             rho, sigma = _pair(rng, dim)
@@ -235,19 +230,12 @@ def _suite_dpi(cfg, tol):
             rho, sigma = _pair(rng, dim, rank_sigma=dim)
         ch = random_channel(dim, dim, int(rng.integers(1, 4)), rng)
         res = dpi_check(rho, sigma, ch, f, tol)
-        margin = _le_margin(res.value_out, res.value_in)
-        rows.append(TrialRow("dpi", dim, i, res.value_out, res.value_in,
-                             margin, margin <= tol))
-    return rows
+        yield _le_row("dpi", dim, i, res.value_out, res.value_in, tol)
 
 
 def _suite_convexity(cfg, tol):
-    rows = []
     weights = [k / 10 for k in range(1, 10)]
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        dim = cfg.dims[i % len(cfg.dims)]
-        f = _GENERATORS[i % len(_GENERATORS)]
+    for i, rng, dim, f in _trials(cfg):
         rho0, sigma0 = _pair(rng, dim)
         rho1, sigma1 = _pair(rng, dim)
         d0 = d_max(rho0, sigma0, f)
@@ -257,37 +245,23 @@ def _suite_convexity(cfg, tol):
                           c * sigma0 + (1 - c) * sigma1, f)
             bound = (c * d0 + (1 - c) * d1
                      if math.isfinite(d0) and math.isfinite(d1) else math.inf)
-            margin = _le_margin(mixed, bound)
-            rows.append(TrialRow("convexity", dim, i, mixed, bound, margin,
-                                 margin <= tol))
-    return rows
+            yield _le_row("convexity", dim, i, mixed, bound, tol)
 
 
 def _suite_sigma_monotonicity(cfg, tol):
-    rows = []
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        dim = cfg.dims[i % len(cfg.dims)]
-        f = _GENERATORS[i % len(_GENERATORS)]
+    for i, rng, dim, f in _trials(cfg):
         rho, sigma = _pair(rng, dim)
         bigger = sigma + float(rng.uniform(0.1, 1.0)) * random_state(
             dim, int(rng.integers(1, dim + 1)), rng)
-        lhs = d_max(rho, bigger, f)
-        rhs = d_max(rho, sigma, f)
-        margin = _le_margin(lhs, rhs)
-        rows.append(TrialRow("sigma-monotonicity", dim, i, lhs, rhs, margin,
-                             margin <= tol))
-    return rows
+        yield _le_row("sigma-monotonicity", dim, i, d_max(rho, bigger, f),
+                      d_max(rho, sigma, f), tol)
 
 
 def _suite_perturbation_limit(cfg, tol):
-    rows = []
     half = builtin("neg_power", 0.5)
     square = builtin("square")
     eps_grid = np.logspace(-2, -8, 7)
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        dim = max(cfg.dims[i % len(cfg.dims)], 2)
+    for i, rng, dim, _ in _trials(cfg):
         rho, sigma = _undominated_pair(rng, dim)
         probe = perturbation_limit_probe(rho, sigma, half, eps_grid)
         values = [v for _, v in probe]
@@ -296,47 +270,36 @@ def _suite_perturbation_limit(cfg, tol):
         target = d_max(rho, sigma, half)
         gap = abs(values[-1] - target)
         margin = max(gap, mono_violation)
-        rows.append(TrialRow("neg-power-limit", dim, i, values[-1], target,
-                             margin, margin <= tol))
+        yield TrialRow("neg-power-limit", dim, i, values[-1], target,
+                       margin, margin <= tol)
         blowup = d_prime(rho, sigma + 1e-8 * np.eye(dim), square)
-        rows.append(TrialRow("square-divergence", dim, i, blowup, 1e6,
-                             _le_margin(1e6, blowup), blowup > 1e6))
-    return rows
+        yield TrialRow("square-divergence", dim, i, blowup, 1e6,
+                       _le_margin(1e6, blowup), blowup > 1e6)
 
 
 def _suite_rho_tilde_maximality(cfg, tol):
-    rows = []
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        dim = cfg.dims[i % len(cfg.dims)]
-        if i % 2 == 0 and dim > 1:
+    for i, rng, dim, _ in _trials(cfg):
+        if i % 2 == 0:
             rho, sigma = _undominated_pair(rng, dim)
         else:
             rho, sigma = _pair(rng, dim)
         tilde = analyze(rho, sigma).rho_tilde
         lam_min = float(np.linalg.eigvalsh(rho - tilde).min())
-        rows.append(TrialRow("rho-minus-tilde-psd", dim, i, -lam_min, 0.0,
-                             -lam_min, -lam_min <= 1e-10))
+        yield TrialRow("rho-minus-tilde-psd", dim, i, -lam_min, 0.0,
+                       -lam_min, -lam_min <= 1e-10)
         rho1 = oracles.shrunk_feasible_operator(rho, sigma, tilde, rng)
         excess = float(np.linalg.eigvalsh(rho1 - tilde).max())
-        rows.append(TrialRow("feasible-below-tilde", dim, i, excess, 0.0,
-                             excess, excess <= tol))
-    return rows
+        yield TrialRow("feasible-below-tilde", dim, i, excess, 0.0,
+                       excess, excess <= tol)
 
 
 def _suite_umegaki(cfg, tol):
-    rows = []
     xlogx = builtin("xlogx")
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        dim = cfg.dims[i % len(cfg.dims)]
+    for i, rng, dim, _ in _trials(cfg):
         rho, sigma = _invertible_pair(rng, dim)
-        lhs = oracles.umegaki_relative_entropy(rho, sigma)
-        rhs = d_max(rho, sigma, xlogx)
-        margin = _le_margin(lhs, rhs)
-        rows.append(TrialRow("umegaki-bound", dim, i, lhs, rhs, margin,
-                             margin <= tol))
-    return rows
+        yield _le_row("umegaki-bound", dim, i,
+                      oracles.umegaki_relative_entropy(rho, sigma),
+                      d_max(rho, sigma, xlogx), tol)
 
 
 def _reconstruction_error(rt, rho, sigma) -> float:
@@ -350,31 +313,22 @@ def _reconstruction_error(rt, rho, sigma) -> float:
 
 
 def _suite_reverse_test_reconstruction(cfg, tol):
-    rows = []
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        dim = cfg.dims[i % len(cfg.dims)]
+    for i, rng, dim, _ in _trials(cfg):
         kind = i % 3
         if kind == 0:
             rho, sigma = _pair(rng, dim)
         elif kind == 1:
-            rho, sigma = _pair(rng, dim, rank_sigma=max(1, dim - 1))
+            rho, sigma = _pair(rng, dim, rank_sigma=dim - 1)
         else:
-            rho, sigma = (_undominated_pair(rng, dim) if dim > 1
-                          else _pair(rng, dim))
+            rho, sigma = _undominated_pair(rng, dim)
         rt = minimal_reverse_test(rho, sigma)
         err = _reconstruction_error(rt, rho, sigma)
-        rows.append(TrialRow("reconstruction", dim, i, err, 0.0, err,
-                             err <= tol))
-    return rows
+        yield TrialRow("reconstruction", dim, i, err, 0.0, err, err <= tol)
 
 
 def _suite_reverse_test_optimality(cfg, tol):
-    rows = []
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        dim = min(cfg.dims[i % len(cfg.dims)], 4)
-        f = _GENERATORS[i % len(_GENERATORS)]
+    for i, rng, dim, f in _trials(cfg):
+        dim = min(dim, 4)
         rho, sigma = _pair(rng, dim)
         minimal = minimal_reverse_test(rho, sigma)
         best = reverse_test_value(minimal, f)
@@ -390,11 +344,8 @@ def _suite_reverse_test_optimality(cfg, tol):
             oracles.random_reverse_test(rho, sigma, rng),
         ]
         for alt in alternatives:
-            value = reverse_test_value(alt, f)
-            margin = _le_margin(best, value)
-            rows.append(TrialRow("optimality", dim, i, best, value, margin,
-                                 margin <= tol))
-    return rows
+            yield _le_row("optimality", dim, i, best,
+                          reverse_test_value(alt, f), tol)
 
 
 # Fixed non-commuting qubit pair for the noisy-channel decrease check.
@@ -403,124 +354,98 @@ _QUBIT_SIGMA = np.array([[0.4, -0.1j], [0.1j, 0.6]], dtype=complex)
 
 
 def _suite_equality_preservation(cfg, tol):
-    rows = []
     half = builtin("neg_power", 0.5)
     square = builtin("square")
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        dim = cfg.dims[i % len(cfg.dims)]
+    for i, rng, dim, _ in _trials(cfg):
         rho, sigma = _pair(rng, dim) if i % 2 else _pair(rng, dim, rank_sigma=dim)
-        rep = equality_check(rho, sigma, unitary_channel(_haar_unitary(rng, dim)),
-                             half, tol)
-        good = (rep.equal and rep.reverse_test_preserved and rep.p_match
-                and rep.q_match and rep.multiplicative_domain_ok in (True, None))
-        gap = abs(rep.value_in - rep.value_out)
-        rows.append(TrialRow("unitary-preserves", dim, i, rep.value_out,
-                             rep.value_in, gap, good))
-        rep = equality_check(rho, sigma, embedding_channel(dim, dim + 1),
-                             half, tol)
-        good = (rep.equal and rep.reverse_test_preserved and rep.p_match
-                and rep.q_match and rep.multiplicative_domain_ok in (True, None))
-        gap = abs(rep.value_in - rep.value_out)
-        rows.append(TrialRow("embedding-preserves", dim, i, rep.value_out,
-                             rep.value_in, gap, good))
+        for prop, ch in (("unitary-preserves", random_channel(dim, dim, 1, rng)),
+                         ("embedding-preserves", embedding_channel(dim, dim + 1))):
+            rep = equality_check(rho, sigma, ch, half, tol)
+            good = (rep.equal and rep.reverse_test_preserved and rep.p_match
+                    and rep.q_match and rep.multiplicative_domain_ok in (True, None))
+            yield TrialRow(prop, dim, i, rep.value_out, rep.value_in,
+                           abs(rep.value_in - rep.value_out), good)
     rep = equality_check(_QUBIT_RHO, _QUBIT_SIGMA, depolarizing_channel(2, 0.3),
                          square, tol)
     decrease = rep.value_in - rep.value_out
-    rows.append(TrialRow("depolarizing-decreases", 2, -1, rep.value_out,
-                         rep.value_in, -decrease,
-                         (not rep.equal) and decrease >= 1e-3))
-    return rows
+    yield TrialRow("depolarizing-decreases", 2, -1, rep.value_out,
+                   rep.value_in, -decrease, (not rep.equal) and decrease >= 1e-3)
 
 
 def _suite_rld(cfg, tol):
-    rows = []
     square = builtin("square")
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        dim = min(cfg.dims[i % len(cfg.dims)], 3)
-        f = _GENERATORS[i % len(_GENERATORS)]
+    for i, rng, dim, f in _trials(cfg):
+        dim = min(dim, 3)
         rho = 0.7 * random_state(dim, dim, rng) + 0.3 * np.eye(dim) / dim
         X = random_tangent(rho, rng).direction
         Y = random_tangent(rho, rng).direction
         res = second_derivative_check(rho, X, Y, f)
-        rows.append(TrialRow("mixed-difference", dim, i, res.fd_value,
-                             res.analytic, res.abs_err, res.abs_err <= tol))
+        yield TrialRow("mixed-difference", dim, i, res.fd_value,
+                       res.analytic, res.abs_err, res.abs_err <= tol)
         spread = max(res.variants) - min(res.variants)
-        rows.append(TrialRow("variant-agreement", dim, i, max(res.variants),
-                             min(res.variants), spread, spread <= tol))
+        yield TrialRow("variant-agreement", dim, i, max(res.variants),
+                       min(res.variants), spread, spread <= tol)
         # the quadratic layout is step-independent, so a large step keeps
         # float cancellation out of the 1e-9 budget
         exact = second_derivative_check(rho, X, Y, square, step=0.25)
         err = abs(exact.variants[2] - exact.analytic)
-        rows.append(TrialRow("square-exact", dim, i, exact.variants[2],
-                             exact.analytic, err, err <= 1e-9))
-    return rows
+        yield TrialRow("square-exact", dim, i, exact.variants[2],
+                       exact.analytic, err, err <= 1e-9)
 
 
 def _suite_lowner(cfg, tol):
-    rows = []
     grid = np.linspace(0.1, 10.0, 200)
     form = LownerForm(a=0.0, b=0.0, atoms=lebesgue_atoms())
     err = lowner_quadrature_check(builtin("xlogx"), form, grid)
-    rows.append(TrialRow("xlogx-lebesgue", 0, 0, err, 0.0, err, err <= tol))
+    yield TrialRow("xlogx-lebesgue", 0, 0, err, 0.0, err, err <= tol)
     # a unit atom at t contributes y/(1+t) + psi_t(y); the linear term
     # a = -1/(1+t) cancels the compensator, leaving psi_t exactly
     psi = builtin("psi", 2.0)
     self_form = LownerForm(a=-1.0 / 3.0, b=0.0, atoms=((2.0, 1.0),))
     err = lowner_quadrature_check(psi, self_form, grid)
-    rows.append(TrialRow("psi-self", 0, 0, err, 0.0, err, err <= 1e-12))
+    yield TrialRow("psi-self", 0, 0, err, 0.0, err, err <= 1e-12)
     err = lowner_quadrature_check(builtin("square"), LownerForm(0.0, 1.0), grid)
-    rows.append(TrialRow("square-b-term", 0, 0, err, 0.0, err, err <= 1e-12))
-    return rows
+    yield TrialRow("square-b-term", 0, 0, err, 0.0, err, err <= 1e-12)
 
 
 def _suite_geometric_mean_symmetry(cfg, tol):
-    rows = []
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        dim = cfg.dims[i % len(cfg.dims)]
+    for i, rng, dim, _ in _trials(cfg):
         rho, sigma = _invertible_pair(rng, dim)
         alpha = float(rng.uniform(0.05, 0.95))
         lhs = d_max(rho, sigma, builtin("neg_power", alpha))
         rhs = d_max(sigma, rho, builtin("neg_power", 1.0 - alpha))
         err = abs(lhs - rhs)
-        rows.append(TrialRow("alpha-swap", dim, i, lhs, rhs, err, err <= tol))
-    return rows
+        yield TrialRow("alpha-swap", dim, i, lhs, rhs, err, err <= tol)
 
 
 def _suite_commutative_oracle(cfg, tol):
-    rows = []
-    for i in range(cfg.trials):
-        rng = trial_rng(cfg.seed, i)
-        dim = cfg.dims[i % len(cfg.dims)]
-        f = _GENERATORS[i % len(_GENERATORS)]
-        rho, sigma, _, _ = _commuting_pair(rng, dim, deficient=(i % 3 == 0))
+    for i, rng, dim, f in _trials(cfg):
+        rho, sigma = _commuting_pair(rng, dim, deficient=(i % 3 == 0))
         lhs = d_max(rho, sigma, f)
         rhs = oracles.classical_oracle(rho, sigma, f)
         if math.isinf(lhs) and math.isinf(rhs):
             err = 0.0
         else:
             err = abs(lhs - rhs)
-        rows.append(TrialRow("commutative-recovery", dim, i, lhs, rhs, err,
-                             err <= tol))
-    return rows
+        yield TrialRow("commutative-recovery", dim, i, lhs, rhs, err,
+                       err <= tol)
 
 
+# Each suite with its default tolerance.
 _SUITES = {
-    "dpi": _suite_dpi,
-    "convexity": _suite_convexity,
-    "sigma-monotonicity": _suite_sigma_monotonicity,
-    "perturbation-limit": _suite_perturbation_limit,
-    "rho-tilde-maximality": _suite_rho_tilde_maximality,
-    "umegaki-bound": _suite_umegaki,
-    "reverse-test-reconstruction": _suite_reverse_test_reconstruction,
-    "reverse-test-optimality": _suite_reverse_test_optimality,
-    "equality-preservation": _suite_equality_preservation,
-    "rld-second-derivative": _suite_rld,
-    "lowner-quadrature": _suite_lowner,
-    "geometric-mean-symmetry": _suite_geometric_mean_symmetry,
-    "commutative-oracle": _suite_commutative_oracle,
+    "dpi": (_suite_dpi, 1e-8),
+    "convexity": (_suite_convexity, 1e-8),
+    "sigma-monotonicity": (_suite_sigma_monotonicity, 1e-8),
+    "perturbation-limit": (_suite_perturbation_limit, 1e-4),
+    "rho-tilde-maximality": (_suite_rho_tilde_maximality, 1e-9),
+    "umegaki-bound": (_suite_umegaki, 1e-8),
+    "reverse-test-reconstruction": (_suite_reverse_test_reconstruction, 1e-9),
+    "reverse-test-optimality": (_suite_reverse_test_optimality, 1e-8),
+    "equality-preservation": (_suite_equality_preservation, 1e-8),
+    "rld-second-derivative": (_suite_rld, 1e-4),
+    "lowner-quadrature": (_suite_lowner, 1e-3),
+    "geometric-mean-symmetry": (_suite_geometric_mean_symmetry, 1e-8),
+    "commutative-oracle": (_suite_commutative_oracle, 1e-10),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -535,9 +460,10 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         raise ValueError("trials must be at least 1")
     if not cfg.dims or min(cfg.dims) < 2:
         raise ValueError("dims must contain integers >= 2")
-    tol = SUITE_TOLS[cfg.suite] if cfg.tol is None else cfg.tol
+    suite, default_tol = _SUITES[cfg.suite]
+    tol = default_tol if cfg.tol is None else cfg.tol
     start = time.perf_counter()
-    rows = _SUITES[cfg.suite](cfg, tol)
+    rows = list(suite(cfg, tol))
     wall = time.perf_counter() - start
     return SuiteReport(cfg.suite, cfg.seed, cfg.dims, cfg.trials, tol,
                        rows, wall)

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and the JSON formats."""
 
+import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from qfdiv.channels import depolarizing_channel, unitary_channel
 from qfdiv.cli import main
 from qfdiv.matio import (channel_from_json, channel_to_json,
                          matrix_from_json, matrix_to_json, save_matrix)
+from qfdiv.suites import SUITE_NAMES
 
 
 @pytest.fixture
@@ -238,6 +241,19 @@ class TestSuiteCommand:
         assert lines[0] == "suite,dim,seed,lhs,rhs,margin,pass"
         assert len(lines) == 4
 
+    def test_csv_of_several_suites_has_one_header(self, tmp_path, capsys):
+        out_path = tmp_path / "rows.csv"
+        code = main(["suite", "--suite", "all", "--trials", "2",
+                     "--out", str(out_path), "--format", "csv"])
+        assert code == 0
+        # stderr holds one "suite NAME: P pass, F fail [ok]" line per suite
+        counts = re.findall(r"(\d+) pass, (\d+) fail", capsys.readouterr().err)
+        assert len(counts) == len(SUITE_NAMES)
+        with open(out_path, newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert len(records) == sum(int(p) + int(f) for p, f in counts)
+        assert {r["pass"] for r in records} == {"1"}
+
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("QFDIV_SEED", "123")
         code = main(["suite", "--suite", "umegaki-bound", "--trials", "4"])
@@ -266,9 +282,11 @@ class TestSuiteCommand:
 
 class TestNoToleranceKnobs:
     """The tolerances of rank, clustering and escaped mass are constants of
-    qfdiv.linalg, not parameters, and the CLI has no flag for them or for a
-    generator parameter outside the spec.  The suites' generators are fixed
-    too: neither SuiteConfig nor `qfdiv suite` takes a list of them."""
+    qfdiv.linalg, not parameters; so are the weight match of equality_check
+    and the commutation test of the classical oracle, in their own modules.
+    The CLI has no flag for them or for a generator parameter outside the
+    spec.  The suites' generators are fixed too: neither SuiteConfig nor
+    `qfdiv suite` takes a list of them."""
 
     def test_no_public_callable_takes_a_tolerance_knob(self):
         import importlib
@@ -276,7 +294,7 @@ class TestNoToleranceKnobs:
         import pkgutil
 
         import qfdiv
-        knobs = {"rank_tol", "cluster_tol", "mass_tol"}
+        knobs = {"rank_tol", "cluster_tol", "mass_tol", "weight_tol", "comm_tol"}
         found = []
         for info in pkgutil.iter_modules(qfdiv.__path__):
             if info.name.startswith("_"):

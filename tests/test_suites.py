@@ -62,6 +62,16 @@ class TestRunner:
             rep = run_suite(SuiteConfig(suite=name, trials=12, seed=3))
             assert rep.ok(), f"{name}: {[r for r in rep.rows if not r.passed]}"
 
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_shorter_run_is_a_prefix(self, name):
+        # trial i reads only its own stream, so the trials of a short run
+        # replay as the first trials of a longer one at the same seed; the
+        # one fixed row of equality-preservation (seed -1) closes each run
+        short, longer = (run_suite(SuiteConfig(suite=name, trials=n, seed=11)).rows
+                         for n in (3, 6))
+        short = [r for r in short if r.seed >= 0]
+        assert short and short == longer[:len(short)]
+
     def test_csv_schema(self):
         rep = run_suite(SuiteConfig(suite="umegaki-bound", trials=5, seed=0))
         lines = rep.to_csv().strip().splitlines()
