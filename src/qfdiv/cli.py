@@ -12,7 +12,8 @@ an operator with a non-finite entry is rejected.  Generator parameters go
 in the spec, e.g. neg_power:0.5.  The suites cycle through xlogx, square,
 neg_power:0.5 and power:1.5.  QFDIV_SEED provides the default suite seed.
 Exit codes: 0 ok, 1 property failure, 2 usage error (including a bad
---dims or QFDIV_SEED), 3 numeric/domain error.
+--dims, a seed outside 0..2**64-1 or a bad QFDIV_SEED), 3 numeric/domain
+error.  Options must be spelled in full.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def _cmd_suite(args) -> int:
             status = "ok" if report.ok() else "FAIL"
             print(f"suite {name}: {report.total_pass} pass, "
                   f"{report.total_fail} fail [{status}]", file=sys.stderr)
-    except ValueError as exc:  # a bad --suite, --dims, --trials or QFDIV_SEED
+    except ValueError as exc:  # a bad --suite, --dims, --trials or seed
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "csv":
@@ -132,10 +133,14 @@ def _cmd_suite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a prefix such as --f must not be read as --format.
     parser = argparse.ArgumentParser(
-        prog="qfdiv",
+        prog="qfdiv", allow_abbrev=False,
         description="maximal quantum f-divergences and their property suites")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help):
+        return sub.add_parser(name, help=help, allow_abbrev=False)
 
     def add_common(p, channel=False, xy=False):
         p.add_argument("--rho", required=True, help="matrix JSON file")
@@ -147,28 +152,28 @@ def build_parser() -> argparse.ArgumentParser:
         if channel:
             p.add_argument("--channel", required=True, help="channel JSON file")
 
-    p = sub.add_parser("compute", help="evaluate the maximal f-divergence")
+    p = command("compute", "evaluate the maximal f-divergence")
     add_common(p)
     p.add_argument("--f", required=True, help='generator spec, e.g. "xlogx"')
     p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("reverse-test", help="dump the minimal reverse test")
+    p = command("reverse-test", "dump the minimal reverse test")
     add_common(p)
     p.set_defaults(func=_cmd_reverse_test)
 
-    p = sub.add_parser("check", help="channel equality/preservation report")
+    p = command("check", "channel equality/preservation report")
     add_common(p, channel=True)
     p.add_argument("--f", required=True)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("rld", help="RLD metric finite-difference check")
+    p = command("rld", "RLD metric finite-difference check")
     add_common(p, xy=True)
     p.add_argument("--f", required=True)
     p.add_argument("--step", type=float, default=1e-3)
     p.set_defaults(func=_cmd_rld)
 
-    p = sub.add_parser("suite", help="run a property suite")
+    p = command("suite", "run a property suite")
     p.add_argument("--suite", required=True,
                    help=f"one of {', '.join(SUITE_NAMES)}, a comma list, or 'all'")
     p.add_argument("--dims", default="2,3,4", help="comma list of dimensions")

@@ -9,7 +9,8 @@ weighted by the recession constant of f.  The minimal reverse test realizes
 the same value as a classical f-divergence and reconstructs the pair.
 
 analyze() makes one spectral analysis of a pair (PairAnalysis); d_max,
-d_prime, the reverse test, rho_tilde and d all read from it.
+d_prime, the reverse test, rho_tilde and d all read from it, and a repeated
+call on the same pair returns the same analysis.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ class PairAnalysis:
     Every quantity of the pair reads from it: the divergence for any
     generator, the minimal reverse test, rho_tilde and d.
 
+    Every array it holds is read-only: analyze() hands the same object to
+    each caller of a repeated pair.
+
     rho, sigma     the validated, symmetrized inputs
     rho_tilde      the Schur reduction of rho into supp sigma (rho itself
                    when supp rho lies inside supp sigma)
@@ -101,6 +105,11 @@ class PairAnalysis:
     evals: np.ndarray
     coords: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -176,6 +185,16 @@ class PairAnalysis:
         return ReverseTest(tuple(outputs), p, q, tuple(labels))
 
 
+# analyze()'s one kept entry: (the key of its last pair, that pair's PairAnalysis).
+_last = None
+
+
+def _key(A: np.ndarray) -> tuple:
+    """An exact key of an array: dtype, shape and bytes, which also serve as
+    its copy (a caller may change the array in place afterwards)."""
+    return A.dtype.str, A.shape, A.tobytes()
+
+
 def analyze(rho, sigma) -> PairAnalysis:
     """Validate a PSD pair and analyse it with one spectral pass.
 
@@ -185,7 +204,19 @@ def analyze(rho, sigma) -> PairAnalysis:
     (linalg.projector_dominates).  One eigensolve of d, formed on supp
     sigma, gives its spectrum and the sigma-weights.  The rank, kernel,
     domination and escaped-mass decisions are the rules of linalg.
+
+    The last successful call is kept: a pair bit-identical to it (as
+    complex matrices) gets the same read-only PairAnalysis back without
+    eigensolves, and any other pair replaces it.  So one pair's arrays stay
+    in memory; a call that raises keeps nothing.
     """
+    global _last
+    sigma = linalg.as_matrix(sigma)
+    rho = linalg.as_matrix(rho)
+    key = _key(sigma) + _key(rho)
+    last = _last
+    if last is not None and last[0] == key:
+        return last[1]
     sigma, s_evals, s_vecs = linalg.psd_spectrum(sigma)
     keep = linalg.support_mask(s_evals)
     # With sigma of full rank every support is dominated, so rho needs no
@@ -216,8 +247,10 @@ def analyze(rho, sigma) -> PairAnalysis:
     # d is PSD: negative roundoff belongs to the kernel as well.
     evals = np.maximum(linalg.snap_kernel(evals, n), 0.0)
     weights = s @ np.abs(coords) ** 2
-    return PairAnalysis(rho, sigma, tilde, dominated, escaped, basis, s,
+    pair = PairAnalysis(rho, sigma, tilde, dominated, escaped, basis, s,
                         evals, coords, weights)
+    _last = key, pair
+    return pair
 
 
 def d_prime(rho, sigma, f: DivergenceGenerator) -> float:

@@ -460,6 +460,8 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         raise ValueError("trials must be at least 1")
     if not cfg.dims or min(cfg.dims) < 2:
         raise ValueError("dims must contain integers >= 2")
+    if not 0 <= cfg.seed < 2 ** 64:
+        raise ValueError(f"seed must lie in 0..2**64-1, got {cfg.seed}")
     suite, default_tol = _SUITES[cfg.suite]
     tol = default_tol if cfg.tol is None else cfg.tol
     start = time.perf_counter()

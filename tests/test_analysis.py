@@ -12,10 +12,11 @@ import pytest
 import qfdiv
 import qfdiv.channels
 import qfdiv.cli
-from qfdiv import oracles
+from qfdiv import divergence, oracles
 from qfdiv.channels import equality_check, unitary_channel
 from qfdiv.divergence import (PairAnalysis, analyze, d_max, d_prime,
                               minimal_reverse_test, reverse_test_value)
+from qfdiv.errors import NotPSD
 from qfdiv.generators import builtin
 from qfdiv.matio import save_matrix
 
@@ -103,6 +104,82 @@ class TestEigensolveCount:
         assert eigensolves[0] <= 6
         out = json.loads(capsys.readouterr().out)
         assert out["atoms"] == 3   # one per eigenvalue of d on supp sigma, one escaped
+
+
+def square_value(rho, sigma):
+    """d_max under square for full-rank sigma: tr rho sigma^{-1} rho."""
+    return float(np.trace(rho @ np.linalg.solve(sigma, rho)).real)
+
+
+class TestKeptPair:
+    """analyze keeps its last pair: a bit-identical repeat reads the same
+    analysis, any other pair replaces it."""
+
+    @pytest.mark.parametrize("make, solves", [(dominated_pair, 3),
+                                              (schur_pair, 5)])
+    def test_pair_op_takes_one_analysis(self, eigensolves, make, solves):
+        rho, sigma = make()
+        for f in GENS:
+            d_max(rho, sigma, f)
+        minimal_reverse_test(rho, sigma)
+        assert eigensolves[0] == solves
+
+    @pytest.mark.parametrize("operand", [0, 1])
+    def test_in_place_change_is_analysed_afresh(self, operand):
+        pair = list(dominated_pair())
+        f = builtin("square")
+        before = d_max(*pair, f)
+        assert before == pytest.approx(square_value(*pair), rel=1e-12)
+        pair[operand][...] = random_state(np.random.default_rng(38), 4)
+        after = d_max(*pair, f)
+        assert after == pytest.approx(square_value(*pair), rel=1e-12)
+        assert after != pytest.approx(before, rel=1e-6)
+
+    def test_kept_arrays_are_read_only(self):
+        pair = analyze(*schur_pair())
+        with pytest.raises(ValueError):
+            pair.rho[0, 0] = 0.0
+        held = [v for v in vars(pair).values() if isinstance(v, np.ndarray)]
+        assert len(held) == 8 and not any(a.flags.writeable for a in held)
+        rt = pair.reverse_test()
+        rt.outputs[0][...] = 0.0
+        rt.p[...] = 0.0
+        again = analyze(*schur_pair())
+        assert again is pair
+        assert again.reverse_test().p.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_error_keeps_nothing(self):
+        rho, sigma = dominated_pair()
+        for _ in range(2):
+            with pytest.raises(NotPSD):
+                analyze(rho - 0.5 * np.eye(4), sigma)
+            assert divergence._last is None
+        pair = analyze(rho, sigma)
+        with pytest.raises(NotPSD):
+            analyze(rho, sigma - 0.5 * np.eye(4))
+        assert analyze(rho, sigma) is pair
+
+    def test_one_pair_is_kept(self, eigensolves):
+        a, b = dominated_pair(), schur_pair()
+        first = analyze(*a)
+        analyze(*b)
+        eigensolves[0] = 0
+        again = analyze(*a)
+        assert again is not first and eigensolves[0] == 3
+        assert analyze(*a) is again and eigensolves[0] == 3
+
+    def test_real_pair_reads_as_complex(self):
+        rng = np.random.default_rng(39)
+        G, H = rng.standard_normal((2, 4, 4))
+        rho, sigma = G @ G.T / np.trace(G @ G.T), H @ H.T / np.trace(H @ H.T)
+        pair = analyze(rho, sigma)
+        values = [pair.d_max(f) for f in GENS]
+        assert pair.rho.dtype == complex
+        divergence._last = None
+        twin = analyze(rho.astype(complex), sigma.astype(complex))
+        assert twin is not pair
+        assert [twin.d_max(f) for f in GENS] == values
+        assert analyze(rho, sigma) is twin
 
 
 class TestOracleEigensolveCount:

@@ -232,6 +232,31 @@ class TestSuiteCommand:
         assert code == 2
         assert "QFDIV_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, env", [("-1", None), (str(2 ** 64), None),
+                                           (None, "-3")])
+    def test_out_of_range_seed_usage_error(self, capsys, monkeypatch, flag, env):
+        args = ["suite", "--suite", "dpi", "--trials", "2"]
+        if flag is not None:
+            args += ["--seed", flag]
+        if env is not None:
+            monkeypatch.setenv("QFDIV_SEED", env)
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: seed must lie in")
+
+    def test_largest_seed_runs(self, capsys):
+        code = main(["suite", "--suite", "umegaki-bound", "--trials", "2",
+                     "--seed", str(2 ** 64 - 1)])
+        assert code == 0
+
+    @pytest.mark.parametrize("args", [
+        ["suite", "--suite", "dpi", "--trials", "2", "--f", "json"],
+        ["compute", "--rh", "r.json", "--sigma", "s.json", "--f", "square"],
+    ])
+    def test_abbreviated_option_usage_error(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+
     def test_csv_output(self, tmp_path, capsys):
         out_path = tmp_path / "rows.csv"
         code = main(["suite", "--suite", "lowner-quadrature", "--trials", "1",
