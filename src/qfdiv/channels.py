@@ -156,6 +156,8 @@ def lambda_sigma(ch: KrausChannel, sigma, Z) -> np.ndarray:
     if not linalg.support_mask(evals).any():
         raise ZeroSigma("sigma is the zero operator")
     Z = linalg.as_hermitian(Z)
+    if Z.shape != (ch.dim_in, ch.dim_in):
+        raise DimensionMismatch(f"Z of shape {Z.shape}, not {ch.dim_in} x {ch.dim_in}")
     s_half = linalg.support_map(evals, vecs, np.sqrt)
     out_inv = linalg.gen_inverse_sqrt(ch.apply(sigma))
     return _conjugated(ch, s_half, out_inv, Z)

@@ -53,24 +53,6 @@ class ReverseTest:
         return rho, sigma
 
 
-def _schur_reduce(rho, pi_s) -> np.ndarray:
-    """rho_11 - rho_12 rho_22^{-1} rho_21 against pi_s and the support pibar
-    of the compression of rho onto the complement of pi_s."""
-    comp = np.eye(rho.shape[0]) - pi_s
-    off = comp @ rho @ comp
-    evals, vecs = np.linalg.eigh((off + off.conj().T) / 2)
-    keep = linalg.support_mask(evals)
-    # rho_22 = pibar rho pibar is the compression itself on pibar, so its
-    # generalized inverse reads from the same eigensolve.
-    top = pi_s @ rho
-    r12 = top @ vecs[:, keep]
-    tilde = top @ pi_s - (r12 / evals[keep]) @ r12.conj().T
-    tilde = (tilde + tilde.conj().T) / 2
-    if linalg.negligible_mass(float(np.trace(tilde).real), float(np.trace(rho).real)):
-        return np.zeros_like(rho)
-    return linalg.psd_spectrum(tilde, vectors=False)[0]
-
-
 @dataclass(frozen=True)
 class PairAnalysis:
     """The spectral analysis of one (rho, sigma) pair, made once by analyze().
@@ -90,7 +72,8 @@ class PairAnalysis:
     basis          orthonormal columns spanning supp sigma
     sigma_evals    the eigenvalues of sigma on those columns
     evals          the eigenvalues of d = sigma^{-1/2} rho_tilde sigma^{-1/2}
-                   on supp sigma, ascending, the kernel snapped to exact 0
+                   on supp sigma, ascending, 0 where their share of tr rho,
+                   evals * weights, is negligible (linalg.snap_kernel)
     coords         their eigenvectors, in the coordinates of basis
     weights        the sigma-weights <v|sigma|v> of those eigenvectors
     """
@@ -199,11 +182,14 @@ def analyze(rho, sigma) -> PairAnalysis:
     """Validate a PSD pair and analyse it with one spectral pass.
 
     One eigensolve of sigma gives its support and sigma^{+-1/2}; one of rho
-    gives its PSD check and, unless sigma has full rank, its support.  The
-    Schur reduction runs only when supp rho is not inside supp sigma
-    (linalg.projector_dominates).  One eigensolve of d, formed on supp
-    sigma, gives its spectrum and the sigma-weights.  The rank, kernel,
-    domination and escaped-mass decisions are the rules of linalg.
+    gives its PSD check and, unless sigma has full rank, its support and a
+    factor R (rho = R R^H), split into rows R_1 on supp sigma and leak off
+    it.  Only when supp rho is not inside supp sigma
+    (linalg.projector_dominates), one eigensolve of leak^H leak gives the
+    Schur reduction rho_tilde = R_1 (1 - P) R_1^H, P onto the row space of
+    leak: PSD, with no division.  One eigensolve of d, formed on supp sigma,
+    gives its spectrum and the sigma-weights.  The rank, kernel, domination
+    and escaped-mass decisions are the rules of linalg.
 
     The last successful call is kept: a pair bit-identical to it (as
     complex matrices) gets the same read-only PairAnalysis back without
@@ -227,26 +213,27 @@ def analyze(rho, sigma) -> PairAnalysis:
         raise DimensionMismatch("rho and sigma must have equal dimensions")
     if not keep.any():
         raise ZeroSigma("sigma is the zero operator")
-    n = sigma.shape[0]
 
+    basis, s = s_vecs[:, keep], s_evals[keep]
     dominated, tilde = True, rho
     if not full:
-        pi_s = linalg.projector(s_vecs[:, keep])
         pi_r = linalg.projector(r_vecs[:, linalg.support_mask(r_evals)])
-        if not linalg.projector_dominates(pi_s, pi_r):
+        if not linalg.projector_dominates(linalg.projector(basis), pi_r):
             dominated = False
-            tilde = _schur_reduce(rho, pi_s)
+            R = s_vecs.conj().T @ (r_vecs * np.sqrt(np.maximum(r_evals, 0.0)))
+            leak = R[~keep]
+            w, U = np.linalg.eigh(leak.conj().T @ leak)
+            T = basis @ R[keep] @ U[:, ~linalg.support_mask(w)]
+            tilde = T @ T.conj().T
     tr_rho = float(np.trace(rho).real)
     missing = tr_rho - float(np.trace(tilde).real)
     escaped = 0.0 if linalg.negligible_mass(missing, tr_rho) else missing
 
-    basis, s = s_vecs[:, keep], s_evals[keep]
     inv_sqrt = 1.0 / np.sqrt(s)
     d = (basis.conj().T @ tilde @ basis) * np.outer(inv_sqrt, inv_sqrt)
     evals, coords = np.linalg.eigh((d + d.conj().T) / 2)
-    # d is PSD: negative roundoff belongs to the kernel as well.
-    evals = np.maximum(linalg.snap_kernel(evals, n), 0.0)
     weights = s @ np.abs(coords) ** 2
+    evals = linalg.snap_kernel(evals, evals * weights, tr_rho, sigma.shape[0])
     pair = PairAnalysis(rho, sigma, tilde, dominated, escaped, basis, s,
                         evals, coords, weights)
     _last = key, pair

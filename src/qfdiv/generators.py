@@ -144,6 +144,8 @@ def recession_value(f: DivergenceGenerator) -> float:
 
 def _as_weights(v, label: str) -> np.ndarray:
     v = np.asarray(v, dtype=float).ravel()
+    if not np.isfinite(v).all():
+        raise InvalidDistribution(f"{label} has a non-finite entry")
     if v.size and v.min() < -1e-12 * float(np.abs(v).max()):
         raise InvalidDistribution(f"{label} has negative entries")
     return np.maximum(v, 0.0)

@@ -22,7 +22,7 @@ RANK_CUTOFF = 1e-12
 PSD_SLACK = 100
 # Hermiticity (as_hermitian): relative asymmetry that products like K A K† leave.
 HERMITIAN_TOL = 1e-12
-# Kernel (snap_kernel): within dim * this * radius of 0 is 0, so f(0) = 0 applies.
+# Kernel (snap_kernel): shares up to dim * this * total are 0, so f(0) = 0 applies.
 KERNEL_FLOOR = 100 * np.finfo(float).eps
 # Clusters (cluster_starts): neighbours within this relative gap share a projector.
 CLUSTER_GAP = 1e-8
@@ -91,7 +91,7 @@ def support_mask(evals: np.ndarray) -> np.ndarray:
 
 
 def negligible_mass(mass: float, total: float) -> bool:
-    """Whether mass is at most MASS_TOL * total: escaped mass, or a vanishing rho_tilde."""
+    """Whether mass is at most MASS_TOL * total: escaped mass that is roundoff."""
     return mass <= MASS_TOL * total
 
 
@@ -101,10 +101,10 @@ def projector(V: np.ndarray) -> np.ndarray:
     return (P + P.conj().T) / 2
 
 
-def snap_kernel(evals: np.ndarray, dim: int) -> np.ndarray:
-    """Eigenvalues within KERNEL_FLOOR * dim * spectral radius of 0, set to 0."""
-    radius = float(np.abs(evals).max())
-    return np.where(np.abs(evals) > KERNEL_FLOOR * dim * radius, evals, 0.0)
+def snap_kernel(evals: np.ndarray, shares: np.ndarray, total: float,
+                dim: int) -> np.ndarray:
+    """evals, 0 where shares <= KERNEL_FLOOR * dim * total (negative ones too)."""
+    return np.where(shares > KERNEL_FLOOR * dim * total, evals, 0.0)
 
 
 def cluster_starts(evals: np.ndarray) -> np.ndarray:

@@ -4,9 +4,10 @@ Matrix:  {"dim": n, "entries": [[re, im], ...]}   row-major, doubles.
 Channel: {"dim_in": n, "dim_out": m, "kraus": [kraus, ...]},
          kraus = {"dim_out": m, "dim_in": n, "entries": [[re, im], ...]}.
 
-Readers raise InvalidOperator unless the dimensions are positive integers
-and the entries are dim**2 [re, im] pairs of numbers (dim_out * dim_in for
-a Kraus operator, whose own dim fields are not read).
+Readers raise InvalidOperator unless the document is an object with those
+fields, "kraus" is a list, the dimensions are positive integers and the
+entries are dim**2 [re, im] pairs of numbers (dim_out * dim_in for a Kraus
+operator, whose own dim fields are not read).
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ def channel_to_json(ch: KrausChannel) -> dict:
 
 
 def channel_from_json(obj) -> KrausChannel:
-    for field in ("dim_in", "dim_out", "kraus"):
-        if field not in obj:
-            raise InvalidOperator(f"channel JSON is missing {field!r}")
+    if (not isinstance(obj, dict) or not isinstance(obj.get("kraus"), list)
+            or "dim_in" not in obj or "dim_out" not in obj):
+        raise InvalidOperator("channel JSON needs dim_in, dim_out and a kraus list")
     ops = [_entries(k, obj["dim_out"], obj["dim_in"]) for k in obj["kraus"]]
     return kraus_channel(ops)
 

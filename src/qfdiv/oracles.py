@@ -47,8 +47,8 @@ def joint_eigenvalues(rho, sigma):
         start = stop
     # snap diagonalization dust to exact zero so a vanishing entry cannot
     # masquerade as escaped mass and trigger a recession term
-    return (np.maximum(linalg.snap_kernel(p, n), 0.0),
-            np.maximum(linalg.snap_kernel(q, n), 0.0))
+    return (linalg.snap_kernel(p, p, float(p.sum()), n),
+            linalg.snap_kernel(q, q, float(q.sum()), n))
 
 
 def classical_oracle(rho, sigma, f: DivergenceGenerator) -> float:

@@ -211,6 +211,20 @@ def _undominated_pair(rng, dim):
     return rho, sigma
 
 
+def _ill_conditioned_pair(rng, dim, inside):
+    """sigma = U diag(s) U† with U Haar and s log-uniform in 1e-12..1 (trace
+    1); rho a Wishart state X, or with inside, h X h / tr for h = sigma^{1/2}.
+    """
+    U = random_channel(dim, dim, 1, rng).kraus[0]
+    s = 10.0 ** rng.uniform(-12, 0, dim)
+    s /= s.sum()
+    rho = random_state(dim, dim, rng)
+    if inside:
+        h = (U * np.sqrt(s)) @ U.conj().T
+        rho = h @ rho @ h
+    return rho / np.trace(rho).real, (U * s) @ U.conj().T
+
+
 def _invertible_pair(rng, dim):
     """Two full-rank states: random states mixed with 1/dim at weight 0.1."""
     eye = np.eye(dim)
@@ -314,13 +328,15 @@ def _reconstruction_error(rt, rho, sigma) -> float:
 
 def _suite_reverse_test_reconstruction(cfg, tol):
     for i, rng, dim, _ in _trials(cfg):
-        kind = i % 3
+        kind = i % 4
         if kind == 0:
             rho, sigma = _pair(rng, dim)
         elif kind == 1:
             rho, sigma = _pair(rng, dim, rank_sigma=dim - 1)
-        else:
+        elif kind == 2:
             rho, sigma = _undominated_pair(rng, dim)
+        else:
+            rho, sigma = _ill_conditioned_pair(rng, dim, inside=i % 8 == 7)
         rt = minimal_reverse_test(rho, sigma)
         err = _reconstruction_error(rt, rho, sigma)
         yield TrialRow("reconstruction", dim, i, err, 0.0, err, err <= tol)

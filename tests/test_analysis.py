@@ -67,14 +67,14 @@ def count_analyses(monkeypatch, module):
 
 class TestEigensolveCount:
     @pytest.mark.parametrize("make, ceiling", [(dominated_pair, 3),
-                                               (schur_pair, 6)])
+                                               (schur_pair, 4)])
     def test_d_max(self, eigensolves, make, ceiling):
         rho, sigma = make()
         d_max(rho, sigma, builtin("neg_power", 0.5))
         assert 0 < eigensolves[0] <= ceiling
 
     @pytest.mark.parametrize("make, ceiling", [(dominated_pair, 3),
-                                               (schur_pair, 6)])
+                                               (schur_pair, 4)])
     def test_minimal_reverse_test(self, eigensolves, make, ceiling):
         rho, sigma = make()
         minimal_reverse_test(rho, sigma)
@@ -116,7 +116,7 @@ class TestKeptPair:
     analysis, any other pair replaces it."""
 
     @pytest.mark.parametrize("make, solves", [(dominated_pair, 3),
-                                              (schur_pair, 5)])
+                                              (schur_pair, 4)])
     def test_pair_op_takes_one_analysis(self, eigensolves, make, solves):
         rho, sigma = make()
         for f in GENS:

@@ -161,6 +161,11 @@ class TestLambdaSigma:
         with pytest.raises(errors.ZeroSigma):
             lambda_sigma(unitary_channel(np.eye(2)), np.zeros((2, 2)), np.eye(2))
 
+    def test_rejects_z_of_wrong_shape(self):
+        ch = embedding_channel(2, 3)
+        with pytest.raises(errors.DimensionMismatch):
+            lambda_sigma(ch, np.eye(2) / 2, np.eye(3))
+
 
 class TestSupportPropagation:
     def test_channels_preserve_domination(self):

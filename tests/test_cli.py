@@ -185,6 +185,21 @@ class TestCheckCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    @pytest.mark.parametrize("doc", [
+        3, None, {"dim_in": 2, "dim_out": 2, "kraus": 3},
+        {"dim_in": 2, "dim_out": 2, "kraus": None},
+        {"dim_in": 2, "dim_out": 2, "kraus": {"entries": [[1.0, 0.0]] * 4}}])
+    def test_malformed_channel_json_exits_three(self, qubit_files, tmp_path,
+                                                capsys, doc):
+        ch_path = tmp_path / "ch.json"
+        ch_path.write_text(json.dumps(doc))
+        code = main(["check", "--rho", qubit_files["rho"],
+                     "--sigma", qubit_files["sigma"],
+                     "--channel", str(ch_path), "--f", "square"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestRldCommand:
     def test_qubit_example(self, tmp_path, capsys):
         save_matrix(str(tmp_path / "rho.json"), np.eye(2) / 2)

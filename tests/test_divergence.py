@@ -538,3 +538,53 @@ class TestScaleHomogeneity:
         rho = 1e-12 * np.diag([1.0, -0.5])
         with pytest.raises(errors.NotPSD):
             d_max(rho, 1e-12 * np.diag([0.5, 0.5]), XLOGX)
+
+
+def ill_conditioned_pair(seed):
+    """A pair of the ill-conditioned ensemble: n in 2..8, sigma = U diag(s) U^H
+    with U Haar and s log-uniform in 1e-12..1 (trace 1), and rho a Wishart
+    state, or on odd seeds h X h / tr with h = sigma^{1/2}, inside supp sigma."""
+    rng = np.random.default_rng(10000 + seed)
+    n = int(rng.integers(2, 9))
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    phases = np.diagonal(R) / np.abs(np.diagonal(R))
+    U = Q * phases
+    s = 10 ** rng.uniform(-12, 0, n)
+    s /= s.sum()
+    sigma = (U * s) @ U.conj().T
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    X = G @ G.conj().T
+    if seed % 2:
+        h = (U * np.sqrt(s)) @ U.conj().T
+        X = h @ X @ h
+    return X / np.trace(X).real, sigma
+
+
+class TestIllConditionedSigma:
+    """sigma with a spectrum spanning 1e-12..1: the kernel of d is decided by
+    rho's mass and the Schur reduction divides by nothing."""
+
+    @pytest.mark.parametrize("seed", [216, 350, 546, 666, 1003, 377, 521, 871])
+    def test_reverse_test_rebuilds_pair(self, seed):
+        rho, sigma = ill_conditioned_pair(seed)
+        rho_hat, sigma_hat = minimal_reverse_test(rho, sigma).reconstruct()
+        assert np.abs(rho_hat - rho).max() <= 1e-9
+        assert np.abs(sigma_hat - sigma).max() <= 1e-9
+
+    def test_neg_power_matches_40_digit_value(self):
+        # sigma has full rank here, so the value is -tr sigma (sigma^{-1/2}
+        # rho sigma^{-1/2})^{1/2}, summed in 40-digit arithmetic
+        import mpmath
+        mp = mpmath.mp
+        rho, sigma = ill_conditioned_pair(216)
+        s = np.linalg.eigvalsh(sigma)
+        with mp.workdps(40):
+            S, R = mp.matrix(sigma.tolist()), mp.matrix(rho.tolist())
+            lam, V = mp.eighe(S)
+            inv_sqrt = V * mp.diag([1 / mp.sqrt(x) for x in lam]) * V.H
+            M = inv_sqrt * R * inv_sqrt
+            mu, W = mp.eighe((M + M.H) / 2)
+            root = W * mp.diag([mp.sqrt(max(mp.re(x), 0)) for x in mu]) * W.H
+            ref = float(-mp.re(sum((S * root)[i, i] for i in range(S.rows))))
+        got = d_max(rho, sigma, HALF)
+        assert abs(got - ref) <= 1e-16 * s.max() / s.min() * max(1.0, abs(ref))

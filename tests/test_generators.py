@@ -172,6 +172,13 @@ class TestClassicalDivergence:
         with pytest.raises(errors.InvalidDistribution):
             classical_f_divergence([1e-12, -0.5e-12], [0.5, 0.5], builtin("square"))
 
+    @pytest.mark.parametrize("p, q", [([math.nan, 1.0], [0.0, 1.0]),
+                                      ([0.5, 0.5], [math.inf, 1.0]),
+                                      ([math.inf, 1.0], [0.0, 1.0])])
+    def test_rejects_non_finite_weights(self, p, q):
+        with pytest.raises(errors.InvalidDistribution):
+            classical_f_divergence(p, q, builtin("xlogx"))
+
     def test_tangent_line_lower_bound(self):
         # convexity gives D_f(p||q) >= f'(1) tr p + (f(1) - f'(1)) tr q,
         # the scalar engine must respect it (never -inf)

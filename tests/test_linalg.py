@@ -7,9 +7,9 @@ import pytest
 
 from qfdiv import errors
 from qfdiv.divergence import analyze
-from qfdiv.linalg import (as_hermitian, as_matrix, cluster_groups,
-                          gen_inverse_sqrt, matrix_sqrt, projector,
-                          snap_kernel, support_projector)
+from qfdiv.linalg import (KERNEL_FLOOR, as_hermitian, as_matrix,
+                          cluster_groups, gen_inverse_sqrt, matrix_sqrt,
+                          projector, snap_kernel, support_projector)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 KET0 = np.array([1, 0], dtype=complex)
@@ -30,12 +30,14 @@ def eig2x2(A):
 
 def herm_eig(A):
     """The clustered decomposition  A = sum_x d_x P_x  of a Hermitian A,
-    formed as the analysis clusters d: eigh, the kernel snapped to exact
-    zeros, then one projector per linalg.cluster_groups run, its eigenvalue
-    the mean of the run."""
+    formed as the analysis clusters d: eigh, eigenvalues within
+    KERNEL_FLOOR * dim * spectral radius of 0 snapped to exact zeros (A need
+    not be PSD, so no share of a trace applies), then one projector per
+    linalg.cluster_groups run, its eigenvalue the mean of the run."""
     A = as_hermitian(A)
     evals, vecs = np.linalg.eigh(A)
-    evals = snap_kernel(evals, A.shape[0])
+    floor = KERNEL_FLOOR * A.shape[0] * np.abs(evals).max()
+    evals = np.where(np.abs(evals) > floor, evals, 0.0)
     groups = cluster_groups(evals)
     return SimpleNamespace(
         eigenvalues=np.array([evals[g].mean() for g in groups]),
@@ -253,9 +255,14 @@ class TestClusterRule:
         assert [g.tolist() for g in groups] == [[0, 1], [2]]
 
     def test_kernel_floor_snaps_to_zero(self):
-        from qfdiv.linalg import snap_kernel
-        snapped = snap_kernel(np.array([-1e-17, 1e-17, 1e-3, 1.0]), 4)
+        evals = np.array([-1e-17, 1e-17, 1e-3, 1.0])
+        snapped = snap_kernel(evals, evals, 1.0, 4)
         np.testing.assert_array_equal(snapped, [0.0, 0.0, 1e-3, 1.0])
+        # the share, not the spectral radius, decides: an eigenvalue of 1e-3
+        # beside one of 1e10 stays when it carries mass
+        evals = np.array([-1e-3, 1e-3, 1e10])
+        snapped = snap_kernel(evals, evals * [0.5, 0.5, 1e-11], 1.0, 3)
+        np.testing.assert_array_equal(snapped, [0.0, 1e-3, 1e10])
 
     def test_herm_eig_keeps_small_distinct_eigenvalues(self):
         dec = herm_eig(np.diag([0.05, 0.87, 1e9]))
