@@ -72,8 +72,9 @@ class PairAnalysis:
     basis          orthonormal columns spanning supp sigma
     sigma_evals    the eigenvalues of sigma on those columns
     evals          the eigenvalues of d = sigma^{-1/2} rho_tilde sigma^{-1/2}
-                   on supp sigma, ascending, 0 where their share of tr rho,
-                   evals * weights, is negligible (linalg.snap_kernel)
+                   on supp sigma, 0 where their share of tr rho, evals *
+                   weights, is negligible (linalg.snap_kernel), ascending
+                   after that snap
     coords         their eigenvectors, in the coordinates of basis
     weights        the sigma-weights <v|sigma|v> of those eigenvectors
     """
@@ -234,8 +235,10 @@ def analyze(rho, sigma) -> PairAnalysis:
     evals, coords = np.linalg.eigh((d + d.conj().T) / 2)
     weights = s @ np.abs(coords) ** 2
     evals = linalg.snap_kernel(evals, evals * weights, tr_rho, sigma.shape[0])
+    # a zeroed eigenvalue may lie above a kept one; clusters need them ascending
+    order = np.argsort(evals, kind="stable")
     pair = PairAnalysis(rho, sigma, tilde, dominated, escaped, basis, s,
-                        evals, coords, weights)
+                        evals[order], coords[:, order], weights[order])
     _last = key, pair
     return pair
 

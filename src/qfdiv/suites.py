@@ -212,17 +212,21 @@ def _undominated_pair(rng, dim):
 
 
 def _ill_conditioned_pair(rng, dim, inside):
-    """sigma = U diag(s) U† with U Haar and s log-uniform in 1e-12..1 (trace
-    1); rho a Wishart state X, or with inside, h X h / tr for h = sigma^{1/2}.
+    """sigma = U diag(s) U† with U Haar (QR of a Gaussian, R's diagonal
+    phases removed) and s log-uniform in 1e-12..1 (trace 1); rho = X / tr X
+    for a Wishart X = G G†, or with inside, h X h / tr for h = sigma^{1/2}.
     """
-    U = random_channel(dim, dim, 1, rng).kraus[0]
+    Q, R = np.linalg.qr(rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))
+    U = Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
     s = 10.0 ** rng.uniform(-12, 0, dim)
     s /= s.sum()
-    rho = random_state(dim, dim, rng)
+    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    X = G @ G.conj().T
     if inside:
         h = (U * np.sqrt(s)) @ U.conj().T
-        rho = h @ rho @ h
-    return rho / np.trace(rho).real, (U * s) @ U.conj().T
+        X = h @ X @ h
+    return X / np.trace(X).real, (U * s) @ U.conj().T
 
 
 def _invertible_pair(rng, dim):

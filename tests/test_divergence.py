@@ -17,6 +17,7 @@ from qfdiv.linalg import support_projector
 from qfdiv.matio import save_matrix
 from qfdiv.oracles import (bs_relative_entropy, classical_oracle,
                            umegaki_relative_entropy)
+from qfdiv.suites import _ill_conditioned_pair
 
 XLOGX = builtin("xlogx")
 SQUARE = builtin("square")
@@ -541,23 +542,11 @@ class TestScaleHomogeneity:
 
 
 def ill_conditioned_pair(seed):
-    """A pair of the ill-conditioned ensemble: n in 2..8, sigma = U diag(s) U^H
-    with U Haar and s log-uniform in 1e-12..1 (trace 1), and rho a Wishart
-    state, or on odd seeds h X h / tr with h = sigma^{1/2}, inside supp sigma."""
+    """The pair of the ill-conditioned ensemble (suites._ill_conditioned_pair)
+    at a seed: n in 2..8, rho inside supp sigma on odd seeds."""
     rng = np.random.default_rng(10000 + seed)
     n = int(rng.integers(2, 9))
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    phases = np.diagonal(R) / np.abs(np.diagonal(R))
-    U = Q * phases
-    s = 10 ** rng.uniform(-12, 0, n)
-    s /= s.sum()
-    sigma = (U * s) @ U.conj().T
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    X = G @ G.conj().T
-    if seed % 2:
-        h = (U * np.sqrt(s)) @ U.conj().T
-        X = h @ X @ h
-    return X / np.trace(X).real, sigma
+    return _ill_conditioned_pair(rng, n, inside=bool(seed % 2))
 
 
 class TestIllConditionedSigma:
@@ -570,6 +559,19 @@ class TestIllConditionedSigma:
         rho_hat, sigma_hat = minimal_reverse_test(rho, sigma).reconstruct()
         assert np.abs(rho_hat - rho).max() <= 1e-9
         assert np.abs(sigma_hat - sigma).max() <= 1e-9
+
+    def test_kernel_snapped_above_a_kept_eigenvalue(self):
+        # d has eigenvalues 1e-3, 5e-3, 1.67 with rho-shares 4e-4, 5e-14, ~1:
+        # only the middle one is zeroed, and it must not join the 1e-3 atom
+        sigma = np.diag([0.4, 1e-11, 0.6])
+        rho = np.diag([4e-4, 5e-14, 1 - 4e-4 - 5e-14])
+        rt = minimal_reverse_test(rho, sigma)
+        rho_hat, sigma_hat = rt.reconstruct()
+        assert np.abs(rho_hat - rho).max() <= 1e-9
+        assert np.abs(sigma_hat - sigma).max() <= 1e-9
+        for f in GENS:
+            assert reverse_test_value(rt, f) == pytest.approx(
+                d_max(rho, sigma, f), rel=1e-12)
 
     def test_neg_power_matches_40_digit_value(self):
         # sigma has full rank here, so the value is -tr sigma (sigma^{-1/2}
