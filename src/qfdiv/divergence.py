@@ -65,7 +65,8 @@ class PairAnalysis:
 
     rho, sigma     the validated, symmetrized inputs
     rho_tilde      the Schur reduction of rho into supp sigma (rho itself
-                   when supp rho lies inside supp sigma)
+                   when supp rho lies inside supp sigma, 0 when its trace
+                   is negligible against tr rho)
     dominated      whether supp rho lies inside supp sigma
     escaped        tr(rho - rho_tilde), or 0 when that is negligible
                    against tr rho (linalg.negligible_mass)
@@ -183,14 +184,15 @@ def analyze(rho, sigma) -> PairAnalysis:
     """Validate a PSD pair and analyse it with one spectral pass.
 
     One eigensolve of sigma gives its support and sigma^{+-1/2}; one of rho
-    gives its PSD check and, unless sigma has full rank, its support and a
-    factor R (rho = R R^H), split into rows R_1 on supp sigma and leak off
-    it.  Only when supp rho is not inside supp sigma
-    (linalg.projector_dominates), one eigensolve of leak^H leak gives the
-    Schur reduction rho_tilde = R_1 (1 - P) R_1^H, P onto the row space of
-    leak: PSD, with no division.  One eigensolve of d, formed on supp sigma,
-    gives its spectrum and the sigma-weights.  The rank, kernel, domination
-    and escaped-mass decisions are the rules of linalg.
+    gives its PSD check and, unless sigma has full rank, Z = s_vecs^H r_vecs.
+    supp rho lies in supp sigma unless an entry of Z on sigma's kernel and
+    rho's support exceeds linalg.DOMINATION_TOL; only then the factor
+    R = Z r_evals^{1/2} of rho, split into rows R_1 on supp sigma and leak
+    off it, and one eigensolve of leak^H leak give the Schur reduction
+    rho_tilde = R_1 (1 - P) R_1^H, P onto the row space of leak: PSD, with
+    no division, and 0 when its trace is negligible (linalg.negligible_mass,
+    the escaped-mass rule).  One eigensolve of d, formed on supp sigma, gives
+    its spectrum and the sigma-weights.
 
     The last successful call is kept: a pair bit-identical to it (as
     complex matrices) gets the same read-only PairAnalysis back without
@@ -216,17 +218,20 @@ def analyze(rho, sigma) -> PairAnalysis:
         raise ZeroSigma("sigma is the zero operator")
 
     basis, s = s_vecs[:, keep], s_evals[keep]
+    tr_rho = float(np.trace(rho).real)
     dominated, tilde = True, rho
     if not full:
-        pi_r = linalg.projector(r_vecs[:, linalg.support_mask(r_evals)])
-        if not linalg.projector_dominates(linalg.projector(basis), pi_r):
+        Z = s_vecs.conj().T @ r_vecs
+        off = np.abs(Z[~keep][:, linalg.support_mask(r_evals)])
+        if off.max(initial=0.0) > linalg.DOMINATION_TOL:
             dominated = False
-            R = s_vecs.conj().T @ (r_vecs * np.sqrt(np.maximum(r_evals, 0.0)))
+            R = Z * np.sqrt(np.maximum(r_evals, 0.0))
             leak = R[~keep]
             w, U = np.linalg.eigh(leak.conj().T @ leak)
             T = basis @ R[keep] @ U[:, ~linalg.support_mask(w)]
             tilde = T @ T.conj().T
-    tr_rho = float(np.trace(rho).real)
+            if linalg.negligible_mass(float(np.trace(tilde).real), tr_rho):
+                tilde = np.zeros_like(rho)
     missing = tr_rho - float(np.trace(tilde).real)
     escaped = 0.0 if linalg.negligible_mass(missing, tr_rho) else missing
 

@@ -1,10 +1,11 @@
 """Dense complex Hermitian linear algebra.
 
 Eigenvalue clustering, functional calculus, support projectors and
-generalized inverses, and the package's tolerance policy: one constant and
-one function for each of the PSD, Hermiticity, rank, kernel, clustering,
-escaped-mass and domination decisions.  All functions are pure: inputs are
-never mutated and outputs are freshly allocated.
+generalized inverses, and the package's tolerance policy: one constant for
+each numerical decision, and one function for each of the PSD, Hermiticity,
+rank, kernel, clustering and mass decisions (divergence.analyze makes the
+domination one).  All functions are pure: inputs are never mutated and
+outputs are freshly allocated.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ HERMITIAN_TOL = 1e-12
 KERNEL_FLOOR = 100 * np.finfo(float).eps
 # Clusters (cluster_starts): neighbours within this relative gap share a projector.
 CLUSTER_GAP = 1e-8
-# Escaped mass (negligible_mass): up to this share of tr rho is Schur roundoff.
+# Mass (negligible_mass): up to this share of tr rho, escaped or kept, is roundoff.
 MASS_TOL = 1e-10
-# Domination (projector_dominates): entrywise |P_A - P_B P_A|, projectors are O(1).
+# Domination (divergence.analyze): |<s|r>| for s in ker sigma, r in supp rho.
 DOMINATION_TOL = 1e-8
 # Atoms (divergence.PairAnalysis.reverse_test): q(x) <= this * tr sigma is dust.
 ATOM_FLOOR = 1e-14
@@ -129,12 +130,6 @@ def support_projector(A) -> np.ndarray:
     """Orthogonal projector onto the range (see support_mask) of a PSD operator."""
     A, evals, vecs = psd_spectrum(A)
     return projector(vecs[:, support_mask(evals)])
-
-
-def projector_dominates(pb: np.ndarray, pa: np.ndarray) -> bool:
-    """True iff the range of projector pa lies in that of pb, entrywise
-    within DOMINATION_TOL."""
-    return float(np.abs(pa - pb @ pa).max()) <= DOMINATION_TOL
 
 
 def support_map(evals: np.ndarray, vecs: np.ndarray, fn) -> np.ndarray:

@@ -34,12 +34,13 @@ def _entries_json(A) -> list:
 
 def _entries(obj, rows, cols) -> np.ndarray:
     """The rows x cols matrix of obj's row-major [re, im] 'entries'."""
+    if any(type(n) is not int or n < 1 for n in (rows, cols)):
+        raise InvalidOperator(f"dimensions {rows!r}, {cols!r} are not positive ints")
     try:
-        rows, cols = int(rows), int(cols)
         pairs = np.array(obj["entries"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidOperator(f"malformed matrix JSON: {exc}") from exc
-    if min(rows, cols) < 1 or pairs.shape != (rows * cols, 2):
+    if pairs.shape != (rows * cols, 2):
         raise InvalidOperator(
             f"entries of shape {pairs.shape} are not {rows}x{cols} [re, im] pairs")
     return pairs.view(complex).reshape(rows, cols)

@@ -65,12 +65,11 @@ def rld_metric(rho, X, Y) -> complex:
 
 @dataclass(frozen=True)
 class TangentPerturbation:
-    """A traceless Hermitian direction attached to a full-rank-on-support base.
+    """A traceless Hermitian direction inside the support of a state rho.
 
-    base + s * direction stays PSD for |s| <= step_bound.
+    rho + s * direction stays PSD for |s| <= step_bound.
     """
 
-    base: np.ndarray
     direction: np.ndarray
     step_bound: float
 
@@ -91,7 +90,7 @@ def random_tangent(rho, seed_or_rng) -> TangentPerturbation:
     X = (X + X.conj().T) / 2
     X = X / max(float(np.linalg.norm(X, 2)), 1e-300)
     norm = float(np.linalg.norm(X, 2))
-    return TangentPerturbation(rho, X, _lam_min(evals) / norm if norm > 0 else np.inf)
+    return TangentPerturbation(X, _lam_min(evals) / norm if norm > 0 else np.inf)
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,6 @@ class SecondDerivativeResult:
     analytic: float
     abs_err: float
     variants: tuple[float, float, float]
-    imag_part: float
 
 
 def _mixed_difference(values, s, t) -> float:
@@ -156,8 +154,7 @@ def second_derivative_check(rho, X, Y, f: DivergenceGenerator,
         [probe(rho + a * s * X + b * t * Y, rho)
          for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))], s, t)
 
-    metric = _metric(evals, vecs, X, Y)
-    analytic = f.second_deriv_at_1 * metric.real
+    analytic = f.second_deriv_at_1 * _metric(evals, vecs, X, Y).real
     return SecondDerivativeResult(
         fd_value=fd1, analytic=analytic, abs_err=abs(fd1 - analytic),
-        variants=(fd1, fd2, fd3), imag_part=metric.imag)
+        variants=(fd1, fd2, fd3))

@@ -42,13 +42,16 @@ class TestMatrixJson:
         with pytest.raises(errors.InvalidOperator):
             matrix_from_json({"dim": 2})
 
-    @pytest.mark.parametrize("dim", ["a", None, 0, -1])
+    @pytest.mark.parametrize("dim", ["a", None, 0, -1, 2.9, "2", True, 2.0])
     def test_rejects_bad_dimension(self, dim):
+        # the entries fit int(dim), which reads 2.9, "2" and True as 2, 2 and 1
+        n = 2 if dim in (2.9, "2", 2.0) else 1
+        entries = matrix_to_json(np.eye(n))["entries"]
         with pytest.raises(errors.InvalidOperator):
-            matrix_from_json({"dim": dim, "entries": []})
-        with pytest.raises(errors.InvalidOperator):
-            channel_from_json({"dim_in": 1, "dim_out": dim,
-                               "kraus": [{"entries": [[1.0, 0.0]]}]})
+            matrix_from_json({"dim": dim, "entries": entries})
+        for dims in ({"dim_in": dim, "dim_out": n}, {"dim_in": n, "dim_out": dim}):
+            with pytest.raises(errors.InvalidOperator):
+                channel_from_json({**dims, "kraus": [{"entries": entries}]})
 
     @pytest.mark.parametrize("entry", [["a", 0.0], [0.0], None, [0.0, 1.0, 2.0]])
     def test_rejects_malformed_entry(self, entry):
@@ -118,6 +121,18 @@ class TestComputeCommand:
         code = main(["compute", "--rho", str(bad),
                      "--sigma", qubit_files["sigma"], "--f", "square"])
         assert code == 3
+
+    @pytest.mark.parametrize("dim", [2.9, "2"])
+    def test_dimension_that_is_not_an_int_exits_three(self, tmp_path, capsys,
+                                                      qubit_files, dim):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(
+            {"dim": dim, "entries": matrix_to_json(np.eye(2) / 2)["entries"]}))
+        code = main(["compute", "--rho", str(bad),
+                     "--sigma", qubit_files["sigma"], "--f", "square"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error:")
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

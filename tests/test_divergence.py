@@ -370,6 +370,24 @@ def test_schur_tilde_feeds_closed_form():
         assert direct == pytest.approx(assembled, abs=1e-10)
 
 
+@pytest.mark.parametrize("seed", [2037, 2079])
+def test_pure_rho_leaking_out_keeps_no_mass(seed):
+    # the Schur reduction of a pure rho not inside supp sigma is exactly 0;
+    # roundoff left in it reads as d_max(neg_power 0.5) of -2e-8 and -9e-9
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    k = int(rng.integers(1, n))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+    sigma = (Q * 10.0 ** rng.uniform(-4, 0, k)) @ Q.conj().T
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    pair = analyze(rho, sigma)
+    assert not pair.dominated
+    np.testing.assert_array_equal(pair.rho_tilde, np.zeros((n, n)))
+    assert pair.escaped == np.trace(pair.rho).real
+    assert d_max(rho, sigma, HALF) == 0.0
+
+
 def wishart(rng, n, k=None):
     k = n if k is None else k
     G = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))

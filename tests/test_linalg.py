@@ -1,11 +1,13 @@
 """Tests for the Hermitian linear algebra core."""
 
+import pathlib
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qfdiv import errors
+from qfdiv import channels, divergence, errors, linalg
 from qfdiv.divergence import analyze
 from qfdiv.linalg import (KERNEL_FLOOR, as_hermitian, as_matrix,
                           cluster_groups, gen_inverse_sqrt, matrix_sqrt,
@@ -285,3 +287,33 @@ class TestClusterRule:
                 else:
                     groups.append([i])
             assert [g.tolist() for g in cluster_groups(evals)] == groups
+
+
+class TestToleranceTable:
+    """The README's Tolerances table against the policy at the top of linalg."""
+
+    README = pathlib.Path(__file__).parent.parent / "README.md"
+
+    def rows(self):
+        section = self.README.read_text().split("## Tolerances")[1].split("\n## ")[0]
+        return [line for line in section.splitlines() if line.startswith("| `")]
+
+    def test_each_constant_has_one_row(self):
+        named = [re.match(r"\| `(\w+)`", row).group(1) for row in self.rows()]
+        constants = [name for name, value in vars(linalg).items()
+                     if name.isupper() and isinstance(value, (int, float))]
+        assert sorted(named) == sorted(constants)
+
+    def test_each_named_function_exists(self):
+        for row in self.rows():
+            names = re.findall(r"\(`([\w.]+)`\)", row)
+            assert names, row
+            for name in names:
+                head, *rest = name.split(".")
+                owner = next((m for m in (linalg, divergence, channels)
+                              if hasattr(m, head)), None)
+                assert owner is not None, f"{name} of {row}"
+                obj = getattr(owner, head)
+                for attr in rest:
+                    obj = getattr(obj, attr)
+                assert callable(obj), name

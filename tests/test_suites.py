@@ -62,6 +62,15 @@ class TestRunner:
             rep = run_suite(SuiteConfig(suite=name, trials=12, seed=3))
             assert rep.ok(), f"{name}: {[r for r in rep.rows if not r.passed]}"
 
+    @pytest.mark.parametrize("seed", [2531, 2802, 3271, 4179])
+    def test_equality_preservation_where_rho_tilde_is_zero(self, seed):
+        # each run holds pairs whose Schur reduction is exactly 0; roundoff
+        # left in it reads as d_max(neg_power 0.5) of -4e-8 ... -8e-7 on one
+        # side of the channel only
+        rep = run_suite(SuiteConfig(suite="equality-preservation", trials=3,
+                                    dims=(2, 3, 4), seed=seed))
+        assert rep.ok(), [r for r in rep.rows if not r.passed]
+
     @pytest.mark.parametrize("name", SUITE_NAMES)
     def test_shorter_run_is_a_prefix(self, name):
         # trial i reads only its own stream, so the trials of a short run
