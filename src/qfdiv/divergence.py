@@ -65,8 +65,7 @@ class PairAnalysis:
 
     rho, sigma     the validated, symmetrized inputs
     rho_tilde      the Schur reduction of rho into supp sigma (rho itself
-                   when supp rho lies inside supp sigma, 0 when its trace
-                   is negligible against tr rho)
+                   when supp rho lies inside supp sigma)
     dominated      whether supp rho lies inside supp sigma
     escaped        tr(rho - rho_tilde), or 0 when that is negligible
                    against tr rho (linalg.negligible_mass)
@@ -187,11 +186,11 @@ def analyze(rho, sigma) -> PairAnalysis:
     gives its PSD check and, unless sigma has full rank, Z = s_vecs^H r_vecs.
     supp rho lies in supp sigma unless an entry of Z on sigma's kernel and
     rho's support exceeds linalg.DOMINATION_TOL; only then the factor
-    R = Z r_evals^{1/2} of rho, split into rows R_1 on supp sigma and leak
-    off it, and one eigensolve of leak^H leak give the Schur reduction
-    rho_tilde = R_1 (1 - P) R_1^H, P onto the row space of leak: PSD, with
-    no division, and 0 when its trace is negligible (linalg.negligible_mass,
-    the escaped-mass rule).  One eigensolve of d, formed on supp sigma, gives
+    R = Z r_evals^{1/2} of rho, without the columns of eigenvalues that are
+    eigh roundoff (linalg.ROUNDOFF_CUTOFF), split into rows R_1 on supp
+    sigma and leak off it, and one eigensolve of leak^H leak give the Schur
+    reduction rho_tilde = R_1 (1 - P) R_1^H, P onto the row space of leak:
+    PSD, with no division.  One eigensolve of d, formed on supp sigma, gives
     its spectrum and the sigma-weights.
 
     The last successful call is kept: a pair bit-identical to it (as
@@ -218,20 +217,19 @@ def analyze(rho, sigma) -> PairAnalysis:
         raise ZeroSigma("sigma is the zero operator")
 
     basis, s = s_vecs[:, keep], s_evals[keep]
-    tr_rho = float(np.trace(rho).real)
     dominated, tilde = True, rho
     if not full:
         Z = s_vecs.conj().T @ r_vecs
         off = np.abs(Z[~keep][:, linalg.support_mask(r_evals)])
         if off.max(initial=0.0) > linalg.DOMINATION_TOL:
             dominated = False
-            R = Z * np.sqrt(np.maximum(r_evals, 0.0))
+            cols = linalg.support_mask(r_evals, linalg.ROUNDOFF_CUTOFF)
+            R = Z[:, cols] * np.sqrt(r_evals[cols])
             leak = R[~keep]
             w, U = np.linalg.eigh(leak.conj().T @ leak)
             T = basis @ R[keep] @ U[:, ~linalg.support_mask(w)]
             tilde = T @ T.conj().T
-            if linalg.negligible_mass(float(np.trace(tilde).real), tr_rho):
-                tilde = np.zeros_like(rho)
+    tr_rho = float(np.trace(rho).real)
     missing = tr_rho - float(np.trace(tilde).real)
     escaped = 0.0 if linalg.negligible_mass(missing, tr_rho) else missing
 

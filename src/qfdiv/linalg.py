@@ -19,6 +19,8 @@ from .errors import InvalidOperator, NotPSD
 
 # Rank (support_mask): eigenvalues <= dim * this * lambda_max are eigh roundoff.
 RANK_CUTOFF = 1e-12
+# Schur factor (support_mask): rho's eigenvalues <= dim * this * lambda_max are eigh error.
+ROUNDOFF_CUTOFF = 4 * np.finfo(float).eps
 # PSD check (psd_slack): a valid kernel dips to -PSD_SLACK rank cutoffs.
 PSD_SLACK = 100
 # Hermiticity (as_hermitian): relative asymmetry that products like K A K† leave.
@@ -27,7 +29,7 @@ HERMITIAN_TOL = 1e-12
 KERNEL_FLOOR = 100 * np.finfo(float).eps
 # Clusters (cluster_starts): neighbours within this relative gap share a projector.
 CLUSTER_GAP = 1e-8
-# Mass (negligible_mass): up to this share of tr rho, escaped or kept, is roundoff.
+# Escaped mass (negligible_mass): up to this share of tr rho is Schur roundoff.
 MASS_TOL = 1e-10
 # Domination (divergence.analyze): |<s|r>| for s in ker sigma, r in supp rho.
 DOMINATION_TOL = 1e-8
@@ -79,16 +81,17 @@ def psd_slack(evals: np.ndarray) -> float:
     return RANK_CUTOFF * evals.size * float(np.abs(evals).max()) * PSD_SLACK
 
 
-def support_mask(evals: np.ndarray) -> np.ndarray:
+def support_mask(evals: np.ndarray, cutoff: float = RANK_CUTOFF) -> np.ndarray:
     """Eigenvalues of a PSD operator that count as its support.
 
-    Those above RANK_CUTOFF * dim times the largest; none when the largest
-    is not positive.  Every rank decision of the package is made here.
+    Those above cutoff * dim times the largest; none when the largest is not
+    positive.  Every rank decision of the package is made here, at
+    RANK_CUTOFF, or at ROUNDOFF_CUTOFF for the Schur factor.
     """
     lam_max = float(evals.max())
     if lam_max <= 0.0:
         return np.zeros(evals.shape, dtype=bool)
-    return evals > RANK_CUTOFF * evals.size * lam_max
+    return evals > cutoff * evals.size * lam_max
 
 
 def negligible_mass(mass: float, total: float) -> bool:

@@ -388,6 +388,46 @@ def test_pure_rho_leaking_out_keeps_no_mass(seed):
     assert d_max(rho, sigma, HALF) == 0.0
 
 
+def test_small_kept_mass_is_read():
+    # rho_tilde = diag(5e-11, 0) exactly: kept mass below MASS_TOL * tr rho
+    # is real, and -sqrt reads it as -7.1e-6
+    rho, sigma = np.diag([5e-11, 1 - 5e-11]), np.diag([1.0, 0.0])
+    assert d_max(rho, sigma, HALF) == pytest.approx(-math.sqrt(5e-11), abs=1e-12)
+    assert np.trace(analyze(rho, sigma).rho_tilde).real == pytest.approx(5e-11, rel=1e-12)
+
+
+def leaking_rank_two_pair(seed):
+    """rho = q |b><b| + (1 - q) |a><a| with b in supp sigma and a leaking out
+    of it by 1e-3, sigma of rank k < n.  The Schur reduction is q |b><b|, so
+    d_max(neg_power 0.5) = -sqrt(q / <b|sigma^+|b>); returns it and q."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 5))
+    k = int(rng.integers(2, n))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    s = rng.uniform(0.1, 1.0, k)
+    sigma = (Q[:, :k] * s) @ Q[:, :k].conj().T
+    b = Q[:, :k] @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    a = Q @ np.concatenate((rng.standard_normal(k) + 1j * rng.standard_normal(k),
+                            1e-3 * (rng.standard_normal(n - k)
+                                    + 1j * rng.standard_normal(n - k))))
+    b, a = b / np.linalg.norm(b), a / np.linalg.norm(a)
+    q = rng.uniform(0.2, 0.8)
+    rho = q * np.outer(b, b.conj()) + (1 - q) * np.outer(a, a.conj())
+    b_sigma_b = float((np.abs(Q[:, :k].conj().T @ b) ** 2 / s).sum())
+    return rho, sigma, -math.sqrt(q / b_sigma_b), q
+
+
+@pytest.mark.parametrize("seed", [1, 5, 25])   # (n, k) = (3, 2), (4, 3), (4, 2)
+def test_roundoff_of_rho_stays_out_of_a_kept_part(seed):
+    # rho's roundoff eigenvalue, scaled by 1 / |leak|^2, once read as a
+    # second eigenvalue of d: d_max off by 9e-7 ... 4e-5
+    rho, sigma, expected, q = leaking_rank_two_pair(seed)
+    pair = analyze(rho, sigma)
+    assert not pair.dominated
+    assert np.trace(pair.rho_tilde).real == pytest.approx(q, abs=1e-9)
+    assert pair.d_max(HALF) == pytest.approx(expected, abs=1e-9)
+
+
 def wishart(rng, n, k=None):
     k = n if k is None else k
     G = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))

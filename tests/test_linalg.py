@@ -119,6 +119,16 @@ class TestSupport:
         np.testing.assert_allclose(support_projector(np.zeros((3, 3))),
                                    np.zeros((3, 3)))
 
+    def test_roundoff_cutoff_keeps_what_the_rank_cutoff_drops(self):
+        # 1e-13 is below the rank cutoff (4e-12 here) but far above eigh
+        # roundoff (3.6e-15); -1e-16 and 1e-16 are roundoff
+        evals = np.array([-1e-16, 1e-16, 1e-13, 1.0])
+        np.testing.assert_array_equal(linalg.support_mask(evals),
+                                      [False, False, False, True])
+        np.testing.assert_array_equal(
+            linalg.support_mask(evals, linalg.ROUNDOFF_CUTOFF),
+            [False, False, True, True])
+
     def test_projector_is_own_support(self):
         np.testing.assert_allclose(support_projector(PROJP), PROJP, atol=1e-14)
 
