@@ -6,6 +6,7 @@ and ships seeded property suites verifying the structural facts the value
 obeys: data processing, joint convexity, monotonicity in sigma, the
 perturbation limit, channel equality conditions, and the RLD-metric Hessian
 identity.  Divergence values are floats in (-inf, +inf]; +inf is math.inf.
+d_max and d_prime of a stack of pairs return an array of such values.
 """
 
 from .channels import (DpiResult, EqualityReport, KrausChannel,

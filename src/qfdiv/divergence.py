@@ -10,7 +10,8 @@ the same value as a classical f-divergence and reconstructs the pair.
 
 analyze() makes one spectral analysis of a pair (PairAnalysis); d_max,
 d_prime, the reverse test, rho_tilde and d all read from it, and a repeated
-call on the same pair returns the same analysis.
+call on the same pair returns the same analysis.  d_max and d_prime also
+take a stack of pairs, which the same analysis body reads at once.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (DimensionMismatch, DomainError, UnsupportedGenerator,
-                     ZeroSigma)
+from .errors import (DimensionMismatch, DomainError, InvalidOperator,
+                     UnsupportedGenerator, ZeroSigma)
 from .generators import DivergenceGenerator, classical_f_divergence, recession_value
 
 
@@ -114,23 +115,11 @@ class PairAnalysis:
 
     def d_prime(self, f: DivergenceGenerator) -> float:
         """weights . f(evals) + escaped * recession(f); see d_prime()."""
-        vals = np.asarray(f.eval(self.evals), dtype=float)
-        if np.isnan(vals).any():
-            raise DomainError(f"generator {f.name!r} undefined on the spectrum of d")
-        base = float(np.dot(self.weights, vals))
-        if not self.escaped:
-            return base
-        rec = recession_value(f)
-        if rec == math.inf:
-            return math.inf
-        return base + self.escaped * rec
+        return float(_value(f, self.evals, self.weights, self.escaped))
 
     def d_max(self, f: DivergenceGenerator) -> float:
         """The maximal f-divergence of the pair; see d_max()."""
-        if not f.operator_convex:
-            raise UnsupportedGenerator(
-                f"d_max requires an operator convex generator, {f.name!r} is "
-                "not flagged as one")
+        _require_operator_convex(f)
         return self.d_prime(f)
 
     def _atom_weights(self):
@@ -169,6 +158,125 @@ class PairAnalysis:
         return ReverseTest(tuple(outputs), p, q, tuple(labels))
 
 
+def _require_operator_convex(f: DivergenceGenerator) -> None:
+    if not f.operator_convex:
+        raise UnsupportedGenerator(
+            f"d_max requires an operator convex generator, {f.name!r} is "
+            "not flagged as one")
+
+
+def _value(f: DivergenceGenerator, evals, weights, escaped):
+    """weights . f(evals) + escaped * recession(f), one per pair of a stack;
+    +inf where mass escapes and the recession is infinite."""
+    vals = np.asarray(f.eval(evals), dtype=float)
+    if np.count_nonzero(np.isnan(vals)):
+        raise DomainError(f"generator {f.name!r} undefined on the spectrum of d")
+    base = np.vecdot(weights, vals)
+    if not np.count_nonzero(escaped):
+        return base
+    rec = recession_value(f)
+    if rec == math.inf and base.ndim:
+        # in a stack, 0 * inf would be nan for a pair that keeps its mass
+        return np.where(escaped > 0, math.inf, base)
+    return base + escaped * rec
+
+
+def _adjoint(A: np.ndarray) -> np.ndarray:
+    return A.conj().swapaxes(-1, -2)
+
+
+def _counts(mask: np.ndarray):
+    """The number of True entries in each row of mask (with keepdims; an int
+    for one row), and the least and the largest of them."""
+    if mask.ndim == 1:
+        count = np.count_nonzero(mask)
+        return count, count, count
+    counts = np.add.reduce(mask, axis=-1, keepdims=True)
+    return counts, int(counts.min()), int(counts.max())
+
+
+def _analysis(rho: np.ndarray, sigma: np.ndarray):
+    """The analysis body of analyze(), over one pair or a stack (..., n, n)
+    of pairs read by linalg.as_matrix: the fields of PairAnalysis, one per
+    pair, with the spectrum of d as eigh leaves it (not re-sorted after the
+    kernel snap).
+
+    eigh sorts ascending, so sigma's kernel is a leading block of its
+    eigenbasis and rho's support a trailing one.  Every array is cut to the
+    stack's widest support of sigma ([..., lo:]) and its largest kernel
+    ([..., :hi]).  Only a stack is masked inside that block, where a pair's
+    own block is narrower: its padding carries zeros, which add nothing to a
+    value.  One pair carries no padding.
+    """
+    sigma, s_evals, s_vecs = linalg.psd_spectrum(sigma)
+    keep = linalg.support_mask(s_evals)
+    n = sigma.shape[-1]
+    _, least, most = _counts(keep)
+    lo, hi = n - most, n - least
+    # With every sigma of full rank every support is dominated, so rho needs
+    # no eigenvectors.
+    rho, r_evals, r_vecs = linalg.psd_spectrum(rho, vectors=hi > 0)
+    if rho.shape != sigma.shape:
+        raise DimensionMismatch("rho and sigma must have equal dimensions")
+    if hi == n:
+        raise ZeroSigma("sigma is the zero operator")
+    stacked = sigma.ndim > 2
+    basis, s = s_vecs[..., lo:], s_evals[..., lo:]
+    live = keep[..., lo:]
+    if stacked:
+        inv_sqrt = np.where(live, 1.0 / np.sqrt(np.where(live, s, 1.0)), 0.0)
+        s = np.where(live, s, 0.0)
+    else:
+        inv_sqrt = 1.0 / np.sqrt(s)
+    tr_rho = rho.trace(axis1=-2, axis2=-1).real
+
+    dominated, tilde, escaped = True, rho, 0.0
+    if hi:
+        Z = _adjoint(s_vecs) @ r_vecs
+        # rows of sigma's kernel, columns of rho's support
+        off = np.abs(Z[..., :hi, :]) * linalg.support_mask(r_evals)[..., None, :]
+        if stacked:
+            off *= ~keep[..., :hi, None]
+        dominated = (np.maximum.reduce(off, axis=(-2, -1), keepdims=True)
+                     <= linalg.DOMINATION_TOL)
+        if np.count_nonzero(dominated) < dominated.size:
+            cols = linalg.support_mask(r_evals, linalg.ROUNDOFF_CUTOFF)
+            width, _, widest = _counts(cols)
+            first = n - widest
+            root = r_evals[..., first:]
+            if stacked:
+                root = np.where(cols[..., first:], root, 0.0)
+            R = Z[..., first:] * np.sqrt(root)[..., None, :]
+            leak, R_1 = R[..., :hi, :], R[..., lo:, :]
+            if stacked:
+                leak = leak * ~keep[..., :hi, None]
+                R_1 = R_1 * live[..., None]
+            w, U = np.linalg.eigh(_adjoint(leak) @ leak)
+            # the rank of leak^H leak counts R's live columns, not its padding;
+            # U keeps the columns of its kernel (a leading block), 1 - P
+            null = ~linalg.support_mask(w, dim=width)
+            rest = _counts(null)[2]
+            U = U[..., :rest]
+            if stacked:
+                U = U * null[..., None, :rest]
+            T = basis @ R_1 @ U
+            tilde = T @ _adjoint(T)
+            if stacked:
+                tilde = np.where(dominated, rho, tilde)
+            missing = tr_rho - tilde.trace(axis1=-2, axis2=-1).real
+            escaped = np.where(linalg.negligible_mass(missing, tr_rho), 0.0,
+                               missing)
+        dominated = dominated[..., 0, 0]
+
+    d = ((_adjoint(basis) @ tilde @ basis)
+         * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :]))
+    evals, coords = np.linalg.eigh((d + _adjoint(d)) / 2)
+    weights = (s[..., None, :] @ np.abs(coords) ** 2)[..., 0, :]
+    evals = linalg.snap_kernel(evals, evals * weights, tr_rho[..., None], n)
+    return (rho, sigma, tilde, dominated, escaped, basis, s, evals, coords,
+            weights)
+
+
 # analyze()'s one kept entry: (the key of its last pair, that pair's PairAnalysis).
 _last = None
 
@@ -193,78 +301,79 @@ def analyze(rho, sigma) -> PairAnalysis:
     PSD, with no division.  One eigensolve of d, formed on supp sigma, gives
     its spectrum and the sigma-weights.
 
+    The same body runs over a stack of pairs for d_prime and d_max, one
+    eigensolve of each kind for the whole stack; analyze itself takes one
+    pair.
+
     The last successful call is kept: a pair bit-identical to it (as
     complex matrices) gets the same read-only PairAnalysis back without
     eigensolves, and any other pair replaces it.  So one pair's arrays stay
     in memory; a call that raises keeps nothing.
     """
-    global _last
     sigma = linalg.as_matrix(sigma)
     rho = linalg.as_matrix(rho)
+    if sigma.ndim != 2 or rho.ndim != 2:
+        raise InvalidOperator("analyze takes one pair of square matrices; "
+                              "d_prime and d_max take stacks")
+    return _kept(rho, sigma)
+
+
+def _kept(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis:
+    """analyze() of one pair already read by linalg.as_matrix."""
+    global _last
     key = _key(sigma) + _key(rho)
     last = _last
     if last is not None and last[0] == key:
         return last[1]
-    sigma, s_evals, s_vecs = linalg.psd_spectrum(sigma)
-    keep = linalg.support_mask(s_evals)
-    # With sigma of full rank every support is dominated, so rho needs no
-    # eigenvectors.
-    full = bool(keep.all())
-    rho, r_evals, r_vecs = linalg.psd_spectrum(rho, vectors=not full)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch("rho and sigma must have equal dimensions")
-    if not keep.any():
-        raise ZeroSigma("sigma is the zero operator")
-
-    basis, s = s_vecs[:, keep], s_evals[keep]
-    dominated, tilde = True, rho
-    if not full:
-        Z = s_vecs.conj().T @ r_vecs
-        off = np.abs(Z[~keep][:, linalg.support_mask(r_evals)])
-        if off.max(initial=0.0) > linalg.DOMINATION_TOL:
-            dominated = False
-            cols = linalg.support_mask(r_evals, linalg.ROUNDOFF_CUTOFF)
-            R = Z[:, cols] * np.sqrt(r_evals[cols])
-            leak = R[~keep]
-            w, U = np.linalg.eigh(leak.conj().T @ leak)
-            T = basis @ R[keep] @ U[:, ~linalg.support_mask(w)]
-            tilde = T @ T.conj().T
-    tr_rho = float(np.trace(rho).real)
-    missing = tr_rho - float(np.trace(tilde).real)
-    escaped = 0.0 if linalg.negligible_mass(missing, tr_rho) else missing
-
-    inv_sqrt = 1.0 / np.sqrt(s)
-    d = (basis.conj().T @ tilde @ basis) * np.outer(inv_sqrt, inv_sqrt)
-    evals, coords = np.linalg.eigh((d + d.conj().T) / 2)
-    weights = s @ np.abs(coords) ** 2
-    evals = linalg.snap_kernel(evals, evals * weights, tr_rho, sigma.shape[0])
+    (rho, sigma, tilde, dominated, escaped, basis, s, evals, coords,
+     weights) = _analysis(rho, sigma)
     # a zeroed eigenvalue may lie above a kept one; clusters need them ascending
-    order = np.argsort(evals, kind="stable")
-    pair = PairAnalysis(rho, sigma, tilde, dominated, escaped, basis, s,
-                        evals[order], coords[:, order], weights[order])
+    if np.count_nonzero(evals[1:] < evals[:-1]):
+        order = np.argsort(evals, kind="stable")
+        evals, coords, weights = evals[order], coords[:, order], weights[order]
+    pair = PairAnalysis(rho, sigma, tilde, bool(dominated), float(escaped),
+                        basis, s, evals, coords, weights)
     _last = key, pair
     return pair
 
 
-def d_prime(rho, sigma, f: DivergenceGenerator) -> float:
+def _read(rho, sigma, f: DivergenceGenerator):
+    """d_prime of one pair (a float, through the kept analysis) or of each
+    pair of a stack (an array; the kept pair is left as it is)."""
+    sigma = linalg.as_matrix(sigma)
+    rho = linalg.as_matrix(rho)
+    if sigma.ndim == rho.ndim == 2:
+        return _kept(rho, sigma).d_prime(f)
+    *_, escaped, _, _, evals, _, weights = _analysis(rho, sigma)
+    return _value(f, evals, weights, escaped)
+
+
+def d_prime(rho, sigma, f: DivergenceGenerator):
     """The divergence tr sigma f(d(rho, sigma)), extended to all PSD pairs.
 
     When supp rho is not inside supp sigma, the value is
     d_prime(rho_tilde, sigma) + tr(rho - rho_tilde) * recession(f)
     with rho_tilde the Schur reduction of rho; +inf exactly when the
     recession is infinite and mass is left outside supp sigma.
+
+    rho and sigma may be stacks (..., n, n) of equal shape: the value of
+    each pair comes back as an array of shape (...), from one eigensolve of
+    each kind for the whole stack, and a stack neither reads nor replaces
+    the pair analyze() keeps.  NotPSD (or any other error) on one pair
+    raises for the stack.
     """
-    return analyze(rho, sigma).d_prime(f)
+    return _read(rho, sigma, f)
 
 
-def d_max(rho, sigma, f: DivergenceGenerator) -> float:
+def d_max(rho, sigma, f: DivergenceGenerator):
     """Maximal f-divergence: the infimum of D_f(p||q) over reverse tests.
 
     Computed in closed form (it coincides with d_prime for operator convex
     generators); refuses generators not flagged operator convex, since the
-    closed form is only valid for them.
+    closed form is only valid for them.  Takes stacks as d_prime does.
     """
-    return analyze(rho, sigma).d_max(f)
+    _require_operator_convex(f)
+    return _read(rho, sigma, f)
 
 
 def minimal_reverse_test(rho, sigma) -> ReverseTest:
@@ -287,17 +396,22 @@ def reverse_test_value(rt: ReverseTest, f: DivergenceGenerator) -> float:
 
 def perturbation_limit_probe(rho, sigma, f: DivergenceGenerator,
                              epsilons) -> list[tuple[float, float]]:
-    """Evaluate d_prime(rho || sigma + eps * 1) along a descending eps grid.
+    """Evaluate d_prime(rho || sigma + eps * 1) along a descending eps grid,
+    every eps in one stacked d_prime call.
 
     The sequence is non-decreasing as eps decreases; for finite recession it
     converges to d_max(rho||sigma), otherwise it diverges when supp rho is
-    not inside supp sigma.
+    not inside supp sigma.  ValueError unless every eps is positive and
+    finite and the grid strictly descends.
     """
     eps = [float(e) for e in epsilons]
-    if any(e <= 0 for e in eps):
-        raise ValueError("epsilons must be positive")
+    if not all(0 < e < math.inf for e in eps):
+        raise ValueError("epsilons must be positive and finite")
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly descending")
     pair = analyze(rho, sigma)
-    eye = np.eye(pair.sigma.shape[0])
-    return [(e, d_prime(pair.rho, pair.sigma + e * eye, f)) for e in eps]
+    if not eps:
+        return []
+    sigmas = pair.sigma + np.multiply.outer(eps, np.eye(pair.sigma.shape[0]))
+    values = d_prime(np.broadcast_to(pair.rho, sigmas.shape), sigmas, f)
+    return list(zip(eps, values.tolist()))

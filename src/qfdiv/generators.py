@@ -144,9 +144,10 @@ def recession_value(f: DivergenceGenerator) -> float:
 
 def _as_weights(v, label: str) -> np.ndarray:
     v = np.asarray(v, dtype=float).ravel()
-    if not np.isfinite(v).all():
+    if np.count_nonzero(np.isfinite(v)) < v.size:
         raise InvalidDistribution(f"{label} has a non-finite entry")
-    if v.size and v.min() < -1e-12 * float(np.abs(v).max()):
+    if v.size and (np.minimum.reduce(v)
+                   < -1e-12 * np.maximum.reduce(np.abs(v))):
         raise InvalidDistribution(f"{label} has negative entries")
     return np.maximum(v, 0.0)
 
@@ -165,12 +166,12 @@ def classical_f_divergence(p, q, f: DivergenceGenerator) -> float:
             f"length mismatch: p has {p.size} entries, q has {q.size}")
     total = 0.0
     pos = q > 0
-    if pos.any():
+    if np.count_nonzero(pos):
         vals = np.asarray(f.eval(p[pos] / q[pos]), dtype=float)
-        if np.isnan(vals).any():
+        if np.count_nonzero(np.isnan(vals)):
             raise DomainError("generator returned NaN on a likelihood ratio")
         total += float(np.dot(q[pos], vals))
-    escaped = float(p[~pos].sum())
+    escaped = float(np.add.reduce(p[~pos]))
     if escaped > 0.0:
         rec = recession_value(f)
         if rec == INF:
@@ -179,25 +180,30 @@ def classical_f_divergence(p, q, f: DivergenceGenerator) -> float:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # atoms may be an array: compared by identity
 class LownerForm:
     """Finite quadrature form  a y + b y^2 + sum_j w_j (y/(1+t_j) + psi_{t_j}(y)).
 
     Used only as a verification device for the integral representation of
     operator convex functions; continuous measures enter through
-    caller-supplied quadrature atoms (t_j, w_j).
+    caller-supplied quadrature atoms (t_j, w_j): pairs ((t, w), ...) or an
+    (n, 2) array such as lebesgue_atoms() gives.
+
+    Each atom adds w (y/(1+t) - y/(y+t)) = w y (y - 1) / ((1 + t)(y + t)),
+    so eval weighs the atoms once, c_j = w_j / (1 + t_j), and then takes
+    one pass over them per grid point: y (y - 1) sum_j c_j / (y + t_j).
     """
 
     a: float
     b: float
-    atoms: tuple[tuple[float, float], ...] = ()
+    atoms: tuple[tuple[float, float], ...] | np.ndarray = ()
 
     def eval(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        out = self.a * y + self.b * y * y
-        for t, w in self.atoms:
-            out = out + w * (y / (1.0 + t) - y / (y + t))
-        return out
+        t, w = np.asarray(self.atoms, dtype=float).reshape(-1, 2).T
+        c = w / (1.0 + t)
+        acc = np.array([np.dot(c, 1.0 / (x + t)) for x in y.flat])
+        return self.a * y + self.b * y * y + y * (y - 1.0) * acc.reshape(y.shape)
 
 
 def lowner_quadrature_check(f: DivergenceGenerator, form: LownerForm,
@@ -208,12 +214,13 @@ def lowner_quadrature_check(f: DivergenceGenerator, form: LownerForm,
 
 
 def lebesgue_atoms(t_min: float = 1e-6, t_max: float = 1e8,
-                   n: int = 4000) -> tuple[tuple[float, float], ...]:
+                   n: int = 4000) -> np.ndarray:
     """Trapezoidal quadrature atoms for the Lebesgue measure dt on a
-    log-spaced grid; the atoms that represent xlogx exactly in the limit."""
+    log-spaced grid, as an (n, 2) array of rows (t, w); the atoms that
+    represent xlogx exactly in the limit."""
     t = np.logspace(math.log10(t_min), math.log10(t_max), n)
     w = np.empty_like(t)
     w[1:-1] = (t[2:] - t[:-2]) / 2
     w[0] = (t[1] - t[0]) / 2
     w[-1] = (t[-1] - t[-2]) / 2
-    return tuple(zip(t.tolist(), w.tolist()))
+    return np.column_stack((t, w))

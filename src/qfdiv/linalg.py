@@ -40,58 +40,71 @@ TP_TOL = 1e-10
 
 
 def as_matrix(A) -> np.ndarray:
-    """A as a complex array; InvalidOperator unless it is a non-empty square matrix."""
+    """A as a complex array; InvalidOperator unless it is a non-empty square
+    matrix or a stack (..., n, n) of them."""
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or not A.size:
         raise InvalidOperator(f"expected a non-empty square matrix, got shape {A.shape}")
     return A
 
 
 def as_hermitian(A) -> np.ndarray:
-    """Check A finite and Hermitian (see HERMITIAN_TOL); return (A + A†)/2."""
+    """Check A finite and Hermitian (see HERMITIAN_TOL), each matrix of a
+    stack against its own scale; return (A + A†)/2."""
     A = as_matrix(A)
-    scale = float(np.abs(A).max())
-    if not np.isfinite(scale):
+    scale = np.maximum.reduce(np.abs(A), axis=(-2, -1), keepdims=True)
+    if np.count_nonzero(scale < np.inf) < scale.size:
         raise InvalidOperator("matrix has a non-finite entry")
-    if float(np.abs(A - A.conj().T).max()) > HERMITIAN_TOL * scale:
+    H = A.conj().swapaxes(-1, -2)
+    if np.count_nonzero(np.abs(A - H) > HERMITIAN_TOL * scale):
         raise InvalidOperator("matrix is not Hermitian within tolerance")
-    return (A + A.conj().T) / 2
+    out = A + H
+    out *= 0.5
+    return out
 
 
 def psd_spectrum(A, vectors: bool = True):
-    """Check A Hermitian and PSD from one eigensolve.
+    """Check A (or each matrix of a stack) Hermitian and PSD from one eigensolve.
 
     Returns (A symmetrized, ascending eigenvalues, eigenvectors or None).
-    Eigenvalues down to -psd_slack(eigenvalues) are accepted.
+    Eigenvalues down to -psd_slack(eigenvalues) are accepted; NotPSD when
+    a matrix of a stack dips lower.
     """
     A = as_hermitian(A)
     if vectors:
         evals, vecs = np.linalg.eigh(A)
     else:
         evals, vecs = np.linalg.eigvalsh(A), None
-    tol = psd_slack(evals)
-    if evals[0] < -tol:
-        raise NotPSD(f"minimum eigenvalue {evals[0]:.3e} below -{tol:.3e}")
+    low, tol = evals[..., :1], psd_slack(evals)
+    bad = low < -tol
+    if np.count_nonzero(bad):
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NotPSD(f"minimum eigenvalue {low[at]:.3e} below -{tol[at]:.3e}")
     return A, evals, vecs
 
 
-def psd_slack(evals: np.ndarray) -> float:
+def psd_slack(evals: np.ndarray) -> np.ndarray:
     """How far below 0 the eigenvalues of a PSD operator may reach:
-    PSD_SLACK * RANK_CUTOFF * dim times the spectral radius."""
-    return RANK_CUTOFF * evals.size * float(np.abs(evals).max()) * PSD_SLACK
+    PSD_SLACK * RANK_CUTOFF * dim times the spectral radius, one per row of
+    a stack of spectra (keepdims)."""
+    return ((PSD_SLACK * RANK_CUTOFF * evals.shape[-1])
+            * np.maximum.reduce(np.abs(evals), axis=-1, keepdims=True))
 
 
-def support_mask(evals: np.ndarray, cutoff: float = RANK_CUTOFF) -> np.ndarray:
+def support_mask(evals: np.ndarray, cutoff: float = RANK_CUTOFF,
+                 dim=None) -> np.ndarray:
     """Eigenvalues of a PSD operator that count as its support.
 
-    Those above cutoff * dim times the largest; none when the largest is not
-    positive.  Every rank decision of the package is made here, at
-    RANK_CUTOFF, or at ROUNDOFF_CUTOFF for the Schur factor.
+    Those above cutoff * dim times the largest, per row of a stack of
+    spectra; dim is the length of a row unless given (per row, where a row
+    is padded with zeros), and none count when the largest is not positive.
+    Every rank decision of the package is made here, at RANK_CUTOFF, or at
+    ROUNDOFF_CUTOFF for the Schur factor.
     """
-    lam_max = float(evals.max())
-    if lam_max <= 0.0:
-        return np.zeros(evals.shape, dtype=bool)
-    return evals > cutoff * evals.size * lam_max
+    if dim is None:
+        dim = evals.shape[-1]
+    lam_max = np.maximum.reduce(evals, axis=-1, keepdims=True)
+    return evals > cutoff * dim * lam_max
 
 
 def negligible_mass(mass: float, total: float) -> bool:
@@ -105,9 +118,10 @@ def projector(V: np.ndarray) -> np.ndarray:
     return (P + P.conj().T) / 2
 
 
-def snap_kernel(evals: np.ndarray, shares: np.ndarray, total: float,
+def snap_kernel(evals: np.ndarray, shares: np.ndarray, total,
                 dim: int) -> np.ndarray:
-    """evals, 0 where shares <= KERNEL_FLOOR * dim * total (negative ones too)."""
+    """evals, 0 where shares <= KERNEL_FLOOR * dim * total (negative ones
+    too); total is one per row of a stack of spectra, with keepdims."""
     return np.where(shares > KERNEL_FLOOR * dim * total, evals, 0.0)
 
 

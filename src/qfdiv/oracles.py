@@ -139,11 +139,14 @@ def random_reverse_test(rho, sigma, rng: np.random.Generator) -> ReverseTest:
     With t uniform in (0.1, 0.9) and tau = t rho + (1 - t) sigma, the
     eigenvectors u_j of M = tau^{-1/2} rho tau^{-1/2} on supp tau give atoms
     c_j c_j^H / w_j with c_j = tau^{1/2} u_j and w_j = |c_j|^2, weighted
-    p_j = m_j w_j and q_j = (1 - t m_j) w_j / (1 - t).  Since
-    t M + (1 - t) tau^{-1/2} sigma tau^{-1/2} = 1 on supp tau, the atoms
-    rebuild both operands.  NotPSD when tau or one of the shares t m_j,
-    1 - t m_j is not PSD, or when the operands do not vanish on ker tau;
-    DimensionMismatch on unequal shapes; ZeroSigma when both are 0.
+    p_j = m_j w_j and q_j = n_j w_j, where n_j = <u_j|N|u_j> is read from
+    N = tau^{-1/2} sigma tau^{-1/2} itself.  Since t M + (1 - t) N = 1 on
+    supp tau, the atoms rebuild both operands; n_j is not formed as
+    (1 - t m_j) / (1 - t), which cancels when t m_j is close to 1 (rank-1
+    rho against an ill-conditioned sigma).  NotPSD when tau or one of the
+    shares t m_j, (1 - t) n_j is not PSD, or when the operands do not
+    vanish on ker tau; DimensionMismatch on unequal shapes; ZeroSigma when
+    both are 0.
     """
     rho = linalg.as_hermitian(rho)
     sigma = linalg.as_hermitian(sigma)
@@ -153,6 +156,7 @@ def random_reverse_test(rho, sigma, rng: np.random.Generator) -> ReverseTest:
     _, evals, vecs = linalg.psd_spectrum(t * rho + (1.0 - t) * sigma)
     keep = linalg.support_mask(evals)
     R = vecs.conj().T @ rho @ vecs              # rho in the eigenbasis of tau
+    S = vecs.conj().T @ sigma @ vecs            # and sigma
     # the shares see only supp tau, so rho's part on ker tau is checked here:
     # 0 <= t rho <= tau gives |t R_kj|^2 <= (lam_k + slack)(lam_j + slack)
     cap = np.sqrt(np.abs(evals) + linalg.psd_slack(evals))
@@ -161,10 +165,13 @@ def random_reverse_test(rho, sigma, rng: np.random.Generator) -> ReverseTest:
     if not keep.any():
         raise ZeroSigma("rho and sigma are both the zero operator")
     root = np.sqrt(evals[keep])
-    M = R[np.ix_(keep, keep)] / np.outer(root, root)
+    scale = np.outer(root, root)
+    M = R[np.ix_(keep, keep)] / scale
     m, U = np.linalg.eigh((M + M.conj().T) / 2)
+    N = S[np.ix_(keep, keep)] / scale
+    n = np.einsum("ij,ij->j", U.conj(), N @ U).real    # <u_j|N|u_j>
     shares = []
-    for share in (t * m, 1.0 - t * m):
+    for share in (t * m, (1.0 - t) * n):
         if share.min() < -linalg.psd_slack(share):
             raise NotPSD(f"share {share.min():.3e} of the mixture is negative")
         # snap dust to 0: a divergence with infinite slope at 0 amplifies it

@@ -121,7 +121,8 @@ def second_derivative_check(rho, X, Y, f: DivergenceGenerator,
 
     The raw step is rescaled by lambda_min(rho)/||direction|| per direction
     so the perturbed operators stay PSD; StepError if they do not, or if the
-    step is not finite and positive.
+    step is not finite and positive.  The 12 divergences of the three
+    layouts come from one stacked d_prime call.
     """
     if f.second_deriv_at_1 is None:
         raise UnsupportedGenerator(
@@ -138,21 +139,18 @@ def second_derivative_check(rho, X, Y, f: DivergenceGenerator,
     if not (0 < step < math.inf and s * t > 0):
         raise StepError(f"step {step} is not finite and positive, or underflows")
 
-    def probe(first, second) -> float:
-        try:
-            return d_prime(first, second, f)
-        except NotPSD as exc:
-            raise StepError("finite-difference step leaves the PSD cone") from exc
-
-    fd1 = _mixed_difference(
-        [probe(rho + a * s * X, rho - b * t * Y)
-         for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))], s, t)
-    fd2 = _mixed_difference(
-        [probe(rho, rho + a * s * X + b * t * Y)
-         for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))], s, t)
-    fd3 = _mixed_difference(
-        [probe(rho + a * s * X + b * t * Y, rho)
-         for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))], s, t)
+    # the 12 probes as one stack: the sign pairs (a, b) of each layout
+    a = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * s
+    b = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None] * t
+    base = np.broadcast_to(rho, (4,) + rho.shape)
+    both = rho + a * X + b * Y
+    try:
+        values = d_prime(np.concatenate([rho + a * X, base, both]),
+                         np.concatenate([rho - b * Y, both, base]), f)
+    except NotPSD as exc:
+        raise StepError("finite-difference step leaves the PSD cone") from exc
+    fd1, fd2, fd3 = (_mixed_difference(v, s, t)
+                     for v in values.reshape(3, 4).tolist())
 
     analytic = f.second_deriv_at_1 * _metric(evals, vecs, X, Y).real
     return SecondDerivativeResult(

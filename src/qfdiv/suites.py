@@ -253,17 +253,18 @@ def _suite_dpi(cfg, tol):
 
 def _suite_convexity(cfg, tol):
     weights = [k / 10 for k in range(1, 10)]
+    c = np.array(weights)[:, None, None]
     for i, rng, dim, f in _trials(cfg):
         rho0, sigma0 = _pair(rng, dim)
         rho1, sigma1 = _pair(rng, dim)
         d0 = d_max(rho0, sigma0, f)
         d1 = d_max(rho1, sigma1, f)
-        for c in weights:
-            mixed = d_max(c * rho0 + (1 - c) * rho1,
-                          c * sigma0 + (1 - c) * sigma1, f)
-            bound = (c * d0 + (1 - c) * d1
+        mixed = d_max(c * rho0 + (1 - c) * rho1,
+                      c * sigma0 + (1 - c) * sigma1, f)
+        for w, value in zip(weights, mixed.tolist()):
+            bound = (w * d0 + (1 - w) * d1
                      if math.isfinite(d0) and math.isfinite(d1) else math.inf)
-            yield _le_row("convexity", dim, i, mixed, bound, tol)
+            yield _le_row("convexity", dim, i, value, bound, tol)
 
 
 def _suite_sigma_monotonicity(cfg, tol):

@@ -16,9 +16,10 @@ from qfdiv import divergence, oracles
 from qfdiv.channels import equality_check, unitary_channel
 from qfdiv.divergence import (PairAnalysis, analyze, d_max, d_prime,
                               minimal_reverse_test, reverse_test_value)
-from qfdiv.errors import NotPSD
+from qfdiv.errors import InvalidOperator, NotPSD
 from qfdiv.generators import builtin
 from qfdiv.matio import save_matrix
+from qfdiv.suites import _ill_conditioned_pair
 
 GENS = [builtin("xlogx"), builtin("square"), builtin("neg_power", 0.5),
         builtin("power", 1.5)]
@@ -180,6 +181,110 @@ class TestKeptPair:
         assert twin is not pair
         assert [twin.d_max(f) for f in GENS] == values
         assert analyze(rho, sigma) is twin
+
+
+def stack_items(rng, dim=4):
+    """One pair of each kind: dominated with sigma of full rank, rho of rank
+    1 and of full rank; rank-deficient and dominated; undominated against
+    sigma of rank 2 and of rank 3 (mass escapes: finite recession for
+    neg_power, infinite for the others)."""
+    V = np.linalg.qr(rng.standard_normal((dim, dim))
+                     + 1j * rng.standard_normal((dim, dim)))[0]
+    low = V[:, :2] @ random_state(rng, 2) @ V[:, :2].conj().T
+    inside = V[:, :2] @ random_state(rng, 2, rank=1) @ V[:, :2].conj().T
+    return [(random_state(rng, dim), random_state(rng, dim)),
+            (random_state(rng, dim, rank=1), random_state(rng, dim)),
+            (inside, low),
+            (random_state(rng, dim), low),
+            (random_state(rng, dim), random_state(rng, dim, rank=3))]
+
+
+def assert_matches_scalar(rhos, sigmas, values, f):
+    expected = [d_max(r, s, f) for r, s in zip(rhos, sigmas)]
+    assert values.shape == (len(expected),)
+    for got, want in zip(values.tolist(), expected):
+        if math.isinf(want):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+class TestStackedAnalysis:
+    """d_prime and d_max over a stack (..., n, n): one body, one eigensolve
+    of each kind for the stack, the same values as pair by pair."""
+
+    @pytest.mark.parametrize("f", GENS, ids=lambda f: f.name)
+    def test_each_kind_alone_and_mixed(self, f):
+        items = stack_items(np.random.default_rng(40))
+        for item in items:
+            rhos, sigmas = np.array([item[0]]), np.array([item[1]])
+            assert_matches_scalar(rhos, sigmas, d_max(rhos, sigmas, f), f)
+        rhos = np.array([r for r, _ in items] * 2)
+        sigmas = np.array([s for _, s in items] * 2)
+        order = np.random.default_rng(41).permutation(len(rhos))
+        rhos, sigmas = rhos[order], sigmas[order]
+        assert_matches_scalar(rhos, sigmas, d_max(rhos, sigmas, f), f)
+        assert_matches_scalar(rhos, sigmas, d_prime(rhos, sigmas, f), f)
+        grid = d_max(rhos.reshape(2, 5, 4, 4), sigmas.reshape(2, 5, 4, 4), f)
+        assert grid.shape == (2, 5)
+        np.testing.assert_array_equal(grid.ravel(), d_max(rhos, sigmas, f))
+
+    @pytest.mark.parametrize("seed", [216, 350, 546, 666, 1003, 377, 521, 871])
+    def test_ill_conditioned_seeds(self, seed):
+        rng = np.random.default_rng(10000 + seed)
+        dim = int(rng.integers(2, 9))
+        rho, sigma = _ill_conditioned_pair(rng, dim, inside=bool(seed % 2))
+        other = np.random.default_rng(seed)
+        for f in GENS:
+            rhos, sigmas = np.array([rho, rho]), np.array([sigma, sigma])
+            assert_matches_scalar(rhos, sigmas, d_max(rhos, sigmas, f), f)
+        # beside a full-rank pair and a pair whose sigma has another kernel,
+        # the pair's block is padded: its zero rows move the roundoff of the
+        # products, which sigma^{-1/2} amplifies by up to cond(sigma on its
+        # support), as on any other route to the value
+        pair = analyze(rho, sigma)
+        cond = pair.sigma_evals.max() / pair.sigma_evals.min()
+        rhos = np.array([rho, random_state(other, dim), rho])
+        sigmas = np.array([sigma, random_state(other, dim),
+                           random_state(other, dim, rank=dim - 1)])
+        for f in GENS:
+            got = d_max(rhos, sigmas, f)[0]
+            want = d_max(rho, sigma, f)
+            assert got == want or abs(got - want) <= 1e-15 * cond * abs(want)
+
+    def test_one_bad_item_raises_for_the_stack(self):
+        rho, sigma = dominated_pair()
+        rhos = np.array([rho, rho - 0.5 * np.eye(4), rho])
+        with pytest.raises(NotPSD):
+            d_max(rhos, np.array([sigma] * 3), GENS[0])
+        with pytest.raises(NotPSD):
+            d_prime(np.array([rho] * 3), rhos, GENS[0])
+
+    def test_kept_pair_is_left_alone(self):
+        kept = analyze(*dominated_pair())
+        before = divergence._last
+        rho, sigma = schur_pair()
+        d_max(np.array([rho, sigma]), np.array([sigma, rho]), GENS[0])
+        assert divergence._last is before
+        assert analyze(*dominated_pair()) is kept
+
+    @pytest.mark.parametrize("schur, solves", [(False, 3), (True, 4)])
+    def test_a_stack_takes_the_eigensolves_of_one_pair(self, eigensolves,
+                                                       schur, solves):
+        rng = np.random.default_rng(42)
+        rhos = np.array([random_state(rng, 4) for _ in range(8)])
+        sigmas = np.array([random_state(rng, 4) for _ in range(8)])
+        if schur:
+            sigmas[5] = random_state(rng, 4, rank=2)
+        eigensolves[0] = 0
+        values = d_max(rhos, sigmas, GENS[1])
+        assert eigensolves[0] == solves
+        assert np.isinf(values[5]) == schur
+
+    def test_analyze_takes_one_pair(self):
+        rho, sigma = dominated_pair()
+        with pytest.raises(InvalidOperator):
+            analyze(np.array([rho]), np.array([sigma]))
 
 
 class TestOracleEigensolveCount:

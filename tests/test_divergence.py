@@ -320,6 +320,13 @@ class TestPerturbationProbe:
         with pytest.raises(ValueError):
             perturbation_limit_probe(PROJ0, PROJP, HALF, [0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_epsilon(self, bad):
+        # NaN passes both the sign and the order test by comparing False
+        for grid in ([bad], [bad, 1e-4], [1e-2, bad]):
+            with pytest.raises(ValueError):
+                perturbation_limit_probe(PROJ0, PROJP, HALF, grid)
+
 
 class TestClassicalOracle:
     def test_half_log_example(self):

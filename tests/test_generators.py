@@ -218,6 +218,24 @@ class TestLownerForms:
         err = lowner_quadrature_check(builtin("xlogx"), form, grid)
         assert err <= 1e-3
 
+    def test_atoms_match_the_explicit_sum(self):
+        atoms = ((0.3, 0.7), (2.0, 1.5), (40.0, 0.25))
+        y = np.linspace(0.0, 20.0, 41)
+        explicit = 0.5 * y - 0.1 * y * y
+        for t, w in atoms:
+            explicit = explicit + w * (y / (1.0 + t) - y / (y + t))
+        for given in (atoms, np.array(atoms)):
+            got = LownerForm(a=0.5, b=-0.1, atoms=given).eval(y)
+            np.testing.assert_allclose(got, explicit, rtol=1e-12, atol=0.0)
+        assert LownerForm(0.5, -0.1, atoms).eval(2.0) == pytest.approx(
+            explicit[4], rel=1e-12)
+
+    def test_lebesgue_atoms_are_rows(self):
+        atoms = lebesgue_atoms()
+        assert atoms.shape == (4000, 2)
+        assert atoms[0, 0] == pytest.approx(1e-6) and atoms[-1, 0] == pytest.approx(1e8)
+        assert (atoms[:, 1] > 0).all()
+
     def test_xlogx_integral_identity_adaptive_oracle(self):
         # independent check of the identity behind the quadrature:
         # integral of y/(1+t) - y/(y+t) over t in (0, inf) equals y log y

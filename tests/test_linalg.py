@@ -145,6 +145,17 @@ class TestSupport:
         with pytest.raises(errors.NotPSD):
             support_projector(np.diag([1.0, -0.2]))
 
+    def test_a_stack_is_judged_matrix_by_matrix(self):
+        # beside a matrix of scale 1, a small one is held to its own scale
+        big = np.diag([1.0, 0.5])
+        with pytest.raises(errors.InvalidOperator):
+            as_hermitian(np.array([big, 1e-12 * np.array([[1.0, 0.5], [0.0, 1.0]])]))
+        with pytest.raises(errors.NotPSD):
+            linalg.psd_spectrum(np.array([big, 1e-12 * np.diag([1.0, -0.5])]))
+        _, evals, _ = linalg.psd_spectrum(np.array([big, 1e-12 * big]))
+        np.testing.assert_array_equal(linalg.support_mask(evals),
+                                      [[True, True], [True, True]])
+
     def test_validation_slack_scales_with_the_operand(self):
         # a negative eigenvalue or an asymmetry of half the scale is rejected
         # however small the scale; the roundoff of a valid kernel is not

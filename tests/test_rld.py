@@ -133,8 +133,8 @@ class TestSecondDerivative:
 
 
 def test_check_takes_one_analysis_per_probe(monkeypatch):
-    # one eigensolve of rho, then 3 per d_prime probe of a full-rank pair
-    # (sigma, rho, d) for the 12 probes; the probes are not checked twice
+    # one eigensolve of rho, then one stacked d_prime for all 12 probes of a
+    # full-rank rho: one eigensolve each of sigma, rho and d for the stack
     count = [0]
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -149,4 +149,4 @@ def test_check_takes_one_analysis_per_probe(monkeypatch):
     Y = random_tangent(rho, rng).direction
     count[0] = 0
     second_derivative_check(rho, X, Y, XLOGX)
-    assert count[0] <= 37
+    assert count[0] <= 4

@@ -57,6 +57,15 @@ class TestRunner:
             "lowner-quadrature", "geometric-mean-symmetry",
             "commutative-oracle"}
 
+    @pytest.mark.parametrize("seed", [358, 3037])
+    def test_random_reverse_test_at_rank_one_rho(self, seed):
+        # trial 1 is a dim-3 pair with rank-1 rho and cond(sigma) ~ 1e4; the
+        # random reverse test once formed sigma's share as 1 - t m, which
+        # cancelled and undercut the minimum by 2e-8 under square
+        report = run_suite(SuiteConfig(suite="reverse-test-optimality",
+                                       trials=3, dims=(2, 3, 4), seed=seed))
+        assert report.ok()
+
     def test_all_suites_pass_smoke(self):
         for name in SUITE_NAMES:
             rep = run_suite(SuiteConfig(suite=name, trials=12, seed=3))
