@@ -62,6 +62,8 @@ def kraus_channel(operators) -> KrausChannel:
     ops = tuple(np.asarray(K, dtype=complex) for K in operators)
     if not ops:
         raise InvalidOperator("a channel needs at least one Kraus operator")
+    if ops[0].ndim != 2 or not ops[0].size:
+        raise InvalidOperator("Kraus operators must be non-empty matrices")
     dim_out, dim_in = ops[0].shape
     if any(K.shape != (dim_out, dim_in) for K in ops):
         raise DimensionMismatch("Kraus operators have inconsistent shapes")
@@ -78,6 +80,8 @@ def unitary_channel(U) -> KrausChannel:
 
 def depolarizing_channel(dim: int, noise: float) -> KrausChannel:
     """(1 - noise) * A + noise * tr(A) 1/dim as a Kraus family."""
+    if dim < 1:
+        raise DimensionMismatch(f"dim must be at least 1, got {dim}")
     if not 0.0 <= noise <= 1.0:
         raise InvalidOperator(f"noise must lie in [0, 1], got {noise}")
     ops = []

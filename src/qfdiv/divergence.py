@@ -11,7 +11,8 @@ the same value as a classical f-divergence and reconstructs the pair.
 analyze() makes one spectral analysis of a pair (PairAnalysis); d_max,
 d_prime, the reverse test, rho_tilde and d all read from it, and a repeated
 call on the same pair returns the same analysis.  d_max and d_prime also
-take a stack of pairs, which the same analysis body reads at once.
+take a stack of pairs: the same analysis body reads it at once when every
+sigma has full rank, and pair by pair otherwise.
 """
 
 from __future__ import annotations
@@ -166,113 +167,77 @@ def _require_operator_convex(f: DivergenceGenerator) -> None:
 
 
 def _value(f: DivergenceGenerator, evals, weights, escaped):
-    """weights . f(evals) + escaped * recession(f), one per pair of a stack;
-    +inf where mass escapes and the recession is infinite."""
+    """weights . f(evals) + escaped * recession(f), one per pair of a stack
+    (whose sigmas have full rank, so no mass escapes)."""
     vals = np.asarray(f.eval(evals), dtype=float)
     if np.count_nonzero(np.isnan(vals)):
         raise DomainError(f"generator {f.name!r} undefined on the spectrum of d")
     base = np.vecdot(weights, vals)
-    if not np.count_nonzero(escaped):
-        return base
-    rec = recession_value(f)
-    if rec == math.inf and base.ndim:
-        # in a stack, 0 * inf would be nan for a pair that keeps its mass
-        return np.where(escaped > 0, math.inf, base)
-    return base + escaped * rec
+    return base + escaped * recession_value(f) if escaped else base
 
 
 def _adjoint(A: np.ndarray) -> np.ndarray:
     return A.conj().swapaxes(-1, -2)
 
 
-def _counts(mask: np.ndarray):
-    """The number of True entries in each row of mask (with keepdims; an int
-    for one row), and the least and the largest of them."""
-    if mask.ndim == 1:
-        count = np.count_nonzero(mask)
-        return count, count, count
-    counts = np.add.reduce(mask, axis=-1, keepdims=True)
-    return counts, int(counts.min()), int(counts.max())
-
-
 def _analysis(rho: np.ndarray, sigma: np.ndarray):
-    """The analysis body of analyze(), over one pair or a stack (..., n, n)
-    of pairs read by linalg.as_matrix: the fields of PairAnalysis, one per
-    pair, with the spectrum of d as eigh leaves it (not re-sorted after the
-    kernel snap).
+    """The analysis body of analyze() over one pair read by linalg.as_matrix:
+    the fields of PairAnalysis, the spectrum of d ascending.
 
-    eigh sorts ascending, so sigma's kernel is a leading block of its
-    eigenbasis and rho's support a trailing one.  Every array is cut to the
-    stack's widest support of sigma ([..., lo:]) and its largest kernel
-    ([..., :hi]).  Only a stack is masked inside that block, where a pair's
-    own block is narrower: its padding carries zeros, which add nothing to a
-    value.  One pair carries no padding.
+    It broadcasts over a stack (..., n, n) whose sigmas all have full rank,
+    each array one entry per pair: with no kernel, every pair is dominated
+    and keeps its mass.  A stack where some sigma has a kernel gives None,
+    and _read reads it pair by pair.
     """
-    sigma, s_evals, s_vecs = linalg.psd_spectrum(sigma)
-    keep = linalg.support_mask(s_evals)
-    n = sigma.shape[-1]
-    _, least, most = _counts(keep)
-    lo, hi = n - most, n - least
-    # With every sigma of full rank every support is dominated, so rho needs
-    # no eigenvectors.
-    rho, r_evals, r_vecs = linalg.psd_spectrum(rho, vectors=hi > 0)
     if rho.shape != sigma.shape:
         raise DimensionMismatch("rho and sigma must have equal dimensions")
-    if hi == n:
+    sigma, s_evals, s_vecs = linalg.psd_spectrum(sigma)
+    keep = linalg.support_mask(s_evals)
+    # eigh sorts ascending, so sigma's kernel is the leading k columns of its
+    # eigenbasis (in a stack, k counts the kernels of every sigma)
+    k = keep.size - np.count_nonzero(keep)
+    if k and sigma.ndim > 2:
+        return None
+    n = sigma.shape[-1]
+    # With sigma of full rank every support is dominated, so rho needs no
+    # eigenvectors.
+    rho, r_evals, r_vecs = linalg.psd_spectrum(rho, vectors=k > 0)
+    if k == n:
         raise ZeroSigma("sigma is the zero operator")
-    stacked = sigma.ndim > 2
-    basis, s = s_vecs[..., lo:], s_evals[..., lo:]
-    live = keep[..., lo:]
-    if stacked:
-        inv_sqrt = np.where(live, 1.0 / np.sqrt(np.where(live, s, 1.0)), 0.0)
-        s = np.where(live, s, 0.0)
-    else:
-        inv_sqrt = 1.0 / np.sqrt(s)
+    basis, s = s_vecs[..., k:], s_evals[..., k:]
     tr_rho = rho.trace(axis1=-2, axis2=-1).real
 
     dominated, tilde, escaped = True, rho, 0.0
-    if hi:
+    if k:
         Z = _adjoint(s_vecs) @ r_vecs
         # rows of sigma's kernel, columns of rho's support
-        off = np.abs(Z[..., :hi, :]) * linalg.support_mask(r_evals)[..., None, :]
-        if stacked:
-            off *= ~keep[..., :hi, None]
-        dominated = (np.maximum.reduce(off, axis=(-2, -1), keepdims=True)
-                     <= linalg.DOMINATION_TOL)
-        if np.count_nonzero(dominated) < dominated.size:
+        off = np.abs(Z[:k, linalg.support_mask(r_evals)])
+        dominated = bool(off.max(initial=0.0) <= linalg.DOMINATION_TOL)
+        if not dominated:
             cols = linalg.support_mask(r_evals, linalg.ROUNDOFF_CUTOFF)
-            width, _, widest = _counts(cols)
-            first = n - widest
-            root = r_evals[..., first:]
-            if stacked:
-                root = np.where(cols[..., first:], root, 0.0)
-            R = Z[..., first:] * np.sqrt(root)[..., None, :]
-            leak, R_1 = R[..., :hi, :], R[..., lo:, :]
-            if stacked:
-                leak = leak * ~keep[..., :hi, None]
-                R_1 = R_1 * live[..., None]
-            w, U = np.linalg.eigh(_adjoint(leak) @ leak)
-            # the rank of leak^H leak counts R's live columns, not its padding;
-            # U keeps the columns of its kernel (a leading block), 1 - P
-            null = ~linalg.support_mask(w, dim=width)
-            rest = _counts(null)[2]
-            U = U[..., :rest]
-            if stacked:
-                U = U * null[..., None, :rest]
-            T = basis @ R_1 @ U
+            first = n - np.count_nonzero(cols)
+            R = Z[:, first:] * np.sqrt(r_evals[first:])
+            w, U = np.linalg.eigh(_adjoint(R[:k]) @ R[:k])   # leak^H leak
+            # U keeps the columns of the kernel of leak^H leak (a leading
+            # block), 1 - P
+            rest = w.size - np.count_nonzero(linalg.support_mask(w))
+            T = basis @ R[k:] @ U[:, :rest]
             tilde = T @ _adjoint(T)
-            if stacked:
-                tilde = np.where(dominated, rho, tilde)
-            missing = tr_rho - tilde.trace(axis1=-2, axis2=-1).real
-            escaped = np.where(linalg.negligible_mass(missing, tr_rho), 0.0,
-                               missing)
-        dominated = dominated[..., 0, 0]
+            missing = float(tr_rho - tilde.trace().real)
+            escaped = 0.0 if linalg.negligible_mass(missing, tr_rho) else missing
 
+    inv_sqrt = 1.0 / np.sqrt(s)
     d = ((_adjoint(basis) @ tilde @ basis)
          * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :]))
     evals, coords = np.linalg.eigh((d + _adjoint(d)) / 2)
     weights = (s[..., None, :] @ np.abs(coords) ** 2)[..., 0, :]
     evals = linalg.snap_kernel(evals, evals * weights, tr_rho[..., None], n)
+    # a zeroed eigenvalue may lie above a kept one; clusters and sums need them ascending
+    if np.count_nonzero(evals[..., 1:] < evals[..., :-1]):
+        order = np.argsort(evals, axis=-1, kind="stable")
+        evals = np.take_along_axis(evals, order, -1)
+        weights = np.take_along_axis(weights, order, -1)
+        coords = np.take_along_axis(coords, order[..., None, :], -1)
     return (rho, sigma, tilde, dominated, escaped, basis, s, evals, coords,
             weights)
 
@@ -301,9 +266,9 @@ def analyze(rho, sigma) -> PairAnalysis:
     PSD, with no division.  One eigensolve of d, formed on supp sigma, gives
     its spectrum and the sigma-weights.
 
-    The same body runs over a stack of pairs for d_prime and d_max, one
-    eigensolve of each kind for the whole stack; analyze itself takes one
-    pair.
+    analyze takes one pair.  d_prime and d_max run the same body at once
+    over a stack whose sigmas all have full rank, and pair by pair over any
+    other stack.
 
     The last successful call is kept: a pair bit-identical to it (as
     complex matrices) gets the same read-only PairAnalysis back without
@@ -325,14 +290,7 @@ def _kept(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis:
     last = _last
     if last is not None and last[0] == key:
         return last[1]
-    (rho, sigma, tilde, dominated, escaped, basis, s, evals, coords,
-     weights) = _analysis(rho, sigma)
-    # a zeroed eigenvalue may lie above a kept one; clusters need them ascending
-    if np.count_nonzero(evals[1:] < evals[:-1]):
-        order = np.argsort(evals, kind="stable")
-        evals, coords, weights = evals[order], coords[:, order], weights[order]
-    pair = PairAnalysis(rho, sigma, tilde, bool(dominated), float(escaped),
-                        basis, s, evals, coords, weights)
+    pair = PairAnalysis(*_analysis(rho, sigma))
     _last = key, pair
     return pair
 
@@ -344,8 +302,14 @@ def _read(rho, sigma, f: DivergenceGenerator):
     rho = linalg.as_matrix(rho)
     if sigma.ndim == rho.ndim == 2:
         return _kept(rho, sigma).d_prime(f)
-    *_, escaped, _, _, evals, _, weights = _analysis(rho, sigma)
-    return _value(f, evals, weights, escaped)
+    fields = _analysis(rho, sigma)
+    if fields is not None:
+        *_, escaped, _, _, evals, _, weights = fields
+        return _value(f, evals, weights, escaped)
+    # some sigma has a kernel: each pair is read alone
+    values = [PairAnalysis(*_analysis(rho[i], sigma[i])).d_prime(f)
+              for i in np.ndindex(sigma.shape[:-2])]
+    return np.reshape(values, sigma.shape[:-2])
 
 
 def d_prime(rho, sigma, f: DivergenceGenerator):
@@ -357,10 +321,12 @@ def d_prime(rho, sigma, f: DivergenceGenerator):
     recession is infinite and mass is left outside supp sigma.
 
     rho and sigma may be stacks (..., n, n) of equal shape: the value of
-    each pair comes back as an array of shape (...), from one eigensolve of
-    each kind for the whole stack, and a stack neither reads nor replaces
-    the pair analyze() keeps.  NotPSD (or any other error) on one pair
-    raises for the stack.
+    each pair comes back as an array of shape (...), equal to the value of
+    the pair alone.  A stack whose sigmas all have full rank takes one
+    eigensolve of each kind; a stack where some sigma has a kernel is read
+    pair by pair.  A stack neither reads nor replaces the pair analyze()
+    keeps, and NotPSD (or any other error) on one pair raises for the
+    stack.
     """
     return _read(rho, sigma, f)
 

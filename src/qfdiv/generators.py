@@ -213,12 +213,15 @@ def lowner_quadrature_check(f: DivergenceGenerator, form: LownerForm,
     return float(np.abs(form.eval(grid) - f.eval(grid)).max())
 
 
-def lebesgue_atoms(t_min: float = 1e-6, t_max: float = 1e8,
-                   n: int = 4000) -> np.ndarray:
+# lebesgue_atoms: log10 of the ends of its grid, and its number of atoms.
+_LEBESGUE_GRID = (-6.0, 8.0, 4000)
+
+
+def lebesgue_atoms() -> np.ndarray:
     """Trapezoidal quadrature atoms for the Lebesgue measure dt on a
-    log-spaced grid, as an (n, 2) array of rows (t, w); the atoms that
-    represent xlogx exactly in the limit."""
-    t = np.logspace(math.log10(t_min), math.log10(t_max), n)
+    log-spaced grid from 1e-6 to 1e8, as a (4000, 2) array of rows (t, w);
+    the atoms that represent xlogx exactly in the limit."""
+    t = np.logspace(*_LEBESGUE_GRID)
     w = np.empty_like(t)
     w[1:-1] = (t[2:] - t[:-2]) / 2
     w[0] = (t[1] - t[0]) / 2

@@ -91,20 +91,16 @@ def psd_slack(evals: np.ndarray) -> np.ndarray:
             * np.maximum.reduce(np.abs(evals), axis=-1, keepdims=True))
 
 
-def support_mask(evals: np.ndarray, cutoff: float = RANK_CUTOFF,
-                 dim=None) -> np.ndarray:
+def support_mask(evals: np.ndarray, cutoff: float = RANK_CUTOFF) -> np.ndarray:
     """Eigenvalues of a PSD operator that count as its support.
 
-    Those above cutoff * dim times the largest, per row of a stack of
-    spectra; dim is the length of a row unless given (per row, where a row
-    is padded with zeros), and none count when the largest is not positive.
-    Every rank decision of the package is made here, at RANK_CUTOFF, or at
-    ROUNDOFF_CUTOFF for the Schur factor.
+    Those above cutoff * dim times the largest, dim the length of the
+    spectrum, per row of a stack of spectra; none count when the largest is
+    not positive.  Every rank decision of the package is made here, at
+    RANK_CUTOFF, or at ROUNDOFF_CUTOFF for the Schur factor.
     """
-    if dim is None:
-        dim = evals.shape[-1]
     lam_max = np.maximum.reduce(evals, axis=-1, keepdims=True)
-    return evals > cutoff * dim * lam_max
+    return evals > cutoff * evals.shape[-1] * lam_max
 
 
 def negligible_mass(mass: float, total: float) -> bool:

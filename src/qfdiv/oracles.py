@@ -16,7 +16,8 @@ from .divergence import ReverseTest
 from .errors import DimensionMismatch, NonCommuting, NotPSD, ZeroSigma
 from .generators import DivergenceGenerator, classical_f_divergence
 
-# Frobenius norm of [rho, sigma] above which a pair does not commute.
+# Frobenius norm of [rho, sigma], relative to ||rho||_F ||sigma||_F, above
+# which a pair does not commute.
 _COMM_TOL = 1e-10
 
 
@@ -24,11 +25,13 @@ def joint_eigenvalues(rho, sigma):
     """Simultaneously diagonalize a commuting PSD pair.
 
     Returns (p, q): the eigenvalues of rho and sigma in a common eigenbasis.
-    Raises NonCommuting when ||[rho, sigma]||_F exceeds _COMM_TOL.
+    Raises NonCommuting when ||[rho, sigma]||_F exceeds
+    _COMM_TOL * ||rho||_F ||sigma||_F.
     """
     rho = linalg.psd_spectrum(rho, vectors=False)[0]
     sigma, w, V = linalg.psd_spectrum(sigma)
-    if float(np.linalg.norm(rho @ sigma - sigma @ rho)) > _COMM_TOL:
+    scale = float(np.linalg.norm(rho)) * float(np.linalg.norm(sigma))
+    if float(np.linalg.norm(rho @ sigma - sigma @ rho)) > _COMM_TOL * scale:
         raise NonCommuting("inputs do not commute within tolerance")
     n = w.size
     gap = linalg.RANK_CUTOFF * n * float(np.abs(w).max())

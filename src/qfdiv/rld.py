@@ -78,14 +78,17 @@ def random_tangent(rho, seed_or_rng) -> TangentPerturbation:
     """Draw a random normalized traceless direction inside supp rho.
 
     seed_or_rng is a Generator, or a Philox key as for random_state.
+    SupportError when rho is 0.
     """
     rng = _rng(seed_or_rng)
     rho, evals, _, pi = _spectrum(rho)
+    rank = round(float(np.trace(pi).real))
+    if not rank:
+        raise SupportError("rho has an empty support")
     n = rho.shape[0]
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     X = (G + G.conj().T) / 2
     X = pi @ X @ pi
-    rank = round(float(np.trace(pi).real))
     X = X - (np.trace(X).real / rank) * pi
     X = (X + X.conj().T) / 2
     X = X / max(float(np.linalg.norm(X, 2)), 1e-300)

@@ -64,6 +64,17 @@ class TestKrausBasics:
         with pytest.raises(errors.InvalidOperator):
             kraus_channel([[[bad, 0.0], [0.0, 1.0]]])
 
+    def test_empty_or_non_matrix_operator_rejected(self):
+        for make in (lambda: kraus_channel([np.zeros((0, 0))]),
+                     lambda: kraus_channel([np.zeros((2, 0))]),
+                     lambda: kraus_channel([np.zeros(3)]),
+                     lambda: kraus_channel([np.zeros((2, 2, 2))]),
+                     lambda: embedding_channel(0, 0)):
+            with pytest.raises(errors.InvalidOperator):
+                make()
+        with pytest.raises(errors.DimensionMismatch):
+            depolarizing_channel(0, 0.5)
+
     def test_identity(self):
         rng = np.random.default_rng(0)
         A = random_state(2, 2, rng)

@@ -17,7 +17,7 @@ from qfdiv.linalg import support_projector
 from qfdiv.matio import save_matrix
 from qfdiv.oracles import (bs_relative_entropy, classical_oracle,
                            umegaki_relative_entropy)
-from qfdiv.suites import _ill_conditioned_pair
+from qfdiv.suites import _commuting_pair, _ill_conditioned_pair, _pair
 
 XLOGX = builtin("xlogx")
 SQUARE = builtin("square")
@@ -347,6 +347,18 @@ class TestClassicalOracle:
     def test_non_commuting_rejected(self):
         with pytest.raises(errors.NonCommuting):
             classical_oracle(PROJ0, PROJP, XLOGX)
+
+    def test_commutator_cut_is_relative(self):
+        # the commutator is judged against ||rho|| ||sigma||, so neither a
+        # large commuting pair is refused nor a small non-commuting one read
+        rng = np.random.default_rng(5)
+        rho, sigma = _commuting_pair(rng, 3)
+        want = d_max(rho, sigma, XLOGX)
+        got = classical_oracle(1e4 * rho, 1e4 * sigma, XLOGX)
+        assert got == pytest.approx(1e4 * want, rel=1e-9)
+        rho, sigma = _pair(rng, 3, 3, 3)
+        with pytest.raises(errors.NonCommuting):
+            classical_oracle(1e-6 * rho, 1e-6 * sigma, XLOGX)
 
     def test_degenerate_rho_at_small_scale(self):
         # sigma's eigenvalues split into blocks by a gap relative to sigma,

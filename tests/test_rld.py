@@ -74,6 +74,10 @@ class TestTangent:
         np.testing.assert_array_equal(tp.direction, np.zeros((2, 2)))
         assert tp.step_bound == np.inf
 
+    def test_zero_rho_has_no_direction(self):
+        with pytest.raises(errors.SupportError):
+            random_tangent(np.zeros((2, 2)), 0)
+
 
 class TestSecondDerivative:
     def test_zero_directions(self):
