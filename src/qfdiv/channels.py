@@ -99,6 +99,8 @@ def depolarizing_channel(dim: int, noise: float) -> KrausChannel:
 
 def embedding_channel(dim_in: int, dim_out: int) -> KrausChannel:
     """Direct-sum embedding A -> [[A, 0], [0, 0]] via an isometry."""
+    if dim_in < 1:
+        raise InvalidOperator("embedding needs dim_in >= 1")
     if dim_out < dim_in:
         raise DimensionMismatch("embedding needs dim_out >= dim_in")
     V = np.zeros((dim_out, dim_in), dtype=complex)

@@ -30,29 +30,46 @@ from .generators import DivergenceGenerator, classical_f_divergence, recession_v
 
 @dataclass(frozen=True)
 class ReverseTest:
-    """A finite family of unit-trace PSD outputs with weight vectors p, q.
+    """A finite family of unit-trace PSD atoms with weight vectors p, q,
+    held as their factors.
 
     Represents the classical-to-quantum simulation  Gamma(p) = rho,
-    Gamma(q) = sigma,  where Gamma maps the point mass at x to outputs[x].
+    Gamma(q) = sigma,  where Gamma maps the point mass at x to the atom
+    X_x X_x^H.  factors is one (n, m) array whose column groups, starting
+    at the columns in starts, are the X_x, each of unit Frobenius norm; so
+    each atom is PSD by construction and a test costs O(n m), not O(m n^2).
     """
 
-    outputs: tuple[np.ndarray, ...]
+    factors: np.ndarray
+    starts: np.ndarray
     p: np.ndarray
     q: np.ndarray
     labels: tuple[str, ...]
 
     def __len__(self) -> int:
-        return len(self.outputs)
+        return self.p.size
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """The number of columns of each atom's factor."""
+        return np.diff(self.starts, append=self.factors.shape[1])
+
+    def groups(self) -> list[np.ndarray]:
+        """The factor X_x of each atom, a view of factors."""
+        return [self.factors[:, a:a + k] for a, k in zip(self.starts, self.sizes)]
+
+    @property
+    def outputs(self) -> tuple[np.ndarray, ...]:
+        """The dense atoms X_x X_x^H, built afresh (and writable) on each read."""
+        return tuple(X @ X.conj().T for X in self.groups())
 
     def reconstruct(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Gamma(p), Gamma(q)) assembled from the atoms."""
-        dim = self.outputs[0].shape[0]
-        rho = np.zeros((dim, dim), dtype=complex)
-        sigma = np.zeros((dim, dim), dtype=complex)
-        for w_p, w_q, out in zip(self.p, self.q, self.outputs):
-            rho += w_p * out
-            sigma += w_q * out
-        return rho, sigma
+        """(Gamma(p), Gamma(q)): F diag(p) F^H and F diag(q) F^H, each weight
+        repeated over its atom's columns of F = factors."""
+        F, sizes = self.factors, self.sizes
+        Fh = F.conj().T
+        return ((F * np.repeat(self.p, sizes)) @ Fh,
+                (F * np.repeat(self.q, sizes)) @ Fh)
 
 
 @dataclass(frozen=True)
@@ -68,6 +85,8 @@ class PairAnalysis:
     rho, sigma     the validated, symmetrized inputs
     rho_tilde      the Schur reduction of rho into supp sigma (rho itself
                    when supp rho lies inside supp sigma)
+    excess         a factor Y of the rest, rho - rho_tilde = Y Y^H up to
+                   roundoff (no columns when supp rho lies inside supp sigma)
     dominated      whether supp rho lies inside supp sigma
     escaped        tr(rho - rho_tilde), or 0 when that is negligible
                    against tr rho (linalg.negligible_mass)
@@ -84,6 +103,7 @@ class PairAnalysis:
     rho: np.ndarray
     sigma: np.ndarray
     rho_tilde: np.ndarray
+    excess: np.ndarray
     dominated: bool
     escaped: float
     basis: np.ndarray
@@ -124,8 +144,8 @@ class PairAnalysis:
         return self.d_prime(f)
 
     def _atom_weights(self):
-        """The weights pass of the reverse test: W = sigma^{1/2} V, the start
-        and size of each cluster of d (linalg.cluster_starts), its d_x and
+        """The weights pass of the reverse test: W = sigma^{1/2} V, the size
+        of each cluster of d (linalg.cluster_starts), its d_x and
         q(x) = tr W_x W_x^H, and the mask of clusters kept as atoms (q(x)
         above linalg.ATOM_FLOOR * tr sigma)."""
         W = (self.basis * np.sqrt(self.sigma_evals)) @ self.coords
@@ -134,29 +154,28 @@ class PairAnalysis:
         q = np.add.reduceat((W.real ** 2 + W.imag ** 2).sum(axis=0), starts)
         d_x = np.add.reduceat(self.evals, starts) / sizes
         keep = q > linalg.ATOM_FLOOR * float(np.trace(self.sigma).real)
-        return W, starts, sizes, d_x, q, keep
+        return W, sizes, d_x, q, keep
 
     def atom_count(self) -> int:
-        """len(self.reverse_test()), without building the atoms."""
+        """len(self.reverse_test()), without building the test."""
         return int(self._atom_weights()[-1].sum()) + bool(self.escaped)
 
     def reverse_test(self) -> ReverseTest:
-        """The minimal reverse test; see minimal_reverse_test()."""
-        W, starts, sizes, d_x, q, keep = self._atom_weights()
-        scale = np.zeros(q.size)
-        scale[keep] = 1.0 / np.sqrt(q[keep])
-        X = W * np.repeat(scale, sizes)        # W_x / sqrt(q(x)), 0 when dropped
-        Xh = X.conj().T
-        outputs = [X[:, a:a + k] @ Xh[a:a + k]
-                   for a, k in zip(starts[keep], sizes[keep])]
-        p, q = d_x[keep] * q[keep], q[keep]
-        labels = [str(i) for i in range(len(outputs))]
+        """The minimal reverse test; see minimal_reverse_test().  It holds
+        the factors X_x = W_x / sqrt(q(x)) of the kept clusters and forms no
+        atom."""
+        W, sizes, d_x, q, keep = self._atom_weights()
+        X = W[:, np.repeat(keep, sizes)]
+        X *= np.repeat(1.0 / np.sqrt(q[keep]), sizes[keep])
+        p, q, sizes = d_x[keep] * q[keep], q[keep], sizes[keep]
+        labels = tuple(str(i) for i in range(q.size))
         if self.escaped:
-            rest = (self.rho - self.rho_tilde) / self.escaped
-            outputs.append((rest + rest.conj().T) / 2)
+            Y = self.excess
+            X = np.hstack((X, Y / np.linalg.norm(Y)))
             p, q = np.append(p, self.escaped), np.append(q, 0.0)
-            labels.append("x0")
-        return ReverseTest(tuple(outputs), p, q, tuple(labels))
+            sizes = np.append(sizes, Y.shape[1])
+            labels += ("x0",)
+        return ReverseTest(X, np.cumsum(sizes) - sizes, p, q, labels)
 
 
 def _require_operator_convex(f: DivergenceGenerator) -> None:
@@ -208,6 +227,7 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray):
     tr_rho = rho.trace(axis1=-2, axis2=-1).real
 
     dominated, tilde, escaped = True, rho, 0.0
+    excess = np.zeros(rho.shape[:-1] + (0,), dtype=complex)
     if k:
         Z = _adjoint(s_vecs) @ r_vecs
         # rows of sigma's kernel, columns of rho's support
@@ -223,6 +243,8 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray):
             rest = w.size - np.count_nonzero(linalg.support_mask(w))
             T = basis @ R[k:] @ U[:, :rest]
             tilde = T @ _adjoint(T)
+            # the leak's row space carries the rest: rho - tilde = Y Y^H
+            excess = s_vecs @ R @ U[:, rest:]
             missing = float(tr_rho - tilde.trace().real)
             escaped = 0.0 if linalg.negligible_mass(missing, tr_rho) else missing
 
@@ -238,8 +260,8 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray):
         evals = np.take_along_axis(evals, order, -1)
         weights = np.take_along_axis(weights, order, -1)
         coords = np.take_along_axis(coords, order[..., None, :], -1)
-    return (rho, sigma, tilde, dominated, escaped, basis, s, evals, coords,
-            weights)
+    return (rho, sigma, tilde, excess, dominated, escaped, basis, s, evals,
+            coords, weights)
 
 
 # analyze()'s one kept entry: (the key of its last pair, that pair's PairAnalysis).
@@ -350,7 +372,11 @@ def minimal_reverse_test(rho, sigma) -> ReverseTest:
     output W_x W_x^H / q(x), q(x) = tr W_x W_x^H, p(x) = d_x q(x); atoms
     with q(x) at most linalg.ATOM_FLOOR * tr(sigma) are dropped.  When mass
     of rho escapes supp sigma (linalg.negligible_mass), one extra atom
-    carries it with q = 0.
+    Y Y^H / tr Y Y^H, with Y the factor of rho - rho_tilde (PairAnalysis
+    .excess), carries it with q = 0.
+
+    The test holds the factors W_x / sqrt(q(x)) and Y / |Y|_F, not the
+    atoms: ReverseTest.outputs builds the dense atoms when read.
     """
     return analyze(rho, sigma).reverse_test()
 

@@ -85,8 +85,7 @@ def _rank1_resolution(A, root, rng):
     cols = root @ U
     w = (cols.real ** 2 + cols.imag ** 2).sum(axis=0)
     keep = w > floor
-    X = cols[:, keep] / np.sqrt(w[keep])   # c_j / |c_j|
-    return [np.outer(x, x.conj()) for x in X.T], w[keep].tolist()
+    return cols[:, keep] / np.sqrt(w[keep]), w[keep]   # c_j / |c_j|, |c_j|^2
 
 
 def disjoint_reverse_test(rho, sigma, rng: np.random.Generator) -> ReverseTest:
@@ -97,13 +96,11 @@ def disjoint_reverse_test(rho, sigma, rng: np.random.Generator) -> ReverseTest:
     """
     rho, r_half = linalg._spectral_map(rho, np.sqrt)
     sigma, s_half = linalg._spectral_map(sigma, np.sqrt)
-    outs_r, w_r = _rank1_resolution(rho, r_half, rng)
-    outs_s, w_s = _rank1_resolution(sigma, s_half, rng)
-    outputs = tuple(outs_r + outs_s)
-    p = np.array(w_r + [0.0] * len(outs_s))
-    q = np.array([0.0] * len(outs_r) + w_s)
-    return ReverseTest(outputs, p, q,
-                       tuple(str(i) for i in range(len(outputs))))
+    X_r, w_r = _rank1_resolution(rho, r_half, rng)
+    X_s, w_s = _rank1_resolution(sigma, s_half, rng)
+    p = np.concatenate([w_r, np.zeros(w_s.size)])
+    q = np.concatenate([np.zeros(w_r.size), w_s])
+    return _rank1_test(np.hstack((X_r, X_s)), p, q)
 
 
 def refine_reverse_test(rt: ReverseTest, rng: np.random.Generator,
@@ -113,27 +110,31 @@ def refine_reverse_test(rt: ReverseTest, rng: np.random.Generator,
     Classical post-processing maps the refinement back onto rt, so it is an
     exact reverse test of the same pair; its divergence can only be larger.
     """
-    outputs, p, q, labels = [], [], [], []
-    for x, out in enumerate(rt.outputs):
+    cols, p, q, labels = [], [], [], []
+    for x, (start, size) in enumerate(zip(rt.starts, rt.sizes)):
         a = rng.dirichlet(np.ones(splits))
         b = rng.dirichlet(np.ones(splits))
         for j in range(splits):
-            outputs.append(out)
+            cols.extend(range(start, start + size))   # the atom's factor again
             p.append(rt.p[x] * a[j])
             q.append(rt.q[x] * b[j])
             labels.append(f"{rt.labels[x]}.{j}")
-    return ReverseTest(tuple(outputs), np.array(p), np.array(q), tuple(labels))
+    sizes = np.repeat(rt.sizes, splits)
+    return ReverseTest(rt.factors[:, cols], np.cumsum(sizes) - sizes,
+                       np.array(p), np.array(q), tuple(labels))
 
 
 def concat_reverse_tests(first: ReverseTest, second: ReverseTest,
                          weight: float) -> ReverseTest:
     """Convex combination of two reverse tests of the same pair."""
-    outputs = first.outputs + second.outputs
+    factors = np.hstack((first.factors, second.factors))
+    starts = np.concatenate([first.starts,
+                             second.starts + first.factors.shape[1]])
     p = np.concatenate([weight * first.p, (1 - weight) * second.p])
     q = np.concatenate([weight * first.q, (1 - weight) * second.q])
     labels = (tuple(f"a{l}" for l in first.labels)
               + tuple(f"b{l}" for l in second.labels))
-    return ReverseTest(outputs, p, q, labels)
+    return ReverseTest(factors, starts, p, q, labels)
 
 
 def random_reverse_test(rho, sigma, rng: np.random.Generator) -> ReverseTest:
@@ -181,11 +182,15 @@ def random_reverse_test(rho, sigma, rng: np.random.Generator) -> ReverseTest:
         shares.append(np.where(linalg.support_mask(share), share, 0.0))
     C = (vecs[:, keep] * root) @ U          # columns c_j = tau^{1/2} u_j
     w = (C.real ** 2 + C.imag ** 2).sum(axis=0)
-    X = C / np.sqrt(w)                      # c_j / |c_j|
-    outputs = tuple(np.outer(x, x.conj()) for x in X.T)
-    labels = tuple(str(i) for i in range(len(outputs)))
-    return ReverseTest(outputs, shares[0] * w / t, shares[1] * w / (1.0 - t),
-                       labels)
+    return _rank1_test(C / np.sqrt(w),      # c_j / |c_j|
+                       shares[0] * w / t, shares[1] * w / (1.0 - t))
+
+
+def _rank1_test(X, p, q) -> ReverseTest:
+    """The reverse test whose atoms are the rank-1 x_j x_j^H of the unit
+    columns of X."""
+    return ReverseTest(X, np.arange(X.shape[1]), p, q,
+                       tuple(str(i) for i in range(X.shape[1])))
 
 
 def shrunk_feasible_operator(rho, sigma, tilde, rng: np.random.Generator) -> np.ndarray:

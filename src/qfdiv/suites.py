@@ -464,7 +464,7 @@ _SUITES = {
     "reverse-test-optimality": (_suite_reverse_test_optimality, 1e-8),
     "equality-preservation": (_suite_equality_preservation, 1e-8),
     "rld-second-derivative": (_suite_rld, 1e-4),
-    "lowner-quadrature": (_suite_lowner, 1e-3),
+    "lowner-quadrature": (_suite_lowner, 1e-12),
     "geometric-mean-symmetry": (_suite_geometric_mean_symmetry, 1e-8),
     "commutative-oracle": (_suite_commutative_oracle, 1e-10),
 }

@@ -314,7 +314,7 @@ def test_c12_equality_preservation():
 def test_c13_lowner_quadrature():
     form = LownerForm(a=0.0, b=0.0, atoms=lebesgue_atoms())
     err = lowner_quadrature_check(XLOGX, form, np.linspace(0.1, 10.0, 400))
-    _report(13, "xlogx reproduced by the Lebesgue quadrature", err <= 1e-3,
+    _report(13, "xlogx reproduced by the Lebesgue quadrature", err <= 1e-12,
             f"sup error = {err:.2e}")
 
 

@@ -141,9 +141,10 @@ class TestKeptPair:
         with pytest.raises(ValueError):
             pair.rho[0, 0] = 0.0
         held = [v for v in vars(pair).values() if isinstance(v, np.ndarray)]
-        assert len(held) == 8 and not any(a.flags.writeable for a in held)
+        assert len(held) == 9 and not any(a.flags.writeable for a in held)
         rt = pair.reverse_test()
         rt.outputs[0][...] = 0.0
+        rt.factors[...] = 0.0
         rt.p[...] = 0.0
         again = analyze(*schur_pair())
         assert again is pair

@@ -69,7 +69,8 @@ class TestKrausBasics:
                      lambda: kraus_channel([np.zeros((2, 0))]),
                      lambda: kraus_channel([np.zeros(3)]),
                      lambda: kraus_channel([np.zeros((2, 2, 2))]),
-                     lambda: embedding_channel(0, 0)):
+                     lambda: embedding_channel(0, 0),
+                     lambda: embedding_channel(-1, 2)):
             with pytest.raises(errors.InvalidOperator):
                 make()
         with pytest.raises(errors.DimensionMismatch):

@@ -12,7 +12,7 @@ from qfdiv.channels import depolarizing_channel, unitary_channel
 from qfdiv.cli import main
 from qfdiv.matio import (channel_from_json, channel_to_json,
                          matrix_from_json, matrix_to_json, save_matrix)
-from qfdiv.suites import SUITE_NAMES
+from qfdiv.suites import SUITE_NAMES, _undominated_pair
 
 
 @pytest.fixture
@@ -168,6 +168,26 @@ class TestReverseTestCommand:
         assert sum(out["q"]) == pytest.approx(1.0)
         G0 = matrix_from_json(out["outputs"][0])
         assert np.trace(G0).real == pytest.approx(1.0)
+
+    def test_dump_of_undominated_pair_rebuilds_it(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        rho, sigma = _undominated_pair(rng, 3)
+        paths = {}
+        for name, M in [("rho", rho), ("sigma", sigma)]:
+            paths[name] = str(tmp_path / f"{name}.json")
+            save_matrix(paths[name], M)
+        code = main(["reverse-test", "--rho", paths["rho"],
+                     "--sigma", paths["sigma"]])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert sorted(out) == ["labels", "outputs", "p", "q"]
+        assert out["labels"][-1] == "x0" and out["q"][-1] == 0.0
+        atoms = [matrix_from_json(g) for g in out["outputs"]]
+        assert len(atoms) == len(out["labels"]) == len(out["p"])
+        rho_hat = sum(a * G for a, G in zip(out["p"], atoms))
+        sigma_hat = sum(b * G for b, G in zip(out["q"], atoms))
+        assert np.abs(rho_hat - rho).max() <= 1e-12
+        assert np.abs(sigma_hat - sigma).max() <= 1e-12
 
 
 class TestCheckCommand:

@@ -17,7 +17,8 @@ from qfdiv.linalg import support_projector
 from qfdiv.matio import save_matrix
 from qfdiv.oracles import (bs_relative_entropy, classical_oracle,
                            umegaki_relative_entropy)
-from qfdiv.suites import _commuting_pair, _ill_conditioned_pair, _pair
+from qfdiv.suites import (_commuting_pair, _ill_conditioned_pair, _pair,
+                          _undominated_pair)
 
 XLOGX = builtin("xlogx")
 SQUARE = builtin("square")
@@ -616,6 +617,59 @@ class TestScaleHomogeneity:
         rho = 1e-12 * np.diag([1.0, -0.5])
         with pytest.raises(errors.NotPSD):
             d_max(rho, 1e-12 * np.diag([0.5, 0.5]), XLOGX)
+
+
+class TestFactoredReverseTest:
+    """The reverse test holds each atom as its factor X_x, X_x X_x^H."""
+
+    @staticmethod
+    def undominated_pairs():
+        rng = np.random.default_rng(21)
+        for dim in (2, 3, 4, 6, 8):
+            yield _undominated_pair(rng, dim)
+            yield random_state(rng, dim), random_state(rng, dim, rank=dim // 2)
+
+    def test_escaped_atom_is_the_normalised_rest(self):
+        for rho, sigma in self.undominated_pairs():
+            pair = analyze(rho, sigma)
+            assert pair.escaped > 0
+            Y = pair.excess
+            rest = pair.rho - pair.rho_tilde
+            assert np.abs(Y @ Y.conj().T - rest).max() <= 1e-12
+            rt = pair.reverse_test()
+            assert rt.labels[-1] == "x0"
+            assert np.abs(rt.outputs[-1] - rest / pair.escaped).max() <= 1e-12
+
+    def test_atoms_are_psd_unit_trace_by_their_factors(self):
+        for rho, sigma in self.undominated_pairs():
+            rt = minimal_reverse_test(rho, sigma)
+            groups = rt.groups()
+            assert len(groups) == len(rt) == len(rt.outputs)
+            for X, out in zip(groups, rt.outputs):
+                gram = np.linalg.eigvalsh(X.conj().T @ X)
+                assert gram.min() >= 0.0
+                assert gram.sum() == pytest.approx(1.0, abs=1e-12)
+                assert np.abs(X @ X.conj().T - out).max() == 0.0
+
+    def test_outputs_are_fresh_on_each_read(self):
+        rt = minimal_reverse_test(PROJ0, PROJP)
+        first = rt.outputs
+        first[0][...] = 0.0
+        assert np.trace(rt.outputs[0]).real == pytest.approx(1.0, abs=1e-12)
+
+    def test_dim_64_test_holds_its_factors_only(self):
+        import tracemalloc
+        rng = np.random.default_rng(64)
+        pair = analyze(wishart(rng, 64), wishart(rng, 64))
+        tracemalloc.start()
+        try:
+            rt = pair.reverse_test()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rt) == 64
+        # the 64 dense atoms alone take 64 * 64 * 64 * 16 bytes = 4 MB
+        assert peak < 1_000_000
 
 
 def ill_conditioned_pair(seed):

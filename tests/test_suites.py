@@ -12,7 +12,8 @@ from qfdiv.errors import DimensionMismatch, NotPSD
 from qfdiv.generators import builtin
 from qfdiv.oracles import (concat_reverse_tests, disjoint_reverse_test,
                            random_reverse_test, refine_reverse_test)
-from qfdiv.suites import SUITE_NAMES, SuiteConfig, run_suite, trial_rng
+from qfdiv.suites import (SUITE_NAMES, SuiteConfig, _undominated_pair,
+                          run_suite, trial_rng)
 
 
 def _strip_time(report_json: str) -> dict:
@@ -136,6 +137,26 @@ class TestAlternativeReverseTests:
             rho_hat, sigma_hat = alt.reconstruct()
             assert np.abs(rho_hat - rho).max() < 1e-12
             assert np.abs(sigma_hat - sigma).max() < 1e-12
+
+    def test_families_rebuild_undominated_pairs_from_factors(self):
+        rng = np.random.default_rng(5)
+        for dim in (2, 3, 4, 6):
+            rho, sigma = _undominated_pair(rng, dim)
+            minimal = minimal_reverse_test(rho, sigma)
+            disjoint = disjoint_reverse_test(rho, sigma, rng)
+            for alt in (disjoint,
+                        refine_reverse_test(minimal, rng, 3),
+                        concat_reverse_tests(minimal, disjoint, 0.3),
+                        random_reverse_test(rho, sigma, rng)):
+                F = alt.factors
+                assert F.shape[0] == dim and len(alt.starts) == len(alt)
+                norms = np.add.reduceat((np.abs(F) ** 2).sum(axis=0), alt.starts)
+                np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+                rho_hat, sigma_hat = alt.reconstruct()    # F diag(p) F^H
+                assert np.abs(rho_hat - rho).max() < 1e-12
+                assert np.abs(sigma_hat - sigma).max() < 1e-12
+                dense = sum(a * out for a, out in zip(alt.p, alt.outputs))
+                assert np.abs(dense - rho_hat).max() < 1e-14
 
     def test_disjoint_family_at_small_scale(self):
         # rank-1 columns are cut relative to the trace of the operand, so a
