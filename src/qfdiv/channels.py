@@ -166,10 +166,6 @@ def lambda_sigma(ch: KrausChannel, sigma, Z) -> np.ndarray:
         raise DimensionMismatch(f"Z of shape {Z.shape}, not {ch.dim_in} x {ch.dim_in}")
     s_half = linalg.support_map(evals, vecs, np.sqrt)
     out_inv = linalg.gen_inverse_sqrt(ch.apply(sigma))
-    return _conjugated(ch, s_half, out_inv, Z)
-
-
-def _conjugated(ch: KrausChannel, s_half, out_inv, Z) -> np.ndarray:
     res = out_inv @ ch.apply(s_half @ Z @ s_half) @ out_inv
     return (res + res.conj().T) / 2
 
@@ -230,17 +226,21 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
                    tol: float = 1e-8) -> EqualityReport:
     """Check whether the channel preserves d_max(rho||sigma) and why.
 
-    The pair and its image are each analysed once (divergence.analyze).
+    The pair and its image are each analysed once (divergence.analyze), and
+    the channel maps each atom of the pair's minimal reverse test once.
     Requires both divergence values finite.  When they agree within
     max(tol, tol*|value|) the structural consequences are verified:
 
-    * each spectral indicator h of d = d(rho_tilde, sigma) satisfies
-      Lambda_sigma(h(d)) = h(d_out), d_out the derivative of the image pair
-      (equal to Lambda_sigma(d) when the channel maps rho_tilde onto the
-      image's reduction); skipped, reported as None, for generators whose
-      representing measure lacks full support;
     * the channel maps the minimal reverse test atomwise onto the minimal
-      reverse test of the image pair, with identical weight vectors.
+      reverse test of the image pair, with identical weight vectors;
+    * each spectral projection P_x of d = d(rho_tilde, sigma) satisfies
+      Lambda_sigma(P_x) = sum of the image's projections P'_h with d'_h
+      within max(10*tol, tol*d_x) of d_x, to 10*tol entrywise; skipped,
+      reported as None, for generators whose representing measure lacks
+      full support.  Lambda_sigma(P_x) is read from the same channel pass:
+      it is q(x) times the sum over Kraus operators K of (S K X_x)(S K X_x)^H,
+      X_x the atom's factor and S = Lambda(sigma)^{-1/2}, so no
+      sigma^{1/2} congruence is formed.
     """
     pair = analyze(rho, sigma)
     image = analyze(ch.apply(pair.rho), ch.apply(pair.sigma))
@@ -251,35 +251,38 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
             "equality analysis requires finite divergences on both sides")
     equal = abs(value_in - value_out) <= max(tol, tol * abs(value_in))
 
-    mult_ok: bool | None = None
-    if f.mu_full_support:
-        mult_ok = True
-        s_half = pair.sigma_power(0.5)
-        out_inv = image.sigma_power(-0.5)
-        V_in, V_out = pair.eigenvectors, image.eigenvectors
-        groups_out = linalg.cluster_groups(image.evals)
-        for g in linalg.cluster_groups(pair.evals):
-            dx = pair.evals[g].mean()
-            if dx == 0.0:  # the kernel of d, already snapped to exact zero
-                continue
-            lhs = _conjugated(ch, s_half, out_inv, linalg.projector(V_in[:, g]))
-            rhs = np.zeros_like(image.sigma)
-            for h in groups_out:
-                if abs(image.evals[h].mean() - dx) <= max(10 * tol, tol * abs(dx)):
-                    rhs = rhs + linalg.projector(V_out[:, h])
-            if float(np.abs(lhs - rhs).max()) > 10 * tol:
-                mult_ok = False
-                break
-
     rt_in = pair.reverse_test()
     rt_out = image.reverse_test()
+    # the one channel pass: each Kraus operator on the factors of the atoms
+    mapped = [K @ rt_in.factors for K in ch.kraus]
+    cols = [slice(a, a + k) for a, k in zip(rt_in.starts, rt_in.sizes)]
     p_match = _match_weights(rt_in.p, rt_out.p)
     q_match = _match_weights(rt_in.q, rt_out.q)
-    preserved = len(rt_in) == len(rt_out)
-    if preserved:
-        for out_in, out_img in zip(rt_in.outputs, rt_out.outputs):
-            if float(np.abs(ch.apply(out_in) - out_img).max()) > tol:
-                preserved = False
+    preserved = len(rt_in) == len(rt_out) and all(
+        float(np.abs(sum(M[:, c] @ M[:, c].conj().T for M in mapped) - A).max())
+        <= tol for c, A in zip(cols, rt_out.outputs))
+
+    mult_ok: bool | None = None
+    if f.mu_full_support:
+        # S K X_x, S = Lambda(sigma)^{-1/2}, in the coordinates of the
+        # image's basis
+        B = image.basis
+        inv_half = B.conj().T / np.sqrt(image.sigma_evals)[:, None]
+        mapped = [inv_half @ M for M in mapped]
+        V_out = image.coords
+        live = np.flatnonzero(rt_out.q > 0.0)
+        d_out = rt_out.p[live] / rt_out.q[live]
+        mult_ok = True
+        for c, p, q in zip(cols, rt_in.p, rt_in.q):
+            if p == 0.0 or q == 0.0:   # d's kernel, or the escaped atom
+                continue
+            d = p / q
+            diff = q * sum(M[:, c] @ M[:, c].conj().T for M in mapped)
+            for h in live[np.abs(d_out - d) <= max(10 * tol, tol * d)]:
+                g = V_out[:, rt_out.starts[h]:rt_out.starts[h] + rt_out.sizes[h]]
+                diff -= g @ g.conj().T
+            if float(np.abs(B @ diff @ B.conj().T).max()) > 10 * tol:
+                mult_ok = False
                 break
 
     return EqualityReport(value_in, value_out, bool(equal), mult_ok,

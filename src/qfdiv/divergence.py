@@ -38,6 +38,8 @@ class ReverseTest:
     X_x X_x^H.  factors is one (n, m) array whose column groups, starting
     at the columns in starts, are the X_x, each of unit Frobenius norm; so
     each atom is PSD by construction and a test costs O(n m), not O(m n^2).
+    In the minimal test the atoms are the clusters of d in ascending order,
+    then the escaped atom "x0" when mass escapes supp sigma.
     """
 
     factors: np.ndarray
@@ -129,11 +131,6 @@ class PairAnalysis:
         out = (V * self.evals) @ V.conj().T
         return (out + out.conj().T) / 2
 
-    def sigma_power(self, t: float) -> np.ndarray:
-        """sigma^t on supp sigma, zero on its kernel (any real t)."""
-        out = (self.basis * self.sigma_evals ** t) @ self.basis.conj().T
-        return (out + out.conj().T) / 2
-
     def d_prime(self, f: DivergenceGenerator) -> float:
         """weights . f(evals) + escaped * recession(f); see d_prime()."""
         return float(_value(f, self.evals, self.weights, self.escaped))
@@ -143,31 +140,21 @@ class PairAnalysis:
         _require_operator_convex(f)
         return self.d_prime(f)
 
-    def _atom_weights(self):
-        """The weights pass of the reverse test: W = sigma^{1/2} V, the size
-        of each cluster of d (linalg.cluster_starts), its d_x and
-        q(x) = tr W_x W_x^H, and the mask of clusters kept as atoms (q(x)
-        above linalg.ATOM_FLOOR * tr sigma)."""
-        W = (self.basis * np.sqrt(self.sigma_evals)) @ self.coords
-        starts = linalg.cluster_starts(self.evals)
-        sizes = np.diff(starts, append=self.evals.size)
-        q = np.add.reduceat((W.real ** 2 + W.imag ** 2).sum(axis=0), starts)
-        d_x = np.add.reduceat(self.evals, starts) / sizes
-        keep = q > linalg.ATOM_FLOOR * float(np.trace(self.sigma).real)
-        return W, sizes, d_x, q, keep
-
     def atom_count(self) -> int:
-        """len(self.reverse_test()), without building the test."""
-        return int(self._atom_weights()[-1].sum()) + bool(self.escaped)
+        """len(self.reverse_test()), without building the test: one atom per
+        cluster of d (linalg.cluster_starts), and one for escaped mass."""
+        return linalg.cluster_starts(self.evals).size + bool(self.escaped)
 
     def reverse_test(self) -> ReverseTest:
         """The minimal reverse test; see minimal_reverse_test().  It holds
-        the factors X_x = W_x / sqrt(q(x)) of the kept clusters and forms no
-        atom."""
-        W, sizes, d_x, q, keep = self._atom_weights()
-        X = W[:, np.repeat(keep, sizes)]
-        X *= np.repeat(1.0 / np.sqrt(q[keep]), sizes[keep])
-        p, q, sizes = d_x[keep] * q[keep], q[keep], sizes[keep]
+        the factors X_x = W_x / sqrt(q(x)), W = sigma^{1/2} V, one per
+        cluster of d in ascending order, and forms no atom."""
+        X = (self.basis * np.sqrt(self.sigma_evals)) @ self.coords
+        starts = linalg.cluster_starts(self.evals)
+        sizes = np.diff(starts, append=self.evals.size)
+        q = np.add.reduceat((X.real ** 2 + X.imag ** 2).sum(axis=0), starts)
+        p = np.add.reduceat(self.evals, starts) / sizes * q
+        X *= np.repeat(1.0 / np.sqrt(q), sizes)
         labels = tuple(str(i) for i in range(q.size))
         if self.escaped:
             Y = self.excess
@@ -369,11 +356,13 @@ def minimal_reverse_test(rho, sigma) -> ReverseTest:
 
     One atom per clustered eigenvalue d_x of d(rho_tilde, sigma), with
     W_x = sigma^{1/2} V_x for the eigenvectors V_x of the cluster:
-    output W_x W_x^H / q(x), q(x) = tr W_x W_x^H, p(x) = d_x q(x); atoms
-    with q(x) at most linalg.ATOM_FLOOR * tr(sigma) are dropped.  When mass
-    of rho escapes supp sigma (linalg.negligible_mass), one extra atom
-    Y Y^H / tr Y Y^H, with Y the factor of rho - rho_tilde (PairAnalysis
-    .excess), carries it with q = 0.
+    output W_x W_x^H / q(x), q(x) = tr W_x W_x^H, p(x) = d_x q(x).  Every
+    cluster is an atom, in ascending order of d_x: q(x) is at least the
+    smallest eigenvalue of sigma on its support, which linalg.support_mask
+    keeps above linalg.RANK_CUTOFF * tr(sigma).  When mass of rho escapes
+    supp sigma (linalg.negligible_mass), one extra atom Y Y^H / tr Y Y^H,
+    with Y the factor of rho - rho_tilde (PairAnalysis.excess), carries it
+    with q = 0.
 
     The test holds the factors W_x / sqrt(q(x)) and Y / |Y|_F, not the
     atoms: ReverseTest.outputs builds the dense atoms when read.

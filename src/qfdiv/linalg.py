@@ -33,8 +33,6 @@ CLUSTER_GAP = 1e-8
 MASS_TOL = 1e-10
 # Domination (divergence.analyze): |<s|r>| for s in ker sigma, r in supp rho.
 DOMINATION_TOL = 1e-8
-# Atoms (divergence.PairAnalysis.reverse_test): q(x) <= this * tr sigma is dust.
-ATOM_FLOOR = 1e-14
 # Trace preservation (channels.kraus_channel): entrywise roundoff of sum K†K - 1.
 TP_TOL = 1e-10
 

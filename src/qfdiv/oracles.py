@@ -19,6 +19,14 @@ from .generators import DivergenceGenerator, classical_f_divergence
 # Frobenius norm of [rho, sigma], relative to ||rho||_F ||sigma||_F, above
 # which a pair does not commute.
 _COMM_TOL = 1e-10
+# Columns of a Haar rank-1 resolution of A with weight at most this * tr A
+# are dropped (_rank1_resolution): a random column can carry almost none.
+_ATOM_FLOOR = 1e-14
+
+
+def _same_shape(rho: np.ndarray, sigma: np.ndarray) -> None:
+    if rho.shape != sigma.shape:
+        raise DimensionMismatch("rho and sigma must have equal dimensions")
 
 
 def joint_eigenvalues(rho, sigma):
@@ -26,10 +34,11 @@ def joint_eigenvalues(rho, sigma):
 
     Returns (p, q): the eigenvalues of rho and sigma in a common eigenbasis.
     Raises NonCommuting when ||[rho, sigma]||_F exceeds
-    _COMM_TOL * ||rho||_F ||sigma||_F.
+    _COMM_TOL * ||rho||_F ||sigma||_F, DimensionMismatch on unequal shapes.
     """
     rho = linalg.psd_spectrum(rho, vectors=False)[0]
     sigma, w, V = linalg.psd_spectrum(sigma)
+    _same_shape(rho, sigma)
     scale = float(np.linalg.norm(rho)) * float(np.linalg.norm(sigma))
     if float(np.linalg.norm(rho @ sigma - sigma @ rho)) > _COMM_TOL * scale:
         raise NonCommuting("inputs do not commute within tolerance")
@@ -63,23 +72,25 @@ def classical_oracle(rho, sigma, f: DivergenceGenerator) -> float:
 def umegaki_relative_entropy(rho, sigma) -> float:
     """tr rho (log rho - log sigma) for an invertible pair (nats)."""
     rho, log_rho = linalg._spectral_map(rho, np.log)
-    _, log_sigma = linalg._spectral_map(sigma, np.log)
+    sigma, log_sigma = linalg._spectral_map(sigma, np.log)
+    _same_shape(rho, sigma)
     return float(np.trace(rho @ (log_rho - log_sigma)).real)
 
 
 def bs_relative_entropy(rho, sigma) -> float:
     """The largest quantum relative entropy tr rho log(rho^{1/2} sigma^{-1} rho^{1/2})."""
     rho, r_half = linalg._spectral_map(rho, np.sqrt)
-    _, s_inv = linalg._spectral_map(sigma, lambda w: 1.0 / w)
+    sigma, s_inv = linalg._spectral_map(sigma, lambda w: 1.0 / w)
+    _same_shape(rho, sigma)
     _, log_m = linalg._spectral_map(r_half @ s_inv @ r_half, np.log)
     return float(np.trace(rho @ log_m).real)
 
 
 def _rank1_resolution(A, root, rng):
     """A = sum_j |c_j><c_j| with c_j the columns of root U, root = A^{1/2} and
-    U Haar; columns of weight at most linalg.ATOM_FLOOR * tr A are dropped."""
+    U Haar; columns of weight at most _ATOM_FLOOR * tr A are dropped."""
     n = A.shape[0]
-    floor = linalg.ATOM_FLOOR * float(np.trace(A).real)
+    floor = _ATOM_FLOOR * float(np.trace(A).real)
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     U, _ = np.linalg.qr(G)
     cols = root @ U
@@ -154,8 +165,7 @@ def random_reverse_test(rho, sigma, rng: np.random.Generator) -> ReverseTest:
     """
     rho = linalg.as_hermitian(rho)
     sigma = linalg.as_hermitian(sigma)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch("rho and sigma must have equal dimensions")
+    _same_shape(rho, sigma)
     t = rng.uniform(0.1, 0.9)
     _, evals, vecs = linalg.psd_spectrum(t * rho + (1.0 - t) * sigma)
     keep = linalg.support_mask(evals)

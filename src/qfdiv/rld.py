@@ -17,7 +17,8 @@ import numpy as np
 from . import linalg
 from .channels import _rng
 from .divergence import d_prime
-from .errors import NotPSD, StepError, SupportError, UnsupportedGenerator
+from .errors import (DimensionMismatch, NotPSD, StepError, SupportError,
+                     UnsupportedGenerator)
 from .generators import DivergenceGenerator
 
 DEFAULT_STEP = 1e-3
@@ -39,9 +40,12 @@ def _lam_min(evals) -> float:
 
 
 def _check_in_support(pi, X, label: str) -> np.ndarray:
-    """X validated as Hermitian; SupportError unless X = pi X pi to within
-    1e-10 of its own scale."""
+    """X validated as Hermitian of rho's shape (else DimensionMismatch);
+    SupportError unless X = pi X pi to within 1e-10 of its own scale."""
     X = linalg.as_hermitian(X)
+    if X.shape != pi.shape:
+        raise DimensionMismatch(
+            f"{label} of shape {X.shape} does not match rho of shape {pi.shape}")
     if float(np.abs(X - pi @ X @ pi).max()) > 1e-10 * float(np.abs(X).max()):
         raise SupportError(f"{label} is not supported inside supp rho")
     return X

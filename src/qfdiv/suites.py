@@ -325,9 +325,10 @@ def _reconstruction_error(rt, rho, sigma) -> float:
     got_rho, got_sigma = rt.reconstruct()
     err = max(float(np.abs(got_rho - rho).max()),
               float(np.abs(got_sigma - sigma).max()))
-    for out in rt.outputs:
-        err = max(err, abs(float(np.trace(out).real) - 1.0))
-        err = max(err, max(0.0, -float(np.linalg.eigvalsh(out).min())))
+    for X in rt.groups():
+        # X^H X has the trace and the nonzero spectrum of the atom X X^H
+        w = np.linalg.eigvalsh(X.conj().T @ X)
+        err = max(err, abs(float(w.sum()) - 1.0), -float(w.min()))
     return err
 
 

@@ -359,11 +359,11 @@ class TestReaders:
         pair = analyze(rho, sigma)
         # the sigma-weights of the eigenvectors of d add up to tr sigma
         assert pair.weights.sum() == pytest.approx(np.trace(sigma).real, abs=1e-12)
-        half = pair.sigma_power(0.5)
+        B = pair.basis
+        half = (B * np.sqrt(pair.sigma_evals)) @ B.conj().T
         np.testing.assert_allclose(half @ half, sigma, atol=1e-12)
-        inv = pair.sigma_power(-0.5)
-        np.testing.assert_allclose(inv @ sigma @ inv,
-                                   pair.basis @ pair.basis.conj().T, atol=1e-10)
+        inv = (B / np.sqrt(pair.sigma_evals)) @ B.conj().T
+        np.testing.assert_allclose(inv @ sigma @ inv, B @ B.conj().T, atol=1e-10)
         # sigma^{1/2} d sigma^{1/2} gives rho_tilde back
         np.testing.assert_allclose(half @ pair.d @ half, pair.rho_tilde,
                                    atol=1e-12)

@@ -12,7 +12,9 @@ from qfdiv.channels import (KrausChannel, depolarizing_channel, dpi_check,
                             unitary_channel, v_operator)
 from qfdiv.divergence import analyze
 from qfdiv.generators import builtin
-from qfdiv.linalg import matrix_sqrt, support_projector
+from qfdiv.linalg import (cluster_groups, matrix_sqrt, projector,
+                          support_projector)
+from qfdiv.suites import _ill_conditioned_pair
 
 XLOGX = builtin("xlogx")
 SQUARE = builtin("square")
@@ -348,6 +350,84 @@ class TestEqualityCheck:
         assert rep.value_in - rep.value_out >= 1e-3
         # square has no representing measure on (0, inf): sub-check skipped
         assert rep.multiplicative_domain_ok is None
+
+    @pytest.mark.parametrize("f", [HALF, XLOGX, builtin("power", 1.5)],
+                             ids=lambda f: f.name)
+    def test_identity_preserves_ill_conditioned_pairs(self, f):
+        # pair and image are one analysis, so every verdict must hold even
+        # where cond(sigma) times eps reaches 10*tol
+        for s in range(200):
+            n = 2 + s % 4
+            rho, sigma = _ill_conditioned_pair(np.random.default_rng(s), n,
+                                               inside=True)
+            try:
+                rep = equality_check(rho, sigma, kraus_channel([np.eye(n)]), f)
+            except errors.InfiniteDivergence:
+                continue
+            assert rep.equal and rep.multiplicative_domain_ok, s
+            assert rep.reverse_test_preserved and rep.p_match and rep.q_match, s
+
+    def test_embedding_keeps_both_readings_of_equality(self):
+        # an atomwise-preserved test with equal values must also give the
+        # multiplicative verdict: both read the same equality condition
+        for s in range(200):
+            n = 2 + s % 4
+            rho, sigma = _ill_conditioned_pair(
+                np.random.default_rng(20000 + s), n, inside=True)
+            rep = equality_check(rho, sigma, embedding_channel(n, n + 1), HALF)
+            if rep.reverse_test_preserved and rep.p_match and rep.equal:
+                assert rep.multiplicative_domain_ok, s
+
+    @pytest.mark.parametrize("noise", [1e-9, 1e-3])
+    @pytest.mark.parametrize("f", [HALF, XLOGX, builtin("power", 1.5)],
+                             ids=lambda f: f.name)
+    def test_noise_on_the_kernel_of_sigma_breaks_the_projector_identity(
+            self, f, noise):
+        # depolarizing noise gives Lambda(sigma) weight noise/3 on the kernel
+        # of sigma, and Lambda_sigma(P_x) weight of order one there, which no
+        # projection of the image with d'_h near d_x covers; the mismatch
+        # weighed by Lambda(sigma) instead would be of order noise
+        U = haar_unitary(np.random.default_rng(21), 3)
+        rho = U @ np.diag([0.3, 0.7, 0.0]) @ U.conj().T
+        sigma = U @ np.diag([0.5, 0.5, 0.0]) @ U.conj().T
+        assert equality_check(rho, sigma, depolarizing_channel(3, 0.0),
+                              f).multiplicative_domain_ok
+        rep = equality_check(rho, sigma, depolarizing_channel(3, noise), f)
+        assert rep.multiplicative_domain_ok is False
+        assert rep.equal == (noise < 1e-8)
+
+    def test_verdict_is_the_projector_identity_under_unitaries(self):
+        # reference: Lambda_sigma(P_x) by lambda_sigma against the sum of the
+        # image's projectors; a unitary preserves d_max exactly, but on these
+        # pairs the projectors carry roundoff near 10*tol, so only margins
+        # of a factor 2 either side of that threshold are judged
+        tol, judged = 1e-8, 0
+        for s in range(200):
+            n = 2 + s % 4
+            rho, sigma = _ill_conditioned_pair(
+                np.random.default_rng(20000 + s), n, inside=True)
+            ch = random_channel(n, n, 1, s)
+            pair = analyze(rho, sigma)
+            image = analyze(ch.apply(pair.rho), ch.apply(pair.sigma))
+            groups_out = cluster_groups(image.evals)
+            err = 0.0
+            for g in cluster_groups(pair.evals):
+                dx = pair.evals[g].mean()
+                if dx == 0.0:
+                    continue
+                rhs = sum((projector(image.eigenvectors[:, h])
+                           for h in groups_out
+                           if abs(image.evals[h].mean() - dx)
+                           <= max(10 * tol, tol * dx)),
+                          start=np.zeros_like(image.sigma))
+                lhs = lambda_sigma(ch, pair.sigma,
+                                   projector(pair.eigenvectors[:, g]))
+                err = max(err, float(np.abs(lhs - rhs).max()))
+            rep = equality_check(rho, sigma, ch, HALF, tol)
+            if err < 5 * tol or err > 20 * tol:
+                judged += 1
+                assert rep.multiplicative_domain_ok == (err < 5 * tol), s
+        assert judged >= 180
 
     def test_infinite_divergence_rejected(self):
         ket0 = np.array([1, 0], dtype=complex)

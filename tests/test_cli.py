@@ -247,6 +247,15 @@ class TestRldCommand:
         assert out["analytic"] == pytest.approx(1.0)
         assert out["err"] <= 1e-4
 
+    def test_directions_of_another_dimension_exit_three(self, tmp_path, capsys):
+        save_matrix(str(tmp_path / "rho.json"), np.eye(2) / 2)
+        save_matrix(str(tmp_path / "x.json"), np.diag([0.5, -0.5, 0.0]))
+        code = main(["rld", "--rho", str(tmp_path / "rho.json"),
+                     "--x", str(tmp_path / "x.json"),
+                     "--y", str(tmp_path / "x.json"), "--f", "xlogx"])
+        assert code == 3
+        assert "does not match rho" in capsys.readouterr().err
+
 
 class TestSuiteCommand:
     def test_passing_suite_exit_zero(self, capsys):

@@ -16,7 +16,7 @@ from qfdiv.generators import (builtin, classical_f_divergence, custom)
 from qfdiv.linalg import support_projector
 from qfdiv.matio import save_matrix
 from qfdiv.oracles import (bs_relative_entropy, classical_oracle,
-                           umegaki_relative_entropy)
+                           joint_eigenvalues, umegaki_relative_entropy)
 from qfdiv.suites import (_commuting_pair, _ill_conditioned_pair, _pair,
                           _undominated_pair)
 
@@ -375,6 +375,18 @@ class TestClassicalOracle:
             assert abs(got - c * want) <= 1e-9 * c * want
 
 
+@pytest.mark.parametrize("call", [
+    joint_eigenvalues,
+    lambda a, b: classical_oracle(a, b, XLOGX),
+    umegaki_relative_entropy,
+    bs_relative_entropy,
+], ids=["joint_eigenvalues", "classical_oracle", "umegaki_relative_entropy",
+        "bs_relative_entropy"])
+def test_oracles_refuse_unequal_shapes(call):
+    with pytest.raises(errors.DimensionMismatch):
+        call(np.eye(2) / 2, np.eye(3) / 3)
+
+
 def test_schur_tilde_feeds_closed_form():
     # the general-case value is the dominated value of the reduction plus
     # recession-weighted escaping mass
@@ -522,12 +534,11 @@ class TestReverseTestClustering:
         pair = analyze(rho, sigma)
         W = (pair.basis * np.sqrt(pair.sigma_evals)) @ pair.coords  # sigma^{1/2} V
         atoms, p, q = [], [], []
-        for g in linalg.cluster_groups(pair.evals):
+        for g in linalg.cluster_groups(pair.evals):  # every cluster is an atom
             qg = float(np.trace(W[:, g] @ W[:, g].conj().T).real)
-            if qg > linalg.ATOM_FLOOR * float(np.trace(sigma).real):
-                atoms.append(W[:, g] @ W[:, g].conj().T / qg)
-                p.append(pair.evals[g].mean() * qg)
-                q.append(qg)
+            atoms.append(W[:, g] @ W[:, g].conj().T / qg)
+            p.append(pair.evals[g].mean() * qg)
+            q.append(qg)
         sizes = [g.size for g in linalg.cluster_groups(pair.evals)]
         assert max(sizes) == {"wishart-128": 1, "degenerate": 8, "kernel": 5}[case]
         rt = pair.reverse_test()
@@ -546,7 +557,14 @@ class TestReverseTestClustering:
             rho, sigma = random_state(rng, 4), random_state(rng, 4, 2)
         else:
             rho, sigma = near_threshold_pair(eps)
-        want = len(minimal_reverse_test(rho, sigma))
+        pair = analyze(rho, sigma)
+        rt = pair.reverse_test()
+        want = len(rt)
+        # every cluster of d is an atom, and none is so light that a floor
+        # on q could drop it: q(x) >= the least kept eigenvalue of sigma
+        assert want == linalg.cluster_starts(pair.evals).size + bool(pair.escaped)
+        tr_sigma = float(np.trace(sigma).real)
+        assert np.all(rt.q[rt.q > 0] > linalg.RANK_CUTOFF * tr_sigma)
         for name, M in [("rho", rho), ("sigma", sigma)]:
             save_matrix(str(tmp_path / f"{name}.json"), M)
 

@@ -154,3 +154,13 @@ def test_check_takes_one_analysis_per_probe(monkeypatch):
     count[0] = 0
     second_derivative_check(rho, X, Y, XLOGX)
     assert count[0] <= 4
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, b: rld_metric(a, b, b),
+    lambda a, b: rld_metric(b, b, a),
+    lambda a, b: second_derivative_check(a, b, b, XLOGX),
+], ids=["rld_metric-x", "rld_metric-y", "second_derivative_check"])
+def test_unequal_shapes_raise_dimension_mismatch(call):
+    with pytest.raises(errors.DimensionMismatch):
+        call(MAX_MIXED, np.eye(3, dtype=complex) / 3)
