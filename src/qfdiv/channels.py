@@ -170,6 +170,12 @@ def lambda_sigma(ch: KrausChannel, sigma, Z) -> np.ndarray:
     return (res + res.conj().T) / 2
 
 
+def check_tolerance(tol) -> None:
+    """ValueError unless a check's comparison tolerance is finite and >= 0."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class DpiResult:
     value_in: float
@@ -179,7 +185,9 @@ class DpiResult:
 
 def dpi_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
               tol: float = 1e-8) -> DpiResult:
-    """Data processing: d_max may only decrease along the channel."""
+    """Data processing: d_max may only decrease along the channel.
+    ValueError unless tol is finite and >= 0."""
+    check_tolerance(tol)
     before = d_max(rho, sigma, f)
     after = d_max(ch.apply(rho), ch.apply(sigma), f)
     holds = after <= before + tol
@@ -241,7 +249,10 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
       it is q(x) times the sum over Kraus operators K of (S K X_x)(S K X_x)^H,
       X_x the atom's factor and S = Lambda(sigma)^{-1/2}, so no
       sigma^{1/2} congruence is formed.
+
+    ValueError unless tol is finite and >= 0.
     """
+    check_tolerance(tol)
     pair = analyze(rho, sigma)
     image = analyze(ch.apply(pair.rho), ch.apply(pair.sigma))
     value_in = pair.d_max(f)

@@ -12,8 +12,8 @@ an operator with a non-finite entry is rejected.  Generator parameters go
 in the spec, e.g. neg_power:0.5.  The suites cycle through xlogx, square,
 neg_power:0.5 and power:1.5.  QFDIV_SEED provides the default suite seed.
 Exit codes: 0 ok, 1 property failure, 2 usage error (including a bad
---dims, a seed outside 0..2**64-1 or a bad QFDIV_SEED), 3 numeric/domain
-error.  Options must be spelled in full.
+--dims, a seed outside 0..2**64-1, a bad QFDIV_SEED or a --tol that is not
+finite and >= 0), 3 numeric/domain error.  Options must be spelled in full.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import matio
-from .channels import equality_check
+from .channels import check_tolerance, equality_check
 from .divergence import analyze, minimal_reverse_test
 from .errors import QfdivError
 from .generators import from_spec
@@ -71,6 +71,11 @@ def _cmd_reverse_test(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    try:
+        check_tolerance(args.tol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rho = matio.load_matrix(args.rho)
     sigma = matio.load_matrix(args.sigma)
     ch = matio.load_channel(args.channel)
@@ -114,7 +119,7 @@ def _cmd_suite(args) -> int:
             status = "ok" if report.ok() else "FAIL"
             print(f"suite {name}: {report.total_pass} pass, "
                   f"{report.total_fail} fail [{status}]", file=sys.stderr)
-    except ValueError as exc:  # a bad --suite, --dims, --trials or seed
+    except ValueError as exc:  # a bad --suite, --dims, --trials, --tol or seed
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "csv":

@@ -224,14 +224,17 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray):
             cols = linalg.support_mask(r_evals, linalg.ROUNDOFF_CUTOFF)
             first = n - np.count_nonzero(cols)
             R = Z[:, first:] * np.sqrt(r_evals[first:])
-            w, U = np.linalg.eigh(_adjoint(R[:k]) @ R[:k])   # leak^H leak
-            # U keeps the columns of the kernel of leak^H leak (a leading
-            # block), 1 - P
-            rest = w.size - np.count_nonzero(linalg.support_mask(w))
-            T = basis @ R[k:] @ U[:, :rest]
+            _, sv, Vh = np.linalg.svd(R[:k], full_matrices=True)   # the leak
+            # the leading live rows of Vh span the leak's row space (P), the
+            # rest its kernel (1 - P); the rank is read from the squared
+            # singular values, padded to the r eigenvalues of leak^H leak
+            w = np.zeros(Vh.shape[0])
+            w[:sv.size] = sv ** 2
+            live = np.count_nonzero(linalg.support_mask(w))
+            T = basis @ (R[k:] @ _adjoint(Vh[live:]))
             tilde = T @ _adjoint(T)
             # the leak's row space carries the rest: rho - tilde = Y Y^H
-            excess = s_vecs @ R @ U[:, rest:]
+            excess = s_vecs @ (R @ _adjoint(Vh[:live]))
             missing = float(tr_rho - tilde.trace().real)
             escaped = 0.0 if linalg.negligible_mass(missing, tr_rho) else missing
 
@@ -270,7 +273,7 @@ def analyze(rho, sigma) -> PairAnalysis:
     rho's support exceeds linalg.DOMINATION_TOL; only then the factor
     R = Z r_evals^{1/2} of rho, without the columns of eigenvalues that are
     eigh roundoff (linalg.ROUNDOFF_CUTOFF), split into rows R_1 on supp
-    sigma and leak off it, and one eigensolve of leak^H leak give the Schur
+    sigma and the k x r leak off it, and one SVD of the leak give the Schur
     reduction rho_tilde = R_1 (1 - P) R_1^H, P onto the row space of leak:
     PSD, with no division.  One eigensolve of d, formed on supp sigma, gives
     its spectrum and the sigma-weights.

@@ -257,6 +257,18 @@ class TestDpi:
             assert dpi_check(rho, sigma, ch, GENS[i % 4]).holds
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("check", [dpi_check, equality_check],
+                         ids=["dpi_check", "equality_check"])
+def test_bad_tolerance_is_rejected(check, tol):
+    # under the identity channel value_in == value_out, yet a NaN or negative
+    # tol read as a failed check and an infinite one passed every comparison
+    rng = np.random.default_rng(12)
+    rho, sigma = random_state(3, 3, rng), random_state(3, 2, rng)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        check(rho, sigma, kraus_channel([np.eye(3)]), HALF, tol)
+
+
 class TestVOperator:
     def test_maps_output_root_to_input_root(self):
         rng = np.random.default_rng(12)

@@ -220,6 +220,18 @@ class TestCheckCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tol_usage_error(self, qubit_files, tmp_path, capsys, tol):
+        ch_path = tmp_path / "ch.json"
+        ch_path.write_text(json.dumps(channel_to_json(unitary_channel(np.eye(2)))))
+        code = main(["check", "--rho", qubit_files["rho"],
+                     "--sigma", qubit_files["sigma"], "--channel", str(ch_path),
+                     "--f", "square", "--tol", tol])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tol must be finite")
+
     @pytest.mark.parametrize("doc", [
         3, None, {"dim_in": 2, "dim_out": 2, "kraus": 3},
         {"dim_in": 2, "dim_out": 2, "kraus": None},
@@ -267,9 +279,16 @@ class TestSuiteCommand:
         assert out["fail"] == 0
 
     def test_failing_suite_exit_one(self, capsys):
-        code = main(["suite", "--suite", "umegaki-bound", "--trials", "5",
-                     "--seed", "3", "--tol", "-1"])
+        # the reconstruction errors are roundoff above 0, so tol 0 fails them
+        code = main(["suite", "--suite", "reverse-test-reconstruction",
+                     "--trials", "5", "--seed", "3", "--tol", "0"])
         assert code == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tol_usage_error(self, capsys, tol):
+        code = main(["suite", "--suite", "dpi", "--trials", "3", "--tol", tol])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: tol must be finite")
 
     def test_unknown_suite_usage_error(self, capsys):
         code = main(["suite", "--suite", "nope", "--trials", "5"])

@@ -1,5 +1,6 @@
 """Tests for the divergence engine and the minimal reverse test."""
 
+import functools
 import json
 import math
 
@@ -12,7 +13,8 @@ from qfdiv.cli import main
 from qfdiv.divergence import (PairAnalysis, analyze, d_max, d_prime,
                               minimal_reverse_test, perturbation_limit_probe,
                               reverse_test_value)
-from qfdiv.generators import (builtin, classical_f_divergence, custom)
+from qfdiv.generators import (builtin, classical_f_divergence, custom,
+                               recession_value)
 from qfdiv.linalg import support_projector
 from qfdiv.matio import save_matrix
 from qfdiv.oracles import (bs_relative_entropy, classical_oracle,
@@ -739,3 +741,107 @@ class TestIllConditionedSigma:
             ref = float(-mp.re(sum((S * root)[i, i] for i in range(S.rows))))
         got = d_max(rho, sigma, HALF)
         assert abs(got - ref) <= 1e-16 * s.max() / s.min() * max(1.0, abs(ref))
+
+
+def eigh_route(rho, sigma):
+    """(rho_tilde, escaped, d_max under each of GENS) of an undominated pair
+    with the leak split by one eigensolve of leak^H leak: the route the SVD
+    of the leak replaced, kept here as a reference."""
+    rho, r_evals, r_vecs = linalg.psd_spectrum(rho)
+    sigma, s_evals, s_vecs = linalg.psd_spectrum(sigma)
+    n = rho.shape[0]
+    k = n - np.count_nonzero(linalg.support_mask(s_evals))
+    first = n - np.count_nonzero(linalg.support_mask(r_evals, linalg.ROUNDOFF_CUTOFF))
+    R = (s_vecs.conj().T @ r_vecs)[:, first:] * np.sqrt(r_evals[first:])
+    w, U = np.linalg.eigh(R[:k].conj().T @ R[:k])
+    rest = w.size - np.count_nonzero(linalg.support_mask(w))
+    basis, s = s_vecs[:, k:], s_evals[k:]
+    T = basis @ R[k:] @ U[:, :rest]
+    tilde = T @ T.conj().T
+    tr_rho = rho.trace().real
+    missing = tr_rho - tilde.trace().real
+    escaped = 0.0 if linalg.negligible_mass(missing, tr_rho) else missing
+    d = (basis.conj().T @ tilde @ basis) / np.sqrt(np.outer(s, s))
+    evals, coords = np.linalg.eigh((d + d.conj().T) / 2)
+    weights = s @ np.abs(coords) ** 2
+    evals = linalg.snap_kernel(evals, evals * weights, tr_rho, n)
+    values = [float(weights @ f.eval(evals))
+              + (escaped * recession_value(f) if escaped else 0.0) for f in GENS]
+    return tilde, escaped, values
+
+
+def wishart_against_rank_120():
+    """A floored Wishart rho of full rank against a Wishart sigma of rank
+    120, at dim 128."""
+    rng = np.random.default_rng(128)
+    return 0.9 * wishart(rng, 128) + 0.1 * np.eye(128) / 128, wishart(rng, 128, 120)
+
+
+def pure_against_pure():
+    """k > r: a rank-1 rho leaking out of a rank-1 sigma in dim 4."""
+    rng = np.random.default_rng(4)
+    return random_state(rng, 4, rank=1), random_state(rng, 4, rank=1)
+
+
+def low_rank_leak():
+    """sigma of rank 3 and rho of rank 4 in dim 6, three of rho's factor
+    columns inside supp sigma: the leak has rank 1 < min(k, r) = 3."""
+    rng = np.random.default_rng(6)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    sigma = (Q[:, :3] * np.array([0.2, 0.3, 0.5])) @ Q[:, :3].conj().T
+    G = np.hstack((Q[:, :3] @ (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))),
+                   rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))))
+    rho = G @ G.conj().T
+    return rho / np.trace(rho).real, sigma
+
+
+SCHUR_CASES = [wishart_against_rank_120, pure_against_pure, low_rank_leak] + [
+    functools.partial(ill_conditioned_pair, seed) for seed in (10, 108, 150, 200)]
+SCHUR_IDS = ["wishart-128", "pure-pure", "low-rank-leak", "ill-10", "ill-108",
+             "ill-150", "ill-200"]
+
+
+def leak_shape(rho, sigma):
+    """(k, r): the rank of sigma's kernel, and the columns of rho's factor."""
+    k = sigma.shape[0] - np.count_nonzero(linalg.support_mask(np.linalg.eigvalsh(sigma)))
+    r = np.count_nonzero(linalg.support_mask(np.linalg.eigvalsh(rho),
+                                             linalg.ROUNDOFF_CUTOFF))
+    return k, r
+
+
+class TestSchurSplit:
+    """The Schur branch splits rho's factor by one SVD of the k x r leak."""
+
+    @pytest.mark.parametrize("make", SCHUR_CASES, ids=SCHUR_IDS)
+    def test_one_svd_of_the_leak(self, decompositions, make):
+        rho, sigma = make()
+        n, (k, r) = rho.shape[0], leak_shape(rho, sigma)
+        decompositions.clear()
+        assert not analyze(rho, sigma).dominated
+        assert decompositions == [("eigh", (n, n)), ("eigh", (n, n)),
+                                  ("svd", (k, r)), ("eigh", (n - k, n - k))]
+
+    @pytest.mark.parametrize("make", SCHUR_CASES, ids=SCHUR_IDS)
+    def test_matches_the_eigh_route(self, decompositions, make):
+        rho, sigma = make()
+        k, r = leak_shape(rho, sigma)
+        tilde, escaped, values = eigh_route(rho, sigma)
+        decompositions.clear()
+        pair = analyze(rho, sigma)
+        assert ("svd", (k, r)) in decompositions
+        assert np.abs(pair.rho_tilde - tilde).max() <= 1e-13 * max(1.0, np.abs(tilde).max())
+        assert pair.escaped == pytest.approx(escaped, rel=1e-13, abs=1e-13)
+        for f, value in zip(GENS, values):
+            assert pair.d_max(f) == pytest.approx(value, rel=1e-13, abs=1e-13)
+
+    def test_full_rank_rho_gives_the_schur_complement(self, decompositions):
+        # in sigma's eigenbasis, with C the block of rho on sigma's kernel,
+        # rho_tilde = A - B C^{-1} B^H
+        rho, sigma = wishart_against_rank_120()
+        pair = analyze(rho, sigma)
+        assert ("svd", (8, 128)) in decompositions
+        _, V = np.linalg.eigh(pair.sigma)
+        M = V.conj().T @ pair.rho @ V
+        C, B, A = M[:8, :8], M[8:, :8], M[8:, 8:]
+        schur = V[:, 8:] @ (A - B @ np.linalg.solve(C, B.conj().T)) @ V[:, 8:].conj().T
+        assert np.abs(pair.rho_tilde - schur).max() <= 1e-15

@@ -49,6 +49,17 @@ class TestRunner:
         with pytest.raises(ValueError):
             run_suite(SuiteConfig(suite="convexity", dims=(1,)))
 
+    @pytest.mark.parametrize("field", [
+        {"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")},
+        {"trials": 2.5}, {"trials": True}, {"dims": (2.5, 3)}],
+        ids=["tol-nan", "tol-negative", "tol-inf", "trials-float", "trials-bool",
+             "dims-float"])
+    def test_bad_config_is_rejected(self, field):
+        # trials=2.5 and dims=(2.5, 3) raised TypeError mid-suite, trials=True
+        # ran, and a NaN, negative or infinite tol judged every row
+        with pytest.raises(ValueError):
+            run_suite(SuiteConfig(suite="dpi", **field))
+
     def test_catalog_complete(self):
         assert set(SUITE_NAMES) == {
             "dpi", "convexity", "sigma-monotonicity", "perturbation-limit",
