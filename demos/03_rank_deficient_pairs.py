@@ -29,7 +29,8 @@ print(f"  d_max with y^2  (recession inf) = {d_max(rho, sigma, square)!r}")
 
 print("\nThe escaping mass shows up as an extra reverse-test atom with q = 0:")
 rt = minimal_reverse_test(rho, sigma)
-for label, p, q in zip(rt.labels, rt.p, rt.q):
+for x, (p, q) in enumerate(zip(rt.p, rt.q)):
+    label = "x0" if q == 0 else str(x)
     print(f"  atom {label:>2s}: p = {p:.3f}, q = {q:.3f}")
 
 print("\nSmoothing sigma with eps * identity (finite-recession generator):")

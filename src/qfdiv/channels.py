@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .divergence import analyze, d_max
+from .divergence import _analysis, analyze, d_max
 from .errors import (DimensionMismatch, InfiniteDivergence, InvalidOperator,
                      ZeroSigma)
 from .generators import DivergenceGenerator
@@ -234,7 +234,8 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
                    tol: float = 1e-8) -> EqualityReport:
     """Check whether the channel preserves d_max(rho||sigma) and why.
 
-    The pair and its image are each analysed once (divergence.analyze), and
+    The pair and its image are each analysed once: the pair through
+    divergence.analyze, which keeps it, the image without replacing it; and
     the channel maps each atom of the pair's minimal reverse test once.
     Requires both divergence values finite.  When they agree within
     max(tol, tol*|value|) the structural consequences are verified:
@@ -254,7 +255,7 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
     """
     check_tolerance(tol)
     pair = analyze(rho, sigma)
-    image = analyze(ch.apply(pair.rho), ch.apply(pair.sigma))
+    image = _analysis(ch.apply(pair.rho), ch.apply(pair.sigma))
     value_in = pair.d_max(f)
     value_out = image.d_max(f)
     if not (math.isfinite(value_in) and math.isfinite(value_out)):
@@ -281,6 +282,7 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
         inv_half = B.conj().T / np.sqrt(image.sigma_evals)[:, None]
         mapped = [inv_half @ M for M in mapped]
         V_out = image.coords
+        out_cols = [slice(a, a + k) for a, k in zip(rt_out.starts, rt_out.sizes)]
         live = np.flatnonzero(rt_out.q > 0.0)
         d_out = rt_out.p[live] / rt_out.q[live]
         mult_ok = True
@@ -290,7 +292,7 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
             d = p / q
             diff = q * sum(M[:, c] @ M[:, c].conj().T for M in mapped)
             for h in live[np.abs(d_out - d) <= max(10 * tol, tol * d)]:
-                g = V_out[:, rt_out.starts[h]:rt_out.starts[h] + rt_out.sizes[h]]
+                g = V_out[:, out_cols[h]]
                 diff -= g @ g.conj().T
             if float(np.abs(B @ diff @ B.conj().T).max()) > 10 * tol:
                 mult_ok = False

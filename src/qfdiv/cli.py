@@ -8,9 +8,10 @@
                        [--tol T] [--out PATH] [--format json|csv] [--rows]
 
 Matrices and channels are read from the JSON wire formats of qfdiv.matio;
-an operator with a non-finite entry is rejected.  Generator parameters go
-in the spec, e.g. neg_power:0.5.  The suites cycle through xlogx, square,
-neg_power:0.5 and power:1.5.  QFDIV_SEED provides the default suite seed.
+an operator with a non-finite entry is rejected.  Output JSON is strict: a
+non-finite float is written as null.  Generator parameters go in the spec,
+e.g. neg_power:0.5.  The suites cycle through xlogx, square, neg_power:0.5
+and power:1.5.  QFDIV_SEED provides the default suite seed.
 Exit codes: 0 ok, 1 property failure, 2 usage error (including a bad
 --dims, a seed outside 0..2**64-1, a bad QFDIV_SEED or a --tol that is not
 finite and >= 0), 3 numeric/domain error.  Options must be spelled in full.
@@ -36,10 +37,6 @@ from .rld import second_derivative_check
 from .suites import SUITE_NAMES, SuiteConfig, _csv, run_suite
 
 
-def _json_value(x: float):
-    return x if math.isfinite(x) else None
-
-
 def _cmd_compute(args) -> int:
     rho = matio.load_matrix(args.rho)
     sigma = matio.load_matrix(args.sigma)
@@ -47,12 +44,12 @@ def _cmd_compute(args) -> int:
     pair = analyze(rho, sigma)
     value = pair.d_max(f)
     out = {
-        "value": _json_value(value),
+        "value": value,
         "finite": math.isfinite(value),
         "rho_tilde_trace": float(np.trace(pair.rho_tilde).real),
         "atoms": pair.atom_count(),
     }
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(matio.dumps(out))
     return 0
 
 
@@ -61,12 +58,14 @@ def _cmd_reverse_test(args) -> int:
     sigma = matio.load_matrix(args.sigma)
     rt = minimal_reverse_test(rho, sigma)
     out = {
-        "labels": list(rt.labels),
+        # the escaped atom is the one with q = 0: a cluster's q is at least
+        # sigma's least support eigenvalue
+        "labels": ["x0" if b == 0.0 else str(x) for x, b in enumerate(rt.q)],
         "p": rt.p.tolist(),
         "q": rt.q.tolist(),
         "outputs": [matio.matrix_to_json(g) for g in rt.outputs],
     }
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(matio.dumps(out))
     return 0
 
 
@@ -81,7 +80,7 @@ def _cmd_check(args) -> int:
     ch = matio.load_channel(args.channel)
     f = from_spec(args.f)
     report = equality_check(rho, sigma, ch, f, tol=args.tol)
-    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
+    print(matio.dumps(dataclasses.asdict(report)))
     return 0
 
 
@@ -92,7 +91,7 @@ def _cmd_rld(args) -> int:
     f = from_spec(args.f)
     res = second_derivative_check(rho, X, Y, f, step=args.step)
     out = {"fd": res.fd_value, "analytic": res.analytic, "err": res.abs_err}
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(matio.dumps(out))
     return 0
 
 
@@ -127,8 +126,7 @@ def _cmd_suite(args) -> int:
     elif len(reports) == 1:
         payload = reports[0].to_json(include_rows=args.rows)
     else:
-        payload = json.dumps([r.as_dict(args.rows) for r in reports],
-                             indent=2, sort_keys=True)
+        payload = matio.dumps([r.as_dict(args.rows) for r in reports])
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)
@@ -199,10 +197,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QfdivError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except (QfdivError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (DimensionMismatch, DomainError, InvalidOperator,
-                     UnsupportedGenerator, ZeroSigma)
-from .generators import DivergenceGenerator, classical_f_divergence, recession_value
+from .errors import (DimensionMismatch, InvalidOperator, UnsupportedGenerator,
+                     ZeroSigma)
+from .generators import DivergenceGenerator, _f_sum, classical_f_divergence
 
 
 @dataclass(frozen=True)
@@ -35,26 +35,25 @@ class ReverseTest:
 
     Represents the classical-to-quantum simulation  Gamma(p) = rho,
     Gamma(q) = sigma,  where Gamma maps the point mass at x to the atom
-    X_x X_x^H.  factors is one (n, m) array whose column groups, starting
-    at the columns in starts, are the X_x, each of unit Frobenius norm; so
+    X_x X_x^H.  factors is one (n, m) array whose consecutive column groups,
+    sizes[x] columns each, are the X_x, each of unit Frobenius norm; so
     each atom is PSD by construction and a test costs O(n m), not O(m n^2).
     In the minimal test the atoms are the clusters of d in ascending order,
-    then the escaped atom "x0" when mass escapes supp sigma.
+    then the escaped atom, the one with q = 0, when mass escapes supp sigma.
     """
 
     factors: np.ndarray
-    starts: np.ndarray
+    sizes: np.ndarray
     p: np.ndarray
     q: np.ndarray
-    labels: tuple[str, ...]
 
     def __len__(self) -> int:
         return self.p.size
 
     @property
-    def sizes(self) -> np.ndarray:
-        """The number of columns of each atom's factor."""
-        return np.diff(self.starts, append=self.factors.shape[1])
+    def starts(self) -> np.ndarray:
+        """The first column of each atom's factor."""
+        return np.cumsum(self.sizes) - self.sizes
 
     def groups(self) -> list[np.ndarray]:
         """The factor X_x of each atom, a view of factors."""
@@ -133,7 +132,7 @@ class PairAnalysis:
 
     def d_prime(self, f: DivergenceGenerator) -> float:
         """weights . f(evals) + escaped * recession(f); see d_prime()."""
-        return float(_value(f, self.evals, self.weights, self.escaped))
+        return float(_f_sum(f, self.evals, self.weights, self.escaped))
 
     def d_max(self, f: DivergenceGenerator) -> float:
         """The maximal f-divergence of the pair; see d_max()."""
@@ -155,14 +154,12 @@ class PairAnalysis:
         q = np.add.reduceat((X.real ** 2 + X.imag ** 2).sum(axis=0), starts)
         p = np.add.reduceat(self.evals, starts) / sizes * q
         X *= np.repeat(1.0 / np.sqrt(q), sizes)
-        labels = tuple(str(i) for i in range(q.size))
         if self.escaped:
             Y = self.excess
             X = np.hstack((X, Y / np.linalg.norm(Y)))
             p, q = np.append(p, self.escaped), np.append(q, 0.0)
             sizes = np.append(sizes, Y.shape[1])
-            labels += ("x0",)
-        return ReverseTest(X, np.cumsum(sizes) - sizes, p, q, labels)
+        return ReverseTest(X, sizes, p, q)
 
 
 def _require_operator_convex(f: DivergenceGenerator) -> None:
@@ -172,23 +169,13 @@ def _require_operator_convex(f: DivergenceGenerator) -> None:
             "not flagged as one")
 
 
-def _value(f: DivergenceGenerator, evals, weights, escaped):
-    """weights . f(evals) + escaped * recession(f), one per pair of a stack
-    (whose sigmas have full rank, so no mass escapes)."""
-    vals = np.asarray(f.eval(evals), dtype=float)
-    if np.count_nonzero(np.isnan(vals)):
-        raise DomainError(f"generator {f.name!r} undefined on the spectrum of d")
-    base = np.vecdot(weights, vals)
-    return base + escaped * recession_value(f) if escaped else base
-
-
 def _adjoint(A: np.ndarray) -> np.ndarray:
     return A.conj().swapaxes(-1, -2)
 
 
-def _analysis(rho: np.ndarray, sigma: np.ndarray):
-    """The analysis body of analyze() over one pair read by linalg.as_matrix:
-    the fields of PairAnalysis, the spectrum of d ascending.
+def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
+    """The analysis body of analyze() over one pair read by linalg.as_matrix,
+    the spectrum of d ascending; it neither reads nor replaces the kept pair.
 
     It broadcasts over a stack (..., n, n) whose sigmas all have full rank,
     each array one entry per pair: with no kernel, every pair is dominated
@@ -250,8 +237,8 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray):
         evals = np.take_along_axis(evals, order, -1)
         weights = np.take_along_axis(weights, order, -1)
         coords = np.take_along_axis(coords, order[..., None, :], -1)
-    return (rho, sigma, tilde, excess, dominated, escaped, basis, s, evals,
-            coords, weights)
+    return PairAnalysis(rho, sigma, tilde, excess, dominated, escaped, basis,
+                        s, evals, coords, weights)
 
 
 # analyze()'s one kept entry: (the key of its last pair, that pair's PairAnalysis).
@@ -285,7 +272,8 @@ def analyze(rho, sigma) -> PairAnalysis:
     The last successful call is kept: a pair bit-identical to it (as
     complex matrices) gets the same read-only PairAnalysis back without
     eigensolves, and any other pair replaces it.  So one pair's arrays stay
-    in memory; a call that raises keeps nothing.
+    in memory.  A call that raises, a stack and the image in
+    channels.equality_check keep nothing.
     """
     sigma = linalg.as_matrix(sigma)
     rho = linalg.as_matrix(rho)
@@ -302,7 +290,7 @@ def _kept(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis:
     last = _last
     if last is not None and last[0] == key:
         return last[1]
-    pair = PairAnalysis(*_analysis(rho, sigma))
+    pair = _analysis(rho, sigma)
     _last = key, pair
     return pair
 
@@ -314,12 +302,11 @@ def _read(rho, sigma, f: DivergenceGenerator):
     rho = linalg.as_matrix(rho)
     if sigma.ndim == rho.ndim == 2:
         return _kept(rho, sigma).d_prime(f)
-    fields = _analysis(rho, sigma)
-    if fields is not None:
-        *_, escaped, _, _, evals, _, weights = fields
-        return _value(f, evals, weights, escaped)
+    pairs = _analysis(rho, sigma)
+    if pairs is not None:
+        return _f_sum(f, pairs.evals, pairs.weights, pairs.escaped)
     # some sigma has a kernel: each pair is read alone
-    values = [PairAnalysis(*_analysis(rho[i], sigma[i])).d_prime(f)
+    values = [_analysis(rho[i], sigma[i]).d_prime(f)
               for i in np.ndindex(sigma.shape[:-2])]
     return np.reshape(values, sigma.shape[:-2])
 

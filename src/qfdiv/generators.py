@@ -152,32 +152,30 @@ def _as_weights(v, label: str) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
+def _f_sum(f: DivergenceGenerator, ratios, weights, escaped):
+    """weights . f(ratios) + escaped * recession(f): the one f-divergence
+    sum, read by classical_f_divergence and by d_max of a pair or a stack."""
+    vals = np.asarray(f.eval(ratios), dtype=float)
+    if np.count_nonzero(np.isnan(vals)):
+        raise DomainError(f"generator {f.name!r} returned NaN on a likelihood ratio")
+    base = np.vecdot(weights, vals)
+    return base + escaped * recession_value(f) if escaped else base
+
+
 def classical_f_divergence(p, q, f: DivergenceGenerator) -> float:
     """D_f(p||q) = sum_x q(x) f(p(x)/q(x)) with the recession convention.
 
     Entries with q(x) = 0 < p(x) contribute p(x) times the recession
     constant; entries with p(x) = q(x) = 0 contribute nothing.  The result
-    lives in (-inf, +inf].
+    lives in (-inf, +inf]; d_max's spectral value is the same sum (_f_sum).
     """
     p = _as_weights(p, "p")
     q = _as_weights(q, "q")
     if p.shape != q.shape:
         raise InvalidDistribution(
             f"length mismatch: p has {p.size} entries, q has {q.size}")
-    total = 0.0
     pos = q > 0
-    if np.count_nonzero(pos):
-        vals = np.asarray(f.eval(p[pos] / q[pos]), dtype=float)
-        if np.count_nonzero(np.isnan(vals)):
-            raise DomainError("generator returned NaN on a likelihood ratio")
-        total += float(np.dot(q[pos], vals))
-    escaped = float(np.add.reduce(p[~pos]))
-    if escaped > 0.0:
-        rec = recession_value(f)
-        if rec == INF:
-            return INF
-        total += escaped * rec
-    return total
+    return float(_f_sum(f, p[pos] / q[pos], q[pos], float(np.add.reduce(p[~pos]))))
 
 
 @dataclass(frozen=True, eq=False)     # atoms may be an array: compared by identity

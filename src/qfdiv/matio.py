@@ -13,6 +13,7 @@ operator, whose own dim fields are not read).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -74,6 +75,21 @@ def load_matrix(path: str) -> np.ndarray:
 def load_channel(path: str) -> KrausChannel:
     with open(path) as fh:
         return channel_from_json(json.load(fh))
+
+
+def _finite(obj):
+    """obj with each non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def dumps(obj) -> str:
+    """obj as the indented, key-sorted JSON that qfdiv prints, a non-finite
+    float written as null: strict JSON has no Infinity or NaN."""
+    return json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False)
 
 
 def save_matrix(path: str, A) -> None:

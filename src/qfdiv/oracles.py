@@ -111,7 +111,7 @@ def disjoint_reverse_test(rho, sigma, rng: np.random.Generator) -> ReverseTest:
     X_s, w_s = _rank1_resolution(sigma, s_half, rng)
     p = np.concatenate([w_r, np.zeros(w_s.size)])
     q = np.concatenate([np.zeros(w_r.size), w_s])
-    return _rank1_test(np.hstack((X_r, X_s)), p, q)
+    return ReverseTest(np.hstack((X_r, X_s)), np.ones(p.size, dtype=int), p, q)
 
 
 def refine_reverse_test(rt: ReverseTest, rng: np.random.Generator,
@@ -121,31 +121,21 @@ def refine_reverse_test(rt: ReverseTest, rng: np.random.Generator,
     Classical post-processing maps the refinement back onto rt, so it is an
     exact reverse test of the same pair; its divergence can only be larger.
     """
-    cols, p, q, labels = [], [], [], []
-    for x, (start, size) in enumerate(zip(rt.starts, rt.sizes)):
-        a = rng.dirichlet(np.ones(splits))
-        b = rng.dirichlet(np.ones(splits))
-        for j in range(splits):
-            cols.extend(range(start, start + size))   # the atom's factor again
-            p.append(rt.p[x] * a[j])
-            q.append(rt.q[x] * b[j])
-            labels.append(f"{rt.labels[x]}.{j}")
-    sizes = np.repeat(rt.sizes, splits)
-    return ReverseTest(rt.factors[:, cols], np.cumsum(sizes) - sizes,
-                       np.array(p), np.array(q), tuple(labels))
+    # each atom's factor again per copy; per atom, the shares of p then of q
+    share = rng.dirichlet(np.ones(splits), size=(len(rt), 2))
+    return ReverseTest(np.hstack([np.tile(X, splits) for X in rt.groups()]),
+                       np.repeat(rt.sizes, splits),
+                       (rt.p[:, None] * share[:, 0]).ravel(),
+                       (rt.q[:, None] * share[:, 1]).ravel())
 
 
 def concat_reverse_tests(first: ReverseTest, second: ReverseTest,
                          weight: float) -> ReverseTest:
     """Convex combination of two reverse tests of the same pair."""
-    factors = np.hstack((first.factors, second.factors))
-    starts = np.concatenate([first.starts,
-                             second.starts + first.factors.shape[1]])
-    p = np.concatenate([weight * first.p, (1 - weight) * second.p])
-    q = np.concatenate([weight * first.q, (1 - weight) * second.q])
-    labels = (tuple(f"a{l}" for l in first.labels)
-              + tuple(f"b{l}" for l in second.labels))
-    return ReverseTest(factors, starts, p, q, labels)
+    return ReverseTest(np.hstack((first.factors, second.factors)),
+                       np.concatenate([first.sizes, second.sizes]),
+                       np.concatenate([weight * first.p, (1 - weight) * second.p]),
+                       np.concatenate([weight * first.q, (1 - weight) * second.q]))
 
 
 def random_reverse_test(rho, sigma, rng: np.random.Generator) -> ReverseTest:
@@ -192,15 +182,8 @@ def random_reverse_test(rho, sigma, rng: np.random.Generator) -> ReverseTest:
         shares.append(np.where(linalg.support_mask(share), share, 0.0))
     C = (vecs[:, keep] * root) @ U          # columns c_j = tau^{1/2} u_j
     w = (C.real ** 2 + C.imag ** 2).sum(axis=0)
-    return _rank1_test(C / np.sqrt(w),      # c_j / |c_j|
+    return ReverseTest(C / np.sqrt(w), np.ones(w.size, dtype=int),   # c_j / |c_j|
                        shares[0] * w / t, shares[1] * w / (1.0 - t))
-
-
-def _rank1_test(X, p, q) -> ReverseTest:
-    """The reverse test whose atoms are the rank-1 x_j x_j^H of the unit
-    columns of X."""
-    return ReverseTest(X, np.arange(X.shape[1]), p, q,
-                       tuple(str(i) for i in range(X.shape[1])))
 
 
 def shrunk_feasible_operator(rho, sigma, tilde, rng: np.random.Generator) -> np.ndarray:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import oracles
+from . import matio, oracles
 from .channels import (_rng, check_tolerance, depolarizing_channel,
                        embedding_channel, random_channel, random_state,
                        equality_check, dpi_check)
@@ -107,7 +106,7 @@ class SuiteReport:
         return out
 
     def to_json(self, include_rows: bool = False) -> str:
-        return json.dumps(self.as_dict(include_rows), indent=2, sort_keys=True)
+        return matio.dumps(self.as_dict(include_rows))
 
     def to_csv(self) -> str:
         return _csv([self])
@@ -213,13 +212,11 @@ def _undominated_pair(rng, dim):
 
 
 def _ill_conditioned_pair(rng, dim, inside):
-    """sigma = U diag(s) U† with U Haar (QR of a Gaussian, R's diagonal
-    phases removed) and s log-uniform in 1e-12..1 (trace 1); rho = X / tr X
-    for a Wishart X = G G†, or with inside, h X h / tr for h = sigma^{1/2}.
+    """sigma = U diag(s) U† with U Haar (random_channel's unitary) and s
+    log-uniform in 1e-12..1 (trace 1); rho = X / tr X for a Wishart
+    X = G G†, or with inside, h X h / tr for h = sigma^{1/2}.
     """
-    Q, R = np.linalg.qr(rng.standard_normal((dim, dim))
-                        + 1j * rng.standard_normal((dim, dim)))
-    U = Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
+    U = random_channel(dim, dim, 1, rng).kraus[0]
     s = 10.0 ** rng.uniform(-12, 0, dim)
     s /= s.sum()
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -13,13 +13,13 @@ import qfdiv
 import qfdiv.channels
 import qfdiv.cli
 from qfdiv import divergence, oracles
-from qfdiv.channels import equality_check, unitary_channel
+from qfdiv.channels import embedding_channel, equality_check, unitary_channel
 from qfdiv.divergence import (PairAnalysis, analyze, d_max, d_prime,
                               minimal_reverse_test, reverse_test_value)
 from qfdiv.errors import DimensionMismatch, InvalidOperator, NotPSD, ZeroSigma
 from qfdiv.generators import builtin
 from qfdiv.matio import save_matrix
-from qfdiv.suites import _ill_conditioned_pair
+from qfdiv.suites import SuiteConfig, _ill_conditioned_pair, run_suite
 
 GENS = [builtin("xlogx"), builtin("square"), builtin("neg_power", 0.5),
         builtin("power", 1.5)]
@@ -52,6 +52,20 @@ def count_analyses(monkeypatch, module):
     return calls
 
 
+def count_pair_analyses(monkeypatch):
+    """Records the shape of rho at each call of divergence._analysis, the
+    analysis body, under both names it is called by."""
+    calls = []
+    original = divergence._analysis
+
+    def counted(rho, sigma):
+        calls.append(rho.shape)
+        return original(rho, sigma)
+    monkeypatch.setattr(divergence, "_analysis", counted)
+    monkeypatch.setattr(qfdiv.channels, "_analysis", counted)
+    return calls
+
+
 class TestEigensolveCount:
     @pytest.mark.parametrize("make, ceiling", [(dominated_pair, 3),
                                                (schur_pair, 4)])
@@ -68,13 +82,33 @@ class TestEigensolveCount:
         assert 0 < len(decompositions) <= ceiling
 
     def test_equality_check_analyses_pair_and_image_once(self, monkeypatch):
-        calls = count_analyses(monkeypatch, qfdiv.channels)
+        calls = count_pair_analyses(monkeypatch)
         rho, sigma = schur_pair()
         U, _ = np.linalg.qr(np.random.default_rng(32).standard_normal((4, 4)))
         rep = equality_check(rho, sigma, unitary_channel(U),
                              builtin("neg_power", 0.5))
         assert rep.equal and rep.reverse_test_preserved
         assert len(calls) == 2
+
+    def test_second_channel_reads_the_kept_pair(self, monkeypatch):
+        # the first image does not replace the kept pair, so the second
+        # check analyses only its own image
+        calls = count_pair_analyses(monkeypatch)
+        rho, sigma = schur_pair()
+        U, _ = np.linalg.qr(np.random.default_rng(32).standard_normal((4, 4)))
+        for ch in (unitary_channel(U), embedding_channel(4, 5)):
+            rep = equality_check(rho, sigma, ch, builtin("neg_power", 0.5))
+            assert rep.equal and rep.reverse_test_preserved
+        assert calls == [(4, 4), (4, 4), (5, 5)]
+
+    def test_equality_suite_analyses_each_pair_once(self, monkeypatch):
+        # three trials of a pair and two images each, then the depolarizing
+        # check's pair and image
+        calls = count_pair_analyses(monkeypatch)
+        report = run_suite(SuiteConfig(suite="equality-preservation",
+                                       dims=(2, 3, 4), trials=3, seed=0))
+        assert report.ok()
+        assert len(calls) == 11
 
     def test_cli_compute_analyses_once(self, monkeypatch, tmp_path, capsys,
                                        decompositions):

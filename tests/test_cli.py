@@ -278,6 +278,20 @@ class TestSuiteCommand:
         assert out["ok"] is True
         assert out["fail"] == 0
 
+    @pytest.mark.parametrize("suites", ["dpi", "dpi,umegaki-bound"])
+    def test_json_is_strict(self, capsys, suites):
+        # dpi trials 0 and 4 have an infinite rhs, written as null
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+        code = main(["suite", "--suite", suites, "--trials", "6", "--seed", "0",
+                     "--rows"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        report = out if suites == "dpi" else out[0]
+        rhs = [row["rhs"] for row in report["rows"]]
+        assert rhs[0] is None and rhs[4] is None
+        assert all(isinstance(v, float) for i, v in enumerate(rhs) if i not in (0, 4))
+
     def test_failing_suite_exit_one(self, capsys):
         # the reconstruction errors are roundoff above 0, so tol 0 fails them
         code = main(["suite", "--suite", "reverse-test-reconstruction",

@@ -230,10 +230,10 @@ class TestMinimalReverseTest:
 
     def test_disjoint_pure_pair_has_escape_atom(self):
         rt = minimal_reverse_test(PROJ0, PROJP)
-        assert "x0" in rt.labels
-        k = rt.labels.index("x0")
+        # the escaped atom is the last, the one atom with q = 0
+        k = len(rt) - 1
+        assert rt.q[k] == 0.0 and np.all(rt.q[:k] > 0.0)
         assert rt.p[k] == pytest.approx(1.0, abs=1e-12)
-        assert rt.q[k] == 0.0
         np.testing.assert_allclose(rt.outputs[k], PROJ0, atol=1e-10)
         # the remaining atom reconstructs sigma with p-weight zero
         rho_hat, sigma_hat = rt.reconstruct()
@@ -519,7 +519,7 @@ class TestReverseTestClustering:
         # cutoff; no atom is built from it, the rest escapes as x0
         rho, sigma = near_threshold_pair(1e-13)
         rt = minimal_reverse_test(rho, sigma)
-        assert rt.labels[-1] == "x0"
+        assert rt.q[-1] == 0.0
         assert np.all(rt.q[:-1] > 1e-3)
         assert_optimal_reverse_test(rho, sigma, rt, 1e-9, 1e-8)
 
@@ -631,7 +631,7 @@ class TestScaleHomogeneity:
         assert d_max(rho, sigma, XLOGX) == math.inf
         pair = analyze(rho, sigma)
         assert pair.escaped == pytest.approx(0.5 * c, rel=1e-12, abs=0)
-        assert minimal_reverse_test(rho, sigma).labels[-1] == "x0"
+        assert minimal_reverse_test(rho, sigma).q[-1] == 0.0
 
     def test_not_psd_at_small_scale(self):
         rho = 1e-12 * np.diag([1.0, -0.5])
@@ -657,7 +657,7 @@ class TestFactoredReverseTest:
             rest = pair.rho - pair.rho_tilde
             assert np.abs(Y @ Y.conj().T - rest).max() <= 1e-12
             rt = pair.reverse_test()
-            assert rt.labels[-1] == "x0"
+            assert rt.q[-1] == 0.0
             assert np.abs(rt.outputs[-1] - rest / pair.escaped).max() <= 1e-12
 
     def test_atoms_are_psd_unit_trace_by_their_factors(self):

@@ -23,10 +23,13 @@ def _strip_time(report_json: str) -> dict:
 
 
 class TestRunner:
-    def test_deterministic_reports(self):
-        cfg = SuiteConfig(suite="dpi", dims=(2, 3), trials=30, seed=42)
-        a = run_suite(cfg).to_json()
-        b = run_suite(cfg).to_json()
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_deterministic_reports(self, suite):
+        # the second run starts with the pair the first left kept, so a kept
+        # analysis left over from an earlier run changes no row
+        cfg = SuiteConfig(suite=suite, dims=(2, 3), trials=3, seed=42)
+        a = run_suite(cfg).to_json(include_rows=True)
+        b = run_suite(cfg).to_json(include_rows=True)
         assert _strip_time(a) == _strip_time(b)
         # byte-identical apart from the timing field
         assert json.dumps(_strip_time(a), sort_keys=True) == \
@@ -168,6 +171,25 @@ class TestAlternativeReverseTests:
                 assert np.abs(sigma_hat - sigma).max() < 1e-12
                 dense = sum(a * out for a, out in zip(alt.p, alt.outputs))
                 assert np.abs(dense - rho_hat).max() < 1e-14
+
+    @pytest.mark.parametrize("splits", [2, 3])
+    def test_refinement_matches_the_atom_loop(self, splits):
+        # reference: per atom, draw the p shares then the q shares, and
+        # repeat its factor once per copy
+        rho, sigma = _undominated_pair(np.random.default_rng(4), 3)
+        rt = minimal_reverse_test(rho, sigma)
+        rng = np.random.default_rng(9)
+        cols, p, q = [], [], []
+        for X, a, b in zip(rt.groups(), rt.p, rt.q):
+            p_share = rng.dirichlet(np.ones(splits))
+            q_share = rng.dirichlet(np.ones(splits))
+            cols += [X] * splits
+            p += [a * s for s in p_share]
+            q += [b * s for s in q_share]
+        got = refine_reverse_test(rt, np.random.default_rng(9), splits)
+        assert np.array_equal(got.factors, np.hstack(cols))
+        assert np.array_equal(got.sizes, np.repeat(rt.sizes, splits))
+        assert np.array_equal(got.p, p) and np.array_equal(got.q, q)
 
     def test_disjoint_family_at_small_scale(self):
         # rank-1 columns are cut relative to the trace of the operand, so a
