@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .divergence import _analysis, analyze, d_max
+from .divergence import _adjoint, _analysis, analyze, d_max
 from .errors import (DimensionMismatch, InfiniteDivergence, InvalidOperator,
                      ZeroSigma)
 from .generators import DivergenceGenerator
@@ -26,9 +26,10 @@ _WEIGHT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A CPTP map given by Kraus operators K_i (each dim_out x dim_in)."""
+    """A CPTP map given by its Kraus operators K_i, held as one complex
+    stack kraus of shape (r, dim_out, dim_in), K_i = kraus[i]."""
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     dim_in: int
     dim_out: int
 
@@ -39,10 +40,7 @@ class KrausChannel:
             raise DimensionMismatch(
                 f"operator of shape {A.shape} fed to a channel with input "
                 f"dimension {self.dim_in}")
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for K in self.kraus:
-            out += K @ A @ K.conj().T
-        return out
+        return (self.kraus @ A @ _adjoint(self.kraus)).sum(axis=0)
 
     def adjoint_apply(self, B) -> np.ndarray:
         """Adjoint (Heisenberg) action sum_i K_i† B K_i; unital."""
@@ -51,31 +49,28 @@ class KrausChannel:
             raise DimensionMismatch(
                 f"operator of shape {B.shape} fed to a channel adjoint with "
                 f"output dimension {self.dim_out}")
-        out = np.zeros((self.dim_in, self.dim_in), dtype=complex)
-        for K in self.kraus:
-            out += K.conj().T @ B @ K
-        return out
+        return (_adjoint(self.kraus) @ B @ self.kraus).sum(axis=0)
 
 
 def kraus_channel(operators) -> KrausChannel:
-    """Validate a Kraus family (trace preservation, linalg.TP_TOL) and wrap it."""
-    ops = tuple(np.asarray(K, dtype=complex) for K in operators)
-    if not ops:
-        raise InvalidOperator("a channel needs at least one Kraus operator")
-    if ops[0].ndim != 2 or not ops[0].size:
-        raise InvalidOperator("Kraus operators must be non-empty matrices")
-    dim_out, dim_in = ops[0].shape
-    if any(K.shape != (dim_out, dim_in) for K in ops):
-        raise DimensionMismatch("Kraus operators have inconsistent shapes")
+    """Validate a Kraus family, a sequence of equal-shape matrices or their
+    (r, dim_out, dim_in) stack, for trace preservation (linalg.TP_TOL) and
+    wrap it as one stack."""
+    try:
+        K = np.array(operators, dtype=complex, order="C")
+    except ValueError as exc:  # ragged: the matrices differ in shape
+        raise DimensionMismatch("Kraus operators have inconsistent shapes") from exc
+    if K.ndim != 3 or not K.size:
+        raise InvalidOperator("a channel needs non-empty Kraus matrices")
     with np.errstate(invalid="ignore"):  # inf entries: nan fails the check
-        acc = sum(K.conj().T @ K for K in ops)
-    if not float(np.abs(acc - np.eye(dim_in)).max()) <= linalg.TP_TOL:
+        acc = (_adjoint(K) @ K).sum(axis=0)
+    if not float(np.abs(acc - np.eye(K.shape[2])).max()) <= linalg.TP_TOL:
         raise InvalidOperator("Kraus family is not trace preserving")
-    return KrausChannel(ops, dim_in, dim_out)
+    return KrausChannel(K, K.shape[2], K.shape[1])
 
 
 def unitary_channel(U) -> KrausChannel:
-    return kraus_channel([np.asarray(U, dtype=complex)])
+    return kraus_channel([U])
 
 
 def depolarizing_channel(dim: int, noise: float) -> KrausChannel:
@@ -84,17 +79,12 @@ def depolarizing_channel(dim: int, noise: float) -> KrausChannel:
         raise DimensionMismatch(f"dim must be at least 1, got {dim}")
     if not 0.0 <= noise <= 1.0:
         raise InvalidOperator(f"noise must lie in [0, 1], got {noise}")
-    ops = []
-    if noise < 1.0:
-        ops.append(math.sqrt(1.0 - noise) * np.eye(dim))
-    if noise > 0.0:
-        w = math.sqrt(noise / dim)
-        for i in range(dim):
-            for j in range(dim):
-                E = np.zeros((dim, dim), dtype=complex)
-                E[i, j] = w
-                ops.append(E)
-    return kraus_channel(ops)
+    # the identity, then the matrix units |i><j| in row-major order, each
+    # part kept only when its weight is not zero
+    units = math.sqrt(noise / dim) * np.eye(dim * dim).reshape(-1, dim, dim)
+    ops = np.concatenate(([math.sqrt(1.0 - noise) * np.eye(dim)], units))
+    keep = np.repeat([noise < 1.0, noise > 0.0], [1, dim * dim])
+    return kraus_channel(ops[keep])
 
 
 def embedding_channel(dim_in: int, dim_out: int) -> KrausChannel:
@@ -103,18 +93,31 @@ def embedding_channel(dim_in: int, dim_out: int) -> KrausChannel:
         raise InvalidOperator("embedding needs dim_in >= 1")
     if dim_out < dim_in:
         raise DimensionMismatch("embedding needs dim_out >= dim_in")
-    V = np.zeros((dim_out, dim_in), dtype=complex)
-    V[:dim_in, :dim_in] = np.eye(dim_in)
-    return kraus_channel([V])
+    return kraus_channel([np.eye(dim_out, dim_in)])
+
+
+def _is_int(x) -> bool:
+    """Whether x is an int or a numpy integer; a bool is not one here."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_seed(x) -> bool:
+    """Whether x is one Philox key entry: an int in 0..2**64-1."""
+    return _is_int(x) and 0 <= x < 2 ** 64
 
 
 def _rng(seed) -> np.random.Generator:
     # The package's one seed convention.  Philox: 64-bit counter-based, so
     # (seed, index) keys give independent reproducible streams on every
     # platform.  An existing Generator is passed through so callers can
-    # chain draws.
+    # chain draws.  Any other seed is an int or a tuple or list of ints, each
+    # checked by _is_seed so that none is truncated or wrapped into uint64.
     if isinstance(seed, np.random.Generator):
         return seed
+    keys = seed if isinstance(seed, (tuple, list)) else (seed,)
+    if not all(map(_is_seed, keys)):
+        raise ValueError(
+            f"seed entries must be integers in 0..2**64-1, got {seed!r}")
     return np.random.Generator(np.random.Philox(key=np.asarray(seed, dtype=np.uint64)))
 
 
@@ -146,8 +149,17 @@ def random_channel(dim_in: int, dim_out: int, env_dim: int, seed) -> KrausChanne
     diag = np.diagonal(R).copy()
     diag = np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)
     V = Q * diag.conj()
-    V = V.reshape(dim_out, env_dim, dim_in)
-    return kraus_channel([V[:, e, :] for e in range(env_dim)])
+    return kraus_channel(V.reshape(dim_out, env_dim, dim_in).swapaxes(0, 1))
+
+
+def _sigma_roots(ch: KrausChannel, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma^{1/2}, Lambda(sigma)^{-1/2}), each zero on its kernel, of a
+    sigma validated as PSD; ZeroSigma when sigma = 0."""
+    sigma, evals, vecs = linalg.psd_spectrum(sigma)
+    if not linalg.support_mask(evals).any():
+        raise ZeroSigma("sigma is the zero operator")
+    return (linalg.support_map(evals, vecs, np.sqrt),
+            linalg.gen_inverse_sqrt(ch.apply(sigma)))
 
 
 def lambda_sigma(ch: KrausChannel, sigma, Z) -> np.ndarray:
@@ -156,16 +168,13 @@ def lambda_sigma(ch: KrausChannel, sigma, Z) -> np.ndarray:
     Lambda(sigma)^{-1/2} Lambda(sigma^{1/2} Z sigma^{1/2}) Lambda(sigma)^{-1/2}.
 
     Unital as a map from supp sigma to supp Lambda(sigma); intertwines the
-    Radon-Nikodym derivatives of a dominated pair and its image.
+    Radon-Nikodym derivatives of a dominated pair and its image.  Z is a
+    finite Hermitian dim_in x dim_in operator; ZeroSigma when sigma = 0.
     """
-    sigma, evals, vecs = linalg.psd_spectrum(sigma)
-    if not linalg.support_mask(evals).any():
-        raise ZeroSigma("sigma is the zero operator")
+    s_half, out_inv = _sigma_roots(ch, sigma)
     Z = linalg.as_hermitian(Z)
     if Z.shape != (ch.dim_in, ch.dim_in):
         raise DimensionMismatch(f"Z of shape {Z.shape}, not {ch.dim_in} x {ch.dim_in}")
-    s_half = linalg.support_map(evals, vecs, np.sqrt)
-    out_inv = linalg.gen_inverse_sqrt(ch.apply(sigma))
     res = out_inv @ ch.apply(s_half @ Z @ s_half) @ out_inv
     return (res + res.conj().T) / 2
 
@@ -198,16 +207,18 @@ def v_operator(ch: KrausChannel, sigma, Z) -> np.ndarray:
     """V(Z) = Lambda†(Z Lambda(sigma)^{-1/2}) sigma^{1/2}.
 
     A Hilbert-Schmidt contraction mapping the output space back to the
-    input space; V(Lambda(sigma)^{1/2}) = sigma^{1/2}.
+    input space; V(Lambda(sigma)^{1/2}) = sigma^{1/2}.  Z is any finite
+    dim_out x dim_out operator; ZeroSigma when sigma = 0, as in
+    lambda_sigma, whose roots of sigma and Lambda(sigma) it shares.
     """
-    sigma, evals, vecs = linalg.psd_spectrum(sigma)
+    s_half, out_inv = _sigma_roots(ch, sigma)
     Z = np.asarray(Z, dtype=complex)
     if Z.shape != (ch.dim_out, ch.dim_out):
         raise DimensionMismatch(
             f"Z of shape {Z.shape} incompatible with output dimension "
             f"{ch.dim_out}")
-    out_inv = linalg.gen_inverse_sqrt(ch.apply(sigma))
-    s_half = linalg.support_map(evals, vecs, np.sqrt)
+    if not np.isfinite(Z).all():
+        raise InvalidOperator("Z has a non-finite entry")
     return ch.adjoint_apply(Z @ out_inv) @ s_half
 
 
@@ -236,9 +247,12 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
 
     The pair and its image are each analysed once: the pair through
     divergence.analyze, which keeps it, the image without replacing it; and
-    the channel maps each atom of the pair's minimal reverse test once.
-    Requires both divergence values finite.  When they agree within
-    max(tol, tol*|value|) the structural consequences are verified:
+    the channel maps the factor X_x of each atom of the pair's minimal
+    reverse test once, to the one factor Y_x = [K_1 X_x | ... | K_r X_x]
+    with Lambda(X_x X_x^H) = Y_x Y_x^H.
+    Requires both divergence values finite; equal when they agree within
+    max(tol, tol*|value|).  The structural consequences of equality are
+    checked whatever the values:
 
     * the channel maps the minimal reverse test atomwise onto the minimal
       reverse test of the image pair, with identical weight vectors;
@@ -247,8 +261,7 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
       within max(10*tol, tol*d_x) of d_x, to 10*tol entrywise; skipped,
       reported as None, for generators whose representing measure lacks
       full support.  Lambda_sigma(P_x) is read from the same channel pass:
-      it is q(x) times the sum over Kraus operators K of (S K X_x)(S K X_x)^H,
-      X_x the atom's factor and S = Lambda(sigma)^{-1/2}, so no
+      it is q(x) (S Y_x)(S Y_x)^H with S = Lambda(sigma)^{-1/2}, so no
       sigma^{1/2} congruence is formed.
 
     ValueError unless tol is finite and >= 0.
@@ -265,34 +278,33 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
 
     rt_in = pair.reverse_test()
     rt_out = image.reverse_test()
-    # the one channel pass: each Kraus operator on the factors of the atoms
-    mapped = [K @ rt_in.factors for K in ch.kraus]
-    cols = [slice(a, a + k) for a, k in zip(rt_in.starts, rt_in.sizes)]
+    # the one channel pass: Y_x = [K_1 X_x | ... | K_r X_x] for each atom's
+    # factor X_x, so that Lambda(X_x X_x^H) = Y_x Y_x^H
+    mapped = [np.hstack(ch.kraus @ X) for X in rt_in.groups()]
     p_match = _match_weights(rt_in.p, rt_out.p)
     q_match = _match_weights(rt_in.q, rt_out.q)
     preserved = len(rt_in) == len(rt_out) and all(
-        float(np.abs(sum(M[:, c] @ M[:, c].conj().T for M in mapped) - A).max())
-        <= tol for c, A in zip(cols, rt_out.outputs))
+        float(np.abs(Y @ Y.conj().T - A).max()) <= tol
+        for Y, A in zip(mapped, rt_out.outputs))
 
     mult_ok: bool | None = None
     if f.mu_full_support:
-        # S K X_x, S = Lambda(sigma)^{-1/2}, in the coordinates of the
-        # image's basis
+        # S = Lambda(sigma)^{-1/2} in the coordinates of the image's basis,
+        # and the image's eigenvectors of d' grouped by its atoms
         B = image.basis
         inv_half = B.conj().T / np.sqrt(image.sigma_evals)[:, None]
-        mapped = [inv_half @ M for M in mapped]
-        V_out = image.coords
-        out_cols = [slice(a, a + k) for a, k in zip(rt_out.starts, rt_out.sizes)]
+        groups_out = np.split(image.coords, rt_out.starts[1:], axis=1)
         live = np.flatnonzero(rt_out.q > 0.0)
         d_out = rt_out.p[live] / rt_out.q[live]
         mult_ok = True
-        for c, p, q in zip(cols, rt_in.p, rt_in.q):
+        for Y, p, q in zip(mapped, rt_in.p, rt_in.q):
             if p == 0.0 or q == 0.0:   # d's kernel, or the escaped atom
                 continue
             d = p / q
-            diff = q * sum(M[:, c] @ M[:, c].conj().T for M in mapped)
+            SY = inv_half @ Y
+            diff = q * (SY @ SY.conj().T)
             for h in live[np.abs(d_out - d) <= max(10 * tol, tol * d)]:
-                g = V_out[:, out_cols[h]]
+                g = groups_out[h]
                 diff -= g @ g.conj().T
             if float(np.abs(B @ diff @ B.conj().T).max()) > 10 * tol:
                 mult_ok = False

@@ -95,8 +95,9 @@ def builtin(name: str, param: float | None = None) -> DivergenceGenerator:
             second_deriv_at_1=a * (a - 1.0), operator_convex=True,
             mu_full_support=True)
     if name == "psi":
-        if param is None or param <= 0.0:
-            raise UnsupportedGenerator(f"psi needs a pole t > 0, got {param}")
+        if param is None or not 0.0 < param < INF:
+            raise UnsupportedGenerator(
+                f"psi needs a finite pole t > 0, got {param}")
         t = float(param)
         return DivergenceGenerator(
             f"psi:{t:g}", lambda y, t=t: -y / (y + t), recession=0.0,
@@ -123,13 +124,15 @@ def custom(name: str, fn: Callable, recession: float | None = None,
     """Wrap a user-supplied scalar function as a generator.
 
     fn(0) must be exactly zero; recession must be declared explicitly for
-    the generator to be usable on support-deficient pairs.
+    the generator to be usable on support-deficient pairs, and lies in
+    (-inf, +inf] when it is.
     """
     value0 = float(np.asarray(fn(np.asarray(0.0))))
     if value0 != 0.0:
         raise UnsupportedGenerator(f"generator must satisfy f(0) = 0, got {value0}")
-    if recession is not None and recession == -INF:
-        raise UnsupportedGenerator("recession constant cannot be -inf")
+    if recession is not None and not recession > -INF:
+        raise UnsupportedGenerator(
+            f"recession constant cannot be -inf or nan, got {recession}")
     return DivergenceGenerator(name, fn, recession, second_deriv_at_1,
                                operator_convex)
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matio, oracles
-from .channels import (_rng, check_tolerance, depolarizing_channel,
-                       embedding_channel, random_channel, random_state,
-                       equality_check, dpi_check)
+from .channels import (_is_int, _is_seed, _rng, check_tolerance,
+                       depolarizing_channel, embedding_channel, random_channel,
+                       random_state, equality_check, dpi_check)
 from .divergence import (analyze, d_max, d_prime, minimal_reverse_test,
                          perturbation_limit_probe, reverse_test_value)
 from .generators import (LownerForm, builtin, lebesgue_atoms,
@@ -471,16 +471,12 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     """Execute one suite; deterministic in (config, seed).
 
     ValueError unless trials is an int >= 1, dims a non-empty tuple of ints
-    >= 2 (bool is not an int here), the seed in 0..2**64-1 and tol, when
-    given, finite and >= 0.
+    >= 2 (bool is not an int here), the seed an int in 0..2**64-1 and tol,
+    when given, finite and >= 0.
     """
     if cfg.suite not in _SUITES:
         raise ValueError(f"unknown suite {cfg.suite!r}; available: "
@@ -489,8 +485,9 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         raise ValueError(f"trials must be an integer >= 1, got {cfg.trials!r}")
     if not cfg.dims or not all(_is_int(d) and d >= 2 for d in cfg.dims):
         raise ValueError(f"dims must contain integers >= 2, got {cfg.dims!r}")
-    if not 0 <= cfg.seed < 2 ** 64:
-        raise ValueError(f"seed must lie in 0..2**64-1, got {cfg.seed}")
+    if not _is_seed(cfg.seed):
+        raise ValueError(
+            f"seed must lie in 0..2**64-1 as an integer, got {cfg.seed!r}")
     suite, default_tol = _SUITES[cfg.suite]
     tol = default_tol if cfg.tol is None else cfg.tol
     check_tolerance(tol)

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from qfdiv import errors
-from qfdiv.channels import (KrausChannel, depolarizing_channel, dpi_check,
-                            embedding_channel, equality_check, kraus_channel,
-                            lambda_sigma, random_channel, random_state,
-                            unitary_channel, v_operator)
+from qfdiv.channels import (KrausChannel, _rng, depolarizing_channel,
+                            dpi_check, embedding_channel, equality_check,
+                            kraus_channel, lambda_sigma, random_channel,
+                            random_state, unitary_channel, v_operator)
 from qfdiv.divergence import analyze
 from qfdiv.generators import builtin
 from qfdiv.linalg import (cluster_groups, matrix_sqrt, projector,
                           support_projector)
-from qfdiv.suites import _ill_conditioned_pair
+from qfdiv.rld import random_tangent
+from qfdiv.suites import _ill_conditioned_pair, trial_rng
 
 XLOGX = builtin("xlogx")
 SQUARE = builtin("square")
@@ -77,6 +78,46 @@ class TestKrausBasics:
                 make()
         with pytest.raises(errors.DimensionMismatch):
             depolarizing_channel(0, 0.5)
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda: kraus_channel([]), errors.InvalidOperator),
+        (lambda: kraus_channel([np.eye(2), np.eye(3)]), errors.DimensionMismatch),
+        (lambda: kraus_channel([np.eye(2), np.eye(2)[:, :1]]),
+         errors.DimensionMismatch),
+        (lambda: depolarizing_channel(2, -0.1), errors.InvalidOperator),
+        (lambda: depolarizing_channel(2, 1.5), errors.InvalidOperator),
+        (lambda: depolarizing_channel(2, math.nan), errors.InvalidOperator),
+        (lambda: embedding_channel(3, 2), errors.DimensionMismatch),
+        (lambda: random_channel(0, 2, 1, 0), errors.DimensionMismatch),
+        (lambda: random_channel(2, 2, 0, 0), errors.DimensionMismatch),
+        (lambda: random_channel(3, 2, 1, 0), errors.DimensionMismatch),
+    ], ids=["kraus-empty-family", "kraus-square-shapes-differ",
+            "kraus-column-counts-differ", "depolarizing-noise-negative",
+            "depolarizing-noise-above-one", "depolarizing-noise-nan",
+            "embedding-shrinks", "random-dim-zero", "random-env-zero",
+            "random-env-too-small"])
+    def test_constructor_rejects(self, make, error):
+        with pytest.raises(error):
+            make()
+
+    def test_kraus_is_one_stack(self):
+        # one complex (r, dim_out, dim_in) array; depolarizing holds the
+        # identity, then the matrix units |i><j| in row-major order
+        ch = depolarizing_channel(2, 0.2)
+        assert ch.kraus.dtype == complex and ch.kraus.shape == (5, 2, 2)
+        np.testing.assert_array_equal(ch.kraus[0], math.sqrt(0.8) * np.eye(2))
+        for n, (i, j) in enumerate(np.ndindex(2, 2)):
+            E = np.zeros((2, 2))
+            E[i, j] = math.sqrt(0.1)
+            np.testing.assert_array_equal(ch.kraus[1 + n], E)
+        assert depolarizing_channel(2, 0.0).kraus.shape == (1, 2, 2)
+        assert depolarizing_channel(2, 1.0).kraus.shape == (4, 2, 2)
+        assert embedding_channel(2, 3).kraus.shape == (1, 3, 2)
+        assert random_channel(2, 3, 4, seed=0).kraus.shape == (4, 3, 2)
+        # a stack is itself a Kraus family
+        again = kraus_channel(ch.kraus)
+        np.testing.assert_array_equal(again.kraus, ch.kraus)
+        assert (again.dim_in, again.dim_out) == (2, 2)
 
     def test_identity(self):
         rng = np.random.default_rng(0)
@@ -145,6 +186,31 @@ class TestRandomObjects:
     def test_rank_validation(self):
         with pytest.raises(errors.DimensionMismatch):
             random_state(3, 4, seed=0)
+
+    @pytest.mark.parametrize("seed", [
+        1.5, True, np.bool_(True), np.float64(1.0), -1, 2 ** 64, np.int64(-1),
+        (1, 1.5), (1, -1), [1, True], (1, 2 ** 64)],
+        ids=["float", "bool", "numpy-bool", "numpy-float", "negative",
+             "two-to-64", "numpy-negative", "pair-float", "pair-negative",
+             "pair-bool", "pair-two-to-64"])
+    @pytest.mark.parametrize("draw", [
+        lambda seed: random_state(2, 1, seed),
+        lambda seed: random_channel(2, 2, 1, seed),
+        lambda seed: random_tangent(np.eye(2) / 2, seed),
+        lambda seed: trial_rng(seed, 0),
+    ], ids=["random_state", "random_channel", "random_tangent", "trial_rng"])
+    def test_bad_seed_is_rejected(self, draw, seed):
+        # 1.5 and True were truncated to seed 1; -1 and 2**64 raised
+        # numpy's OverflowError
+        with pytest.raises(ValueError, match="seed"):
+            draw(seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1, np.uint64(2 ** 64 - 1),
+                                      np.int32(5), (3, 4), [9, 1]])
+    def test_valid_seed_keys_philox(self, seed):
+        key = np.asarray(seed, dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).standard_normal(4)
+        np.testing.assert_array_equal(_rng(seed).standard_normal(4), want)
 
 
 class TestLambdaSigma:
@@ -299,6 +365,23 @@ class TestVOperator:
             Z = rng.standard_normal((dout, dout)) + 1j * rng.standard_normal((dout, dout))
             out = v_operator(ch, sigma, Z)
             assert np.linalg.norm(out) <= np.linalg.norm(Z) + 1e-9
+
+    def test_rejects_z_of_wrong_shape(self):
+        ch = embedding_channel(2, 3)
+        with pytest.raises(errors.DimensionMismatch):
+            v_operator(ch, np.eye(2) / 2, np.eye(2))
+
+    def test_zero_sigma(self):
+        # the input contract of lambda_sigma: sigma = 0 has no weighted map
+        with pytest.raises(errors.ZeroSigma):
+            v_operator(unitary_channel(np.eye(2)), np.zeros((2, 2)), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_z(self, bad):
+        Z = np.eye(2, dtype=complex)
+        Z[0, 1] = bad
+        with pytest.raises(errors.InvalidOperator):
+            v_operator(unitary_channel(np.eye(2)), np.eye(2) / 2, Z)
 
     def test_preservation_intertwining(self):
         # for a value-preserving channel, V carries the weighted functional

@@ -377,6 +377,38 @@ class TestClassicalOracle:
             assert abs(got - c * want) <= 1e-9 * c * want
 
 
+def degenerate_commuting_pairs():
+    """(rho, sigma) with sigma = 1/n, and with sigma having a 2-fold
+    eigenvalue whose block of rho is not diagonal in eigh's basis: both make
+    joint_eigenvalues merge eigenvalues of sigma into one block."""
+    for n in range(2, 6):
+        rng = np.random.default_rng(n)
+        yield f"flat-{n}", seeded_state(n, n, [40, n]), np.eye(n) / n
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+        block = seeded_state(2, 2, [41, n])
+        rest = rng.uniform(0.5, 1.5, n - 2)
+        rho = np.zeros((n, n), dtype=complex)
+        rho[:2, :2] = block
+        rho[2:, 2:] = np.diag(rest)
+        s = np.concatenate(([0.3, 0.3], 0.4 + 0.1 * np.arange(n - 2)))
+        sigma = (Q * s) @ Q.conj().T
+        rho = Q @ rho @ Q.conj().T
+        _, V = np.linalg.eigh(sigma)
+        in_eigh = V[:, :2].conj().T @ rho @ V[:, :2]
+        assert abs(in_eigh[0, 1]) > 1e-3   # the merged block is not diagonal
+        yield f"twofold-{n}", rho / np.trace(rho).real, sigma / s.sum()
+
+
+@pytest.mark.parametrize("f", [XLOGX, SQUARE, HALF], ids=lambda f: f.name)
+@pytest.mark.parametrize("case", list(degenerate_commuting_pairs()),
+                         ids=lambda case: case[0])
+def test_classical_oracle_merges_degenerate_sigma(case, f):
+    _, rho, sigma = case
+    assert classical_oracle(rho, sigma, f) == pytest.approx(
+        d_max(rho, sigma, f), abs=1e-12)
+
+
 @pytest.mark.parametrize("call", [
     joint_eigenvalues,
     lambda a, b: classical_oracle(a, b, XLOGX),

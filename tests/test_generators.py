@@ -84,6 +84,22 @@ def test_parameter_validation():
         builtin("nope")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: builtin("psi", math.nan),
+    lambda: builtin("psi", math.inf),
+    lambda: from_spec("psi:inf"),
+    lambda: from_spec("psi:nan"),
+    lambda: custom("rec-nan", lambda y: y * y, recession=math.nan),
+    lambda: custom("rec-neg-inf", lambda y: y * y, recession=-math.inf),
+], ids=["psi-nan", "psi-inf", "spec-psi-inf", "spec-psi-nan",
+        "custom-recession-nan", "custom-recession-neg-inf"])
+def test_parameter_outside_the_family_is_rejected(make):
+    # psi:inf read d_max = 0 for every pair, and a NaN recession gave a NaN
+    # d_max where mass escapes supp sigma
+    with pytest.raises(errors.UnsupportedGenerator):
+        make()
+
+
 def test_spec_strings():
     assert from_spec("xlogx").name == "xlogx"
     assert from_spec("neg_power:0.5").name == "neg_power:0.5"

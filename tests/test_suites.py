@@ -52,6 +52,13 @@ class TestRunner:
         with pytest.raises(ValueError):
             run_suite(SuiteConfig(suite="convexity", dims=(1,)))
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1, 2 ** 64])
+    @pytest.mark.parametrize("suite", ["dpi", "lowner-quadrature"])
+    def test_bad_seed_is_rejected(self, suite, seed):
+        # seed 1.5 ran seed 1's trials under a report that said 1.5
+        with pytest.raises(ValueError, match="seed"):
+            run_suite(SuiteConfig(suite=suite, trials=4, seed=seed))
+
     @pytest.mark.parametrize("field", [
         {"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")},
         {"trials": 2.5}, {"trials": True}, {"dims": (2.5, 3)}],
