@@ -26,12 +26,13 @@ _WEIGHT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A CPTP map given by its Kraus operators K_i, held as one complex
-    stack kraus of shape (r, dim_out, dim_in), K_i = kraus[i]."""
+    """A CPTP map given by its Kraus operators K_i = kraus[i], one complex
+    stack of shape (r, dim_out, dim_in) that also gives its dimensions."""
 
     kraus: np.ndarray
-    dim_in: int
-    dim_out: int
+
+    dim_in = property(lambda self: self.kraus.shape[2])
+    dim_out = property(lambda self: self.kraus.shape[1])
 
     def apply(self, A) -> np.ndarray:
         """Channel action sum_i K_i A K_i†."""
@@ -66,7 +67,7 @@ def kraus_channel(operators) -> KrausChannel:
         acc = (_adjoint(K) @ K).sum(axis=0)
     if not float(np.abs(acc - np.eye(K.shape[2])).max()) <= linalg.TP_TOL:
         raise InvalidOperator("Kraus family is not trace preserving")
-    return KrausChannel(K, K.shape[2], K.shape[1])
+    return KrausChannel(K)
 
 
 def unitary_channel(U) -> KrausChannel:

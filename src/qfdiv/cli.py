@@ -14,14 +14,15 @@ e.g. neg_power:0.5.  The suites cycle through xlogx, square, neg_power:0.5
 and power:1.5.  QFDIV_SEED provides the default suite seed.
 Exit codes: 0 ok, 1 property failure, 2 usage error (including a bad
 --dims, a seed outside 0..2**64-1, a bad QFDIV_SEED or a --tol that is not
-finite and >= 0), 3 numeric/domain error.  Options must be spelled in full.
+finite and >= 0), 3 numeric/domain error (any QfdivError, from a suite
+too, or a file that is not readable UTF-8 JSON).  Options must be spelled
+in full.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -47,7 +48,7 @@ def _cmd_compute(args) -> int:
         "value": value,
         "finite": math.isfinite(value),
         "rho_tilde_trace": float(np.trace(pair.rho_tilde).real),
-        "atoms": pair.atom_count(),
+        "atoms": len(pair.reverse_test()),
     }
     print(matio.dumps(out))
     return 0
@@ -58,8 +59,7 @@ def _cmd_reverse_test(args) -> int:
     sigma = matio.load_matrix(args.sigma)
     rt = minimal_reverse_test(rho, sigma)
     out = {
-        # the escaped atom is the one with q = 0: a cluster's q is at least
-        # sigma's least support eigenvalue
+        # the escaped atom is the one with q = 0 (PairAnalysis.reverse_test)
         "labels": ["x0" if b == 0.0 else str(x) for x, b in enumerate(rt.q)],
         "p": rt.p.tolist(),
         "q": rt.q.tolist(),
@@ -70,11 +70,7 @@ def _cmd_reverse_test(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        check_tolerance(args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    check_tolerance(args.tol)   # a bad --tol is a usage error, before any file is read
     rho = matio.load_matrix(args.rho)
     sigma = matio.load_matrix(args.sigma)
     ch = matio.load_channel(args.channel)
@@ -103,24 +99,18 @@ def _int(text: str, what: str) -> int:
 
 
 def _cmd_suite(args) -> int:
-    failures = 0
     reports = []
-    try:
-        seed = (_int(os.environ.get("QFDIV_SEED", "0"), "QFDIV_SEED")
-                if args.seed is None else args.seed)
-        dims = tuple(_int(d, "each of --dims") for d in args.dims.split(","))
-        names = SUITE_NAMES if args.suite == "all" else tuple(args.suite.split(","))
-        for name in names:
-            report = run_suite(SuiteConfig(suite=name, dims=dims, trials=args.trials,
-                                           seed=seed, tol=args.tol))
-            reports.append(report)
-            failures += report.total_fail
-            status = "ok" if report.ok() else "FAIL"
-            print(f"suite {name}: {report.total_pass} pass, "
-                  f"{report.total_fail} fail [{status}]", file=sys.stderr)
-    except ValueError as exc:  # a bad --suite, --dims, --trials, --tol or seed
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    seed = (_int(os.environ.get("QFDIV_SEED", "0"), "QFDIV_SEED")
+            if args.seed is None else args.seed)
+    dims = tuple(_int(d, "each of --dims") for d in args.dims.split(","))
+    names = SUITE_NAMES if args.suite == "all" else tuple(args.suite.split(","))
+    for name in names:
+        report = run_suite(SuiteConfig(suite=name, dims=dims, trials=args.trials,
+                                       seed=seed, tol=args.tol))
+        reports.append(report)
+        status = "ok" if report.ok() else "FAIL"
+        print(f"suite {name}: {report.total_pass} pass, "
+              f"{report.total_fail} fail [{status}]", file=sys.stderr)
     if args.format == "csv":
         payload = _csv(reports)
     elif len(reports) == 1:
@@ -132,7 +122,7 @@ def _cmd_suite(args) -> int:
             fh.write(payload)
     else:
         print(payload)
-    return 1 if failures else 0
+    return 0 if all(r.ok() for r in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,13 +183,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place an exception becomes an exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QfdivError, OSError, json.JSONDecodeError) as exc:
+    except (QfdivError, OSError) as exc:   # numeric/domain error, unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:   # a bad --suite, --dims, --trials, --tol or seed
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

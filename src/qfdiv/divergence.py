@@ -38,8 +38,7 @@ class ReverseTest:
     X_x X_x^H.  factors is one (n, m) array whose consecutive column groups,
     sizes[x] columns each, are the X_x, each of unit Frobenius norm; so
     each atom is PSD by construction and a test costs O(n m), not O(m n^2).
-    In the minimal test the atoms are the clusters of d in ascending order,
-    then the escaped atom, the one with q = 0, when mass escapes supp sigma.
+    PairAnalysis.reverse_test gives the minimal test's layout.
     """
 
     factors: np.ndarray
@@ -139,15 +138,16 @@ class PairAnalysis:
         _require_operator_convex(f)
         return self.d_prime(f)
 
-    def atom_count(self) -> int:
-        """len(self.reverse_test()), without building the test: one atom per
-        cluster of d (linalg.cluster_starts), and one for escaped mass."""
-        return linalg.cluster_starts(self.evals).size + bool(self.escaped)
-
     def reverse_test(self) -> ReverseTest:
-        """The minimal reverse test; see minimal_reverse_test().  It holds
-        the factors X_x = W_x / sqrt(q(x)), W = sigma^{1/2} V, one per
-        cluster of d in ascending order, and forms no atom."""
+        """The minimal reverse test, which attains d_max; its length is the
+        atom count.  One atom per cluster of d (linalg.cluster_starts), in
+        ascending order of d_x, with W_x = sigma^{1/2} V_x for the cluster's
+        eigenvectors V_x: q(x) = tr W_x W_x^H, p(x) = d_x q(x), factor
+        W_x / sqrt(q(x)).  No floor on q drops a cluster: q(x) is at least
+        sigma's least eigenvalue on its support.  When mass escapes supp
+        sigma, one last atom with q = 0 carries it, with factor Y / |Y|_F
+        for rho - rho_tilde = Y Y^H (excess).  It forms no dense atom.
+        """
         X = (self.basis * np.sqrt(self.sigma_evals)) @ self.coords
         starts = linalg.cluster_starts(self.evals)
         sizes = np.diff(starts, append=self.evals.size)
@@ -180,7 +180,7 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
     It broadcasts over a stack (..., n, n) whose sigmas all have full rank,
     each array one entry per pair: with no kernel, every pair is dominated
     and keeps its mass.  A stack where some sigma has a kernel gives None,
-    and _read reads it pair by pair.
+    and d_prime reads it pair by pair.
     """
     if rho.shape != sigma.shape:
         raise DimensionMismatch("rho and sigma must have equal dimensions")
@@ -241,14 +241,10 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
                         s, evals, coords, weights)
 
 
-# analyze()'s one kept entry: (the key of its last pair, that pair's PairAnalysis).
+# analyze()'s one kept entry: (the key of its last pair, that pair's
+# PairAnalysis).  The key holds the dtype, shape and bytes of sigma, then of
+# rho: exact, and a copy (a caller may change an array in place afterwards).
 _last = None
-
-
-def _key(A: np.ndarray) -> tuple:
-    """An exact key of an array: dtype, shape and bytes, which also serve as
-    its copy (a caller may change the array in place afterwards)."""
-    return A.dtype.str, A.shape, A.tobytes()
 
 
 def analyze(rho, sigma) -> PairAnalysis:
@@ -265,50 +261,27 @@ def analyze(rho, sigma) -> PairAnalysis:
     PSD, with no division.  One eigensolve of d, formed on supp sigma, gives
     its spectrum and the sigma-weights.
 
-    analyze takes one pair.  d_prime and d_max run the same body at once
-    over a stack whose sigmas all have full rank, and pair by pair over any
-    other stack.
-
-    The last successful call is kept: a pair bit-identical to it (as
-    complex matrices) gets the same read-only PairAnalysis back without
-    eigensolves, and any other pair replaces it.  So one pair's arrays stay
-    in memory.  A call that raises, a stack and the image in
+    analyze takes one pair (d_prime and d_max take stacks) and alone reads
+    and writes the kept pair: a pair bit-identical to its last successful
+    call (as complex matrices) gets the same read-only PairAnalysis back
+    without eigensolves, and any other pair replaces it.  So one pair's
+    arrays stay in memory.  A call that raises, a stack and the image in
     channels.equality_check keep nothing.
     """
+    global _last
     sigma = linalg.as_matrix(sigma)
     rho = linalg.as_matrix(rho)
     if sigma.ndim != 2 or rho.ndim != 2:
         raise InvalidOperator("analyze takes one pair of square matrices; "
                               "d_prime and d_max take stacks")
-    return _kept(rho, sigma)
-
-
-def _kept(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis:
-    """analyze() of one pair already read by linalg.as_matrix."""
-    global _last
-    key = _key(sigma) + _key(rho)
+    key = (sigma.dtype.str, sigma.shape, sigma.tobytes(),
+           rho.dtype.str, rho.shape, rho.tobytes())
     last = _last
     if last is not None and last[0] == key:
         return last[1]
     pair = _analysis(rho, sigma)
     _last = key, pair
     return pair
-
-
-def _read(rho, sigma, f: DivergenceGenerator):
-    """d_prime of one pair (a float, through the kept analysis) or of each
-    pair of a stack (an array; the kept pair is left as it is)."""
-    sigma = linalg.as_matrix(sigma)
-    rho = linalg.as_matrix(rho)
-    if sigma.ndim == rho.ndim == 2:
-        return _kept(rho, sigma).d_prime(f)
-    pairs = _analysis(rho, sigma)
-    if pairs is not None:
-        return _f_sum(f, pairs.evals, pairs.weights, pairs.escaped)
-    # some sigma has a kernel: each pair is read alone
-    values = [_analysis(rho[i], sigma[i]).d_prime(f)
-              for i in np.ndindex(sigma.shape[:-2])]
-    return np.reshape(values, sigma.shape[:-2])
 
 
 def d_prime(rho, sigma, f: DivergenceGenerator):
@@ -319,15 +292,24 @@ def d_prime(rho, sigma, f: DivergenceGenerator):
     with rho_tilde the Schur reduction of rho; +inf exactly when the
     recession is infinite and mass is left outside supp sigma.
 
-    rho and sigma may be stacks (..., n, n) of equal shape: the value of
-    each pair comes back as an array of shape (...), equal to the value of
-    the pair alone.  A stack whose sigmas all have full rank takes one
-    eigensolve of each kind; a stack where some sigma has a kernel is read
-    pair by pair.  A stack neither reads nor replaces the pair analyze()
-    keeps, and NotPSD (or any other error) on one pair raises for the
-    stack.
+    One pair is read through analyze().  Stacks (..., n, n) of equal shape
+    give an array of shape (...), each value equal to its pair's alone.  A
+    stack whose sigmas all have full rank takes one eigensolve of each kind;
+    a stack where some sigma has a kernel is read pair by pair.  A stack
+    neither reads nor replaces the pair analyze() keeps, and NotPSD (or any
+    other error) on one pair raises for the stack.
     """
-    return _read(rho, sigma, f)
+    if np.ndim(sigma) == np.ndim(rho) == 2:
+        return analyze(rho, sigma).d_prime(f)
+    sigma = linalg.as_matrix(sigma)
+    rho = linalg.as_matrix(rho)
+    pairs = _analysis(rho, sigma)
+    if pairs is not None:
+        return _f_sum(f, pairs.evals, pairs.weights, pairs.escaped)
+    # some sigma has a kernel: each pair is read alone
+    values = [_analysis(rho[i], sigma[i]).d_prime(f)
+              for i in np.ndindex(sigma.shape[:-2])]
+    return np.reshape(values, sigma.shape[:-2])
 
 
 def d_max(rho, sigma, f: DivergenceGenerator):
@@ -338,25 +320,13 @@ def d_max(rho, sigma, f: DivergenceGenerator):
     closed form is only valid for them.  Takes stacks as d_prime does.
     """
     _require_operator_convex(f)
-    return _read(rho, sigma, f)
+    return d_prime(rho, sigma, f)
 
 
 def minimal_reverse_test(rho, sigma) -> ReverseTest:
-    """The reverse test achieving d_max, built from the spectrum of d.
-
-    One atom per clustered eigenvalue d_x of d(rho_tilde, sigma), with
-    W_x = sigma^{1/2} V_x for the eigenvectors V_x of the cluster:
-    output W_x W_x^H / q(x), q(x) = tr W_x W_x^H, p(x) = d_x q(x).  Every
-    cluster is an atom, in ascending order of d_x: q(x) is at least the
-    smallest eigenvalue of sigma on its support, which linalg.support_mask
-    keeps above linalg.RANK_CUTOFF * tr(sigma).  When mass of rho escapes
-    supp sigma (linalg.negligible_mass), one extra atom Y Y^H / tr Y Y^H,
-    with Y the factor of rho - rho_tilde (PairAnalysis.excess), carries it
-    with q = 0.
-
-    The test holds the factors W_x / sqrt(q(x)) and Y / |Y|_F, not the
-    atoms: ReverseTest.outputs builds the dense atoms when read.
-    """
+    """The reverse test achieving d_max: analyze(rho, sigma).reverse_test()
+    (see PairAnalysis.reverse_test).  ReverseTest.outputs builds the dense
+    atoms when read."""
     return analyze(rho, sigma).reverse_test()
 
 

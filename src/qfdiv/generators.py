@@ -63,8 +63,10 @@ def builtin(name: str, param: float | None = None) -> DivergenceGenerator:
     """Construct a built-in generator by name.
 
     neg_power and power take the exponent as parameter, psi the pole
-    location; xlogx and square take none.
+    location; xlogx and square take none (UnsupportedGenerator if given).
     """
+    if name in ("xlogx", "square") and param is not None:
+        raise UnsupportedGenerator(f"{name} takes no parameter, got {param}")
     if name == "xlogx":
         return DivergenceGenerator(
             "xlogx", _xlogx, recession=INF, second_deriv_at_1=1.0,
@@ -125,7 +127,7 @@ def custom(name: str, fn: Callable, recession: float | None = None,
 
     fn(0) must be exactly zero; recession must be declared explicitly for
     the generator to be usable on support-deficient pairs, and lies in
-    (-inf, +inf] when it is.
+    (-inf, +inf] when it is; second_deriv_at_1, when declared, is finite.
     """
     value0 = float(np.asarray(fn(np.asarray(0.0))))
     if value0 != 0.0:
@@ -133,6 +135,9 @@ def custom(name: str, fn: Callable, recession: float | None = None,
     if recession is not None and not recession > -INF:
         raise UnsupportedGenerator(
             f"recession constant cannot be -inf or nan, got {recession}")
+    if second_deriv_at_1 is not None and not math.isfinite(second_deriv_at_1):
+        raise UnsupportedGenerator(
+            f"second derivative at 1 must be finite, got {second_deriv_at_1}")
     return DivergenceGenerator(name, fn, recession, second_deriv_at_1,
                                operator_convex)
 

@@ -4,10 +4,10 @@ Matrix:  {"dim": n, "entries": [[re, im], ...]}   row-major, doubles.
 Channel: {"dim_in": n, "dim_out": m, "kraus": [kraus, ...]},
          kraus = {"dim_out": m, "dim_in": n, "entries": [[re, im], ...]}.
 
-Readers raise InvalidOperator unless the document is an object with those
-fields, "kraus" is a list, the dimensions are positive integers and the
-entries are dim**2 [re, im] pairs of numbers (dim_out * dim_in for a Kraus
-operator, whose own dim fields are not read).
+Readers raise InvalidOperator unless the file is UTF-8 JSON, the document
+an object with those fields, "kraus" a list, the dimensions positive
+integers and the entries dim**2 [re, im] pairs of numbers (dim_out * dim_in
+for a Kraus operator, whose own dim fields are not read).
 """
 
 from __future__ import annotations
@@ -67,14 +67,21 @@ def channel_from_json(obj) -> KrausChannel:
     return kraus_channel(ops)
 
 
+def _load(path: str):
+    """The JSON document in a file; InvalidOperator unless it is UTF-8 JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:   # UnicodeDecodeError or JSONDecodeError
+            raise InvalidOperator(f"{path} is not a UTF-8 JSON document: {exc}") from exc
+
+
 def load_matrix(path: str) -> np.ndarray:
-    with open(path) as fh:
-        return matrix_from_json(json.load(fh))
+    return matrix_from_json(_load(path))
 
 
 def load_channel(path: str) -> KrausChannel:
-    with open(path) as fh:
-        return channel_from_json(json.load(fh))
+    return channel_from_json(_load(path))
 
 
 def _finite(obj):

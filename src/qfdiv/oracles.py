@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
+from .channels import _is_int
 from .divergence import ReverseTest
 from .errors import DimensionMismatch, NonCommuting, NotPSD, ZeroSigma
 from .generators import DivergenceGenerator, classical_f_divergence
@@ -69,19 +70,35 @@ def classical_oracle(rho, sigma, f: DivergenceGenerator) -> float:
     return classical_f_divergence(p, q, f)
 
 
-def umegaki_relative_entropy(rho, sigma) -> float:
-    """tr rho (log rho - log sigma) for an invertible pair (nats)."""
-    rho, log_rho = linalg._spectral_map(rho, np.log)
-    sigma, log_sigma = linalg._spectral_map(sigma, np.log)
+def _sigma_map(rho: np.ndarray, sigma, fn) -> np.ndarray | None:
+    """fn of sigma on its support (linalg.support_map) from the eigensolve
+    that validates sigma; None, for a relative entropy of +inf, when rho's
+    weight tr(P_ker rho) on ker sigma is not negligible against tr rho
+    (linalg.negligible_mass)."""
+    sigma, evals, vecs = linalg.psd_spectrum(sigma)
     _same_shape(rho, sigma)
+    kernel = vecs[:, ~linalg.support_mask(evals)]
+    if linalg.negligible_mass(np.vdot(kernel, rho @ kernel).real, np.trace(rho).real):
+        return linalg.support_map(evals, vecs, fn)
+    return None
+
+
+def umegaki_relative_entropy(rho, sigma) -> float:
+    """tr rho (log rho - log sigma) (nats); +inf off supp sigma (_sigma_map)."""
+    rho, log_rho = linalg._spectral_map(rho, np.log)
+    log_sigma = _sigma_map(rho, sigma, np.log)
+    if log_sigma is None:
+        return np.inf
     return float(np.trace(rho @ (log_rho - log_sigma)).real)
 
 
 def bs_relative_entropy(rho, sigma) -> float:
-    """The largest quantum relative entropy tr rho log(rho^{1/2} sigma^{-1} rho^{1/2})."""
+    """The largest quantum relative entropy tr rho log(rho^{1/2} sigma^{-1} rho^{1/2})
+    (nats); +inf off supp sigma (_sigma_map)."""
     rho, r_half = linalg._spectral_map(rho, np.sqrt)
-    sigma, s_inv = linalg._spectral_map(sigma, lambda w: 1.0 / w)
-    _same_shape(rho, sigma)
+    s_inv = _sigma_map(rho, sigma, lambda w: 1.0 / w)
+    if s_inv is None:
+        return np.inf
     _, log_m = linalg._spectral_map(r_half @ s_inv @ r_half, np.log)
     return float(np.trace(rho @ log_m).real)
 
@@ -120,7 +137,10 @@ def refine_reverse_test(rt: ReverseTest, rng: np.random.Generator,
 
     Classical post-processing maps the refinement back onto rt, so it is an
     exact reverse test of the same pair; its divergence can only be larger.
+    ValueError unless splits is an int >= 1.
     """
+    if not _is_int(splits) or splits < 1:
+        raise ValueError(f"splits must be an integer >= 1, got {splits!r}")
     # each atom's factor again per copy; per atom, the shares of p then of q
     share = rng.dirichlet(np.ones(splits), size=(len(rt), 2))
     return ReverseTest(np.hstack([np.tile(X, splits) for X in rt.groups()]),

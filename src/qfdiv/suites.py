@@ -474,16 +474,17 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     """Execute one suite; deterministic in (config, seed).
 
-    ValueError unless trials is an int >= 1, dims a non-empty tuple of ints
-    >= 2 (bool is not an int here), the seed an int in 0..2**64-1 and tol,
-    when given, finite and >= 0.
+    ValueError unless trials is an int >= 1, dims a non-empty tuple or list
+    of ints >= 2 (bool is not an int here), the seed an int in 0..2**64-1
+    and tol, when given, finite and >= 0.
     """
     if cfg.suite not in _SUITES:
         raise ValueError(f"unknown suite {cfg.suite!r}; available: "
                          f"{', '.join(SUITE_NAMES)}")
     if not _is_int(cfg.trials) or cfg.trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {cfg.trials!r}")
-    if not cfg.dims or not all(_is_int(d) and d >= 2 for d in cfg.dims):
+    if (not isinstance(cfg.dims, (tuple, list)) or not cfg.dims
+            or not all(_is_int(d) and d >= 2 for d in cfg.dims)):
         raise ValueError(f"dims must contain integers >= 2, got {cfg.dims!r}")
     if not _is_seed(cfg.seed):
         raise ValueError(

@@ -1,5 +1,6 @@
 """Tests for Kraus channels, Lambda_sigma, the V-operator, and equality."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -118,6 +119,18 @@ class TestKrausBasics:
         again = kraus_channel(ch.kraus)
         np.testing.assert_array_equal(again.kraus, ch.kraus)
         assert (again.dim_in, again.dim_out) == (2, 2)
+
+    def test_dimensions_are_read_from_the_stack(self):
+        # the dims were fields of their own: KrausChannel(eye(2)[None], 3, 3)
+        # built, and apply(eye(3)) failed in numpy's matmul
+        stack = np.eye(3, 2, dtype=complex)[None]
+        ch = KrausChannel(stack)
+        assert (ch.dim_in, ch.dim_out) == (2, 3)
+        assert [f.name for f in dataclasses.fields(KrausChannel)] == ["kraus"]
+        with pytest.raises(TypeError):
+            KrausChannel(np.eye(2, dtype=complex)[None], 3, 3)
+        with pytest.raises(errors.DimensionMismatch):
+            ch.apply(np.eye(3))
 
     def test_identity(self):
         rng = np.random.default_rng(0)

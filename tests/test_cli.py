@@ -7,9 +7,10 @@ import re
 import numpy as np
 import pytest
 
-from qfdiv import errors
+from qfdiv import errors, suites
 from qfdiv.channels import depolarizing_channel, unitary_channel
 from qfdiv.cli import main
+from qfdiv.divergence import minimal_reverse_test
 from qfdiv.matio import (channel_from_json, channel_to_json,
                          matrix_from_json, matrix_to_json, save_matrix)
 from qfdiv.suites import SUITE_NAMES, _undominated_pair
@@ -96,6 +97,25 @@ class TestComputeCommand:
         assert out["rho_tilde_trace"] == pytest.approx(1.0)
         assert out["atoms"] == 2
 
+    @pytest.mark.parametrize("dominated", [True, False])
+    def test_atoms_is_the_length_of_the_reverse_test(self, tmp_path, capsys,
+                                                      dominated):
+        rng = np.random.default_rng(5)
+        if dominated:   # sigma of rank 2, rho inside its support
+            V = np.linalg.qr(rng.standard_normal((3, 3)))[0][:, :2]
+            rho, sigma = V @ np.diag([0.3, 0.7]) @ V.T, V @ np.diag([0.6, 0.4]) @ V.T
+        else:
+            rho, sigma = _undominated_pair(rng, 3)
+        for name, M in [("rho", rho), ("sigma", sigma)]:
+            save_matrix(str(tmp_path / f"{name}.json"), M)
+        code = main(["compute", "--rho", str(tmp_path / "rho.json"),
+                     "--sigma", str(tmp_path / "sigma.json"), "--f", "square"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        rt = minimal_reverse_test(rho, sigma)
+        assert out["atoms"] == len(rt) == (2 if dominated else 3)
+        assert (0.0 in rt.q) is not dominated    # the escaped atom
+
     def test_alpha_flag(self, qubit_files, capsys):
         code = main(["compute", "--rho", qubit_files["rho"],
                      "--sigma", qubit_files["sigma"],
@@ -155,6 +175,61 @@ class TestComputeCommand:
             assert code == 3
             assert captured.out == ""
             assert captured.err.startswith("error:")
+
+
+class TestExitCodes:
+    """cli.main alone turns an exception into an exit code: 3 for a
+    QfdivError or an unreadable file, 2 for any other ValueError."""
+
+    @pytest.mark.parametrize("spec", ["square:-3", "xlogx:7"])
+    def test_parameter_on_a_plain_generator_exits_three(self, qubit_files,
+                                                         capsys, spec):
+        code = main(["compute", "--rho", qubit_files["rho"],
+                     "--sigma", qubit_files["sigma"], "--f", spec])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("content", [
+        b'{"dim": 1, "entries": [[1.0, 0.0]]}\xff\xfe', b"not json"],
+        ids=["not-utf8", "not-json"])
+    @pytest.mark.parametrize("which", ["rho", "sigma", "channel"])
+    def test_undecodable_file_exits_three(self, qubit_files, tmp_path, capsys,
+                                          which, content):
+        # a non-UTF-8 file ended in a UnicodeDecodeError traceback, exit 1
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        ch_path = tmp_path / "ch.json"
+        ch_path.write_text(json.dumps(channel_to_json(unitary_channel(np.eye(2)))))
+        files = dict(qubit_files, channel=str(ch_path))
+        files[which] = str(bad)
+        code = main(["check", "--rho", files["rho"], "--sigma", files["sigma"],
+                     "--channel", files["channel"], "--f", "square"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "UTF-8 JSON" in lines[0] and "Traceback" not in captured.err
+
+    def test_error_inside_a_suite_exits_three(self, capsys, monkeypatch):
+        # a QfdivError from a suite's body was caught as a usage error (2)
+        def body(cfg, tol):
+            raise errors.NotPSD("minimum eigenvalue -1 below -1e-10")
+            yield
+        monkeypatch.setitem(suites._SUITES, "dpi", (body, 1e-8))
+        code = main(["suite", "--suite", "dpi", "--trials", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == "error: minimum eigenvalue -1 below -1e-10\n"
+
+    def test_bad_tol_is_judged_before_any_file_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        code = main(["check", "--rho", missing, "--sigma", missing,
+                     "--channel", missing, "--f", "square", "--tol", "nan"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: tol must be finite")
 
 
 class TestReverseTestCommand:

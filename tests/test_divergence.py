@@ -10,7 +10,7 @@ import pytest
 from qfdiv import errors, linalg
 from qfdiv.channels import random_state as seeded_state
 from qfdiv.cli import main
-from qfdiv.divergence import (PairAnalysis, analyze, d_max, d_prime,
+from qfdiv.divergence import (ReverseTest, analyze, d_max, d_prime,
                               minimal_reverse_test, perturbation_limit_probe,
                               reverse_test_value)
 from qfdiv.generators import (builtin, classical_f_divergence, custom,
@@ -176,6 +176,16 @@ class TestDMax:
             sigma = 0.9 * random_state(rng, dim) + 0.1 * np.eye(dim) / dim
             assert (umegaki_relative_entropy(rho, sigma)
                     <= d_max(rho, sigma, XLOGX) + 1e-8)
+
+    @pytest.mark.parametrize("oracle", [umegaki_relative_entropy,
+                                        bs_relative_entropy])
+    def test_relative_entropies_are_infinite_off_supp_sigma(self, oracle):
+        # they read -0.693 and -0.347 where d_max under xlogx is +inf
+        rho, sigma = np.eye(2) / 2, np.diag([1.0, 0.0])
+        assert math.isinf(d_max(rho, sigma, XLOGX))
+        assert oracle(rho, sigma) == math.inf
+        # rho inside supp sigma stays finite
+        assert oracle(np.diag([1.0, 0.0]), sigma) == pytest.approx(0.0, abs=1e-12)
 
     def test_neg_power_alpha_swap(self):
         rng = np.random.default_rng(9)
@@ -602,9 +612,11 @@ class TestReverseTestClustering:
         for name, M in [("rho", rho), ("sigma", sigma)]:
             save_matrix(str(tmp_path / f"{name}.json"), M)
 
+        # the CLI counts the reverse test's factor groups; the dense atoms
+        # X_x X_x^H are built only when ReverseTest.outputs is read
         def refuse(self):
             raise AssertionError("qfdiv compute built the atoms")
-        monkeypatch.setattr(PairAnalysis, "reverse_test", refuse)
+        monkeypatch.setattr(ReverseTest, "outputs", property(refuse))
         assert main(["compute", "--rho", str(tmp_path / "rho.json"), "--sigma",
                      str(tmp_path / "sigma.json"), "--f", "square"]) == 0
         assert json.loads(capsys.readouterr().out)["atoms"] == want

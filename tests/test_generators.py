@@ -91,11 +91,23 @@ def test_parameter_validation():
     lambda: from_spec("psi:nan"),
     lambda: custom("rec-nan", lambda y: y * y, recession=math.nan),
     lambda: custom("rec-neg-inf", lambda y: y * y, recession=-math.inf),
+    lambda: custom("d2-nan", lambda y: y * y, second_deriv_at_1=math.nan),
+    lambda: custom("d2-inf", lambda y: y * y, second_deriv_at_1=math.inf),
+    lambda: custom("d2-neg-inf", lambda y: y * y, second_deriv_at_1=-math.inf),
+    lambda: builtin("square", -3.0),
+    lambda: builtin("xlogx", 7.0),
+    lambda: from_spec("square:-3"),
+    lambda: from_spec("xlogx:7"),
 ], ids=["psi-nan", "psi-inf", "spec-psi-inf", "spec-psi-nan",
-        "custom-recession-nan", "custom-recession-neg-inf"])
+        "custom-recession-nan", "custom-recession-neg-inf",
+        "custom-second-derivative-nan", "custom-second-derivative-inf",
+        "custom-second-derivative-neg-inf", "square-with-parameter",
+        "xlogx-with-parameter", "spec-square-with-parameter",
+        "spec-xlogx-with-parameter"])
 def test_parameter_outside_the_family_is_rejected(make):
-    # psi:inf read d_max = 0 for every pair, and a NaN recession gave a NaN
-    # d_max where mass escapes supp sigma
+    # psi:inf read d_max = 0 for every pair, a NaN recession gave a NaN
+    # d_max where mass escapes supp sigma, a NaN second derivative gave
+    # second_derivative_check analytic = nan, and square:-3 read as square
     with pytest.raises(errors.UnsupportedGenerator):
         make()
 

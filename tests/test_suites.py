@@ -51,6 +51,10 @@ class TestRunner:
             run_suite(SuiteConfig(suite="convexity", trials=0))
         with pytest.raises(ValueError):
             run_suite(SuiteConfig(suite="convexity", dims=(1,)))
+        # dims=2 raised TypeError from iterating an int
+        for dims in (2, None, "23"):
+            with pytest.raises(ValueError, match="dims"):
+                run_suite(SuiteConfig(suite="dpi", dims=dims, trials=2))
 
     @pytest.mark.parametrize("seed", [1.5, True, -1, 2 ** 64])
     @pytest.mark.parametrize("suite", ["dpi", "lowner-quadrature"])
@@ -197,6 +201,15 @@ class TestAlternativeReverseTests:
         assert np.array_equal(got.factors, np.hstack(cols))
         assert np.array_equal(got.sizes, np.repeat(rt.sizes, splits))
         assert np.array_equal(got.p, p) and np.array_equal(got.q, q)
+
+    @pytest.mark.parametrize("splits", [0, -1, 1.5, True])
+    def test_refinement_needs_a_positive_integer_split(self, splits):
+        # splits=0 gave an empty test that rebuilt (0, 0)
+        rt = minimal_reverse_test(*_undominated_pair(np.random.default_rng(4), 3))
+        with pytest.raises(ValueError, match="splits"):
+            refine_reverse_test(rt, np.random.default_rng(9), splits)
+        one = refine_reverse_test(rt, np.random.default_rng(9), 1)
+        assert np.array_equal(one.p, rt.p) and np.array_equal(one.q, rt.q)
 
     def test_disjoint_family_at_small_scale(self):
         # rank-1 columns are cut relative to the trace of the operand, so a
