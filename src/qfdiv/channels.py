@@ -27,12 +27,26 @@ _WEIGHT_TOL = 1e-10
 @dataclass(frozen=True)
 class KrausChannel:
     """A CPTP map given by its Kraus operators K_i = kraus[i], one complex
-    stack of shape (r, dim_out, dim_in) that also gives its dimensions."""
+    stack of shape (r, dim_out, dim_in) that also gives its dimensions.
+
+    Checked when built: InvalidOperator unless the stack is 3-D and
+    non-empty and sum K_i† K_i = 1 within linalg.TP_TOL entrywise.
+    """
 
     kraus: np.ndarray
 
     dim_in = property(lambda self: self.kraus.shape[2])
     dim_out = property(lambda self: self.kraus.shape[1])
+
+    def __post_init__(self):
+        K = np.asarray(self.kraus, dtype=complex)
+        if K.ndim != 3 or not K.size:
+            raise InvalidOperator("a channel needs non-empty Kraus matrices")
+        with np.errstate(invalid="ignore"):  # inf entries: nan fails the check
+            acc = (_adjoint(K) @ K).sum(axis=0)
+        if not float(np.abs(acc - np.eye(K.shape[2])).max()) <= linalg.TP_TOL:
+            raise InvalidOperator("Kraus family is not trace preserving")
+        object.__setattr__(self, "kraus", K)
 
     def apply(self, A) -> np.ndarray:
         """Channel action sum_i K_i A K_i†."""
@@ -54,19 +68,13 @@ class KrausChannel:
 
 
 def kraus_channel(operators) -> KrausChannel:
-    """Validate a Kraus family, a sequence of equal-shape matrices or their
-    (r, dim_out, dim_in) stack, for trace preservation (linalg.TP_TOL) and
-    wrap it as one stack."""
+    """A channel from a Kraus family, a sequence of equal-shape matrices or
+    their (r, dim_out, dim_in) stack, copied into one stack; KrausChannel
+    checks it."""
     try:
         K = np.array(operators, dtype=complex, order="C")
     except ValueError as exc:  # ragged: the matrices differ in shape
         raise DimensionMismatch("Kraus operators have inconsistent shapes") from exc
-    if K.ndim != 3 or not K.size:
-        raise InvalidOperator("a channel needs non-empty Kraus matrices")
-    with np.errstate(invalid="ignore"):  # inf entries: nan fails the check
-        acc = (_adjoint(K) @ K).sum(axis=0)
-    if not float(np.abs(acc - np.eye(K.shape[2])).max()) <= linalg.TP_TOL:
-        raise InvalidOperator("Kraus family is not trace preserving")
     return KrausChannel(K)
 
 

@@ -15,8 +15,9 @@ and power:1.5.  QFDIV_SEED provides the default suite seed.
 Exit codes: 0 ok, 1 property failure, 2 usage error (including a bad
 --dims, a seed outside 0..2**64-1, a bad QFDIV_SEED or a --tol that is not
 finite and >= 0), 3 numeric/domain error (any QfdivError, from a suite
-too, or a file that is not readable UTF-8 JSON).  Options must be spelled
-in full.
+too, or a file that is not readable UTF-8 JSON), 141 (128 + SIGPIPE)
+when the reader of stdout closes it early, as `| head -1` does.  Options
+must be spelled in full.
 """
 
 from __future__ import annotations
@@ -182,12 +183,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's descriptor at os.devnull, so that the interpreter's
+    final flush of what a closed pipe left buffered does not raise again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     """Run one command; the one place an exception becomes an exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return 141
     except (QfdivError, OSError) as exc:   # numeric/domain error, unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 3

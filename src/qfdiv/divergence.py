@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import (DimensionMismatch, InvalidOperator, UnsupportedGenerator,
                      ZeroSigma)
-from .generators import DivergenceGenerator, _f_sum, classical_f_divergence
+from .generators import DivergenceGenerator, _f_sum, _split, _weights
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,26 @@ class ReverseTest:
     sizes[x] columns each, are the X_x, each of unit Frobenius norm; so
     each atom is PSD by construction and a test costs O(n m), not O(m n^2).
     PairAnalysis.reverse_test gives the minimal test's layout.
+
+    The weights are checked once, when the test is built, by the rules of
+    classical_f_divergence: InvalidDistribution on a non-finite entry, on
+    one below -1e-12 max|v|, or on unequal lengths.  p and q are then the
+    test's own read-only float copies (the entries below 0 that pass
+    clamped to 0), and the test holds their split for reverse_test_value.
     """
 
     factors: np.ndarray
     sizes: np.ndarray
     p: np.ndarray
     q: np.ndarray
+
+    def __post_init__(self):
+        p, q = _weights(np.array(self.p, dtype=float),
+                        np.array(self.q, dtype=float))
+        for name, value in (("p", p), ("q", q)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_split", _split(p, q))
 
     def __len__(self) -> int:
         return self.p.size
@@ -150,10 +164,16 @@ class PairAnalysis:
         """
         X = (self.basis * np.sqrt(self.sigma_evals)) @ self.coords
         starts = linalg.cluster_starts(self.evals)
-        sizes = np.diff(starts, append=self.evals.size)
-        q = np.add.reduceat((X.real ** 2 + X.imag ** 2).sum(axis=0), starts)
-        p = np.add.reduceat(self.evals, starts) / sizes * q
-        X *= np.repeat(1.0 / np.sqrt(q), sizes)
+        q = (X.real ** 2 + X.imag ** 2).sum(axis=0)
+        if starts.size == q.size:       # every cluster is one eigenvector
+            sizes = np.ones_like(starts)
+            p = self.evals * q
+            X *= 1.0 / np.sqrt(q)
+        else:
+            sizes = np.diff(starts, append=q.size)
+            q = np.add.reduceat(q, starts)
+            p = np.add.reduceat(self.evals, starts) / sizes * q
+            X *= np.repeat(1.0 / np.sqrt(q), sizes)
         if self.escaped:
             Y = self.excess
             X = np.hstack((X, Y / np.linalg.norm(Y)))
@@ -331,8 +351,10 @@ def minimal_reverse_test(rho, sigma) -> ReverseTest:
 
 
 def reverse_test_value(rt: ReverseTest, f: DivergenceGenerator) -> float:
-    """The classical f-divergence D_f(p||q) of a reverse test."""
-    return classical_f_divergence(rt.p, rt.q, f)
+    """The classical f-divergence D_f(p||q) of a reverse test, summed from
+    the split of its weights that the test holds: equal, bit for bit, to
+    classical_f_divergence(rt.p, rt.q, f)."""
+    return float(_f_sum(f, *rt._split))
 
 
 def perturbation_limit_probe(rho, sigma, f: DivergenceGenerator,

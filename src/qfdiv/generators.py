@@ -55,8 +55,8 @@ class DivergenceGenerator:
 
 
 def _xlogx(y: np.ndarray) -> np.ndarray:
-    safe = np.where(y > 0, y, 1.0)
-    return np.where(y > 0, y * np.log(safe), 0.0)
+    pos = y > 0
+    return np.where(pos, y * np.log(np.where(pos, y, 1.0)), 0.0)
 
 
 def builtin(name: str, param: float | None = None) -> DivergenceGenerator:
@@ -151,22 +151,50 @@ def recession_value(f: DivergenceGenerator) -> float:
 
 
 def _as_weights(v, label: str) -> np.ndarray:
+    """v as a flat float array; InvalidDistribution on a non-finite entry or
+    on one below -1e-12 max|v|.  The entries below 0 that pass are clamped
+    to 0 in a copy; otherwise v itself (or a view of it) comes back."""
     v = np.asarray(v, dtype=float).ravel()
-    if np.count_nonzero(np.isfinite(v)) < v.size:
+    if not v.size:
+        return v
+    lo, hi = np.minimum.reduce(v), np.maximum.reduce(v)   # nan reaches both
+    if not -INF < lo <= hi < INF:
         raise InvalidDistribution(f"{label} has a non-finite entry")
-    if v.size and (np.minimum.reduce(v)
-                   < -1e-12 * np.maximum.reduce(np.abs(v))):
-        raise InvalidDistribution(f"{label} has negative entries")
-    return np.maximum(v, 0.0)
+    if lo < 0.0:
+        if lo < -1e-12 * max(hi, -lo):
+            raise InvalidDistribution(f"{label} has negative entries")
+        v = np.maximum(v, 0.0)
+    return v
+
+
+def _weights(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """The weight vectors of a classical f-divergence, p then q, each
+    checked by _as_weights; InvalidDistribution on unequal lengths."""
+    p = _as_weights(p, "p")
+    q = _as_weights(q, "q")
+    if p.shape != q.shape:
+        raise InvalidDistribution(
+            f"length mismatch: p has {p.size} entries, q has {q.size}")
+    return p, q
+
+
+def _split(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(p/q where q > 0, q there, the p-mass where q = 0): the arguments of
+    _f_sum for checked weights, read by classical_f_divergence and held by
+    each divergence.ReverseTest."""
+    pos = q > 0
+    return p[pos] / q[pos], q[pos], float(np.add.reduce(p[~pos]))
 
 
 def _f_sum(f: DivergenceGenerator, ratios, weights, escaped):
     """weights . f(ratios) + escaped * recession(f): the one f-divergence
-    sum, read by classical_f_divergence and by d_max of a pair or a stack."""
+    sum, read by classical_f_divergence, by a reverse test's value and by
+    d_max of a pair or a stack.  DomainError when f gives NaN at a ratio."""
     vals = np.asarray(f.eval(ratios), dtype=float)
-    if np.count_nonzero(np.isnan(vals)):
-        raise DomainError(f"generator {f.name!r} returned NaN on a likelihood ratio")
     base = np.vecdot(weights, vals)
+    # a NaN of f reaches the sum, so vals is searched only when the sum is NaN
+    if np.count_nonzero(np.isnan(base)) and np.count_nonzero(np.isnan(vals)):
+        raise DomainError(f"generator {f.name!r} returned NaN on a likelihood ratio")
     return base + escaped * recession_value(f) if escaped else base
 
 
@@ -177,13 +205,7 @@ def classical_f_divergence(p, q, f: DivergenceGenerator) -> float:
     constant; entries with p(x) = q(x) = 0 contribute nothing.  The result
     lives in (-inf, +inf]; d_max's spectral value is the same sum (_f_sum).
     """
-    p = _as_weights(p, "p")
-    q = _as_weights(q, "q")
-    if p.shape != q.shape:
-        raise InvalidDistribution(
-            f"length mismatch: p has {p.size} entries, q has {q.size}")
-    pos = q > 0
-    return float(_f_sum(f, p[pos] / q[pos], q[pos], float(np.add.reduce(p[~pos]))))
+    return float(_f_sum(f, *_split(*_weights(p, q))))
 
 
 @dataclass(frozen=True, eq=False)     # atoms may be an array: compared by identity

@@ -33,7 +33,7 @@ CLUSTER_GAP = 1e-8
 MASS_TOL = 1e-10
 # Domination (divergence.analyze): |<s|r>| for s in ker sigma, r in supp rho.
 DOMINATION_TOL = 1e-8
-# Trace preservation (channels.kraus_channel): entrywise roundoff of sum K†K - 1.
+# Trace preservation (channels.KrausChannel): entrywise roundoff of sum K†K - 1.
 TP_TOL = 1e-10
 
 
@@ -126,10 +126,14 @@ def cluster_starts(evals: np.ndarray) -> np.ndarray:
     Neighbours merge when their gap is at most CLUSTER_GAP times the larger
     of the two magnitudes.  The gap is local and relative, so one large
     eigenvalue cannot pull distinct small ones together, and the exact zeros
-    left by snap_kernel form one cluster.
+    left by snap_kernel form one cluster.  When every cluster is one
+    eigenvalue the starts are np.arange(evals.size).
     """
-    bound = CLUSTER_GAP * np.maximum(np.abs(evals[1:]), np.abs(evals[:-1]))
-    return np.flatnonzero(np.concatenate(([True], np.diff(evals) > bound)))
+    mag = np.abs(evals)
+    gaps = evals[1:] - evals[:-1] > CLUSTER_GAP * np.maximum(mag[1:], mag[:-1])
+    if np.count_nonzero(gaps) == evals.size - 1:
+        return np.arange(evals.size)
+    return np.flatnonzero(np.concatenate(([True], gaps)))
 
 
 def cluster_groups(evals: np.ndarray) -> list[np.ndarray]:

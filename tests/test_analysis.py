@@ -12,7 +12,7 @@ import pytest
 import qfdiv
 import qfdiv.channels
 import qfdiv.cli
-from qfdiv import divergence, oracles
+from qfdiv import divergence, generators, oracles
 from qfdiv.channels import embedding_channel, equality_check, unitary_channel
 from qfdiv.divergence import (PairAnalysis, analyze, d_max, d_prime,
                               minimal_reverse_test, reverse_test_value)
@@ -145,6 +145,36 @@ class TestKeptPair:
         minimal_reverse_test(rho, sigma)
         assert len(decompositions) == solves
 
+    @staticmethod
+    def dim3_pairs():
+        """A dominated, a rank-deficient and an escaping dim-3 pair."""
+        rng = np.random.default_rng(40)
+        V = np.linalg.qr(rng.standard_normal((3, 3)))[0][:, :2]
+        low = V @ random_state(rng, 2) @ V.T
+        return [(random_state(rng, 3), random_state(rng, 3)),
+                (V @ random_state(rng, 2) @ V.T, low),
+                (random_state(rng, 3), low)]
+
+    def test_pairs_op_analyses_once_and_checks_weights_once(self, monkeypatch):
+        # one pair op of perfbench: 4 d_max, the minimal test, 4 test values
+        analyses = count_pair_analyses(monkeypatch)
+        checked = []
+        original = generators._as_weights
+
+        def counted(v, label):
+            checked.append(label)
+            return original(v, label)
+        monkeypatch.setattr(generators, "_as_weights", counted)
+        for rho, sigma in self.dim3_pairs():
+            analyses.clear()
+            checked.clear()
+            values = [d_max(rho, sigma, f) for f in GENS]
+            rt = minimal_reverse_test(rho, sigma)
+            assert [reverse_test_value(rt, f) for f in GENS] == pytest.approx(
+                values, rel=1e-9)
+            assert len(analyses) == 1
+            assert checked == ["p", "q"]
+
     @pytest.mark.parametrize("operand", [0, 1])
     def test_in_place_change_is_analysed_afresh(self, operand):
         pair = list(dominated_pair())
@@ -165,7 +195,8 @@ class TestKeptPair:
         rt = pair.reverse_test()
         rt.outputs[0][...] = 0.0
         rt.factors[...] = 0.0
-        rt.p[...] = 0.0
+        with pytest.raises(ValueError):
+            rt.p[...] = 0.0
         again = analyze(*schur_pair())
         assert again is pair
         assert again.reverse_test().p.sum() == pytest.approx(1.0, abs=1e-12)

@@ -132,6 +132,15 @@ class TestKrausBasics:
         with pytest.raises(errors.DimensionMismatch):
             ch.apply(np.eye(3))
 
+    @pytest.mark.parametrize("kraus", [
+        np.eye(2),                                   # 2-D: IndexError on dim_in
+        np.zeros((0, 2, 2), dtype=complex),
+        2 * np.eye(2, dtype=complex)[None],          # tr of the image of 1/2 was 4
+    ], ids=["two-dim", "empty", "not-trace-preserving"])
+    def test_direct_construction_is_checked(self, kraus):
+        with pytest.raises(errors.InvalidOperator):
+            KrausChannel(kraus)
+
     def test_identity(self):
         rng = np.random.default_rng(0)
         A = random_state(2, 2, rng)

@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface and the JSON formats."""
 
 import csv
+import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qfdiv
 from qfdiv import errors, suites
 from qfdiv.channels import depolarizing_channel, unitary_channel
 from qfdiv.cli import main
@@ -230,6 +235,50 @@ class TestExitCodes:
                      "--channel", missing, "--f", "square", "--tol", "nan"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: tol must be finite")
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early, as `qfdiv ... | head -1` does, is
+    not a numeric error: no error line, exit 141 (128 + SIGPIPE)."""
+
+    def test_broken_pipe_exits_141_and_silences_stdout(self, qubit_files,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+        target = tmp_path / "stdout"
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        with open(target, "wb") as fh:
+            fd = fh.fileno()
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            code = main(["reverse-test", "--rho", qubit_files["rho"],
+                         "--sigma", qubit_files["sigma"]])
+            # stdout's descriptor now points at os.devnull
+            os.write(fd, b"flushed at exit")
+        assert code == 141
+        assert capsys.readouterr().err == ""
+        assert target.read_bytes() == b""
+
+    def test_closed_pipe_in_a_process(self, qubit_files):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qfdiv", "reverse-test",
+                 "--rho", qubit_files["rho"], "--sigma", qubit_files["sigma"]],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=os.path.dirname(
+                    os.path.dirname(qfdiv.__file__))),
+                timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
 
 
 class TestReverseTestCommand:

@@ -7,14 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from qfdiv import errors, linalg
+from qfdiv import errors, linalg, oracles
 from qfdiv.channels import random_state as seeded_state
 from qfdiv.cli import main
 from qfdiv.divergence import (ReverseTest, analyze, d_max, d_prime,
                               minimal_reverse_test, perturbation_limit_probe,
                               reverse_test_value)
 from qfdiv.generators import (builtin, classical_f_divergence, custom,
-                               recession_value)
+                               from_spec, recession_value)
 from qfdiv.linalg import support_projector
 from qfdiv.matio import save_matrix
 from qfdiv.oracles import (bs_relative_entropy, classical_oracle,
@@ -300,6 +300,81 @@ class TestReverseTestValue:
         rt = minimal_reverse_test(PROJ0, PROJP)
         assert reverse_test_value(rt, XLOGX) == math.inf
         assert reverse_test_value(rt, HALF) == 0.0
+
+
+def held_weight_tests():
+    """(id, reverse test): the minimal test of a dominated, a rank-deficient,
+    an escaping and a degenerate commuting pair, then disjoint, refined,
+    concatenated and random tests."""
+    rng = np.random.default_rng(60)
+    dominated = random_state(rng, 3), random_state(rng, 3)
+    V = np.linalg.qr(rng.standard_normal((3, 3)))[0][:, :2]
+    low = V @ random_state(rng, 2) @ V.T
+    rank_deficient = V @ random_state(rng, 2) @ V.T, low
+    escaping = random_state(rng, 3), low
+    # d = diag(0.8, 0.8, 1.2): one cluster of two eigenvectors
+    degenerate = np.diag([0.2, 0.2, 0.6]), np.diag([0.25, 0.25, 0.5])
+    minimal = minimal_reverse_test(*dominated)
+    yield "dominated", minimal
+    yield "rank-deficient", minimal_reverse_test(*rank_deficient)
+    yield "escaping", minimal_reverse_test(*escaping)
+    yield "degenerate", minimal_reverse_test(*degenerate)
+    yield "disjoint", oracles.disjoint_reverse_test(*escaping, rng)
+    yield "refined", oracles.refine_reverse_test(minimal, rng, 3)
+    yield "concatenated", oracles.concat_reverse_tests(
+        minimal, oracles.random_reverse_test(*dominated, rng), 0.3)
+    yield "random", oracles.random_reverse_test(*escaping, rng)
+
+
+class TestHeldWeights:
+    """A ReverseTest checks and splits its weights once, when it is built;
+    reverse_test_value sums that split."""
+
+    @pytest.mark.parametrize("spec", ["xlogx", "square", "neg_power:0.5",
+                                      "power:1.5", "psi:1"])
+    def test_value_is_the_classical_divergence_bit_for_bit(self, spec):
+        f = from_spec(spec)
+        for name, rt in held_weight_tests():
+            got = reverse_test_value(rt, f)
+            want = classical_f_divergence(rt.p, rt.q, f)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
+
+    def test_cases_cover_both_layouts_and_the_escape(self):
+        tests = dict(held_weight_tests())
+        assert tests["degenerate"].sizes.tolist() == [2, 1]
+        assert tests["dominated"].sizes.tolist() == [1, 1, 1]
+        assert tests["escaping"].q[-1] == 0.0 < tests["escaping"].p[-1]
+        assert tests["rank-deficient"].q.min() > 0.0
+
+    def test_nan_generator_raises_domain_error(self):
+        partial = custom("partial", lambda y: np.where(y > 1.0, np.nan, y * y),
+                         recession=math.inf)
+        rt = minimal_reverse_test(np.diag([0.5, 0.5]), np.diag([0.25, 0.75]))
+        with pytest.raises(errors.DomainError):
+            reverse_test_value(rt, partial)
+        with pytest.raises(errors.DomainError):
+            classical_f_divergence(rt.p, rt.q, partial)
+
+    @pytest.mark.parametrize("p, q", [
+        ([math.nan, 0.5], [0.5, 0.5]), ([0.5, 0.5], [math.inf, 0.5]),
+        ([-math.inf, 0.5], [0.5, 0.5]), ([-0.1, 1.1], [0.5, 0.5]),
+        ([1.0], [0.5, 0.5])],
+        ids=["nan", "inf", "minus-inf", "negative", "unequal-lengths"])
+    def test_bad_weights_raise_when_built(self, p, q):
+        factors = np.eye(2, dtype=complex)
+        with pytest.raises(errors.InvalidDistribution):
+            ReverseTest(factors, np.ones(2, dtype=int), p, q)
+
+    def test_weights_are_read_only_copies(self):
+        p, q = np.array([0.5, 0.5]), np.array([0.25, -1e-14])
+        rt = ReverseTest(np.eye(2, dtype=complex), np.ones(2, dtype=int), p, q)
+        for held in (rt.p, rt.q):
+            with pytest.raises(ValueError):
+                held[0] = 0.0
+        p[0] = 7.0
+        assert rt.p.tolist() == [0.5, 0.5] and p.flags.writeable
+        # the dust below 0 that the check lets pass is held as 0
+        assert rt.q.tolist() == [0.25, 0.0]
 
 
 class TestPerturbationProbe:
