@@ -29,8 +29,11 @@ class KrausChannel:
     """A CPTP map given by its Kraus operators K_i = kraus[i], one complex
     stack of shape (r, dim_out, dim_in) that also gives its dimensions.
 
-    Checked when built: InvalidOperator unless the stack is 3-D and
-    non-empty and sum K_i† K_i = 1 within linalg.TP_TOL entrywise.
+    Built from a Kraus family, a sequence of equal-shape matrices or their
+    stack, which it copies into its own read-only stack and checks once:
+    DimensionMismatch if the matrices differ in shape, InvalidOperator
+    unless the stack is 3-D and non-empty and sum K_i† K_i = 1 within
+    linalg.TP_TOL entrywise.
     """
 
     kraus: np.ndarray
@@ -39,13 +42,18 @@ class KrausChannel:
     dim_out = property(lambda self: self.kraus.shape[1])
 
     def __post_init__(self):
-        K = np.asarray(self.kraus, dtype=complex)
+        try:
+            K = np.array(self.kraus, dtype=complex, order="C")
+        except ValueError as exc:  # ragged: the matrices differ in shape
+            raise DimensionMismatch(
+                "Kraus operators have inconsistent shapes") from exc
         if K.ndim != 3 or not K.size:
             raise InvalidOperator("a channel needs non-empty Kraus matrices")
         with np.errstate(invalid="ignore"):  # inf entries: nan fails the check
             acc = (_adjoint(K) @ K).sum(axis=0)
         if not float(np.abs(acc - np.eye(K.shape[2])).max()) <= linalg.TP_TOL:
             raise InvalidOperator("Kraus family is not trace preserving")
+        K.setflags(write=False)
         object.__setattr__(self, "kraus", K)
 
     def apply(self, A) -> np.ndarray:
@@ -69,13 +77,8 @@ class KrausChannel:
 
 def kraus_channel(operators) -> KrausChannel:
     """A channel from a Kraus family, a sequence of equal-shape matrices or
-    their (r, dim_out, dim_in) stack, copied into one stack; KrausChannel
-    checks it."""
-    try:
-        K = np.array(operators, dtype=complex, order="C")
-    except ValueError as exc:  # ragged: the matrices differ in shape
-        raise DimensionMismatch("Kraus operators have inconsistent shapes") from exc
-    return KrausChannel(K)
+    their (r, dim_out, dim_in) stack: KrausChannel(operators)."""
+    return KrausChannel(operators)
 
 
 def unitary_channel(U) -> KrausChannel:

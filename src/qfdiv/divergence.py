@@ -164,16 +164,10 @@ class PairAnalysis:
         """
         X = (self.basis * np.sqrt(self.sigma_evals)) @ self.coords
         starts = linalg.cluster_starts(self.evals)
-        q = (X.real ** 2 + X.imag ** 2).sum(axis=0)
-        if starts.size == q.size:       # every cluster is one eigenvector
-            sizes = np.ones_like(starts)
-            p = self.evals * q
-            X *= 1.0 / np.sqrt(q)
-        else:
-            sizes = np.diff(starts, append=q.size)
-            q = np.add.reduceat(q, starts)
-            p = np.add.reduceat(self.evals, starts) / sizes * q
-            X *= np.repeat(1.0 / np.sqrt(q), sizes)
+        sizes = np.concatenate((starts[1:], [self.evals.size])) - starts
+        q = np.add.reduceat((X.real ** 2 + X.imag ** 2).sum(axis=0), starts)
+        p = np.add.reduceat(self.evals, starts) / sizes * q
+        X *= np.repeat(1.0 / np.sqrt(q), sizes)
         if self.escaped:
             Y = self.excess
             X = np.hstack((X, Y / np.linalg.norm(Y)))

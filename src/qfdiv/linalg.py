@@ -126,14 +126,10 @@ def cluster_starts(evals: np.ndarray) -> np.ndarray:
     Neighbours merge when their gap is at most CLUSTER_GAP times the larger
     of the two magnitudes.  The gap is local and relative, so one large
     eigenvalue cannot pull distinct small ones together, and the exact zeros
-    left by snap_kernel form one cluster.  When every cluster is one
-    eigenvalue the starts are np.arange(evals.size).
+    left by snap_kernel form one cluster.
     """
-    mag = np.abs(evals)
-    gaps = evals[1:] - evals[:-1] > CLUSTER_GAP * np.maximum(mag[1:], mag[:-1])
-    if np.count_nonzero(gaps) == evals.size - 1:
-        return np.arange(evals.size)
-    return np.flatnonzero(np.concatenate(([True], gaps)))
+    bound = CLUSTER_GAP * np.maximum(np.abs(evals[1:]), np.abs(evals[:-1]))
+    return np.flatnonzero(np.concatenate(([True], evals[1:] - evals[:-1] > bound)))
 
 
 def cluster_groups(evals: np.ndarray) -> list[np.ndarray]:

@@ -141,6 +141,19 @@ class TestKrausBasics:
         with pytest.raises(errors.InvalidOperator):
             KrausChannel(kraus)
 
+    def test_stack_is_a_read_only_copy(self):
+        # a stack kept by reference could be scaled into a map with
+        # tr of the image of 1/2 equal to 4 after the check
+        stack = np.eye(2, dtype=complex)[None].copy()
+        ch = KrausChannel(stack)
+        stack *= 2
+        np.testing.assert_array_equal(ch.kraus[0], np.eye(2))
+        with pytest.raises(ValueError):
+            ch.kraus[0] *= 2
+        assert np.trace(ch.apply(np.eye(2) / 2)).real == 1.0
+        with pytest.raises(errors.DimensionMismatch):
+            KrausChannel([np.eye(2), np.eye(3)])
+
     def test_identity(self):
         rng = np.random.default_rng(0)
         A = random_state(2, 2, rng)

@@ -9,10 +9,9 @@ import pytest
 
 from qfdiv import channels, divergence, errors, linalg
 from qfdiv.divergence import analyze
-from qfdiv.linalg import (CLUSTER_GAP, KERNEL_FLOOR, as_hermitian, as_matrix,
-                          cluster_groups, cluster_starts, gen_inverse_sqrt,
-                          matrix_sqrt, projector, snap_kernel,
-                          support_projector)
+from qfdiv.linalg import (KERNEL_FLOOR, as_hermitian, as_matrix,
+                          cluster_groups, gen_inverse_sqrt, matrix_sqrt,
+                          projector, snap_kernel, support_projector)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 KET0 = np.array([1, 0], dtype=complex)
@@ -309,25 +308,6 @@ class TestClusterRule:
                 else:
                     groups.append([i])
             assert [g.tolist() for g in cluster_groups(evals)] == groups
-
-    @staticmethod
-    def formula_starts(evals):
-        """cluster_starts before the all-singletons shortcut."""
-        bound = CLUSTER_GAP * np.maximum(np.abs(evals[1:]), np.abs(evals[:-1]))
-        return np.flatnonzero(np.concatenate(([True], np.diff(evals) > bound)))
-
-    @pytest.mark.parametrize("evals", [
-        [], [0.0], [0.3], [0.0, 0.0, 0.0], [0.0, 0.0, 0.2, 0.5],
-        [0.1, 0.2, 0.3], [0.0, 0.1, 0.1, 0.1, 2.0], [1.0, 1.0, 1.0 + 1e-8],
-        [1.0, 1.0 + 1e-8], [1.0, np.nextafter(1.0 + 1e-8, 2.0)],
-        [1.0, np.nextafter(1.0 + 1e-8, 0.0)], [0.0, 1e-300, 1.0],
-        [-0.5, -0.5 * (1 - 1e-8), 0.0, 4.0, 4.0 * (1 + 1e-8)]])
-    def test_starts_match_the_formula(self, evals):
-        evals = np.array(evals, dtype=float)
-        starts = cluster_starts(evals)
-        want = self.formula_starts(evals)
-        assert starts.dtype == want.dtype
-        np.testing.assert_array_equal(starts, want)
 
 
 class TestToleranceTable:
