@@ -11,9 +11,8 @@ d_max and d_prime of a stack of pairs return an array of such values.
 
 from .channels import (DpiResult, EqualityReport, KrausChannel,
                        depolarizing_channel, dpi_check, embedding_channel,
-                       equality_check, kraus_channel, lambda_sigma,
-                       random_channel, random_state, unitary_channel,
-                       v_operator)
+                       equality_check, lambda_sigma, random_channel,
+                       random_state, unitary_channel, v_operator)
 from .divergence import (PairAnalysis, ReverseTest, analyze, d_max, d_prime,
                          minimal_reverse_test, perturbation_limit_probe,
                          reverse_test_value)

@@ -24,7 +24,7 @@ from .generators import DivergenceGenerator
 _WEIGHT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # holds an array: compared by identity
 class KrausChannel:
     """A CPTP map given by its Kraus operators K_i = kraus[i], one complex
     stack of shape (r, dim_out, dim_in) that also gives its dimensions.
@@ -33,7 +33,8 @@ class KrausChannel:
     stack, which it copies into its own read-only stack and checks once:
     DimensionMismatch if the matrices differ in shape, InvalidOperator
     unless the stack is 3-D and non-empty and sum K_i† K_i = 1 within
-    linalg.TP_TOL entrywise.
+    linalg.TP_TOL entrywise.  A pickled or copied channel is built, and
+    checked, anew.
     """
 
     kraus: np.ndarray
@@ -56,6 +57,9 @@ class KrausChannel:
         K.setflags(write=False)
         object.__setattr__(self, "kraus", K)
 
+    def __reduce__(self):
+        return type(self), (self.kraus,)
+
     def apply(self, A) -> np.ndarray:
         """Channel action sum_i K_i A K_i†."""
         A = np.asarray(A, dtype=complex)
@@ -75,18 +79,13 @@ class KrausChannel:
         return (_adjoint(self.kraus) @ B @ self.kraus).sum(axis=0)
 
 
-def kraus_channel(operators) -> KrausChannel:
-    """A channel from a Kraus family, a sequence of equal-shape matrices or
-    their (r, dim_out, dim_in) stack: KrausChannel(operators)."""
-    return KrausChannel(operators)
-
-
 def unitary_channel(U) -> KrausChannel:
-    return kraus_channel([U])
+    return KrausChannel([U])
 
 
 def depolarizing_channel(dim: int, noise: float) -> KrausChannel:
     """(1 - noise) * A + noise * tr(A) 1/dim as a Kraus family."""
+    _check_dims(dim)
     if dim < 1:
         raise DimensionMismatch(f"dim must be at least 1, got {dim}")
     if not 0.0 <= noise <= 1.0:
@@ -96,21 +95,28 @@ def depolarizing_channel(dim: int, noise: float) -> KrausChannel:
     units = math.sqrt(noise / dim) * np.eye(dim * dim).reshape(-1, dim, dim)
     ops = np.concatenate(([math.sqrt(1.0 - noise) * np.eye(dim)], units))
     keep = np.repeat([noise < 1.0, noise > 0.0], [1, dim * dim])
-    return kraus_channel(ops[keep])
+    return KrausChannel(ops[keep])
 
 
 def embedding_channel(dim_in: int, dim_out: int) -> KrausChannel:
     """Direct-sum embedding A -> [[A, 0], [0, 0]] via an isometry."""
+    _check_dims(dim_in, dim_out)
     if dim_in < 1:
         raise InvalidOperator("embedding needs dim_in >= 1")
     if dim_out < dim_in:
         raise DimensionMismatch("embedding needs dim_out >= dim_in")
-    return kraus_channel([np.eye(dim_out, dim_in)])
+    return KrausChannel([np.eye(dim_out, dim_in)])
 
 
 def _is_int(x) -> bool:
     """Whether x is an int or a numpy integer; a bool is not one here."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_dims(*dims) -> None:
+    """DimensionMismatch unless every dimension is an int (see _is_int)."""
+    if not all(map(_is_int, dims)):
+        raise DimensionMismatch(f"dimensions must be integers, got {dims!r}")
 
 
 def _is_seed(x) -> bool:
@@ -135,6 +141,7 @@ def _rng(seed) -> np.random.Generator:
 
 def random_state(dim: int, rank: int, seed) -> np.ndarray:
     """Random density matrix of the given rank (Gaussian factor G G†/tr)."""
+    _check_dims(dim, rank)
     if not 1 <= rank <= dim:
         raise DimensionMismatch(f"rank must lie in [1, {dim}], got {rank}")
     rng = _rng(seed)
@@ -149,6 +156,7 @@ def random_channel(dim_in: int, dim_out: int, env_dim: int, seed) -> KrausChanne
     env_dim = 1 with dim_in = dim_out yields a Haar-random unitary channel.
     Deterministic in the seed.
     """
+    _check_dims(dim_in, dim_out, env_dim)
     if min(dim_in, dim_out, env_dim) < 1:
         raise DimensionMismatch("dimensions must be positive")
     if dim_out * env_dim < dim_in:
@@ -161,7 +169,7 @@ def random_channel(dim_in: int, dim_out: int, env_dim: int, seed) -> KrausChanne
     diag = np.diagonal(R).copy()
     diag = np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)
     V = Q * diag.conj()
-    return kraus_channel(V.reshape(dim_out, env_dim, dim_in).swapaxes(0, 1))
+    return KrausChannel(V.reshape(dim_out, env_dim, dim_in).swapaxes(0, 1))
 
 
 def _sigma_roots(ch: KrausChannel, sigma) -> tuple[np.ndarray, np.ndarray]:

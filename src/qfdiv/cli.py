@@ -114,10 +114,9 @@ def _cmd_suite(args) -> int:
               f"{report.total_fail} fail [{status}]", file=sys.stderr)
     if args.format == "csv":
         payload = _csv(reports)
-    elif len(reports) == 1:
-        payload = reports[0].to_json(include_rows=args.rows)
     else:
-        payload = matio.dumps([r.as_dict(args.rows) for r in reports])
+        docs = [r.as_dict(args.rows) for r in reports]
+        payload = matio.dumps(docs[0] if len(docs) == 1 else docs)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)

@@ -28,7 +28,7 @@ from .errors import (DimensionMismatch, InvalidOperator, UnsupportedGenerator,
 from .generators import DivergenceGenerator, _f_sum, _split, _weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # holds arrays: compared by identity
 class ReverseTest:
     """A finite family of unit-trace PSD atoms with weight vectors p, q,
     held as their factors.
@@ -45,6 +45,10 @@ class ReverseTest:
     one below -1e-12 max|v|, or on unequal lengths.  p and q are then the
     test's own read-only float copies (the entries below 0 that pass
     clamped to 0), and the test holds their split for reverse_test_value.
+    The layout is checked then too: DimensionMismatch unless factors is 2-D
+    and sizes holds positive integers, one per weight, that sum to its
+    column count; sizes is then the test's own read-only copy.  A pickled
+    or copied test is built, and checked, anew.
     """
 
     factors: np.ndarray
@@ -55,10 +59,21 @@ class ReverseTest:
     def __post_init__(self):
         p, q = _weights(np.array(self.p, dtype=float),
                         np.array(self.q, dtype=float))
-        for name, value in (("p", p), ("q", q)):
+        shape, sizes = np.shape(self.factors), np.array(self.sizes)
+        if (len(shape) != 2 or sizes.shape != p.shape
+                or sizes.dtype.kind not in "iu"
+                or np.minimum.reduce(sizes, initial=1) < 1
+                or np.add.reduce(sizes) != shape[1]):
+            raise DimensionMismatch(
+                f"sizes {sizes.tolist()} do not lay out {len(p)} atoms over "
+                f"the columns of factors of shape {shape}")
+        for name, value in (("p", p), ("q", q), ("sizes", sizes)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_split", _split(p, q))
+
+    def __reduce__(self):
+        return type(self), (self.factors, self.sizes, self.p, self.q)
 
     def __len__(self) -> int:
         return self.p.size
@@ -86,7 +101,7 @@ class ReverseTest:
                 (F * np.repeat(self.q, sizes)) @ Fh)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # holds arrays: compared by identity
 class PairAnalysis:
     """The spectral analysis of one (rho, sigma) pair, made once by analyze().
 
@@ -94,14 +109,16 @@ class PairAnalysis:
     generator, the minimal reverse test, rho_tilde and d.
 
     Every array it holds is read-only: analyze() hands the same object to
-    each caller of a repeated pair.
+    each caller of a repeated pair.  A pickled or copied analysis is built
+    anew, so its arrays are read-only too.
 
     rho, sigma     the validated, symmetrized inputs
     rho_tilde      the Schur reduction of rho into supp sigma (rho itself
                    when supp rho lies inside supp sigma)
     excess         a factor Y of the rest, rho - rho_tilde = Y Y^H up to
                    roundoff (no columns when supp rho lies inside supp sigma)
-    dominated      whether supp rho lies inside supp sigma
+    dominated      whether supp rho lies inside supp sigma, read off excess:
+                   the Schur reduction gives it at least one column
     escaped        tr(rho - rho_tilde), or 0 when that is negligible
                    against tr rho (linalg.negligible_mass)
     basis          orthonormal columns spanning supp sigma
@@ -118,7 +135,6 @@ class PairAnalysis:
     sigma: np.ndarray
     rho_tilde: np.ndarray
     excess: np.ndarray
-    dominated: bool
     escaped: float
     basis: np.ndarray
     sigma_evals: np.ndarray
@@ -126,10 +142,15 @@ class PairAnalysis:
     coords: np.ndarray
     weights: np.ndarray
 
+    dominated = property(lambda self: self.excess.shape[-1] == 0)
+
     def __post_init__(self):
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
+
+    def __reduce__(self):
+        return type(self), tuple(vars(self).values())
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -155,18 +176,19 @@ class PairAnalysis:
     def reverse_test(self) -> ReverseTest:
         """The minimal reverse test, which attains d_max; its length is the
         atom count.  One atom per cluster of d (linalg.cluster_starts), in
-        ascending order of d_x, with W_x = sigma^{1/2} V_x for the cluster's
-        eigenvectors V_x: q(x) = tr W_x W_x^H, p(x) = d_x q(x), factor
-        W_x / sqrt(q(x)).  No floor on q drops a cluster: q(x) is at least
-        sigma's least eigenvalue on its support.  When mass escapes supp
-        sigma, one last atom with q = 0 carries it, with factor Y / |Y|_F
-        for rho - rho_tilde = Y Y^H (excess).  It forms no dense atom.
+        ascending order of d_x: q(x) and p(x) sum the cluster's weights and
+        evals * weights, and its factor is sigma^{1/2} V_x / sqrt(q(x)) for
+        its eigenvectors V_x.  No floor on q drops a cluster: q(x) is at
+        least sigma's least eigenvalue on its support.  When mass escapes
+        supp sigma, one last atom with q = 0 carries it, with factor
+        Y / |Y|_F for rho - rho_tilde = Y Y^H (excess).  It forms no dense
+        atom.
         """
         X = (self.basis * np.sqrt(self.sigma_evals)) @ self.coords
         starts = linalg.cluster_starts(self.evals)
         sizes = np.concatenate((starts[1:], [self.evals.size])) - starts
-        q = np.add.reduceat((X.real ** 2 + X.imag ** 2).sum(axis=0), starts)
-        p = np.add.reduceat(self.evals, starts) / sizes * q
+        q = np.add.reduceat(self.weights, starts)
+        p = np.add.reduceat(self.evals * self.weights, starts)
         X *= np.repeat(1.0 / np.sqrt(q), sizes)
         if self.escaped:
             Y = self.excess
@@ -214,7 +236,7 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
     basis, s = s_vecs[..., k:], s_evals[..., k:]
     tr_rho = rho.trace(axis1=-2, axis2=-1).real
 
-    dominated, tilde, escaped = True, rho, 0.0
+    tilde, escaped = rho, 0.0
     excess = np.zeros(rho.shape[:-1] + (0,), dtype=complex)
     if k:
         Z = _adjoint(s_vecs) @ r_vecs
@@ -251,13 +273,13 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
         evals = np.take_along_axis(evals, order, -1)
         weights = np.take_along_axis(weights, order, -1)
         coords = np.take_along_axis(coords, order[..., None, :], -1)
-    return PairAnalysis(rho, sigma, tilde, excess, dominated, escaped, basis,
-                        s, evals, coords, weights)
+    return PairAnalysis(rho, sigma, tilde, excess, escaped, basis, s, evals,
+                        coords, weights)
 
 
 # analyze()'s one kept entry: (the key of its last pair, that pair's
-# PairAnalysis).  The key holds the dtype, shape and bytes of sigma, then of
-# rho: exact, and a copy (a caller may change an array in place afterwards).
+# PairAnalysis).  The key is the bytes of sigma, then of rho, both square
+# complex128: exact, and a copy (a caller may change an array in place).
 _last = None
 
 
@@ -288,8 +310,7 @@ def analyze(rho, sigma) -> PairAnalysis:
     if sigma.ndim != 2 or rho.ndim != 2:
         raise InvalidOperator("analyze takes one pair of square matrices; "
                               "d_prime and d_max take stacks")
-    key = (sigma.dtype.str, sigma.shape, sigma.tobytes(),
-           rho.dtype.str, rho.shape, rho.tobytes())
+    key = sigma.tobytes(), rho.tobytes()
     last = _last
     if last is not None and last[0] == key:
         return last[1]

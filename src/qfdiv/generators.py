@@ -50,9 +50,6 @@ class DivergenceGenerator:
     def eval(self, y):
         return self.fn(np.asarray(y, dtype=float))
 
-    def __call__(self, y):
-        return self.eval(y)
-
 
 def _xlogx(y: np.ndarray) -> np.ndarray:
     pos = y > 0

@@ -132,11 +132,6 @@ def cluster_starts(evals: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], evals[1:] - evals[:-1] > bound)))
 
 
-def cluster_groups(evals: np.ndarray) -> list[np.ndarray]:
-    """Index runs of the clusters of cluster_starts."""
-    return np.split(np.arange(evals.size), cluster_starts(evals)[1:])
-
-
 def support_projector(A) -> np.ndarray:
     """Orthogonal projector onto the range (see support_mask) of a PSD operator."""
     A, evals, vecs = psd_spectrum(A)

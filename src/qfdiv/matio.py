@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .channels import KrausChannel, kraus_channel
+from .channels import KrausChannel
 from .errors import InvalidOperator
 
 
@@ -64,7 +64,7 @@ def channel_from_json(obj) -> KrausChannel:
             or "dim_in" not in obj or "dim_out" not in obj):
         raise InvalidOperator("channel JSON needs dim_in, dim_out and a kraus list")
     ops = [_entries(k, obj["dim_out"], obj["dim_in"]) for k in obj["kraus"]]
-    return kraus_channel(ops)
+    return KrausChannel(ops)
 
 
 def _load(path: str):

@@ -67,7 +67,7 @@ def rld_metric(rho, X, Y) -> complex:
                    _check_in_support(pi, Y, "Y"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # holds an array: compared by identity
 class TangentPerturbation:
     """A traceless Hermitian direction inside the support of a state rho.
 

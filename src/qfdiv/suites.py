@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matio, oracles
+from . import oracles
 from .channels import (_is_int, _is_seed, _rng, check_tolerance,
                        depolarizing_channel, embedding_channel, random_channel,
                        random_state, equality_check, dpi_check)
@@ -104,12 +104,6 @@ class SuiteReport:
         if include_rows:
             out["rows"] = [vars(r) | {} for r in self.rows]
         return out
-
-    def to_json(self, include_rows: bool = False) -> str:
-        return matio.dumps(self.as_dict(include_rows))
-
-    def to_csv(self) -> str:
-        return _csv([self])
 
 
 def _csv(reports) -> str:
@@ -202,8 +196,7 @@ def _undominated_pair(rng, dim):
     c = float(rng.uniform(0.1, 0.3))
     rho = (1 - w) * ((1 - c) * bulk_in + c * bulk_full) + w * np.outer(e, e.conj())
     rho = (rho + rho.conj().T) / 2
-    tilde = analyze(rho, sigma).rho_tilde
-    mass = float(np.trace(rho - tilde).real)
+    mass = analyze(rho, sigma).escaped
     if mass > 0.4:
         lam = 0.4 / mass
         rho = lam * rho + (1 - lam) * bulk_in

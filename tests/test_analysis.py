@@ -186,6 +186,19 @@ class TestKeptPair:
         assert after == pytest.approx(square_value(*pair), rel=1e-12)
         assert after != pytest.approx(before, rel=1e-6)
 
+    def test_key_is_the_bytes_of_the_pair(self, decompositions):
+        # a fresh bit-identical copy hits the kept pair; the complex
+        # conjugate of an operand, PSD as well, differs in its bytes
+        rho, sigma = dominated_pair()
+        pair = analyze(rho, sigma)
+        decompositions.clear()
+        assert analyze(np.array(rho), sigma.copy()) is pair
+        assert analyze(np.asfortranarray(rho), sigma) is pair
+        assert not decompositions
+        assert analyze(rho.conj(), sigma) is not pair
+        assert analyze(rho, sigma.conj()) is not pair
+        assert len(decompositions) == 6
+
     def test_kept_arrays_are_read_only(self):
         pair = analyze(*schur_pair())
         with pytest.raises(ValueError):

@@ -9,12 +9,11 @@ import pytest
 from qfdiv import errors
 from qfdiv.channels import (KrausChannel, _rng, depolarizing_channel,
                             dpi_check, embedding_channel, equality_check,
-                            kraus_channel, lambda_sigma, random_channel,
-                            random_state, unitary_channel, v_operator)
+                            lambda_sigma, random_channel, random_state,
+                            unitary_channel, v_operator)
 from qfdiv.divergence import analyze
 from qfdiv.generators import builtin
-from qfdiv.linalg import (cluster_groups, matrix_sqrt, projector,
-                          support_projector)
+from qfdiv.linalg import matrix_sqrt, projector, support_projector
 from qfdiv.rld import random_tangent
 from qfdiv.suites import _ill_conditioned_pair, trial_rng
 
@@ -47,7 +46,7 @@ def calculus(A, h):
 def compose(first: KrausChannel, second: KrausChannel) -> KrausChannel:
     """second after first, as one Kraus family."""
     ops = [K2 @ K1 for K1 in first.kraus for K2 in second.kraus]
-    return kraus_channel(ops)
+    return KrausChannel(ops)
 
 
 def rand_channel(rng, din, dout=None):
@@ -61,18 +60,18 @@ def rand_channel(rng, din, dout=None):
 class TestKrausBasics:
     def test_trace_preservation_enforced(self):
         with pytest.raises(errors.InvalidOperator):
-            kraus_channel([0.5 * np.eye(2)])
+            KrausChannel([0.5 * np.eye(2)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
     def test_non_finite_kraus_rejected(self, bad):
         with pytest.raises(errors.InvalidOperator):
-            kraus_channel([[[bad, 0.0], [0.0, 1.0]]])
+            KrausChannel([[[bad, 0.0], [0.0, 1.0]]])
 
     def test_empty_or_non_matrix_operator_rejected(self):
-        for make in (lambda: kraus_channel([np.zeros((0, 0))]),
-                     lambda: kraus_channel([np.zeros((2, 0))]),
-                     lambda: kraus_channel([np.zeros(3)]),
-                     lambda: kraus_channel([np.zeros((2, 2, 2))]),
+        for make in (lambda: KrausChannel([np.zeros((0, 0))]),
+                     lambda: KrausChannel([np.zeros((2, 0))]),
+                     lambda: KrausChannel([np.zeros(3)]),
+                     lambda: KrausChannel([np.zeros((2, 2, 2))]),
                      lambda: embedding_channel(0, 0),
                      lambda: embedding_channel(-1, 2)):
             with pytest.raises(errors.InvalidOperator):
@@ -81,9 +80,9 @@ class TestKrausBasics:
             depolarizing_channel(0, 0.5)
 
     @pytest.mark.parametrize("make, error", [
-        (lambda: kraus_channel([]), errors.InvalidOperator),
-        (lambda: kraus_channel([np.eye(2), np.eye(3)]), errors.DimensionMismatch),
-        (lambda: kraus_channel([np.eye(2), np.eye(2)[:, :1]]),
+        (lambda: KrausChannel([]), errors.InvalidOperator),
+        (lambda: KrausChannel([np.eye(2), np.eye(3)]), errors.DimensionMismatch),
+        (lambda: KrausChannel([np.eye(2), np.eye(2)[:, :1]]),
          errors.DimensionMismatch),
         (lambda: depolarizing_channel(2, -0.1), errors.InvalidOperator),
         (lambda: depolarizing_channel(2, 1.5), errors.InvalidOperator),
@@ -116,7 +115,7 @@ class TestKrausBasics:
         assert embedding_channel(2, 3).kraus.shape == (1, 3, 2)
         assert random_channel(2, 3, 4, seed=0).kraus.shape == (4, 3, 2)
         # a stack is itself a Kraus family
-        again = kraus_channel(ch.kraus)
+        again = KrausChannel(ch.kraus)
         np.testing.assert_array_equal(again.kraus, ch.kraus)
         assert (again.dim_in, again.dim_out) == (2, 2)
 
@@ -140,6 +139,24 @@ class TestKrausBasics:
     def test_direct_construction_is_checked(self, kraus):
         with pytest.raises(errors.InvalidOperator):
             KrausChannel(kraus)
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_state(2.5, 1, 0), lambda: random_state(2, 1.0, 0),
+        lambda: random_state(True, 1, 0), lambda: random_channel(2, 2.0, 1, 0),
+        lambda: random_channel(True, 1, 1, 0), lambda: random_channel(2, 2, 1.0, 0),
+        lambda: embedding_channel(2, 3.0), lambda: embedding_channel(True, 2),
+        lambda: depolarizing_channel(2.5, 0.1),
+        lambda: depolarizing_channel(True, 0.1)],
+        ids=["state-float-dim", "state-float-rank", "state-bool-dim",
+             "random-float-dim-out", "random-bool-dim-in", "random-float-env",
+             "embedding-float-dim-out", "embedding-bool-dim-in",
+             "depolarizing-float-dim", "depolarizing-bool-dim"])
+    def test_dimensions_must_be_integers(self, make):
+        # a float reached numpy's shape arguments and failed there with a
+        # TypeError; a bool read as 0 or 1
+        with pytest.raises(errors.DimensionMismatch):
+            make()
+        assert random_state(np.int64(2), np.int64(1), 0).shape == (2, 2)
 
     def test_stack_is_a_read_only_copy(self):
         # a stack kept by reference could be scaled into a map with
@@ -367,7 +384,7 @@ def test_bad_tolerance_is_rejected(check, tol):
     rng = np.random.default_rng(12)
     rho, sigma = random_state(3, 3, rng), random_state(3, 2, rng)
     with pytest.raises(ValueError, match="tol must be finite"):
-        check(rho, sigma, kraus_channel([np.eye(3)]), HALF, tol)
+        check(rho, sigma, KrausChannel([np.eye(3)]), HALF, tol)
 
 
 class TestVOperator:
@@ -453,10 +470,10 @@ class TestEqualityCheck:
     def test_prepare_then_discard_ancilla_is_identity(self):
         rng = np.random.default_rng(17)
         dim, anc = 3, 2
-        prepare = kraus_channel([np.kron(np.eye(dim),
-                                         np.eye(anc)[:, [0]])])
-        discard = kraus_channel([np.kron(np.eye(dim), np.eye(anc)[[j], :])
-                                 for j in range(anc)])
+        prepare = KrausChannel([np.kron(np.eye(dim),
+                                        np.eye(anc)[:, [0]])])
+        discard = KrausChannel([np.kron(np.eye(dim), np.eye(anc)[[j], :])
+                                for j in range(anc)])
         ch = compose(prepare, discard)
         rho = random_state(dim, dim, rng)
         sigma = random_state(dim, dim, rng)
@@ -491,7 +508,7 @@ class TestEqualityCheck:
             rho, sigma = _ill_conditioned_pair(np.random.default_rng(s), n,
                                                inside=True)
             try:
-                rep = equality_check(rho, sigma, kraus_channel([np.eye(n)]), f)
+                rep = equality_check(rho, sigma, KrausChannel([np.eye(n)]), f)
             except errors.InfiniteDivergence:
                 continue
             assert rep.equal and rep.multiplicative_domain_ok, s
@@ -539,9 +556,16 @@ class TestEqualityCheck:
             ch = random_channel(n, n, 1, s)
             pair = analyze(rho, sigma)
             image = analyze(ch.apply(pair.rho), ch.apply(pair.sigma))
-            groups_out = cluster_groups(image.evals)
+            # each cluster of d, and of d', is an atom of the minimal test
+            # with q > 0 (the escaped atom, with q = 0, is none)
+            rt_in, rt_out = pair.reverse_test(), image.reverse_test()
+            groups_out = [slice(a, a + k) for a, k, q in
+                          zip(rt_out.starts, rt_out.sizes, rt_out.q) if q > 0]
             err = 0.0
-            for g in cluster_groups(pair.evals):
+            for a, k, q in zip(rt_in.starts, rt_in.sizes, rt_in.q):
+                if q == 0.0:
+                    continue
+                g = slice(a, a + k)
                 dx = pair.evals[g].mean()
                 if dx == 0.0:
                     continue
@@ -573,7 +597,7 @@ class TestEqualityCheck:
         seen_equal = 0
         for i in range(40):
             dim = 2 + i % 2
-            ch = kraus_channel([np.diag(e) for e in np.eye(dim)])
+            ch = KrausChannel([np.diag(e) for e in np.eye(dim)])
             if i % 2 == 0:
                 p = rng.random(dim) + 0.05
                 q = rng.random(dim) + 0.05

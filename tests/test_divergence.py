@@ -1,13 +1,16 @@
 """Tests for the divergence engine and the minimal reverse test."""
 
+import copy
 import functools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from qfdiv import errors, linalg, oracles
+from qfdiv import divergence, errors, linalg, oracles
+from qfdiv.channels import depolarizing_channel
 from qfdiv.channels import random_state as seeded_state
 from qfdiv.cli import main
 from qfdiv.divergence import (ReverseTest, analyze, d_max, d_prime,
@@ -19,6 +22,7 @@ from qfdiv.linalg import support_projector
 from qfdiv.matio import save_matrix
 from qfdiv.oracles import (bs_relative_entropy, classical_oracle,
                            joint_eigenvalues, umegaki_relative_entropy)
+from qfdiv.rld import random_tangent
 from qfdiv.suites import (_commuting_pair, _ill_conditioned_pair, _pair,
                           _undominated_pair)
 
@@ -32,6 +36,7 @@ KET0 = np.array([1, 0], dtype=complex)
 KETP = np.array([1, 1], dtype=complex) / np.sqrt(2)
 PROJ0 = np.outer(KET0, KET0.conj())
 PROJP = np.outer(KETP, KETP.conj())
+HALVES = [0.5, 0.5]
 
 
 def random_state(rng, dim, rank=None):
@@ -365,16 +370,136 @@ class TestHeldWeights:
         with pytest.raises(errors.InvalidDistribution):
             ReverseTest(factors, np.ones(2, dtype=int), p, q)
 
+    @pytest.mark.parametrize("factors, sizes, p", [
+        (np.eye(2), [1, 1, 1], [0.5, 0.5, 0.0]), (np.eye(3), [1, 1], HALVES),
+        (np.ones(2), [1, 1], HALVES), (np.ones((2, 2, 1)), [1, 1], HALVES),
+        (np.eye(2), [2], HALVES), (np.eye(2), [2, 0], HALVES),
+        (np.eye(3), [4, -1], HALVES), (np.eye(2), [1.0, 1.0], HALVES),
+        (np.eye(2), [[1, 1]], HALVES)],
+        ids=["too-few-columns", "a-column-left-over", "factors-1d",
+             "factors-3d", "one-size-for-two-weights", "empty-atom",
+             "negative-size", "float-sizes", "sizes-2d"])
+    def test_bad_layout_raises_when_built(self, factors, sizes, p):
+        # the first two built, then reconstruct() raised numpy's broadcasting
+        # ValueError or ignored a column
+        with pytest.raises(errors.DimensionMismatch):
+            ReverseTest(factors, sizes, p, p)
+
     def test_weights_are_read_only_copies(self):
         p, q = np.array([0.5, 0.5]), np.array([0.25, -1e-14])
-        rt = ReverseTest(np.eye(2, dtype=complex), np.ones(2, dtype=int), p, q)
-        for held in (rt.p, rt.q):
+        sizes = np.ones(2, dtype=int)
+        rt = ReverseTest(np.eye(2, dtype=complex), sizes, p, q)
+        for held in (rt.p, rt.q, rt.sizes):
             with pytest.raises(ValueError):
                 held[0] = 0.0
         p[0] = 7.0
+        sizes[0] = 2    # the checked layout is the test's own
         assert rt.p.tolist() == [0.5, 0.5] and p.flags.writeable
+        assert rt.sizes.tolist() == [1, 1]
         # the dust below 0 that the check lets pass is held as 0
         assert rt.q.tolist() == [0.25, 0.0]
+
+
+def _sigma_twice(rng, n):
+    """(sigma, sigma) for the sigma of a commuting pair with a kernel: d = 1
+    on supp sigma, one cluster of n - 1 eigenvectors."""
+    sigma = _commuting_pair(rng, n, deficient=True)[1]
+    return sigma, sigma
+
+
+class TestWeightsFromTheAnalysis:
+    """The minimal test's q(x) and p(x) are the cluster sums of the pair
+    analysis's sigma-weights and rho_tilde-masses, weights and
+    evals * weights."""
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng, n: _pair(rng, n, n, n), _undominated_pair,
+        lambda rng, n: _ill_conditioned_pair(rng, n, inside=False)],
+        ids=["full-rank", "escaping", "ill-conditioned"])
+    def test_one_eigenvector_clusters_are_the_weights(self, draw):
+        rng = np.random.default_rng(70)
+        for i in range(30):
+            pair = analyze(*draw(rng, 2 + i % 3))
+            rt = pair.reverse_test()
+            n = pair.evals.size
+            assert len(rt) == n + bool(pair.escaped)   # one atom per eigenvector
+            assert rt.q[:n].tobytes() == pair.weights.tobytes()
+            assert rt.p[:n].tobytes() == (pair.evals * pair.weights).tobytes()
+
+    @pytest.mark.parametrize("draw, escapes, clusters", [
+        (lambda rng, n: _commuting_pair(rng, n, deficient=True), False, False),
+        (_sigma_twice, False, True),
+        (_undominated_pair, True, False), (_pair, None, True),
+        (lambda rng, n: _pair(rng, n, 1, n), None, True)],
+        ids=["commuting-shared-kernel", "commuting-rho-is-sigma", "escaping",
+             "random-ranks", "pure-rho"])
+    def test_p_carries_the_trace_of_rho(self, draw, escapes, clusters):
+        # the escaped atom carries escaped, the others the mass of rho_tilde
+        rng = np.random.default_rng(71)
+        seen = {"escaped": 0, "cluster": 0}
+        for i in range(60):
+            rho, sigma = draw(rng, 2 + i % 3)
+            pair = analyze(rho, sigma)
+            if not (pair.dominated or pair.escaped):
+                continue        # mass below MASS_TOL * tr rho was dropped
+            rt = pair.reverse_test()
+            assert abs(rt.p.sum() - np.trace(rho).real) <= 1e-14
+            seen["escaped"] += bool(pair.escaped)
+            seen["cluster"] += len(rt) - bool(pair.escaped) < pair.evals.size
+        if escapes is not None:
+            assert seen["escaped"] == (60 if escapes else 0)
+        assert (seen["cluster"] > 0) == clusters   # clusters of eigenvectors
+
+
+def _records():
+    """A builder for each record that holds arrays; each call builds anew."""
+    rho, sigma = np.diag([0.5, 0.5]), np.diag([0.25, 0.75])
+    return {
+        "PairAnalysis": lambda: divergence._analysis(
+            linalg.as_matrix(rho), linalg.as_matrix(sigma)),
+        "ReverseTest": lambda: minimal_reverse_test(rho, sigma),
+        "KrausChannel": lambda: depolarizing_channel(2, 0.3),
+        "TangentPerturbation": lambda: random_tangent(rho, 0),
+    }
+
+
+class TestRecords:
+    """Records that hold arrays compare by identity, and a copy of a checked
+    record is built, and checked, anew."""
+
+    @pytest.mark.parametrize("name", list(_records()))
+    def test_compared_by_identity(self, name):
+        build = _records()[name]
+        x, y = build(), build()
+        assert x == x and x in [x] and hash(x) == hash(x)
+        assert x != y and x not in [y] and len({x, y}) == 2
+
+    @pytest.mark.parametrize("copy_of", [
+        lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+        ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("name", ["PairAnalysis", "ReverseTest",
+                                      "KrausChannel"])
+    def test_copies_keep_their_check(self, name, copy_of):
+        x = _records()[name]()
+        y = copy_of(x)
+        assert type(y) is type(x) and y is not x
+        for key, value in vars(x).items():
+            if isinstance(value, np.ndarray):
+                held = getattr(y, key)
+                assert held is not value and np.array_equal(held, value), key
+                assert held.flags.writeable == value.flags.writeable, key
+        if name == "ReverseTest":
+            with pytest.raises(ValueError):
+                y.p[0] = 7.0
+            for f in GENS:
+                got = reverse_test_value(y, f)
+                assert got == classical_f_divergence(y.p, y.q, f)
+                assert got == reverse_test_value(x, f)
+        if name == "KrausChannel":
+            with pytest.raises(ValueError):
+                y.kraus[0] *= 2
+        if name == "PairAnalysis":
+            assert y.dominated and y.d_max(XLOGX) == x.d_max(XLOGX)
 
 
 class TestPerturbationProbe:
@@ -652,14 +777,17 @@ class TestReverseTestClustering:
             sigma, rho = wishart(rng, 8), wishart(rng, 8, 3)
         pair = analyze(rho, sigma)
         W = (pair.basis * np.sqrt(pair.sigma_evals)) @ pair.coords  # sigma^{1/2} V
-        atoms, p, q = [], [], []
-        for g in linalg.cluster_groups(pair.evals):  # every cluster is an atom
-            qg = float(np.trace(W[:, g] @ W[:, g].conj().T).real)
-            atoms.append(W[:, g] @ W[:, g].conj().T / qg)
-            p.append(pair.evals[g].mean() * qg)
-            q.append(qg)
-        sizes = [g.size for g in linalg.cluster_groups(pair.evals)]
+        starts = linalg.cluster_starts(pair.evals)   # every cluster is an atom
+        sizes = np.diff(starts, append=pair.evals.size)
         assert max(sizes) == {"wishart-128": 1, "degenerate": 8, "kernel": 5}[case]
+        atoms, p, q = [], [], []
+        for a, k in zip(starts, sizes):
+            Wg = W[:, a:a + k]
+            qg = float(np.trace(Wg @ Wg.conj().T).real)
+            atoms.append(Wg @ Wg.conj().T / qg)
+            # the cluster's rho_tilde-mass, sum_i d_i |W e_i|^2
+            p.append(float(np.trace((Wg * pair.evals[a:a + k]) @ Wg.conj().T).real))
+            q.append(qg)
         rt = pair.reverse_test()
         assert len(rt) == len(atoms)
         for out, ref in zip(rt.outputs, atoms):

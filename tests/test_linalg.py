@@ -10,7 +10,7 @@ import pytest
 from qfdiv import channels, divergence, errors, linalg
 from qfdiv.divergence import analyze
 from qfdiv.linalg import (KERNEL_FLOOR, as_hermitian, as_matrix,
-                          cluster_groups, gen_inverse_sqrt, matrix_sqrt,
+                          cluster_starts, gen_inverse_sqrt, matrix_sqrt,
                           projector, snap_kernel, support_projector)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -35,16 +35,18 @@ def herm_eig(A):
     formed as the analysis clusters d: eigh, eigenvalues within
     KERNEL_FLOOR * dim * spectral radius of 0 snapped to exact zeros (A need
     not be PSD, so no share of a trace applies), then one projector per
-    linalg.cluster_groups run, its eigenvalue the mean of the run."""
+    linalg.cluster_starts run, its eigenvalue the mean of the run."""
     A = as_hermitian(A)
     evals, vecs = np.linalg.eigh(A)
     floor = KERNEL_FLOOR * A.shape[0] * np.abs(evals).max()
     evals = np.where(np.abs(evals) > floor, evals, 0.0)
-    groups = cluster_groups(evals)
+    starts = cluster_starts(evals)
+    sizes = np.diff(starts, append=evals.size)
     return SimpleNamespace(
-        eigenvalues=np.array([evals[g].mean() for g in groups]),
-        projectors=tuple(projector(vecs[:, g]) for g in groups),
-        multiplicities=np.array([len(g) for g in groups]))
+        eigenvalues=np.add.reduceat(evals, starts) / sizes,
+        projectors=tuple(projector(vecs[:, a:a + k])
+                         for a, k in zip(starts, sizes)),
+        multiplicities=sizes)
 
 
 def reconstruct(dec):
@@ -59,7 +61,7 @@ def random_psd(rng, dim, rank=None):
 
 
 class TestHermEig:
-    """linalg.cluster_groups on the eigensystem of a Hermitian matrix."""
+    """linalg.cluster_starts on the eigensystem of a Hermitian matrix."""
 
     def test_identity(self):
         dec = herm_eig(np.eye(2))
@@ -270,12 +272,12 @@ class TestSchurTilde:
 
 class TestClusterRule:
     def test_large_eigenvalue_does_not_merge_small_ones(self):
-        groups = cluster_groups(np.array([0.0, 0.0, 0.05, 0.87, 1e9]))
-        assert [g.tolist() for g in groups] == [[0, 1], [2], [3], [4]]
+        starts = cluster_starts(np.array([0.0, 0.0, 0.05, 0.87, 1e9]))
+        assert starts.tolist() == [0, 2, 3, 4]
 
     def test_relative_gap_merges_near_degenerate_neighbours(self):
-        groups = cluster_groups(np.array([1e-6, 1e-6 * (1 + 1e-9), 2.0]))
-        assert [g.tolist() for g in groups] == [[0, 1], [2]]
+        starts = cluster_starts(np.array([1e-6, 1e-6 * (1 + 1e-9), 2.0]))
+        assert starts.tolist() == [0, 2]
 
     def test_kernel_floor_snaps_to_zero(self):
         evals = np.array([-1e-17, 1e-17, 1e-3, 1.0])
@@ -300,14 +302,12 @@ class TestClusterRule:
             evals = np.repeat(evals, rng.integers(1, 3, evals.size))
             evals[1:] += evals[1:] * 1e-10 * rng.random(evals.size - 1)
             evals.sort()
-            groups = [[0]]
+            starts = [0]
             for i in range(1, evals.size):
                 a, b = evals[i - 1], evals[i]
-                if b - a <= 1e-8 * max(abs(a), abs(b)):
-                    groups[-1].append(i)
-                else:
-                    groups.append([i])
-            assert [g.tolist() for g in cluster_groups(evals)] == groups
+                if b - a > 1e-8 * max(abs(a), abs(b)):
+                    starts.append(i)
+            assert cluster_starts(evals).tolist() == starts
 
 
 class TestToleranceTable:
