@@ -14,14 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .divergence import _adjoint, _analysis, analyze, d_max
+from .divergence import PairAnalysis, _adjoint, _analysis, analyze
 from .errors import (DimensionMismatch, InfiniteDivergence, InvalidOperator,
                      ZeroSigma)
 from .generators import DivergenceGenerator
-
-# Largest entrywise gap between two reverse tests' weight vectors that
-# equality_check still counts as a match.
-_WEIGHT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)     # holds an array: compared by identity
@@ -212,15 +208,32 @@ class DpiResult:
     holds: bool
 
 
+def _pair_and_image(rho, sigma,
+                    ch: KrausChannel) -> tuple[PairAnalysis, PairAnalysis, float]:
+    """The one reading of a pair and its image that both checks share: the
+    pair through analyze, which keeps it; the image of its validated
+    operands, Lambda(pair.rho) and Lambda(pair.sigma), analysed without
+    replacing it; and the scale s = max(tr rho, tr sigma) at which the
+    checks compare values and weights."""
+    pair = analyze(rho, sigma)
+    image = _analysis(ch.apply(pair.rho), ch.apply(pair.sigma))
+    return pair, image, float(max(pair.rho.trace().real, pair.sigma.trace().real))
+
+
 def dpi_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
               tol: float = 1e-8) -> DpiResult:
     """Data processing: d_max may only decrease along the channel.
-    ValueError unless tol is finite and >= 0."""
+
+    The pair and its image are read as in equality_check, and the image is
+    not kept; holds when d_max of the image is at most d_max of the pair
+    plus tol * s, s = max(tr rho, tr sigma), so the verdict is the same for
+    (c rho, c sigma) at every c > 0.  ValueError unless tol is finite and
+    >= 0.
+    """
     check_tolerance(tol)
-    before = d_max(rho, sigma, f)
-    after = d_max(ch.apply(rho), ch.apply(sigma), f)
-    holds = after <= before + tol
-    return DpiResult(before, after, bool(holds))
+    pair, image, s = _pair_and_image(rho, sigma, ch)
+    before, after = pair.d_max(f), image.d_max(f)
+    return DpiResult(before, after, bool(after <= before + tol * s))
 
 
 def v_operator(ch: KrausChannel, sigma, Z) -> np.ndarray:
@@ -255,27 +268,29 @@ class EqualityReport:
     q_match: bool
 
 
-def _match_weights(a: np.ndarray, b: np.ndarray) -> bool:
-    if a.shape != b.shape:
-        return False
-    return bool(np.abs(a - b).max() <= _WEIGHT_TOL) if a.size else True
+def _match_weights(a: np.ndarray, b: np.ndarray, s: float) -> bool:
+    """Whether two weight vectors have one shape and their largest entry
+    gap is negligible mass at the scale s (linalg.negligible_mass)."""
+    return a.shape == b.shape and linalg.negligible_mass(
+        float(np.abs(a - b).max(initial=0.0)), s)
 
 
 def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
                    tol: float = 1e-8) -> EqualityReport:
     """Check whether the channel preserves d_max(rho||sigma) and why.
 
-    The pair and its image are each analysed once: the pair through
-    divergence.analyze, which keeps it, the image without replacing it; and
-    the channel maps the factor X_x of each atom of the pair's minimal
-    reverse test once, to the one factor Y_x = [K_1 X_x | ... | K_r X_x]
-    with Lambda(X_x X_x^H) = Y_x Y_x^H.
+    The pair and its image are each analysed once, as in dpi_check: the
+    pair through divergence.analyze, which keeps it, the image without
+    replacing it; and the channel maps the factor X_x of each atom of the
+    pair's minimal reverse test once, to the one factor
+    Y_x = [K_1 X_x | ... | K_r X_x] with Lambda(X_x X_x^H) = Y_x Y_x^H.
     Requires both divergence values finite; equal when they agree within
-    max(tol, tol*|value|).  The structural consequences of equality are
-    checked whatever the values:
+    tol * max(s, |value_in|), s = max(tr rho, tr sigma).  The structural
+    consequences of equality are checked whatever the values:
 
     * the channel maps the minimal reverse test atomwise onto the minimal
-      reverse test of the image pair, with identical weight vectors;
+      reverse test of the image pair, with weight vectors that match: one
+      length, and entries within linalg.MASS_TOL * s (p_match, q_match);
     * each spectral projection P_x of d = d(rho_tilde, sigma) satisfies
       Lambda_sigma(P_x) = sum of the image's projections P'_h with d'_h
       within max(10*tol, tol*d_x) of d_x, to 10*tol entrywise; skipped,
@@ -287,22 +302,21 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
     ValueError unless tol is finite and >= 0.
     """
     check_tolerance(tol)
-    pair = analyze(rho, sigma)
-    image = _analysis(ch.apply(pair.rho), ch.apply(pair.sigma))
+    pair, image, s = _pair_and_image(rho, sigma, ch)
     value_in = pair.d_max(f)
     value_out = image.d_max(f)
     if not (math.isfinite(value_in) and math.isfinite(value_out)):
         raise InfiniteDivergence(
             "equality analysis requires finite divergences on both sides")
-    equal = abs(value_in - value_out) <= max(tol, tol * abs(value_in))
+    equal = abs(value_in - value_out) <= tol * max(s, abs(value_in))
 
     rt_in = pair.reverse_test()
     rt_out = image.reverse_test()
     # the one channel pass: Y_x = [K_1 X_x | ... | K_r X_x] for each atom's
     # factor X_x, so that Lambda(X_x X_x^H) = Y_x Y_x^H
     mapped = [np.hstack(ch.kraus @ X) for X in rt_in.groups()]
-    p_match = _match_weights(rt_in.p, rt_out.p)
-    q_match = _match_weights(rt_in.q, rt_out.q)
+    p_match = _match_weights(rt_in.p, rt_out.p, s)
+    q_match = _match_weights(rt_in.q, rt_out.q, s)
     preserved = len(rt_in) == len(rt_out) and all(
         float(np.abs(Y @ Y.conj().T - A).max()) <= tol
         for Y, A in zip(mapped, rt_out.outputs))

@@ -10,8 +10,11 @@
 Matrices and channels are read from the JSON wire formats of qfdiv.matio;
 an operator with a non-finite entry is rejected.  Output JSON is strict: a
 non-finite float is written as null.  Generator parameters go in the spec,
-e.g. neg_power:0.5.  The suites cycle through xlogx, square, neg_power:0.5
-and power:1.5.  QFDIV_SEED provides the default suite seed.
+e.g. neg_power:0.5.  check --tol is relative to s = max(tr rho, tr sigma):
+the two values are equal within tol * max(s, |value|), so scaling both
+operands by one factor leaves every verdict as it was.  The suites cycle
+through xlogx, square, neg_power:0.5 and power:1.5.  QFDIV_SEED provides
+the default suite seed.
 Exit codes: 0 ok, 1 property failure, 2 usage error (including a bad
 --dims, a seed outside 0..2**64-1, a bad QFDIV_SEED or a --tol that is not
 finite and >= 0), 3 numeric/domain error (any QfdivError, from a suite
@@ -157,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("check", "channel equality/preservation report")
     add_common(p, channel=True)
     p.add_argument("--f", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="comparison tolerance, relative to max(tr rho, tr sigma)")
     p.set_defaults(func=_cmd_check)
 
     p = command("rld", "RLD metric finite-difference check")

@@ -18,6 +18,7 @@ sigma has full rank, and pair by pair otherwise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,7 +303,7 @@ def analyze(rho, sigma) -> PairAnalysis:
     call (as complex matrices) gets the same read-only PairAnalysis back
     without eigensolves, and any other pair replaces it.  So one pair's
     arrays stay in memory.  A call that raises, a stack and the image in
-    channels.equality_check keep nothing.
+    channels.dpi_check and channels.equality_check keep nothing.
     """
     global _last
     sigma = linalg.as_matrix(sigma)
@@ -379,10 +380,14 @@ def perturbation_limit_probe(rho, sigma, f: DivergenceGenerator,
 
     The sequence is non-decreasing as eps decreases; for finite recession it
     converges to d_max(rho||sigma), otherwise it diverges when supp rho is
-    not inside supp sigma.  ValueError unless every eps is positive and
-    finite and the grid strictly descends.
+    not inside supp sigma.  ValueError unless epsilons is an iterable of
+    real numbers, every eps positive and finite, that strictly descends.
     """
-    eps = [float(e) for e in epsilons]
+    grid = list(epsilons) if np.iterable(epsilons) else None
+    if grid is None or not all(isinstance(e, numbers.Real) for e in grid):
+        raise ValueError(
+            f"epsilons must be an iterable of real numbers, got {epsilons!r}")
+    eps = [float(e) for e in grid]
     if not all(0 < e < math.inf for e in eps):
         raise ValueError("epsilons must be positive and finite")
     if any(a <= b for a, b in zip(eps, eps[1:])):

@@ -79,7 +79,9 @@ class TangentPerturbation:
 
 
 def random_tangent(rho, seed_or_rng) -> TangentPerturbation:
-    """Draw a random normalized traceless direction inside supp rho.
+    """Draw a random traceless direction inside supp rho, of spectral norm
+    1, with step_bound the least eigenvalue of rho on its support; the zero
+    direction, the only one when rho has rank 1, has step_bound inf.
 
     seed_or_rng is a Generator, or a Philox key as for random_state.
     SupportError when rho is 0.
@@ -95,9 +97,10 @@ def random_tangent(rho, seed_or_rng) -> TangentPerturbation:
     X = pi @ X @ pi
     X = X - (np.trace(X).real / rank) * pi
     X = (X + X.conj().T) / 2
-    X = X / max(float(np.linalg.norm(X, 2)), 1e-300)
     norm = float(np.linalg.norm(X, 2))
-    return TangentPerturbation(X, _lam_min(evals) / norm if norm > 0 else np.inf)
+    if not norm:
+        return TangentPerturbation(X, np.inf)
+    return TangentPerturbation(X / norm, _lam_min(evals))
 
 
 @dataclass(frozen=True)

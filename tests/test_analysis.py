@@ -13,7 +13,8 @@ import qfdiv
 import qfdiv.channels
 import qfdiv.cli
 from qfdiv import divergence, generators, oracles
-from qfdiv.channels import embedding_channel, equality_check, unitary_channel
+from qfdiv.channels import (dpi_check, embedding_channel, equality_check,
+                            unitary_channel)
 from qfdiv.divergence import (PairAnalysis, analyze, d_max, d_prime,
                               minimal_reverse_test, reverse_test_value)
 from qfdiv.errors import DimensionMismatch, InvalidOperator, NotPSD, ZeroSigma
@@ -100,6 +101,18 @@ class TestEigensolveCount:
             rep = equality_check(rho, sigma, ch, builtin("neg_power", 0.5))
             assert rep.equal and rep.reverse_test_preserved
         assert calls == [(4, 4), (4, 4), (5, 5)]
+
+    def test_dpi_check_keeps_the_pair(self, monkeypatch):
+        # dpi_check reads the pair and its image as equality_check does: the
+        # image does not replace the kept pair, so d_max on the same arrays
+        # under another generator makes no analysis
+        calls = count_pair_analyses(monkeypatch)
+        rho, sigma = schur_pair()
+        ch = embedding_channel(4, 5)
+        assert dpi_check(rho, sigma, ch, builtin("neg_power", 0.5)).holds
+        assert calls == [(4, 4), (5, 5)]
+        d_max(rho, sigma, builtin("square"))
+        assert calls == [(4, 4), (5, 5)]
 
     def test_equality_suite_analyses_each_pair_once(self, monkeypatch):
         # three trials of a pair and two images each, then the depolarizing

@@ -387,6 +387,29 @@ def test_bad_tolerance_is_rejected(check, tol):
         check(rho, sigma, KrausChannel([np.eye(3)]), HALF, tol)
 
 
+@pytest.mark.parametrize("c", [1e-14, 1e-6, 1.0, 1e4, 1e10])
+class TestVerdictsAreScaleFree:
+    """Both checks judge (c rho, c sigma) as they judge (rho, sigma): the
+    value and weight verdicts compare at s = max(tr rho, tr sigma)."""
+
+    def pairs(self, c):
+        for i in range(20):
+            yield (c * random_state(3, 3, (i, 0)), c * random_state(3, 3, (i, 1)),
+                   random_channel(3, 3, 1, (i, 2)))
+
+    def test_unitary_preserves(self, c):
+        for rho, sigma, U in self.pairs(c):
+            assert dpi_check(rho, sigma, U, XLOGX).holds
+            rep = equality_check(rho, sigma, U, XLOGX)
+            assert rep.equal and rep.p_match and rep.q_match
+
+    def test_depolarizing_does_not(self, c):
+        ch = depolarizing_channel(3, 0.3)
+        for rho, sigma, _ in self.pairs(c):
+            rep = equality_check(rho, sigma, ch, XLOGX)
+            assert not (rep.equal or rep.p_match or rep.q_match)
+
+
 class TestVOperator:
     def test_maps_output_root_to_input_root(self):
         rng = np.random.default_rng(12)

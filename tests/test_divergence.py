@@ -540,6 +540,20 @@ class TestPerturbationProbe:
             with pytest.raises(ValueError):
                 perturbation_limit_probe(PROJ0, PROJP, HALF, grid)
 
+    @pytest.mark.parametrize("grid", [1e-3, np.float64(1e-3), None],
+                             ids=["float", "numpy-float", "none"])
+    def test_rejects_a_grid_that_is_not_iterable(self, grid):
+        with pytest.raises(ValueError, match="epsilons"):
+            perturbation_limit_probe(PROJ0, PROJP, HALF, grid)
+
+    @pytest.mark.parametrize("grid", [["a", "b"], ["1e-2", "1e-3"], "1e-3",
+                                      [1e-2, None], [1e-2, 1e-3j]],
+                             ids=["words", "numerals", "string", "none",
+                                  "complex"])
+    def test_rejects_a_grid_of_non_numbers(self, grid):
+        with pytest.raises(ValueError, match="epsilons"):
+            perturbation_limit_probe(PROJ0, PROJP, HALF, grid)
+
 
 class TestClassicalOracle:
     def test_half_log_example(self):

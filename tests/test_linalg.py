@@ -1,12 +1,15 @@
 """Tests for the Hermitian linear algebra core."""
 
+import importlib
 import pathlib
+import pkgutil
 import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qfdiv
 from qfdiv import channels, divergence, errors, linalg
 from qfdiv.divergence import analyze
 from qfdiv.linalg import (KERNEL_FLOOR, as_hermitian, as_matrix,
@@ -338,3 +341,20 @@ class TestToleranceTable:
                 for attr in rest:
                     obj = getattr(obj, attr)
                 assert callable(obj), name
+
+
+def test_no_threshold_outside_the_policy():
+    # every numeric upper-case name of a qfdiv module outside linalg is one
+    # of these, so a new cut joins the table above instead of hiding in its
+    # own module
+    allowed = {"generators.INF", "rld.DEFAULT_STEP", "oracles._COMM_TOL",
+               "oracles._ATOM_FLOOR"}
+    modules = {info.name: importlib.import_module(f"qfdiv.{info.name}")
+               for info in pkgutil.iter_modules(qfdiv.__path__)
+               if info.name not in ("__main__", "linalg")}
+    modules["qfdiv"] = qfdiv
+    found = {f"{name}.{key}" for name, module in modules.items()
+             for key, value in vars(module).items()
+             if key.isupper() and isinstance(value, (int, float, np.number))
+             and not isinstance(value, bool)}
+    assert found <= allowed
