@@ -229,9 +229,12 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
     if k and sigma.ndim > 2:
         return None
     n = sigma.shape[-1]
-    # With sigma of full rank every support is dominated, so rho needs no
-    # eigenvectors.
-    rho, r_evals, r_vecs = linalg.psd_spectrum(rho, vectors=k > 0)
+    rho = linalg.as_hermitian(rho)
+    full_rank = linalg.proves_full_rank(rho)
+    if not full_rank:
+        # With sigma of full rank every support is dominated, so rho needs
+        # no eigenvectors.
+        r_evals, r_vecs = linalg.psd_eigh(rho, vectors=k > 0)
     if k == n:
         raise ZeroSigma("sigma is the zero operator")
     basis, s = s_vecs[..., k:], s_evals[..., k:]
@@ -239,28 +242,32 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
 
     tilde, escaped = rho, 0.0
     excess = np.zeros(rho.shape[:-1] + (0,), dtype=complex)
-    if k:
+    R = None      # rho's factor in sigma's eigenbasis, when rho leaks
+    if k and full_rank:
+        # a full-rank rho overlaps every kernel of sigma
+        R = _adjoint(s_vecs) @ np.linalg.cholesky(rho)
+    elif k:
         Z = _adjoint(s_vecs) @ r_vecs
         # rows of sigma's kernel, columns of rho's support
         off = np.abs(Z[:k, linalg.support_mask(r_evals)])
-        dominated = bool(off.max(initial=0.0) <= linalg.DOMINATION_TOL)
-        if not dominated:
+        if off.max(initial=0.0) > linalg.DOMINATION_TOL:
             cols = linalg.support_mask(r_evals, linalg.ROUNDOFF_CUTOFF)
             first = n - np.count_nonzero(cols)
             R = Z[:, first:] * np.sqrt(r_evals[first:])
-            _, sv, Vh = np.linalg.svd(R[:k], full_matrices=True)   # the leak
-            # the leading live rows of Vh span the leak's row space (P), the
-            # rest its kernel (1 - P); the rank is read from the squared
-            # singular values, padded to the r eigenvalues of leak^H leak
-            w = np.zeros(Vh.shape[0])
-            w[:sv.size] = sv ** 2
-            live = np.count_nonzero(linalg.support_mask(w))
-            T = basis @ (R[k:] @ _adjoint(Vh[live:]))
-            tilde = T @ _adjoint(T)
-            # the leak's row space carries the rest: rho - tilde = Y Y^H
-            excess = s_vecs @ (R @ _adjoint(Vh[:live]))
-            missing = float(tr_rho - tilde.trace().real)
-            escaped = 0.0 if linalg.negligible_mass(missing, tr_rho) else missing
+    if R is not None:
+        _, sv, Vh = np.linalg.svd(R[:k], full_matrices=True)   # the leak
+        # the leading live rows of Vh span the leak's row space (P), the
+        # rest its kernel (1 - P); the rank is read from the squared
+        # singular values, padded to the r eigenvalues of leak^H leak
+        w = np.zeros(Vh.shape[0])
+        w[:sv.size] = sv ** 2
+        live = np.count_nonzero(linalg.support_mask(w))
+        T = basis @ (R[k:] @ _adjoint(Vh[live:]))
+        tilde = T @ _adjoint(T)
+        # the leak's row space carries the rest: rho - tilde = Y Y^H
+        excess = s_vecs @ (R @ _adjoint(Vh[:live]))
+        missing = float(tr_rho - tilde.trace().real)
+        escaped = 0.0 if linalg.negligible_mass(missing, tr_rho) else missing
 
     inv_sqrt = 1.0 / np.sqrt(s)
     d = ((_adjoint(basis) @ tilde @ basis)
@@ -287,16 +294,22 @@ _last = None
 def analyze(rho, sigma) -> PairAnalysis:
     """Validate a PSD pair and analyse it with one spectral pass.
 
-    One eigensolve of sigma gives its support and sigma^{+-1/2}; one of rho
-    gives its PSD check and, unless sigma has full rank, Z = s_vecs^H r_vecs.
-    supp rho lies in supp sigma unless an entry of Z on sigma's kernel and
-    rho's support exceeds linalg.DOMINATION_TOL; only then the factor
-    R = Z r_evals^{1/2} of rho, without the columns of eigenvalues that are
-    eigh roundoff (linalg.ROUNDOFF_CUTOFF), split into rows R_1 on supp
-    sigma and the k x r leak off it, and one SVD of the leak give the Schur
-    reduction rho_tilde = R_1 (1 - P) R_1^H, P onto the row space of leak:
-    PSD, with no division.  One eigensolve of d, formed on supp sigma, gives
-    its spectrum and the sigma-weights.
+    One eigensolve of sigma gives its support and sigma^{+-1/2}.  From
+    linalg.CHOLESKY_MIN_DIM up, one Cholesky (linalg.proves_full_rank) may
+    prove rho PSD and of full rank by the rules of the eigensolve; such a
+    rho needs nothing more when sigma has full rank, and lies outside any
+    kernel of sigma, so its factor is R = s_vecs^H C for C = cholesky(rho).
+    Otherwise one eigensolve of rho gives its PSD check and, unless sigma
+    has full rank, Z = s_vecs^H r_vecs.  supp rho lies in supp sigma unless
+    an entry of Z on sigma's kernel and rho's support exceeds
+    linalg.DOMINATION_TOL; only then rho's factor is R = Z r_evals^{1/2},
+    without the columns of eigenvalues that are eigh roundoff
+    (linalg.ROUNDOFF_CUTOFF).  R, split into rows R_1 on supp sigma and the
+    k x r leak off it, and one SVD of the leak give the Schur reduction
+    rho_tilde = R_1 (1 - P) R_1^H, P onto the row space of leak: PSD, with
+    no division, and the same whichever factor R it starts from.  One
+    eigensolve of d, formed on supp sigma, gives its spectrum and the
+    sigma-weights.
 
     analyze takes one pair (d_prime and d_max take stacks) and alone reads
     and writes the kept pair: a pair bit-identical to its last successful
@@ -330,10 +343,12 @@ def d_prime(rho, sigma, f: DivergenceGenerator):
 
     One pair is read through analyze().  Stacks (..., n, n) of equal shape
     give an array of shape (...), each value equal to its pair's alone.  A
-    stack whose sigmas all have full rank takes one eigensolve of each kind;
-    a stack where some sigma has a kernel is read pair by pair.  A stack
-    neither reads nor replaces the pair analyze() keeps, and NotPSD (or any
-    other error) on one pair raises for the stack.
+    stack whose sigmas all have full rank takes one eigensolve of each kind
+    (one Cholesky of the rho stack in its place when it proves every rho of
+    full rank; see analyze); a stack where some sigma has a kernel is read
+    pair by pair.  A stack neither reads nor replaces the pair analyze()
+    keeps, and NotPSD (or any other error) on one pair raises for the
+    stack.
     """
     if np.ndim(sigma) == np.ndim(rho) == 2:
         return analyze(rho, sigma).d_prime(f)

@@ -4,8 +4,11 @@ Eigenvalue clustering, functional calculus, support projectors and
 generalized inverses, and the package's tolerance policy: one constant for
 each numerical decision, and one function for each of the PSD, Hermiticity,
 rank, kernel, clustering and mass decisions (divergence.analyze makes the
-domination one).  All functions are pure: inputs are never mutated and
-outputs are freshly allocated.
+domination one).  The PSD and rank decisions are read off an eigensolve
+(psd_eigh, support_mask); from CHOLESKY_MIN_DIM up, one Cholesky
+(proves_full_rank) settles them more cheaply when the operator is PSD of
+full rank by those same rules with a margin.  All functions are pure:
+inputs are never mutated and outputs are freshly allocated.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ MASS_TOL = 1e-10
 DOMINATION_TOL = 1e-8
 # Trace preservation (channels.KrausChannel): entrywise roundoff of sum K†K - 1.
 TP_TOL = 1e-10
+# Full-rank proof (proves_full_rank): the least dim where one Cholesky beats eigvalsh.
+CHOLESKY_MIN_DIM = 8
 
 
 def as_matrix(A) -> np.ndarray:
@@ -62,13 +67,20 @@ def as_hermitian(A) -> np.ndarray:
 
 
 def psd_spectrum(A, vectors: bool = True):
-    """Check A (or each matrix of a stack) Hermitian and PSD from one eigensolve.
+    """Check A (or each matrix of a stack) Hermitian (as_hermitian) and PSD
+    from one eigensolve (psd_eigh).
 
     Returns (A symmetrized, ascending eigenvalues, eigenvectors or None).
-    Eigenvalues down to -psd_slack(eigenvalues) are accepted; NotPSD when
-    a matrix of a stack dips lower.
     """
     A = as_hermitian(A)
+    return (A, *psd_eigh(A, vectors))
+
+
+def psd_eigh(A: np.ndarray, vectors: bool = True):
+    """(ascending eigenvalues, eigenvectors or None) of a Hermitian A (or of
+    each matrix of a stack).  Eigenvalues down to -psd_slack(eigenvalues)
+    are accepted; NotPSD when a matrix of a stack dips lower.
+    """
     if vectors:
         evals, vecs = np.linalg.eigh(A)
     else:
@@ -78,7 +90,45 @@ def psd_spectrum(A, vectors: bool = True):
     if np.count_nonzero(bad):
         at = np.unravel_index(np.argmax(bad), bad.shape)
         raise NotPSD(f"minimum eigenvalue {low[at]:.3e} below -{tol[at]:.3e}")
-    return A, evals, vecs
+    return evals, vecs
+
+
+def proves_full_rank(A: np.ndarray) -> bool:
+    """Whether one Cholesky proves the Hermitian A (every matrix of a stack)
+    PSD and of full rank by the eigen rules, psd_eigh and support_mask.
+
+    The Cholesky is of A - t 1, with t = 2 RANK_CUTOFF dim tr A.  Its success
+    makes A - t 1 positive definite up to Cholesky's backward error, about
+    dim eps |A|, which is far below t / 2.  So every eigenvalue of A exceeds
+    t / 2, which is positive (False without a Cholesky when tr A is not).
+    Then A is positive definite, tr A >= lambda_max, and every eigenvalue
+    exceeds RANK_CUTOFF dim lambda_max, the support_mask cutoff.
+    An eigensolve's own error, about dim eps lambda_max, cannot take a
+    computed eigenvalue back below that cutoff, so the eigen rules would
+    find A PSD and of full rank too.  False when the Cholesky fails (a
+    rank-deficient, near-cutoff or non-PSD A); the caller then decides by
+    the eigenvalues.
+
+    False below CHOLESKY_MIN_DIM without a Cholesky, where the check costs
+    more than the eigensolve it saves.  Measured with numpy 2.4.6 on one
+    BLAS thread of a shared 2-core host (best of 15 interleaved runs of
+    divergence.analyze's body on random complex pairs): at dim 6 a dominated
+    pair took 107 us by this check against 104 us by eigvalsh; at dim 8,
+    105 against 110 us, and a pair whose sigma has a kernel 150 against
+    160 us (by eigh).  At dim 128 the check alone took 0.38 ms, eigvalsh
+    2.0 ms.
+    """
+    n = A.shape[-1]
+    if n < CHOLESKY_MIN_DIM:
+        return False
+    t = (2 * RANK_CUTOFF * n) * A.trace(axis1=-2, axis2=-1).real
+    if np.count_nonzero(t > 0) < t.size:
+        return False
+    try:
+        np.linalg.cholesky(A - t[..., None, None] * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def psd_slack(evals: np.ndarray) -> np.ndarray:

@@ -15,10 +15,10 @@ def no_kept_pair():
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Records each call of numpy.linalg.eigh, eigvalsh and svd as (name,
-    shape of the matrix): its length is the decomposition count."""
+    """Records each call of numpy.linalg.eigh, eigvalsh, svd and cholesky as
+    (name, shape of the matrix): its length is the decomposition count."""
     calls = []
-    for name in ("eigh", "eigvalsh", "svd"):
+    for name in ("eigh", "eigvalsh", "svd", "cholesky"):
         original = getattr(np.linalg, name)
 
         def counted(a, *args, _name=name, _original=original, **kwargs):

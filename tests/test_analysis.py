@@ -82,6 +82,15 @@ class TestEigensolveCount:
         minimal_reverse_test(rho, sigma)
         assert 0 < len(decompositions) <= ceiling
 
+    def test_dominated_dim_128(self, decompositions):
+        # one Cholesky of rho stands for its eigvalsh
+        rng = np.random.default_rng(128)
+        rho, sigma = random_state(rng, 128), random_state(rng, 128)
+        decompositions.clear()
+        d_max(rho, sigma, builtin("neg_power", 0.5))
+        assert decompositions == [("eigh", (128, 128)), ("cholesky", (128, 128)),
+                                  ("eigh", (128, 128))]
+
     def test_equality_check_analyses_pair_and_image_once(self, monkeypatch):
         calls = count_pair_analyses(monkeypatch)
         rho, sigma = schur_pair()
@@ -354,6 +363,22 @@ class TestStackedAnalysis:
         decompositions.clear()
         d_max(rhos, sigmas, GENS[1])
         assert len(decompositions) == 3
+
+    def test_one_cholesky_proves_a_stack(self, decompositions):
+        # from linalg.CHOLESKY_MIN_DIM up one Cholesky of the rho stack
+        # stands for its eigvalsh; one rank-deficient rho sends the whole
+        # stack to eigvalsh
+        rng = np.random.default_rng(43)
+        rhos = np.array([random_state(rng, 16) for _ in range(6)])
+        sigmas = np.array([random_state(rng, 16) for _ in range(6)])
+        stack = (6, 16, 16)
+        for eig in ([], [("eigvalsh", stack)]):
+            decompositions.clear()
+            values = d_max(rhos, sigmas, GENS[2])
+            assert decompositions == [("eigh", stack), ("cholesky", stack),
+                                      *eig, ("eigh", stack)]
+            assert_matches_scalar(rhos, sigmas, values, GENS[2])
+            rhos[3] = random_state(rng, 16, rank=15)
 
     def test_a_stack_with_a_kernel_is_read_pair_by_pair(self):
         rng = np.random.default_rng(42)

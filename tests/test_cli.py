@@ -130,6 +130,14 @@ class TestComputeCommand:
         assert out["finite"] is True
         assert out["value"] < 0
 
+    def test_psi_with_a_far_pole(self, qubit_files, capsys):
+        # building psi:1e103 overflowed in its second derivative at 1
+        code = main(["compute", "--rho", qubit_files["rho"],
+                     "--sigma", qubit_files["sigma"], "--f", "psi:1e103"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["value"] == pytest.approx(-1e-103, rel=1e-12)
+
     def test_infinite_value_reported(self, tmp_path, capsys):
         save_matrix(str(tmp_path / "r.json"), np.diag([1.0, 0.0]))
         save_matrix(str(tmp_path / "s.json"), np.diag([0.0, 1.0]))

@@ -64,6 +64,14 @@ def test_second_derivatives():
     assert builtin("psi", t).second_deriv_at_1 == pytest.approx(2 * t / (1 + t) ** 3)
 
 
+@pytest.mark.parametrize("t", [1e103, 1e200, 1e308])
+def test_psi_second_derivative_with_a_far_pole(t):
+    # (1 + t) ** 3 overflows a float from t ~ 1e103; 2 t / (1 + t)^3 is
+    # about 2 / t^2, which underflows to 0 from t ~ 1e162
+    value = builtin("psi", t).second_deriv_at_1
+    assert value == pytest.approx(2.0 / t / t, rel=1e-15, abs=0)
+
+
 @pytest.mark.parametrize("f", ALL_BUILTINS, ids=lambda f: f.name)
 def test_second_derivative_matches_finite_difference(f):
     h = 1e-5
