@@ -323,11 +323,10 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
 
     mult_ok: bool | None = None
     if f.mu_full_support:
-        # S = Lambda(sigma)^{-1/2} in the coordinates of the image's basis,
-        # and the image's eigenvectors of d' grouped by its atoms
-        B = image.basis
-        inv_half = B.conj().T / np.sqrt(image.sigma_evals)[:, None]
-        groups_out = np.split(image.coords, rt_out.starts[1:], axis=1)
+        # S = Lambda(sigma)^{-1/2}, and the image's eigenvectors of d',
+        # S X' for its factor X', grouped by its atoms
+        S = image.sigma_inv_sqrt
+        groups_out = np.split(S @ image.factor, rt_out.starts[1:], axis=1)
         live = np.flatnonzero(rt_out.q > 0.0)
         d_out = rt_out.p[live] / rt_out.q[live]
         mult_ok = True
@@ -335,12 +334,12 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
             if p == 0.0 or q == 0.0:   # d's kernel, or the escaped atom
                 continue
             d = p / q
-            SY = inv_half @ Y
+            SY = S @ Y
             diff = q * (SY @ SY.conj().T)
             for h in live[np.abs(d_out - d) <= max(10 * tol, tol * d)]:
                 g = groups_out[h]
                 diff -= g @ g.conj().T
-            if float(np.abs(B @ diff @ B.conj().T).max()) > 10 * tol:
+            if float(np.abs(diff).max()) > 10 * tol:
                 mult_ok = False
                 break
 

@@ -111,36 +111,39 @@ class PairAnalysis:
 
     Every array it holds is read-only: analyze() hands the same object to
     each caller of a repeated pair.  A pickled or copied analysis is built
-    anew, so its arrays are read-only too.
+    anew, so its arrays are read-only too.  It holds no basis of supp sigma
+    and no sigma^{-1/2}: rho_tilde, d and eigenvectors are built when read,
+    and the last two take one eigensolve of sigma (sigma_inv_sqrt), which
+    the values and the reverse test never need.
 
     rho, sigma     the validated, symmetrized inputs
-    rho_tilde      the Schur reduction of rho into supp sigma (rho itself
-                   when supp rho lies inside supp sigma)
+    tilde          a factor T of the Schur reduction of rho into supp
+                   sigma, rho_tilde = T T^H, or None when rho_tilde is rho
+                   itself (supp rho inside supp sigma)
     excess         a factor Y of the rest, rho - rho_tilde = Y Y^H up to
                    roundoff (no columns when supp rho lies inside supp sigma)
     dominated      whether supp rho lies inside supp sigma, read off excess:
                    the Schur reduction gives it at least one column
     escaped        tr(rho - rho_tilde), or 0 when that is negligible
                    against tr rho (linalg.negligible_mass)
-    basis          orthonormal columns spanning supp sigma
-    sigma_evals    the eigenvalues of sigma on those columns
     evals          the eigenvalues of d = sigma^{-1/2} rho_tilde sigma^{-1/2}
                    on supp sigma, 0 where their share of tr rho, evals *
                    weights, is negligible (linalg.snap_kernel), ascending
                    after that snap
-    coords         their eigenvectors, in the coordinates of basis
-    weights        the sigma-weights <v|sigma|v> of those eigenvectors
+    factor         X = sigma^{1/2} U for those eigenvectors U of d, one
+                   column each: X X^H = sigma, and the minimal reverse
+                   test's atoms are its clusters of columns
+    weights        the sigma-weights <u|sigma|u> of those eigenvectors, the
+                   squared column norms of factor
     """
 
     rho: np.ndarray
     sigma: np.ndarray
-    rho_tilde: np.ndarray
+    tilde: np.ndarray | None
     excess: np.ndarray
     escaped: float
-    basis: np.ndarray
-    sigma_evals: np.ndarray
     evals: np.ndarray
-    coords: np.ndarray
+    factor: np.ndarray
     weights: np.ndarray
 
     dominated = property(lambda self: self.excess.shape[-1] == 0)
@@ -154,9 +157,23 @@ class PairAnalysis:
         return type(self), tuple(vars(self).values())
 
     @property
+    def rho_tilde(self) -> np.ndarray:
+        """The Schur reduction of rho into supp sigma: rho itself when supp
+        rho lies inside supp sigma, else T T^H built afresh on each read."""
+        T = self.tilde
+        return self.rho if T is None else T @ _adjoint(T)
+
+    @property
+    def sigma_inv_sqrt(self) -> np.ndarray:
+        """sigma^{-1/2} on supp sigma, 0 on its kernel, from one eigensolve
+        of sigma made on each read (linalg.gen_inverse_sqrt)."""
+        return linalg.gen_inverse_sqrt(self.sigma)
+
+    @property
     def eigenvectors(self) -> np.ndarray:
-        """The eigenvectors of d as columns of the full space."""
-        return self.basis @ self.coords
+        """The eigenvectors of d as columns of the full space,
+        sigma^{-1/2} X for X = factor."""
+        return self.sigma_inv_sqrt @ self.factor
 
     @property
     def d(self) -> np.ndarray:
@@ -183,14 +200,14 @@ class PairAnalysis:
         least sigma's least eigenvalue on its support.  When mass escapes
         supp sigma, one last atom with q = 0 carries it, with factor
         Y / |Y|_F for rho - rho_tilde = Y Y^H (excess).  It forms no dense
-        atom.
+        atom and no product: the factors are the columns of X = factor,
+        scaled.
         """
-        X = (self.basis * np.sqrt(self.sigma_evals)) @ self.coords
         starts = linalg.cluster_starts(self.evals)
         sizes = np.concatenate((starts[1:], [self.evals.size])) - starts
         q = np.add.reduceat(self.weights, starts)
         p = np.add.reduceat(self.evals * self.weights, starts)
-        X *= np.repeat(1.0 / np.sqrt(q), sizes)
+        X = self.factor * np.repeat(1.0 / np.sqrt(q), sizes)
         if self.escaped:
             Y = self.excess
             X = np.hstack((X, Y / np.linalg.norm(Y)))
@@ -221,13 +238,17 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
     """
     if rho.shape != sigma.shape:
         raise DimensionMismatch("rho and sigma must have equal dimensions")
-    sigma, s_evals, s_vecs = linalg.psd_spectrum(sigma)
-    keep = linalg.support_mask(s_evals)
-    # eigh sorts ascending, so sigma's kernel is the leading k columns of its
-    # eigenbasis (in a stack, k counts the kernels of every sigma)
-    k = keep.size - np.count_nonzero(keep)
-    if k and sigma.ndim > 2:
-        return None
+    sigma = linalg.as_hermitian(sigma)
+    L, L_inv = linalg.conditioned_cholesky(sigma) or (None, None)
+    k = 0         # the rank of sigma's kernel (in a stack, of every kernel)
+    if L is None:
+        s_evals, s_vecs = linalg.psd_eigh(sigma)
+        # eigh sorts ascending, so sigma's kernel is the leading k columns
+        # of its eigenbasis
+        keep = linalg.support_mask(s_evals)
+        k = keep.size - np.count_nonzero(keep)
+        if k and sigma.ndim > 2:
+            return None
     n = sigma.shape[-1]
     rho = linalg.as_hermitian(rho)
     full_rank = linalg.proves_full_rank(rho)
@@ -237,11 +258,21 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
         r_evals, r_vecs = linalg.psd_eigh(rho, vectors=k > 0)
     if k == n:
         raise ZeroSigma("sigma is the zero operator")
-    basis, s = s_vecs[..., k:], s_evals[..., k:]
     tr_rho = rho.trace(axis1=-2, axis2=-1).real
-
-    tilde, escaped = rho, 0.0
+    tilde, escaped = None, 0.0
     excess = np.zeros(rho.shape[:-1] + (0,), dtype=complex)
+
+    if L is not None:
+        # d' = L^{-1} rho L^{-H} = W^H d W for the unitary W = sigma^{-1/2} L:
+        # d's spectrum, and X = L U' = sigma^{1/2} W U'
+        evals, U = np.linalg.eigh(_hermitian_part(_whitened(L_inv, rho)))
+        X = L @ U
+        # its squared column norms, with no n x n temporary
+        weights = (np.einsum("...ij,...ij->...j", X.real, X.real)
+                   + np.einsum("...ij,...ij->...j", X.imag, X.imag))
+        return _spectrum(rho, sigma, tilde, excess, escaped, evals, X,
+                         weights, tr_rho)
+
     R = None      # rho's factor in sigma's eigenbasis, when rho leaks
     if k and full_rank:
         # a full-rank rho overlaps every kernel of sigma
@@ -254,35 +285,70 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
             cols = linalg.support_mask(r_evals, linalg.ROUNDOFF_CUTOFF)
             first = n - np.count_nonzero(cols)
             R = Z[:, first:] * np.sqrt(r_evals[first:])
-    if R is not None:
-        _, sv, Vh = np.linalg.svd(R[:k], full_matrices=True)   # the leak
-        # the leading live rows of Vh span the leak's row space (P), the
-        # rest its kernel (1 - P); the rank is read from the squared
-        # singular values, padded to the r eigenvalues of leak^H leak
-        w = np.zeros(Vh.shape[0])
-        w[:sv.size] = sv ** 2
-        live = np.count_nonzero(linalg.support_mask(w))
-        T = basis @ (R[k:] @ _adjoint(Vh[live:]))
-        tilde = T @ _adjoint(T)
-        # the leak's row space carries the rest: rho - tilde = Y Y^H
-        excess = s_vecs @ (R @ _adjoint(Vh[:live]))
-        missing = float(tr_rho - tilde.trace().real)
-        escaped = 0.0 if linalg.negligible_mass(missing, tr_rho) else missing
-
-    inv_sqrt = 1.0 / np.sqrt(s)
-    d = ((_adjoint(basis) @ tilde @ basis)
-         * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :]))
-    evals, coords = np.linalg.eigh((d + _adjoint(d)) / 2)
+    basis, s = s_vecs[..., k:], s_evals[..., k:]
+    if R is None:
+        d = _adjoint(basis) @ rho @ basis
+    else:
+        d, tilde, excess, escaped = _schur_reduction(R, k, s_vecs, tr_rho)
+    root = np.sqrt(s)
+    inv_sqrt = 1.0 / root
+    d *= inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+    evals, coords = np.linalg.eigh(_hermitian_part(d))
     weights = (s[..., None, :] @ np.abs(coords) ** 2)[..., 0, :]
+    X = (basis * root[..., None, :]) @ coords
+    return _spectrum(rho, sigma, tilde, excess, escaped, evals, X, weights,
+                     tr_rho)
+
+
+def _schur_reduction(R: np.ndarray, k: int, s_vecs: np.ndarray, tr_rho):
+    """(rho_tilde in sigma's eigenbasis on supp sigma, a factor T of
+    rho_tilde, a factor Y of rho - rho_tilde, escaped) from rho's factor R
+    in sigma's eigenbasis s_vecs, whose leading k rows are the leak."""
+    _, sv, Vh = np.linalg.svd(R[:k], full_matrices=True)
+    # the leading live rows of Vh span the leak's row space (P), the rest
+    # its kernel (1 - P); the rank is read from the squared singular
+    # values, padded to the r eigenvalues of leak^H leak
+    w = np.zeros(Vh.shape[0])
+    w[:sv.size] = sv ** 2
+    live = np.count_nonzero(linalg.support_mask(w))
+    # rho_tilde = T T^H with T = basis M, so it is M M^H on the basis
+    M = R[k:] @ _adjoint(Vh[live:])
+    T = s_vecs[:, k:] @ M
+    # the leak's row space carries the rest: rho - rho_tilde = Y Y^H
+    Y = s_vecs @ (R @ _adjoint(Vh[:live]))
+    missing = float(tr_rho - np.vdot(T, T).real)
+    escaped = 0.0 if linalg.negligible_mass(missing, tr_rho) else missing
+    return M @ _adjoint(M), T, Y, escaped
+
+
+def _whitened(L_inv: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """L^{-1} rho L^{-H} for a Hermitian rho, with one n x n temporary."""
+    d = L_inv @ rho
+    # rho is Hermitian, so rho L^{-H} = (L^{-1} rho)^H
+    return L_inv @ np.conjugate(d, out=d).swapaxes(-1, -2)
+
+
+def _hermitian_part(A: np.ndarray) -> np.ndarray:
+    """(A + A^H) / 2, formed in A's own memory."""
+    A += _adjoint(A)
+    A *= 0.5
+    return A
+
+
+def _spectrum(rho, sigma, tilde, excess, escaped, evals, X, weights,
+              tr_rho) -> PairAnalysis:
+    """The PairAnalysis of d's spectrum evals, with the factor X and the
+    sigma-weights of its eigenvectors: evals snapped to 0 where their share
+    of tr rho is negligible (linalg.snap_kernel), then sorted ascending."""
+    n = rho.shape[-1]
     evals = linalg.snap_kernel(evals, evals * weights, tr_rho[..., None], n)
     # a zeroed eigenvalue may lie above a kept one; clusters and sums need them ascending
     if np.count_nonzero(evals[..., 1:] < evals[..., :-1]):
         order = np.argsort(evals, axis=-1, kind="stable")
         evals = np.take_along_axis(evals, order, -1)
         weights = np.take_along_axis(weights, order, -1)
-        coords = np.take_along_axis(coords, order[..., None, :], -1)
-    return PairAnalysis(rho, sigma, tilde, excess, escaped, basis, s, evals,
-                        coords, weights)
+        X = np.take_along_axis(X, order[..., None, :], -1)
+    return PairAnalysis(rho, sigma, tilde, excess, escaped, evals, X, weights)
 
 
 # analyze()'s one kept entry: (the key of its last pair, that pair's
@@ -294,22 +360,30 @@ _last = None
 def analyze(rho, sigma) -> PairAnalysis:
     """Validate a PSD pair and analyse it with one spectral pass.
 
-    One eigensolve of sigma gives its support and sigma^{+-1/2}.  From
-    linalg.CHOLESKY_MIN_DIM up, one Cholesky (linalg.proves_full_rank) may
-    prove rho PSD and of full rank by the rules of the eigensolve; such a
-    rho needs nothing more when sigma has full rank, and lies outside any
-    kernel of sigma, so its factor is R = s_vecs^H C for C = cholesky(rho).
-    Otherwise one eigensolve of rho gives its PSD check and, unless sigma
-    has full rank, Z = s_vecs^H r_vecs.  supp rho lies in supp sigma unless
-    an entry of Z on sigma's kernel and rho's support exceeds
-    linalg.DOMINATION_TOL; only then rho's factor is R = Z r_evals^{1/2},
-    without the columns of eigenvalues that are eigh roundoff
-    (linalg.ROUNDOFF_CUTOFF).  R, split into rows R_1 on supp sigma and the
-    k x r leak off it, and one SVD of the leak give the Schur reduction
-    rho_tilde = R_1 (1 - P) R_1^H, P onto the row space of leak: PSD, with
-    no division, and the same whichever factor R it starts from.  One
-    eigensolve of d, formed on supp sigma, gives its spectrum and the
-    sigma-weights.
+    From linalg.CHOLESKY_MIN_DIM up, sigma = L L^H by one Cholesky whose
+    factor proves sigma of full rank and cond(sigma) at most
+    linalg.COND_BOUND (linalg.conditioned_cholesky) stands in for sigma's
+    eigensolve: d' = L^{-1} rho L^{-H} = W^H d W for the unitary
+    W = sigma^{-1/2} L, so one eigensolve of d' gives d's spectrum, and
+    X = L U' is sigma^{1/2} times d's eigenvectors.  Otherwise one
+    eigensolve of sigma gives its support and sigma^{+-1/2}.  From the same
+    dim up, one Cholesky (linalg.proves_full_rank) may prove rho PSD and of
+    full rank by the rules of the eigensolve; such a rho needs nothing more
+    when sigma has full rank, and lies outside any kernel of sigma, so its
+    factor is R = s_vecs^H C for C = cholesky(rho).  Otherwise one
+    eigensolve of rho gives its PSD check and, unless sigma has full rank,
+    Z = s_vecs^H r_vecs.  supp rho lies in supp sigma unless an entry of Z
+    on sigma's kernel and rho's support exceeds linalg.DOMINATION_TOL; only
+    then rho's factor is R = Z r_evals^{1/2}, without the columns of
+    eigenvalues that are eigh roundoff (linalg.ROUNDOFF_CUTOFF).  R, split
+    into rows R_1 on supp sigma and the k x r leak off it, and one SVD of
+    the leak give the Schur reduction rho_tilde = T T^H, T = basis M with
+    M = R_1 (1 - P), P onto the row space of leak: PSD, with no division,
+    and the same whichever factor R it starts from.  d is formed on supp
+    sigma, from rho there or from M M^H, and one eigensolve gives its
+    spectrum and, with X = basis s^{1/2} U, the sigma-weights.  Measured
+    crossovers are in linalg.conditioned_cholesky and
+    linalg.proves_full_rank.
 
     analyze takes one pair (d_prime and d_max take stacks) and alone reads
     and writes the kept pair: a pair bit-identical to its last successful
@@ -344,9 +418,10 @@ def d_prime(rho, sigma, f: DivergenceGenerator):
     One pair is read through analyze().  Stacks (..., n, n) of equal shape
     give an array of shape (...), each value equal to its pair's alone.  A
     stack whose sigmas all have full rank takes one eigensolve of each kind
-    (one Cholesky of the rho stack in its place when it proves every rho of
-    full rank; see analyze); a stack where some sigma has a kernel is read
-    pair by pair.  A stack neither reads nor replaces the pair analyze()
+    (one Cholesky of the sigma stack in its place when its bound holds for
+    every sigma, one of the rho stack when it proves every rho of full
+    rank; see analyze); a stack where some sigma has a kernel is read pair
+    by pair.  A stack neither reads nor replaces the pair analyze()
     keeps, and NotPSD (or any other error) on one pair raises for the
     stack.
     """

@@ -220,7 +220,7 @@ def shrunk_feasible_operator(rho, sigma, tilde, rng: np.random.Generator) -> np.
     pi_r = linalg.projector(r_vecs[:, linalg.support_mask(r_evals)])
     eye = np.eye(rho.shape[0])
     leak = (eye - pi_r) @ comp @ (eye - pi_r)
-    if float(np.abs(leak).max()) > 1e-10 * float(np.abs(comp).max()):
+    if not linalg.negligible_mass(float(np.abs(leak).max()), float(np.abs(comp).max())):
         s_max = 0.0
     else:
         r_inv = linalg.support_map(r_evals, r_vecs, lambda w: 1.0 / np.sqrt(w))

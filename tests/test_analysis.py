@@ -12,7 +12,7 @@ import pytest
 import qfdiv
 import qfdiv.channels
 import qfdiv.cli
-from qfdiv import divergence, generators, oracles
+from qfdiv import divergence, generators, linalg, oracles
 from qfdiv.channels import (dpi_check, embedding_channel, equality_check,
                             unitary_channel)
 from qfdiv.divergence import (PairAnalysis, analyze, d_max, d_prime,
@@ -83,12 +83,13 @@ class TestEigensolveCount:
         assert 0 < len(decompositions) <= ceiling
 
     def test_dominated_dim_128(self, decompositions):
-        # one Cholesky of rho stands for its eigvalsh
+        # one Cholesky of sigma stands for its eigh, one of rho for its
+        # eigvalsh
         rng = np.random.default_rng(128)
         rho, sigma = random_state(rng, 128), random_state(rng, 128)
         decompositions.clear()
         d_max(rho, sigma, builtin("neg_power", 0.5))
-        assert decompositions == [("eigh", (128, 128)), ("cholesky", (128, 128)),
+        assert decompositions == [("cholesky", (128, 128)), ("cholesky", (128, 128)),
                                   ("eigh", (128, 128))]
 
     def test_equality_check_analyses_pair_and_image_once(self, monkeypatch):
@@ -226,7 +227,7 @@ class TestKeptPair:
         with pytest.raises(ValueError):
             pair.rho[0, 0] = 0.0
         held = [v for v in vars(pair).values() if isinstance(v, np.ndarray)]
-        assert len(held) == 9 and not any(a.flags.writeable for a in held)
+        assert len(held) == 7 and not any(a.flags.writeable for a in held)
         rt = pair.reverse_test()
         rt.outputs[0][...] = 0.0
         rt.factors[...] = 0.0
@@ -365,9 +366,10 @@ class TestStackedAnalysis:
         assert len(decompositions) == 3
 
     def test_one_cholesky_proves_a_stack(self, decompositions):
-        # from linalg.CHOLESKY_MIN_DIM up one Cholesky of the rho stack
-        # stands for its eigvalsh; one rank-deficient rho sends the whole
-        # stack to eigvalsh
+        # from linalg.CHOLESKY_MIN_DIM up one Cholesky of the sigma stack
+        # stands for its eigh, and one of the rho stack for its eigvalsh;
+        # one rank-deficient rho sends the whole stack to eigvalsh, one
+        # rank-deficient sigma to eigh
         rng = np.random.default_rng(43)
         rhos = np.array([random_state(rng, 16) for _ in range(6)])
         sigmas = np.array([random_state(rng, 16) for _ in range(6)])
@@ -375,10 +377,15 @@ class TestStackedAnalysis:
         for eig in ([], [("eigvalsh", stack)]):
             decompositions.clear()
             values = d_max(rhos, sigmas, GENS[2])
-            assert decompositions == [("eigh", stack), ("cholesky", stack),
+            assert decompositions == [("cholesky", stack), ("cholesky", stack),
                                       *eig, ("eigh", stack)]
             assert_matches_scalar(rhos, sigmas, values, GENS[2])
             rhos[3] = random_state(rng, 16, rank=15)
+        sigmas[2] = random_state(rng, 16, rank=15)
+        decompositions.clear()
+        values = d_max(rhos, sigmas, GENS[2])
+        assert decompositions[:2] == [("cholesky", stack), ("eigh", stack)]
+        assert_matches_scalar(rhos, sigmas, values, GENS[2])
 
     def test_a_stack_with_a_kernel_is_read_pair_by_pair(self):
         rng = np.random.default_rng(42)
@@ -461,11 +468,15 @@ class TestReaders:
         pair = analyze(rho, sigma)
         # the sigma-weights of the eigenvectors of d add up to tr sigma
         assert pair.weights.sum() == pytest.approx(np.trace(sigma).real, abs=1e-12)
-        B = pair.basis
-        half = (B * np.sqrt(pair.sigma_evals)) @ B.conj().T
-        np.testing.assert_allclose(half @ half, sigma, atol=1e-12)
-        inv = (B / np.sqrt(pair.sigma_evals)) @ B.conj().T
-        np.testing.assert_allclose(inv @ sigma @ inv, B @ B.conj().T, atol=1e-10)
+        # they are the squared column norms of X = sigma^{1/2} U, X X^H = sigma
+        X = pair.factor
+        np.testing.assert_allclose(pair.weights, np.sum(np.abs(X) ** 2, axis=0),
+                                   atol=1e-15)
+        np.testing.assert_allclose(X @ X.conj().T, sigma, atol=1e-12)
+        half = linalg.matrix_sqrt(sigma)
+        inv = pair.sigma_inv_sqrt
+        np.testing.assert_allclose(inv @ sigma @ inv, linalg.support_projector(sigma),
+                                   atol=1e-10)
         # sigma^{1/2} d sigma^{1/2} gives rho_tilde back
         np.testing.assert_allclose(half @ pair.d @ half, pair.rho_tilde,
                                    atol=1e-12)

@@ -584,6 +584,7 @@ class TestEqualityCheck:
             rt_in, rt_out = pair.reverse_test(), image.reverse_test()
             groups_out = [slice(a, a + k) for a, k, q in
                           zip(rt_out.starts, rt_out.sizes, rt_out.q) if q > 0]
+            V_in, V_out = pair.eigenvectors, image.eigenvectors
             err = 0.0
             for a, k, q in zip(rt_in.starts, rt_in.sizes, rt_in.q):
                 if q == 0.0:
@@ -592,13 +593,13 @@ class TestEqualityCheck:
                 dx = pair.evals[g].mean()
                 if dx == 0.0:
                     continue
-                rhs = sum((projector(image.eigenvectors[:, h])
+                rhs = sum((projector(V_out[:, h])
                            for h in groups_out
                            if abs(image.evals[h].mean() - dx)
                            <= max(10 * tol, tol * dx)),
                           start=np.zeros_like(image.sigma))
                 lhs = lambda_sigma(ch, pair.sigma,
-                                   projector(pair.eigenvectors[:, g]))
+                                   projector(V_in[:, g]))
                 err = max(err, float(np.abs(lhs - rhs).max()))
             rep = equality_check(rho, sigma, ch, HALF, tol)
             if err < 5 * tol or err > 20 * tol:

@@ -790,7 +790,8 @@ class TestReverseTestClustering:
         else:                                  # d has a 5-fold kernel cluster
             sigma, rho = wishart(rng, 8), wishart(rng, 8, 3)
         pair = analyze(rho, sigma)
-        W = (pair.basis * np.sqrt(pair.sigma_evals)) @ pair.coords  # sigma^{1/2} V
+        W = pair.factor                                   # sigma^{1/2} V
+        assert np.abs(W @ W.conj().T - pair.sigma).max() <= 1e-14
         starts = linalg.cluster_starts(pair.evals)   # every cluster is an atom
         sizes = np.diff(starts, append=pair.evals.size)
         assert max(sizes) == {"wishart-128": 1, "degenerate": 8, "kernel": 5}[case]
@@ -876,7 +877,8 @@ class TestScaleHomogeneity:
             route = [name for name, _ in decompositions]
             # eigensolver roundoff grows with the condition number of sigma
             # on its support; a scale-dependent decision errs by far more
-            s = base.sigma_evals
+            s = np.linalg.eigvalsh(base.sigma)
+            s = s[linalg.support_mask(s)]
             cond = max(1.0, s.max() / s.min() / 100)
             for c in self.SCALES:
                 decompositions.clear()
@@ -967,13 +969,32 @@ def ill_conditioned_pair(seed):
     return _ill_conditioned_pair(rng, n, inside=bool(seed % 2))
 
 
+def ill_conditioned_at(seed, n, inside):
+    """The ill-conditioned ensemble's pair at dim n and a seed."""
+    return _ill_conditioned_pair(np.random.default_rng(seed), n, inside)
+
+
 class TestIllConditionedSigma:
     """sigma with a spectrum spanning 1e-12..1: the kernel of d is decided by
     rho's mass and the Schur reduction divides by nothing."""
 
-    @pytest.mark.parametrize("seed", [216, 350, 546, 666, 1003, 377, 521, 871])
-    def test_reverse_test_rebuilds_pair(self, seed):
-        rho, sigma = ill_conditioned_pair(seed)
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(functools.partial(ill_conditioned_pair, seed), id=str(seed))
+          for seed in (216, 350, 546, 666, 1003, 377, 521, 871)),
+        # at dims 8 and 16, sigma's Cholesky route runs on the draws whose
+        # bound B = tr sigma |L^{-1}|_F^2 is below linalg.COND_BOUND (615 at
+        # 9.6e6, 2091 at 8.9e6, 827 at 5.1e6, 1862 at 9.4e6); on a leaking
+        # draw above it (1584 at 7.8e7, 132 at 1.4e8, 1472 at 8.3e8) that
+        # route would rebuild the pair only to 1.1e-9..1.6e-9
+        *(pytest.param(functools.partial(ill_conditioned_at, seed, n, inside),
+                       id=f"{n}-{'inside' if inside else 'leak'}-{seed}")
+          for n, inside, seeds in ((8, False, (615, 1584, 132)),
+                                   (8, True, (615, 1862)),
+                                   (16, False, (2091, 1472)),
+                                   (16, True, (2091, 827)))
+          for seed in seeds)])
+    def test_reverse_test_rebuilds_pair(self, make):
+        rho, sigma = make()
         rho_hat, sigma_hat = minimal_reverse_test(rho, sigma).reconstruct()
         assert np.abs(rho_hat - rho).max() <= 1e-9
         assert np.abs(sigma_hat - sigma).max() <= 1e-9
@@ -1063,11 +1084,6 @@ def low_rank_leak():
     return rho / np.trace(rho).real, sigma
 
 
-def ill_conditioned_at(seed, n, inside):
-    """The ill-conditioned ensemble's pair at dim n and a seed."""
-    return _ill_conditioned_pair(np.random.default_rng(seed), n, inside)
-
-
 SCHUR_CASES = [wishart_against_rank_120, pure_against_pure, low_rank_leak] + [
     functools.partial(ill_conditioned_pair, seed) for seed in (10, 108, 150, 200)] + [
     functools.partial(ill_conditioned_at, seed, n, False) for seed, n in ((2, 8), (3, 16))]
@@ -1110,9 +1126,11 @@ class TestSchurSplit:
             factor = [("cholesky", (n, n)), ("eigh", (n, n))]
         else:
             factor = [("eigh", (n, n))]
+        # from CHOLESKY_MIN_DIM up, sigma's Cholesky fails on its kernel first
+        tried = [("cholesky", (n, n))] if n >= linalg.CHOLESKY_MIN_DIM else []
         decompositions.clear()
         assert not analyze(rho, sigma).dominated
-        assert decompositions == [("eigh", (n, n)), *factor, ("svd", (k, r)),
+        assert decompositions == [*tried, ("eigh", (n, n)), *factor, ("svd", (k, r)),
                                   ("eigh", (n - k, n - k))]
 
     @pytest.mark.parametrize("make", SCHUR_CASES, ids=SCHUR_IDS)
@@ -1189,10 +1207,10 @@ class TestCholeskyProof:
                     continue
                 decompositions.clear()
                 pair = analyze(rho, sigma)
-                # between sigma's eigensolve and d's: rho's, unless the
-                # Cholesky proof held
-                proved = not [c for c in decompositions[1:-1]
-                              if c[0] in ("eigh", "eigvalsh")]
+                # besides d's eigensolve, and sigma's unless its Cholesky
+                # route held: rho's, unless the Cholesky proof held
+                solves = [c for c in decompositions if c[0] in ("eigh", "eigvalsh")]
+                proved = len(solves) == 1 + (linalg.conditioned_cholesky(sigma) is None)
                 routes.add(proved)
                 if low < 0.9 * shift:
                     assert not proved, (n, low)
@@ -1200,10 +1218,80 @@ class TestCholeskyProof:
                     assert proved, (n, low)
                 if proved:
                     assert np.count_nonzero(linalg.support_mask(r_evals)) == n
-                assert pair.basis.shape[1] == n - k
+                assert pair.factor.shape[1] == n - k
                 if not k:
                     assert pair.dominated and pair.escaped == 0.0
                     continue
+                off = np.abs((s_vecs.conj().T @ r_vecs)[:k, linalg.support_mask(r_evals)])
+                assert pair.dominated == (off.max(initial=0.0) <= linalg.DOMINATION_TOL)
+                if pair.dominated:
+                    assert pair.escaped == 0.0
+                    continue
+                _, escaped, _, live = eigh_route(rho, sigma)
+                assert pair.excess.shape[1] == live
+                assert pair.escaped == pytest.approx(escaped, rel=1e-12, abs=0)
+        assert routes == {False, True}
+
+    @staticmethod
+    def sigmas(rng, n):
+        """(sigma, B = tr sigma |L^{-1}|_F^2 or inf without a factor L):
+        spectra of largest eigenvalue 1 whose least sits at multiples of
+        psd_slack, of the support_mask cutoff, of the shift of rho's proof
+        and of the bound's edge, and spectra with kernels of size 1 and
+        n/2."""
+        rest = np.concatenate(([1.0], rng.uniform(0.1, 1.0, n - 2)))
+        cutoff = linalg.RANK_CUTOFF * n
+        slack = linalg.PSD_SLACK * cutoff
+        shift = 2 * cutoff * rest.sum()
+        # B is about tr sigma / lambda_min once lambda_min is small
+        edge = rest.sum() / (linalg.COND_BOUND - rest.sum() * np.sum(1 / rest))
+        lows = ([m * -slack for m in (2, 0.99)]
+                + [m * cutoff for m in (0.5, 1, 2, 4)]
+                + [m * shift for m in (0.5, 1, 2)]
+                + [m * edge for m in (0.5, 0.9, 0.99, 1.01, 1.1, 2, 10)])
+        specs = [np.concatenate(([low], rest)) for low in lows] + [
+            np.concatenate((np.zeros(kernel), rest[:n - kernel]))
+            for kernel in (1, n // 2)]
+        for spec in specs:
+            sigma = rotated(rng, spec)
+            try:
+                L = np.linalg.cholesky(sigma)
+            except np.linalg.LinAlgError:
+                yield sigma, math.inf
+                continue
+            yield sigma, np.trace(sigma).real * np.linalg.norm(np.linalg.inv(L)) ** 2
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_sigma_decisions_are_the_eigen_rules(self, decompositions, n):
+        rng = np.random.default_rng(100 + n)
+        rhos = [random_state(rng, n), random_state(rng, n, n // 2)]
+        routes = set()
+        for sigma, bound in self.sigmas(rng, n):
+            try:       # the eigen route's check of sigma
+                _, s_evals, s_vecs = linalg.psd_spectrum(sigma)
+            except errors.NotPSD as exc:
+                for rho in rhos:
+                    with pytest.raises(errors.NotPSD) as got:
+                        analyze(rho, sigma)
+                    assert str(got.value) == str(exc)
+                continue
+            k = n - np.count_nonzero(linalg.support_mask(s_evals))
+            for rho in rhos:
+                decompositions.clear()
+                pair = analyze(rho, sigma)
+                factored = ("eigh", (n, n)) not in decompositions[:2]
+                routes.add(factored)
+                if bound > linalg.COND_BOUND:
+                    assert not factored, (n, bound)
+                elif bound < 0.99 * linalg.COND_BOUND:
+                    assert factored, (n, bound)
+                if factored:
+                    assert k == 0
+                assert pair.factor.shape[1] == n - k
+                if not k:
+                    assert pair.dominated and pair.escaped == 0.0
+                    continue
+                _, r_evals, r_vecs = linalg.psd_spectrum(rho)
                 off = np.abs((s_vecs.conj().T @ r_vecs)[:k, linalg.support_mask(r_evals)])
                 assert pair.dominated == (off.max(initial=0.0) <= linalg.DOMINATION_TOL)
                 if pair.dominated:

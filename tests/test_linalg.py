@@ -313,6 +313,18 @@ class TestClusterRule:
             assert cluster_starts(evals).tolist() == starts
 
 
+@pytest.mark.parametrize("dim", [8, 33, 64, 128])
+def test_lower_inverse_matches_a_general_inverse(dim):
+    # the block recursion splits from dim 32 up, odd halves included, and
+    # broadcasts over a stack
+    rng = np.random.default_rng(dim)
+    L = np.linalg.cholesky(np.array([random_psd(rng, dim) + np.eye(dim) / dim
+                                     for _ in range(3)]))
+    got = linalg._lower_inverse(L)
+    want = np.linalg.inv(L)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestToleranceTable:
     """The README's Tolerances table against the policy at the top of linalg."""
 
