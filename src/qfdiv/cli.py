@@ -48,10 +48,13 @@ def _cmd_compute(args) -> int:
     f = from_spec(args.f)
     pair = analyze(rho, sigma)
     value = pair.d_max(f)
+    # tr rho_tilde: tr rho, or |T|_F^2 for its factor T, with no n x n product
+    T = pair.tilde
     out = {
         "value": value,
         "finite": math.isfinite(value),
-        "rho_tilde_trace": float(np.trace(pair.rho_tilde).real),
+        "rho_tilde_trace": float(np.trace(pair.rho).real if T is None
+                                 else np.vdot(T, T).real),
         "atoms": len(pair.reverse_test()),
     }
     print(matio.dumps(out))

@@ -43,9 +43,10 @@ class ReverseTest:
 
     The weights are checked once, when the test is built, by the rules of
     classical_f_divergence: InvalidDistribution on a non-finite entry, on
-    one below -1e-12 max|v|, or on unequal lengths.  p and q are then the
-    test's own read-only float copies (the entries below 0 that pass
-    clamped to 0), and the test holds their split for reverse_test_value.
+    one below -linalg.WEIGHT_SLACK max|v|, or on unequal lengths.  p and q
+    are then the test's own read-only float copies (the entries below 0
+    that pass clamped to 0), and the test holds their split for
+    reverse_test_value.
     The layout is checked then too: DimensionMismatch unless factors is 2-D
     and sizes holds positive integers, one per weight, that sum to its
     column count; sizes is then the test's own read-only copy.  A pickled
@@ -119,9 +120,13 @@ class PairAnalysis:
     rho, sigma     the validated, symmetrized inputs
     tilde          a factor T of the Schur reduction of rho into supp
                    sigma, rho_tilde = T T^H, or None when rho_tilde is rho
-                   itself (supp rho inside supp sigma)
+                   itself (supp rho inside supp sigma); C V_+ when rho =
+                   C C^H whitens sigma (analyze), V_+ the eigenvectors of
+                   C^{-1} sigma C^{-H} off its kernel
     excess         a factor Y of the rest, rho - rho_tilde = Y Y^H up to
-                   roundoff (no columns when supp rho lies inside supp sigma)
+                   roundoff (no columns when supp rho lies inside supp
+                   sigma); C V_0 for the kernel V_0 of C^{-1} sigma C^{-H}
+                   when rho's factor whitens sigma
     dominated      whether supp rho lies inside supp sigma, read off excess:
                    the Schur reduction gives it at least one column
     escaped        tr(rho - rho_tilde), or 0 when that is negligible
@@ -239,9 +244,23 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
     if rho.shape != sigma.shape:
         raise DimensionMismatch("rho and sigma must have equal dimensions")
     sigma = linalg.as_hermitian(sigma)
-    L, L_inv = linalg.conditioned_cholesky(sigma) or (None, None)
+    n = sigma.shape[-1]
+    factored = linalg.conditioned_cholesky(sigma)
+    L, L_inv = factored or (None, None)
+    # sigma has no factor, so it may have a kernel: from the measured
+    # crossover up, one pair whitens it by rho's factor instead (see analyze)
+    whitening = (factored is None and sigma.ndim == 2
+                 and n >= 2 * linalg.CHOLESKY_MIN_DIM)
+    C = C_inv = None      # rho's factor, and its inverse when conditioned
+    if whitening:
+        rho = linalg.as_hermitian(rho)
+        C, C_inv = linalg.conditioned_cholesky(rho) or (None, None)
+        if C_inv is not None:
+            pair = _whitened_kernel(rho, sigma, C, C_inv)
+            if pair is not None:
+                return pair
     k = 0         # the rank of sigma's kernel (in a stack, of every kernel)
-    if L is None:
+    if L_inv is None:
         s_evals, s_vecs = linalg.psd_eigh(sigma)
         # eigh sorts ascending, so sigma's kernel is the leading k columns
         # of its eigenbasis
@@ -249,9 +268,14 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
         k = keep.size - np.count_nonzero(keep)
         if k and sigma.ndim > 2:
             return None
-    n = sigma.shape[-1]
-    rho = linalg.as_hermitian(rho)
-    full_rank = linalg.proves_full_rank(rho)
+    if not whitening:
+        rho = linalg.as_hermitian(rho)
+    if C_inv is not None:
+        full_rank = True          # rho's conditioned factor proved it
+    elif whitening and C is None:
+        full_rank = False         # rho has no factor: the proof would fail
+    else:
+        full_rank = linalg.proves_full_rank(rho)
     if not full_rank:
         # With sigma of full rank every support is dominated, so rho needs
         # no eigenvectors.
@@ -262,21 +286,18 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
     tilde, escaped = None, 0.0
     excess = np.zeros(rho.shape[:-1] + (0,), dtype=complex)
 
-    if L is not None:
+    if L_inv is not None:
         # d' = L^{-1} rho L^{-H} = W^H d W for the unitary W = sigma^{-1/2} L:
         # d's spectrum, and X = L U' = sigma^{1/2} W U'
         evals, U = np.linalg.eigh(_hermitian_part(_whitened(L_inv, rho)))
         X = L @ U
-        # its squared column norms, with no n x n temporary
-        weights = (np.einsum("...ij,...ij->...j", X.real, X.real)
-                   + np.einsum("...ij,...ij->...j", X.imag, X.imag))
         return _spectrum(rho, sigma, tilde, excess, escaped, evals, X,
-                         weights, tr_rho)
+                         _squared_norms(X), tr_rho)
 
     R = None      # rho's factor in sigma's eigenbasis, when rho leaks
     if k and full_rank:
         # a full-rank rho overlaps every kernel of sigma
-        R = _adjoint(s_vecs) @ np.linalg.cholesky(rho)
+        R = _adjoint(s_vecs) @ (np.linalg.cholesky(rho) if C is None else C)
     elif k:
         Z = _adjoint(s_vecs) @ r_vecs
         # rows of sigma's kernel, columns of rho's support
@@ -319,6 +340,70 @@ def _schur_reduction(R: np.ndarray, k: int, s_vecs: np.ndarray, tr_rho):
     missing = float(tr_rho - np.vdot(T, T).real)
     escaped = 0.0 if linalg.negligible_mass(missing, tr_rho) else missing
     return M @ _adjoint(M), T, Y, escaped
+
+
+def _whitened_kernel(rho, sigma, C, C_inv) -> PairAnalysis | None:
+    """The PairAnalysis of one pair whose sigma may have a kernel, from one
+    eigensolve of e = C^{-1} sigma C^{-H} for rho = C C^H and C_inv = C^{-1}
+    from linalg.conditioned_cholesky; None unless e proves sigma's rank
+    and PSD decisions the eigen rules' (psd_eigh, support_mask) and d's
+    spectrum accurate.
+
+    e is congruent to sigma, and its nonzero eigenvalues mu are 1/lambda
+    for the eigenvalues lambda of d: for the eigenvectors V_+ of mu,
+    X = C V_+ diag(mu^{1/2}) is sigma^{1/2} times d's eigenvectors, and
+    T = C V_+ and Y = C V_0, V_0 e's null space, split rho into
+    rho_tilde = T T^H and its rest Y Y^H.  The proof:
+    - kept side: mu > 2 cutoff tr sigma |C^{-1}|_F^2, cutoff the
+      support_mask one, RANK_CUTOFF dim.  By Ostrowski's theorem each
+      such mu gives sigma an eigenvalue of at least mu lambda_min(rho) >=
+      mu / |C^{-1}|_F^2 > 2 cutoff tr sigma >= 2 cutoff lambda_max(sigma);
+      the margin of 2 covers the error of forming e, of its eigensolve and
+      of sigma's own, each about dim eps tr sigma |C^{-1}|_F^2.
+    - cut side: the other k mu, with 0 < k < dim.  For Q = orth(C^{-H}
+      V_0), 2 |sigma Q|_F plus eigh's own error, dim eps tr sigma, is
+      below cutoff max diag(sigma) <= cutoff lambda_max(sigma).  By
+      interlacing, sigma then has k eigenvalues within |sigma Q|_2 of 0:
+      eigh would cut them and find sigma PSD.  A non-PSD sigma fails it.
+    - accuracy: mu_max <= COND_BOUND min mu.  The route's error is then
+      about eps (B + mu_max / min mu) for rho's bound B <= COND_BOUND, the
+      budget of sigma's own Cholesky route.
+    Before the cut side, one correction of V_0 by the generalized inverse
+    G = C^{-H} V_+ diag(1/mu) V_+^H C^{-1} of sigma (sigma G sigma =
+    sigma) turns V_0 away from V_+ by G's residual, and V_+ back by the
+    same rotation, to first order: O(dim^2 k) work.  escaped is |Y|_F^2.
+    """
+    n = rho.shape[-1]
+    mu, V = np.linalg.eigh(_hermitian_part(_whitened(C_inv, sigma)))
+    cutoff = linalg.RANK_CUTOFF * n
+    tr_sigma = sigma.trace().real
+    k = np.count_nonzero(mu <= 2 * cutoff * tr_sigma * np.vdot(C_inv, C_inv).real)
+    if not (tr_sigma > 0 and 0 < k < n and mu[-1] <= linalg.COND_BOUND * mu[k]):
+        return None
+    V0, Vp, mu = V[:, :k], V[:, k:], mu[k:]
+    C_inv_h = _adjoint(C_inv)
+    turn = (_adjoint(Vp) @ (C_inv @ (sigma @ (C_inv_h @ V0)))) / mu[:, None]
+    V0, Vp = V0 - Vp @ turn, Vp + V0 @ _adjoint(turn)
+    Q = np.linalg.qr(C_inv_h @ V0)[0]
+    eigh_error = n * np.finfo(float).eps * tr_sigma
+    if (2 * np.linalg.norm(sigma @ Q) + eigh_error
+            >= cutoff * sigma.diagonal().real.max()):
+        return None
+    Y = C @ V0
+    missing = np.vdot(Y, Y).real
+    tr_rho = rho.trace().real
+    escaped = 0.0 if linalg.negligible_mass(missing, tr_rho) else missing
+    # mu ascending is d's spectrum descending
+    T = C @ Vp[:, ::-1]
+    X = T * np.sqrt(mu[::-1])
+    return _spectrum(rho, sigma, T, Y, escaped, 1.0 / mu[::-1], X,
+                     _squared_norms(X), tr_rho)
+
+
+def _squared_norms(X: np.ndarray) -> np.ndarray:
+    """The squared column norms of X, with no temporary of X's size."""
+    return (np.einsum("...ij,...ij->...j", X.real, X.real)
+            + np.einsum("...ij,...ij->...j", X.imag, X.imag))
 
 
 def _whitened(L_inv: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -381,9 +466,22 @@ def analyze(rho, sigma) -> PairAnalysis:
     M = R_1 (1 - P), P onto the row space of leak: PSD, with no division,
     and the same whichever factor R it starts from.  d is formed on supp
     sigma, from rho there or from M M^H, and one eigensolve gives its
-    spectrum and, with X = basis s^{1/2} U, the sigma-weights.  Measured
-    crossovers are in linalg.conditioned_cholesky and
-    linalg.proves_full_rank.
+    spectrum and, with X = basis s^{1/2} U, the sigma-weights.
+
+    From dim 2 CHOLESKY_MIN_DIM up, one pair whose sigma has no factor
+    (conditioned_cholesky: its Cholesky fails, or finds a pivot within the
+    rank cutoff) may have a kernel, and is whitened by rho instead when
+    conditioned_cholesky(rho) gives rho = C C^H: one eigensolve of
+    e = C^{-1} sigma C^{-H} stands in for those of sigma and d, the SVD of
+    the leak and rho's second Cholesky.  (rho^{-1})_{11} = rho_tilde^{-1}
+    on supp sigma, so the nonzero eigenvalues mu of e are 1/lambda for
+    d's eigenvalues lambda, with X = C V_+ mu^{1/2} and T = C V_+ for
+    their eigenvectors V_+, and e's kernel V_0 carries the rest,
+    Y = C V_0.  e must prove sigma's rank and PSD decisions the eigen
+    rules', and mu_max / mu_min at most COND_BOUND (_whitened_kernel);
+    otherwise the eigensolve of sigma decides, and R = s_vecs^H C reuses
+    rho's factor.  Measured crossovers are in linalg.conditioned_cholesky
+    and linalg.proves_full_rank.
 
     analyze takes one pair (d_prime and d_max take stacks) and alone reads
     and writes the kept pair: a pair bit-identical to its last successful

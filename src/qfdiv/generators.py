@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import linalg
 from .errors import (DomainError, InvalidDistribution, MissingRecession,
                      UnsupportedGenerator)
 
@@ -151,8 +152,9 @@ def recession_value(f: DivergenceGenerator) -> float:
 
 def _as_weights(v, label: str) -> np.ndarray:
     """v as a flat float array; InvalidDistribution on a non-finite entry or
-    on one below -1e-12 max|v|.  The entries below 0 that pass are clamped
-    to 0 in a copy; otherwise v itself (or a view of it) comes back."""
+    on one below -linalg.WEIGHT_SLACK max|v|.  The entries below 0 that pass
+    are clamped to 0 in a copy; otherwise v itself (or a view of it) comes
+    back."""
     v = np.asarray(v, dtype=float).ravel()
     if not v.size:
         return v
@@ -160,7 +162,7 @@ def _as_weights(v, label: str) -> np.ndarray:
     if not -INF < lo <= hi < INF:
         raise InvalidDistribution(f"{label} has a non-finite entry")
     if lo < 0.0:
-        if lo < -1e-12 * max(hi, -lo):
+        if lo < -linalg.WEIGHT_SLACK * max(hi, -lo):
             raise InvalidDistribution(f"{label} has negative entries")
         v = np.maximum(v, 0.0)
     return v

@@ -40,6 +40,10 @@ MASS_TOL = 1e-10
 DOMINATION_TOL = 1e-8
 # Trace preservation (channels.KrausChannel): entrywise roundoff of sum K†K - 1.
 TP_TOL = 1e-10
+# Direction support (rld._check_in_support): max|X - pi X pi| up to this * max|X|.
+SUPPORT_TOL = 1e-10
+# Classical weights (generators._as_weights): entries down to -this * max|v| are 0.
+WEIGHT_SLACK = 1e-12
 # Cholesky routes (proves_full_rank, conditioned_cholesky): the least dim where
 # one Cholesky beats an eigensolve.
 CHOLESKY_MIN_DIM = 8
@@ -142,7 +146,12 @@ def proves_full_rank(A: np.ndarray) -> bool:
 def conditioned_cholesky(A: np.ndarray):
     """(L, L^{-1}) for the Cholesky factor A = L L^H of a Hermitian A (of
     every matrix of a stack) whose factor proves A well conditioned and of
-    full rank by the eigen rules, psd_eigh and support_mask; else None.
+    full rank by the eigen rules, psd_eigh and support_mask; (L, None) when
+    the factor fails that proof; None when A has no factor: the Cholesky
+    fails, or a pivot L_ii^2 is at most RANK_CUTOFF dim tr A.  That pivot
+    is at least lambda_min, so proves_full_rank would fail too, and A may
+    have a kernel: divergence.analyze then whitens a sigma by rho's factor,
+    proved by this same bound, and skips rho's shifted proof.
 
     The proof is B = tr A |L^{-1}|_F^2 <= min(COND_BOUND, 1 / (2 RANK_CUTOFF
     dim)).  |L^{-1}|_F^2 = tr (L L^H)^{-1} >= 1 / lambda_min and tr A >=
@@ -163,7 +172,12 @@ def conditioned_cholesky(A: np.ndarray):
     and 271 against 289 us at 12, 1.75 against 2.25 ms at 64 and 6.7
     against 9.4 ms at 128; a sigma with a kernel pays the failed Cholesky,
     380 against 368 and 227 against 217 us at dim 8, 506 against 490 and
-    312 against 306 us at 16.
+    312 against 306 us at 16.  The whitening of a sigma with a kernel by
+    rho's factor (the analysis body and the reverse test, best of 60
+    interleaved runs, floored Wishart rho against a Wishart sigma with a
+    kernel of 1 or dim/2) took 220-232 against 210-219 us at dim 8, 241-256
+    against 238-245 us at 12, 271-298 against 286-292 us at 16, and 6.8-7.1
+    against 7.9-9.4 ms at 128: so analyze whitens from dim 16.
     """
     n = A.shape[-1]
     if n < CHOLESKY_MIN_DIM:
@@ -175,12 +189,14 @@ def conditioned_cholesky(A: np.ndarray):
     bound = min(COND_BOUND, 1.0 / (2 * RANK_CUTOFF * n))
     tr = A.trace(axis1=-2, axis2=-1).real
     pivots = np.minimum.reduce(np.diagonal(L, axis1=-2, axis2=-1).real ** 2, axis=-1)
-    if np.count_nonzero(tr <= bound * pivots) < tr.size:
+    if np.count_nonzero(pivots > RANK_CUTOFF * n * tr) < tr.size:
         return None
+    if np.count_nonzero(tr <= bound * pivots) < tr.size:
+        return L, None
     L_inv = _lower_inverse(L)
     norm = np.linalg.norm(L_inv, axis=(-2, -1))
     if np.count_nonzero(tr * norm ** 2 <= bound) < tr.size:
-        return None
+        return L, None
     return L, L_inv
 
 

@@ -41,12 +41,13 @@ def _lam_min(evals) -> float:
 
 def _check_in_support(pi, X, label: str) -> np.ndarray:
     """X validated as Hermitian of rho's shape (else DimensionMismatch);
-    SupportError unless X = pi X pi to within 1e-10 of its own scale."""
+    SupportError unless X = pi X pi to within linalg.SUPPORT_TOL of its own
+    scale."""
     X = linalg.as_hermitian(X)
     if X.shape != pi.shape:
         raise DimensionMismatch(
             f"{label} of shape {X.shape} does not match rho of shape {pi.shape}")
-    if float(np.abs(X - pi @ X @ pi).max()) > 1e-10 * float(np.abs(X).max()):
+    if float(np.abs(X - pi @ X @ pi).max()) > linalg.SUPPORT_TOL * float(np.abs(X).max()):
         raise SupportError(f"{label} is not supported inside supp rho")
     return X
 

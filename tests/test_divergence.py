@@ -1097,9 +1097,6 @@ SCHUR_IDS = ["wishart-128", "pure-pure", "low-rank-leak", "ill-10", "ill-108",
 ROUNDOFF_LEAKS = [functools.partial(ill_conditioned_at, seed, n, True)
                   for seed, n in ((2, 8), (3, 16))]
 ROUNDOFF_LEAK_IDS = ["ill-8-inside", "ill-16-inside"]
-# the cases whose rho one Cholesky proves PSD of full rank; a second one
-# factors it
-CHOLESKY_IDS = {"wishart-128", "ill-150", "ill-8-leak", "ill-16-leak"}
 
 
 def leak_shape(rho, sigma):
@@ -1111,36 +1108,48 @@ def leak_shape(rho, sigma):
 
 
 class TestSchurSplit:
-    """The Schur branch splits rho's factor by one SVD of the k x r leak."""
+    """The Schur branch splits rho's factor by one SVD of the k x r leak,
+    unless rho's conditioned factor whitens sigma (one eigh, no SVD)."""
 
     @pytest.mark.parametrize("make, case",
                              zip(SCHUR_CASES + ROUNDOFF_LEAKS,
                                  SCHUR_IDS + ROUNDOFF_LEAK_IDS),
                              ids=SCHUR_IDS + ROUNDOFF_LEAK_IDS)
-    def test_one_svd_of_the_leak(self, decompositions, make, case):
+    def test_one_svd_of_the_leak(self, decompositions, inverse_calls, make, case):
         rho, sigma = make()
         n, (k, r) = rho.shape[0], leak_shape(rho, sigma)
-        if case in CHOLESKY_IDS:
-            factor = [("cholesky", (n, n))] * 2
-        elif n >= linalg.CHOLESKY_MIN_DIM:      # the proof fails, eigh decides
-            factor = [("cholesky", (n, n)), ("eigh", (n, n))]
-        else:
-            factor = [("eigh", (n, n))]
-        # from CHOLESKY_MIN_DIM up, sigma's Cholesky fails on its kernel first
-        tried = [("cholesky", (n, n))] if n >= linalg.CHOLESKY_MIN_DIM else []
+        chol, eigh = ("cholesky", (n, n)), ("eigh", (n, n))
+        schur = [("svd", (k, r)), ("eigh", (n - k, n - k))]
+        # from CHOLESKY_MIN_DIM up, sigma's Cholesky fails (on its kernel,
+        # or on the bound) first
+        expected = {
+            # rho's conditioned factor whitens sigma: one eigh, no SVD
+            "wishart-128": [chol, chol, *inverse_calls(n), eigh, ("qr", (n, k))],
+            # the whitening's proof fails (mu_max / mu_min above
+            # COND_BOUND): eigh decides sigma, and rho's factor is reused
+            "ill-16-leak": [chol, chol, *inverse_calls(n), eigh, eigh, *schur],
+            # no whitening (below its crossover, or sigma's factor exists
+            # but fails the bound): rho proved full rank by its shifted
+            # Cholesky and factored, or not
+            "ill-150": [chol, eigh, chol, chol, *schur],
+            "ill-8-leak": [chol, eigh, chol, chol, *schur],
+            "ill-8-inside": [chol, eigh, chol, eigh, *schur],
+            # rho's Cholesky fails: eigh decides both
+            "ill-16-inside": [chol, chol, eigh, eigh, *schur],
+        }.get(case, [eigh, eigh, *schur])   # below CHOLESKY_MIN_DIM
         decompositions.clear()
         assert not analyze(rho, sigma).dominated
-        assert decompositions == [*tried, ("eigh", (n, n)), *factor, ("svd", (k, r)),
-                                  ("eigh", (n - k, n - k))]
+        assert decompositions == expected
 
     @pytest.mark.parametrize("make", SCHUR_CASES, ids=SCHUR_IDS)
     def test_matches_the_eigh_route(self, decompositions, make):
         rho, sigma = make()
-        k, r = leak_shape(rho, sigma)
+        n, (k, r) = rho.shape[0], leak_shape(rho, sigma)
         tilde, escaped, values, _ = eigh_route(rho, sigma)
         decompositions.clear()
         pair = analyze(rho, sigma)
-        assert ("svd", (k, r)) in decompositions
+        # the leak's SVD, or the whitening's QR of sigma's kernel
+        assert ("svd", (k, r)) in decompositions or ("qr", (n, k)) in decompositions
         assert np.abs(pair.rho_tilde - tilde).max() <= 1e-13 * max(1.0, np.abs(tilde).max())
         assert pair.escaped == pytest.approx(escaped, rel=1e-13, abs=1e-13)
         for f, value in zip(GENS, values):
@@ -1151,7 +1160,8 @@ class TestSchurSplit:
         # rho_tilde = A - B C^{-1} B^H
         rho, sigma = wishart_against_rank_120()
         pair = analyze(rho, sigma)
-        assert ("svd", (8, 128)) in decompositions
+        # rho's factor whitens sigma
+        assert ("qr", (128, 8)) in decompositions
         _, V = np.linalg.eigh(pair.sigma)
         M = V.conj().T @ pair.rho @ V
         C, B, A = M[:8, :8], M[8:, :8], M[8:, 8:]
@@ -1164,6 +1174,31 @@ def rotated(rng, spec):
     n = len(spec)
     U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return (U * spec) @ U.conj().T
+
+
+def eigh_inputs(monkeypatch):
+    """Records a copy of the matrix of each numpy.linalg.eigh call."""
+    seen = []
+    original = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return original(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return seen
+
+
+def unwhitened(rho, sigma):
+    """analyze's route without the whitening by rho's factor: the
+    PairAnalysis, or the error it raises."""
+    original = divergence._whitened_kernel
+    divergence._whitened_kernel = lambda *args: None
+    try:
+        return divergence._analysis(linalg.as_matrix(rho), linalg.as_matrix(sigma))
+    except errors.QfdivError as exc:
+        return exc
+    finally:
+        divergence._whitened_kernel = original
 
 
 class TestCholeskyProof:
@@ -1210,7 +1245,8 @@ class TestCholeskyProof:
                 # besides d's eigensolve, and sigma's unless its Cholesky
                 # route held: rho's, unless the Cholesky proof held
                 solves = [c for c in decompositions if c[0] in ("eigh", "eigvalsh")]
-                proved = len(solves) == 1 + (linalg.conditioned_cholesky(sigma) is None)
+                factored = linalg.conditioned_cholesky(sigma)
+                proved = len(solves) == 2 - (factored is not None and factored[1] is not None)
                 routes.add(proved)
                 if low < 0.9 * shift:
                     assert not proved, (n, low)
@@ -1262,13 +1298,14 @@ class TestCholeskyProof:
             yield sigma, np.trace(sigma).real * np.linalg.norm(np.linalg.inv(L)) ** 2
 
     @pytest.mark.parametrize("n", [8, 16, 64])
-    def test_sigma_decisions_are_the_eigen_rules(self, decompositions, n):
+    def test_sigma_decisions_are_the_eigen_rules(self, decompositions, monkeypatch, n):
         rng = np.random.default_rng(100 + n)
         rhos = [random_state(rng, n), random_state(rng, n, n // 2)]
         routes = set()
+        seen = eigh_inputs(monkeypatch)
         for sigma, bound in self.sigmas(rng, n):
             try:       # the eigen route's check of sigma
-                _, s_evals, s_vecs = linalg.psd_spectrum(sigma)
+                sym, s_evals, s_vecs = linalg.psd_spectrum(sigma)
             except errors.NotPSD as exc:
                 for rho in rhos:
                     with pytest.raises(errors.NotPSD) as got:
@@ -1278,8 +1315,11 @@ class TestCholeskyProof:
             k = n - np.count_nonzero(linalg.support_mask(s_evals))
             for rho in rhos:
                 decompositions.clear()
+                seen.clear()
                 pair = analyze(rho, sigma)
-                factored = ("eigh", (n, n)) not in decompositions[:2]
+                # neither sigma's eigh nor the whitening's QR of its kernel
+                factored = not (any(np.array_equal(a, sym) for a in seen)
+                                or ("qr", (n, k)) in decompositions)
                 routes.add(factored)
                 if bound > linalg.COND_BOUND:
                     assert not factored, (n, bound)
@@ -1301,3 +1341,84 @@ class TestCholeskyProof:
                 assert pair.excess.shape[1] == live
                 assert pair.escaped == pytest.approx(escaped, rel=1e-12, abs=0)
         assert routes == {False, True}
+
+    @staticmethod
+    def kernel_pairs(rng, n):
+        """(rho, sigma, B = tr rho |C^{-1}|_F^2 or inf without a factor C):
+        sigma with a kernel of 1 or n/2 (exact, at half the support_mask
+        cutoff, or below -psd_slack: not PSD), its least kept eigenvalue at
+        multiples of the cutoff or in 0.1..1; rho with its least eigenvalue
+        at 0.5, on both sides of the bound's edge, or 0, and one rho that
+        shares sigma's eigenvectors, its least eigenvalue inside the bound
+        on sigma's least kept one (so that only the kept side's proof, not
+        the condition of d, tells a cut eigenvalue from a kept one)."""
+        def with_bound(rho):
+            try:
+                C_inv = np.linalg.inv(np.linalg.cholesky(rho))
+            except np.linalg.LinAlgError:
+                return rho, math.inf
+            return rho, np.trace(rho).real * np.linalg.norm(C_inv) ** 2
+
+        cutoff = linalg.RANK_CUTOFF * n
+        rest = np.concatenate(([1.0], rng.uniform(0.1, 1.0, n - 2)))
+        edge = rest.sum() / (linalg.COND_BOUND - rest.sum() * np.sum(1 / rest))
+        rhos = [with_bound(rotated(rng, np.concatenate(([low], rest))))
+                for low in (0.5, 2 * edge, 0.5 * edge, 0.0)]
+        for kernel in (1, n // 2):
+            for least in (0.5, 2, 1e3, 1e5, None):
+                kept = rest[:n - kernel].copy()
+                if least is not None:
+                    kept[-1] = least * cutoff
+                for low in (0.0, 0.5 * cutoff, -2 * linalg.PSD_SLACK * cutoff):
+                    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                    U = np.linalg.qr(G)[0]
+                    spec = np.concatenate((np.full(kernel, low), kept))
+                    sigma = (U * spec) @ U.conj().T
+                    shared = (U * np.append(rest, 2 * edge)) @ U.conj().T
+                    for rho, bound in rhos + [with_bound(shared)]:
+                        yield rho, sigma, bound
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_sigma_kernel_decisions_are_the_eigen_rules(self, decompositions,
+                                                        monkeypatch, n):
+        # whitening sigma by rho's factor decides sigma's PSD, rank and
+        # leak as eigh does; whenever its proof fails, eigh of sigma runs
+        # and the pair is the eigen route's, bit for bit
+        rng = np.random.default_rng(200 + n)
+        routes = set()
+        seen = eigh_inputs(monkeypatch)
+        for rho, sigma, bound in self.kernel_pairs(rng, n):
+            want = unwhitened(rho, sigma)
+            decompositions.clear()
+            seen.clear()
+            try:
+                pair = analyze(rho, sigma)
+            except errors.QfdivError as exc:
+                assert type(exc) is type(want) and str(exc) == str(want)
+                continue
+            assert isinstance(want, divergence.PairAnalysis), want
+            k = n - want.factor.shape[1]
+            sym = linalg.as_hermitian(sigma)
+            whitened = not any(np.array_equal(a, sym) for a in seen)
+            routes.add(whitened)
+            assert pair.factor.shape == want.factor.shape
+            assert pair.dominated == want.dominated
+            assert pair.excess.shape == want.excess.shape
+            values = [(pair.d_max(f), want.d_max(f)) for f in GENS]
+            if not whitened:
+                assert pair.escaped == want.escaped
+                assert all(got == value for got, value in values)
+                continue
+            # one eigensolve and the QR of sigma's kernel
+            assert bound <= linalg.COND_BOUND
+            assert [c for c in decompositions if c[0] in ("eigh", "qr", "svd")] == [
+                ("eigh", (n, n)), ("qr", (n, k))]
+            # the routes differ by about eps times the condition of rho (B,
+            # which COND_BOUND caps) or of sigma on its support
+            s = np.linalg.eigvalsh(sym)[k:]
+            tol = max(1e-13, np.finfo(float).eps * max(bound, s.max() / s.min()))
+            assert pair.escaped == pytest.approx(want.escaped, rel=tol, abs=0)
+            for got, value in values:
+                assert got == pytest.approx(value, rel=tol)
+        # the whitening's measured crossover is dim 16
+        assert routes == {False, n >= 2 * linalg.CHOLESKY_MIN_DIM}

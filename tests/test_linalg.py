@@ -1,5 +1,6 @@
 """Tests for the Hermitian linear algebra core."""
 
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import qfdiv
-from qfdiv import channels, divergence, errors, linalg
+from qfdiv import channels, divergence, errors, generators, linalg, rld
 from qfdiv.divergence import analyze
 from qfdiv.linalg import (KERNEL_FLOOR, as_hermitian, as_matrix,
                           cluster_starts, gen_inverse_sqrt, matrix_sqrt,
@@ -346,7 +347,8 @@ class TestToleranceTable:
             assert names, row
             for name in names:
                 head, *rest = name.split(".")
-                owner = next((m for m in (linalg, divergence, channels)
+                owner = next((m for m in (linalg, divergence, channels,
+                                          generators, rld)
                               if hasattr(m, head)), None)
                 assert owner is not None, f"{name} of {row}"
                 obj = getattr(owner, head)
@@ -370,3 +372,29 @@ def test_no_threshold_outside_the_policy():
              if key.isupper() and isinstance(value, (int, float, np.number))
              and not isinstance(value, bool)}
     assert found <= allowed
+    # nor does a bare literal: every float below 1e-6 in the source of a
+    # module other than linalg and suites (whose table holds the suites'
+    # tolerances) is a parameter default or an allowed name's value
+    bare = []
+    for name, module in modules.items():
+        if name == "suites":
+            continue
+        tree = ast.parse(pathlib.Path(module.__file__).read_text())
+        exempt = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                values = node.args.defaults + node.args.kw_defaults
+            elif isinstance(node, ast.keyword) and node.arg == "default":
+                values = [node.value]
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and f"{name}.{t.id}" in allowed
+                    for t in node.targets):
+                values = [node.value]
+            else:
+                continue
+            exempt.update(id(leaf) for value in values if value is not None
+                          for leaf in ast.walk(value))
+        bare += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                 and 0 < abs(node.value) < 1e-6 and id(node) not in exempt]
+    assert not bare
