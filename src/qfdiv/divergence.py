@@ -49,8 +49,9 @@ class ReverseTest:
     reverse_test_value.
     The layout is checked then too: DimensionMismatch unless factors is 2-D
     and sizes holds positive integers, one per weight, that sum to its
-    column count; sizes is then the test's own read-only copy.  A pickled
-    or copied test is built, and checked, anew.
+    column count; sizes is then the test's own read-only copy.  Then
+    InvalidOperator on a non-finite entry of factors.  A pickled or copied
+    test is built, and checked, anew.
     """
 
     factors: np.ndarray
@@ -69,6 +70,8 @@ class ReverseTest:
             raise DimensionMismatch(
                 f"sizes {sizes.tolist()} do not lay out {len(p)} atoms over "
                 f"the columns of factors of shape {shape}")
+        if not np.isfinite(self.factors).all():
+            raise InvalidOperator("factors has a non-finite entry")
         for name, value in (("p", p), ("q", q), ("sizes", sizes)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -235,6 +238,8 @@ def _adjoint(A: np.ndarray) -> np.ndarray:
 def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
     """The analysis body of analyze() over one pair read by linalg.as_matrix,
     the spectrum of d ascending; it neither reads nor replaces the kept pair.
+    It checks sigma, then rho, Hermitian, then takes one of three routes
+    (see analyze).
 
     It broadcasts over a stack (..., n, n) whose sigmas all have full rank,
     each array one entry per pair: with no kernel, every pair is dominated
@@ -244,61 +249,73 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
     if rho.shape != sigma.shape:
         raise DimensionMismatch("rho and sigma must have equal dimensions")
     sigma = linalg.as_hermitian(sigma)
-    n = sigma.shape[-1]
-    factored = linalg.conditioned_cholesky(sigma)
-    L, L_inv = factored or (None, None)
-    # sigma has no factor, so it may have a kernel: from the measured
-    # crossover up, one pair whitens it by rho's factor instead (see analyze)
-    whitening = (factored is None and sigma.ndim == 2
-                 and n >= 2 * linalg.CHOLESKY_MIN_DIM)
-    C = C_inv = None      # rho's factor, and its inverse when conditioned
-    if whitening:
-        rho = linalg.as_hermitian(rho)
-        C, C_inv = linalg.conditioned_cholesky(rho) or (None, None)
+    rho = linalg.as_hermitian(rho)
+    L = linalg.cholesky_factor(sigma)
+    if L is not None:
+        L_inv = linalg.conditioned_inverse(sigma, L)
+        if L_inv is not None:
+            return _sigma_factor_route(rho, sigma, L, L_inv)
+    elif sigma.ndim == 2 and sigma.shape[-1] >= 2 * linalg.CHOLESKY_MIN_DIM:
+        # sigma may have a kernel: from the measured crossover up, one pair
+        # whitens it by rho's factor
+        C = linalg.cholesky_factor(rho)
+        C_inv = None if C is None else linalg.conditioned_inverse(rho, C)
         if C_inv is not None:
             pair = _whitened_kernel(rho, sigma, C, C_inv)
             if pair is not None:
                 return pair
-    k = 0         # the rank of sigma's kernel (in a stack, of every kernel)
-    if L_inv is None:
-        s_evals, s_vecs = linalg.psd_eigh(sigma)
-        # eigh sorts ascending, so sigma's kernel is the leading k columns
-        # of its eigenbasis
-        keep = linalg.support_mask(s_evals)
-        k = keep.size - np.count_nonzero(keep)
-        if k and sigma.ndim > 2:
-            return None
-    if not whitening:
-        rho = linalg.as_hermitian(rho)
-    if C_inv is not None:
-        full_rank = True          # rho's conditioned factor proved it
-    elif whitening and C is None:
-        full_rank = False         # rho has no factor: the proof would fail
-    else:
-        full_rank = linalg.proves_full_rank(rho)
-    if not full_rank:
-        # With sigma of full rank every support is dominated, so rho needs
-        # no eigenvectors.
-        r_evals, r_vecs = linalg.psd_eigh(rho, vectors=k > 0)
+    return _eigen_route(rho, sigma)
+
+
+def _sigma_factor_route(rho, sigma, L, L_inv) -> PairAnalysis:
+    """The analysis of sigma = L L^H of full rank, from one eigensolve of
+    d' = L^{-1} rho L^{-H} = W^H d W for the unitary W = sigma^{-1/2} L:
+    d's spectrum, and X = L U' = sigma^{1/2} W U'.  Every pair is dominated,
+    so rho needs only its PSD check: its own factor proves it, or eigvalsh
+    decides."""
+    if linalg.cholesky_factor(rho) is None:
+        linalg.psd_eigh(rho, vectors=False)
+    evals, U = np.linalg.eigh(_hermitian_part(_whitened(L_inv, rho)))
+    X = L @ U
+    excess = np.zeros(rho.shape[:-1] + (0,), dtype=complex)
+    return _spectrum(rho, sigma, None, excess, 0.0, evals, X,
+                     _squared_norms(X), rho.trace(axis1=-2, axis2=-1).real)
+
+
+def _eigen_route(rho, sigma) -> PairAnalysis | None:
+    """The analysis from one eigensolve each of sigma, rho and d; None for a
+    stack where some sigma has a kernel.
+
+    sigma's gives its support and sigma^{+-1/2}, and rho's its PSD check
+    and, unless sigma has full rank, Z = s_vecs^H r_vecs.  supp rho lies in
+    supp sigma unless an entry of Z on sigma's kernel and rho's support
+    exceeds linalg.DOMINATION_TOL; only then rho's factor is
+    R = Z r_evals^{1/2}, without the columns of eigenvalues that are eigh
+    roundoff (linalg.ROUNDOFF_CUTOFF).  R, split into rows R_1 on supp
+    sigma and the k x r leak off it, and one SVD of the leak give the Schur
+    reduction rho_tilde = T T^H, T = basis M with M = R_1 (1 - P), P onto
+    the row space of the leak: PSD, with no division.  d is formed on
+    supp sigma, from rho there or from M M^H, and its eigensolve gives its
+    spectrum and, with X = basis s^{1/2} U, the sigma-weights.
+    """
+    n = sigma.shape[-1]
+    s_evals, s_vecs = linalg.psd_eigh(sigma)
+    # eigh sorts ascending, so sigma's kernel is the leading k columns of
+    # its eigenbasis (in a stack, k counts every kernel)
+    keep = linalg.support_mask(s_evals)
+    k = keep.size - np.count_nonzero(keep)
+    if k and sigma.ndim > 2:
+        return None
+    # with sigma of full rank every support is dominated, so rho needs no
+    # eigenvectors
+    r_evals, r_vecs = linalg.psd_eigh(rho, vectors=k > 0)
     if k == n:
         raise ZeroSigma("sigma is the zero operator")
     tr_rho = rho.trace(axis1=-2, axis2=-1).real
     tilde, escaped = None, 0.0
     excess = np.zeros(rho.shape[:-1] + (0,), dtype=complex)
-
-    if L_inv is not None:
-        # d' = L^{-1} rho L^{-H} = W^H d W for the unitary W = sigma^{-1/2} L:
-        # d's spectrum, and X = L U' = sigma^{1/2} W U'
-        evals, U = np.linalg.eigh(_hermitian_part(_whitened(L_inv, rho)))
-        X = L @ U
-        return _spectrum(rho, sigma, tilde, excess, escaped, evals, X,
-                         _squared_norms(X), tr_rho)
-
     R = None      # rho's factor in sigma's eigenbasis, when rho leaks
-    if k and full_rank:
-        # a full-rank rho overlaps every kernel of sigma
-        R = _adjoint(s_vecs) @ (np.linalg.cholesky(rho) if C is None else C)
-    elif k:
+    if k:
         Z = _adjoint(s_vecs) @ r_vecs
         # rows of sigma's kernel, columns of rho's support
         off = np.abs(Z[:k, linalg.support_mask(r_evals)])
@@ -345,7 +362,7 @@ def _schur_reduction(R: np.ndarray, k: int, s_vecs: np.ndarray, tr_rho):
 def _whitened_kernel(rho, sigma, C, C_inv) -> PairAnalysis | None:
     """The PairAnalysis of one pair whose sigma may have a kernel, from one
     eigensolve of e = C^{-1} sigma C^{-H} for rho = C C^H and C_inv = C^{-1}
-    from linalg.conditioned_cholesky; None unless e proves sigma's rank
+    from linalg.conditioned_inverse; None unless e proves sigma's rank
     and PSD decisions the eigen rules' (psd_eigh, support_mask) and d's
     spectrum accurate.
 
@@ -445,43 +462,23 @@ _last = None
 def analyze(rho, sigma) -> PairAnalysis:
     """Validate a PSD pair and analyse it with one spectral pass.
 
-    From linalg.CHOLESKY_MIN_DIM up, sigma = L L^H by one Cholesky whose
-    factor proves sigma of full rank and cond(sigma) at most
-    linalg.COND_BOUND (linalg.conditioned_cholesky) stands in for sigma's
-    eigensolve: d' = L^{-1} rho L^{-H} = W^H d W for the unitary
-    W = sigma^{-1/2} L, so one eigensolve of d' gives d's spectrum, and
-    X = L U' is sigma^{1/2} times d's eigenvectors.  Otherwise one
-    eigensolve of sigma gives its support and sigma^{+-1/2}.  From the same
-    dim up, one Cholesky (linalg.proves_full_rank) may prove rho PSD and of
-    full rank by the rules of the eigensolve; such a rho needs nothing more
-    when sigma has full rank, and lies outside any kernel of sigma, so its
-    factor is R = s_vecs^H C for C = cholesky(rho).  Otherwise one
-    eigensolve of rho gives its PSD check and, unless sigma has full rank,
-    Z = s_vecs^H r_vecs.  supp rho lies in supp sigma unless an entry of Z
-    on sigma's kernel and rho's support exceeds linalg.DOMINATION_TOL; only
-    then rho's factor is R = Z r_evals^{1/2}, without the columns of
-    eigenvalues that are eigh roundoff (linalg.ROUNDOFF_CUTOFF).  R, split
-    into rows R_1 on supp sigma and the k x r leak off it, and one SVD of
-    the leak give the Schur reduction rho_tilde = T T^H, T = basis M with
-    M = R_1 (1 - P), P onto the row space of leak: PSD, with no division,
-    and the same whichever factor R it starts from.  d is formed on supp
-    sigma, from rho there or from M M^H, and one eigensolve gives its
-    spectrum and, with X = basis s^{1/2} U, the sigma-weights.
-
-    From dim 2 CHOLESKY_MIN_DIM up, one pair whose sigma has no factor
-    (conditioned_cholesky: its Cholesky fails, or finds a pivot within the
-    rank cutoff) may have a kernel, and is whitened by rho instead when
-    conditioned_cholesky(rho) gives rho = C C^H: one eigensolve of
-    e = C^{-1} sigma C^{-H} stands in for those of sigma and d, the SVD of
-    the leak and rho's second Cholesky.  (rho^{-1})_{11} = rho_tilde^{-1}
-    on supp sigma, so the nonzero eigenvalues mu of e are 1/lambda for
-    d's eigenvalues lambda, with X = C V_+ mu^{1/2} and T = C V_+ for
-    their eigenvectors V_+, and e's kernel V_0 carries the rest,
-    Y = C V_0.  e must prove sigma's rank and PSD decisions the eigen
-    rules', and mu_max / mu_min at most COND_BOUND (_whitened_kernel);
-    otherwise the eigensolve of sigma decides, and R = s_vecs^H C reuses
-    rho's factor.  Measured crossovers are in linalg.conditioned_cholesky
-    and linalg.proves_full_rank.
+    sigma, then rho, is checked Hermitian (linalg.as_hermitian) before any
+    PSD decision, so a pair with two faults raises the same error at every
+    dim.  Then one of three routes runs, picked by the dim and by which
+    operand has a conditioned Cholesky factor: one whose pivots prove it
+    PSD (linalg.cholesky_factor) and whose inverse bounds its condition by
+    linalg.COND_BOUND (linalg.conditioned_inverse), tried from
+    linalg.CHOLESKY_MIN_DIM up.
+    1. sigma's factor (_sigma_factor_route): one eigensolve of
+       L^{-1} rho L^{-H} for sigma = L L^H.
+    2. From dim 2 CHOLESKY_MIN_DIM, the measured crossover (see
+       linalg.cholesky_factor), a sigma with no factor may have a kernel,
+       and rho's factor whitens it (_whitened_kernel): one eigensolve of
+       C^{-1} sigma C^{-H} for rho = C C^H, when that proves the eigen
+       rules' decisions on sigma and d's spectrum accurate.
+    3. Otherwise the eigen route (_eigen_route): one eigensolve each of
+       sigma, rho and d, and the Schur reduction when rho leaks out of
+       supp sigma.
 
     analyze takes one pair (d_prime and d_max take stacks) and alone reads
     and writes the kept pair: a pair bit-identical to its last successful
@@ -517,9 +514,8 @@ def d_prime(rho, sigma, f: DivergenceGenerator):
     give an array of shape (...), each value equal to its pair's alone.  A
     stack whose sigmas all have full rank takes one eigensolve of each kind
     (one Cholesky of the sigma stack in its place when its bound holds for
-    every sigma, one of the rho stack when it proves every rho of full
-    rank; see analyze); a stack where some sigma has a kernel is read pair
-    by pair.  A stack neither reads nor replaces the pair analyze()
+    every sigma, one of the rho stack when it proves every rho PSD; see
+    analyze); a stack where some sigma has a kernel is read pair by pair.  A stack neither reads nor replaces the pair analyze()
     keeps, and NotPSD (or any other error) on one pair raises for the
     stack.
     """

@@ -5,12 +5,12 @@ generalized inverses, and the package's tolerance policy: one constant for
 each numerical decision, and one function for each of the PSD, Hermiticity,
 rank, kernel, clustering and mass decisions (divergence.analyze makes the
 domination one).  The PSD and rank decisions are read off an eigensolve
-(psd_eigh, support_mask); from CHOLESKY_MIN_DIM up, one Cholesky settles
-them more cheaply when the operator is PSD of full rank by those same
-rules with a margin: shifted down by that margin (proves_full_rank), or
-unshifted with a factor L whose inverse bounds the condition number by
-COND_BOUND (conditioned_cholesky).  All functions are pure: inputs are
-never mutated and outputs are freshly allocated.
+(psd_eigh, support_mask); from CHOLESKY_MIN_DIM up, one Cholesky rule
+settles them more cheaply when it holds: a factor A = L L^H whose pivots
+pass proves A PSD (cholesky_factor), and an inverse L^{-1} that bounds
+cond(A) by COND_BOUND proves A of full rank too (conditioned_inverse).
+All functions are pure: inputs are never mutated and outputs are freshly
+allocated.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ TP_TOL = 1e-10
 SUPPORT_TOL = 1e-10
 # Classical weights (generators._as_weights): entries down to -this * max|v| are 0.
 WEIGHT_SLACK = 1e-12
-# Cholesky routes (proves_full_rank, conditioned_cholesky): the least dim where
-# one Cholesky beats an eigensolve.
+# Cholesky routes (cholesky_factor): the least dim where one Cholesky beats
+# an eigensolve.
 CHOLESKY_MIN_DIM = 8
-# Factor condition (conditioned_cholesky): tr A |L^{-1}|_F^2 at most this for A = L L^H.
+# Factor condition (conditioned_inverse): tr A |L^{-1}|_F^2 at most this for A = L L^H.
 COND_BOUND = 1e7
 
 
@@ -102,79 +102,29 @@ def psd_eigh(A: np.ndarray, vectors: bool = True):
     return evals, vecs
 
 
-def proves_full_rank(A: np.ndarray) -> bool:
-    """Whether one Cholesky proves the Hermitian A (every matrix of a stack)
-    PSD and of full rank by the eigen rules, psd_eigh and support_mask.
+def cholesky_factor(A: np.ndarray):
+    """The Cholesky factor L of a Hermitian A = L L^H (of every matrix of a
+    stack) whose pivots L_ii^2 all exceed RANK_CUTOFF dim tr A; None when
+    the Cholesky fails or a pivot does not.  Such a factor proves A PSD by
+    psd_eigh's rule: L L^H is positive definite, and A up to Cholesky's
+    backward error, about dim^2 eps lambda_max, far inside psd_slack.  A
+    pivot is at least lambda_min, so A may have a kernel when one fails.
+    conditioned_inverse then decides whether L proves A of full rank too.
 
-    The Cholesky is of A - t 1, with t = 2 RANK_CUTOFF dim tr A.  Its success
-    makes A - t 1 positive definite up to Cholesky's backward error, about
-    dim eps |A|, which is far below t / 2.  So every eigenvalue of A exceeds
-    t / 2, which is positive (False without a Cholesky when tr A is not).
-    Then A is positive definite, tr A >= lambda_max, and every eigenvalue
-    exceeds RANK_CUTOFF dim lambda_max, the support_mask cutoff.
-    An eigensolve's own error, about dim eps lambda_max, cannot take a
-    computed eigenvalue back below that cutoff, so the eigen rules would
-    find A PSD and of full rank too.  False when the Cholesky fails (a
-    rank-deficient, near-cutoff or non-PSD A); the caller then decides by
-    the eigenvalues.
-
-    False below CHOLESKY_MIN_DIM without a Cholesky, where the check costs
-    more than the eigensolve it saves.  Measured with numpy 2.4.6 on one
-    BLAS thread of a shared 2-core host (best of 15 interleaved runs of
-    divergence.analyze's body on random complex pairs): at dim 6 a dominated
-    pair took 107 us by this check against 104 us by eigvalsh; at dim 8,
-    105 against 110 us, and a pair whose sigma has a kernel 150 against
-    160 us (by eigh).  At dim 128 the check alone took 0.38 ms, eigvalsh
-    2.0 ms.
-    """
-    n = A.shape[-1]
-    if n < CHOLESKY_MIN_DIM:
-        return False
-    t = (2 * RANK_CUTOFF * n) * A.trace(axis1=-2, axis2=-1).real
-    if np.count_nonzero(t > 0) < t.size:
-        return False
-    shifted = A.copy()
-    # the diagonals: every (n + 1)-th entry of each flattened matrix
-    shifted.reshape(A.shape[:-2] + (n * n,))[..., ::n + 1] -= t[..., None]
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def conditioned_cholesky(A: np.ndarray):
-    """(L, L^{-1}) for the Cholesky factor A = L L^H of a Hermitian A (of
-    every matrix of a stack) whose factor proves A well conditioned and of
-    full rank by the eigen rules, psd_eigh and support_mask; (L, None) when
-    the factor fails that proof; None when A has no factor: the Cholesky
-    fails, or a pivot L_ii^2 is at most RANK_CUTOFF dim tr A.  That pivot
-    is at least lambda_min, so proves_full_rank would fail too, and A may
-    have a kernel: divergence.analyze then whitens a sigma by rho's factor,
-    proved by this same bound, and skips rho's shifted proof.
-
-    The proof is B = tr A |L^{-1}|_F^2 <= min(COND_BOUND, 1 / (2 RANK_CUTOFF
-    dim)).  |L^{-1}|_F^2 = tr (L L^H)^{-1} >= 1 / lambda_min and tr A >=
-    lambda_max, so B bounds cond(A) from above, whatever the scale of A,
-    and L L^H has every eigenvalue above 2 RANK_CUTOFF dim lambda_max.
-    L L^H is A up to Cholesky's backward error, about dim eps |A|, far
-    below that margin, and an eigensolve's own error is as small: the
-    eigen rules would find A PSD and of full rank, as in proves_full_rank.
-    COND_BOUND caps the cond(A) eps error that a route through L^{-1}
-    adds.  The pivots L_ii^2 are at least lambda_min, so B >= tr A /
-    min L_ii^2 rejects an ill-conditioned A before L^{-1} is formed.
-
-    None below CHOLESKY_MIN_DIM without a Cholesky.  Measured with numpy
-    2.4.6 on one BLAS thread of a shared 2-core host (best of 15
-    interleaved runs of divergence.analyze's body and the reverse test, on
-    floored Wishart pairs, two passes): with sigma of full rank this route
-    took 170 against 170 and 291 against 285 us at dim 8, 213 against 219
-    and 271 against 289 us at 12, 1.75 against 2.25 ms at 64 and 6.7
-    against 9.4 ms at 128; a sigma with a kernel pays the failed Cholesky,
-    380 against 368 and 227 against 217 us at dim 8, 506 against 490 and
-    312 against 306 us at 16.  The whitening of a sigma with a kernel by
-    rho's factor (the analysis body and the reverse test, best of 60
-    interleaved runs, floored Wishart rho against a Wishart sigma with a
+    None below CHOLESKY_MIN_DIM without a Cholesky, where one costs more
+    than the eigensolve it saves.  Measured with numpy 2.4.6 on one BLAS
+    thread of a shared 2-core host (best of 15 interleaved runs of
+    divergence.analyze's body and the reverse test): a dominated random
+    complex pair whose rho was checked by one Cholesky in place of
+    eigvalsh took 107 against 104 us at dim 6 and 105 against 110 us at
+    dim 8, and at dim 128 that Cholesky took 0.38 ms, eigvalsh 2.0 ms.
+    sigma's factor route (floored Wishart pairs, two passes) took 170
+    against 170 and 291 against 285 us at dim 8, 213 against 219 and 271
+    against 289 us at 12, 1.75 against 2.25 ms at 64 and 6.7 against 9.4 ms
+    at 128; a sigma with a kernel pays the failed Cholesky, 380 against 368
+    and 227 against 217 us at dim 8, 506 against 490 and 312 against 306 us
+    at 16.  The whitening of a sigma with a kernel by rho's factor (best of
+    60 interleaved runs, floored Wishart rho against a Wishart sigma with a
     kernel of 1 or dim/2) took 220-232 against 210-219 us at dim 8, 241-256
     against 238-245 us at 12, 271-298 against 286-292 us at 16, and 6.8-7.1
     against 7.9-9.4 ms at 128: so analyze whitens from dim 16.
@@ -186,18 +136,42 @@ def conditioned_cholesky(A: np.ndarray):
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return None
-    bound = min(COND_BOUND, 1.0 / (2 * RANK_CUTOFF * n))
     tr = A.trace(axis1=-2, axis2=-1).real
-    pivots = np.minimum.reduce(np.diagonal(L, axis1=-2, axis2=-1).real ** 2, axis=-1)
-    if np.count_nonzero(pivots > RANK_CUTOFF * n * tr) < tr.size:
+    if np.count_nonzero(_least_pivots(L) > RANK_CUTOFF * n * tr) < tr.size:
         return None
-    if np.count_nonzero(tr <= bound * pivots) < tr.size:
-        return L, None
+    return L
+
+
+def conditioned_inverse(A: np.ndarray, L: np.ndarray):
+    """L^{-1} for the factor L = cholesky_factor(A) when it proves A (every
+    matrix of a stack) well conditioned and of full rank by the eigen rules,
+    psd_eigh and support_mask; None otherwise.
+
+    The proof is B = tr A |L^{-1}|_F^2 <= min(COND_BOUND, 1 / (2 RANK_CUTOFF
+    dim)).  |L^{-1}|_F^2 = tr (L L^H)^{-1} >= 1 / lambda_min and tr A >=
+    lambda_max, so B bounds cond(A) from above, whatever the scale of A,
+    and L L^H has every eigenvalue above 2 RANK_CUTOFF dim lambda_max.
+    L L^H is A up to Cholesky's backward error, far below that margin, and
+    an eigensolve's own error is as small: the eigen rules would find A
+    PSD and of full rank.  COND_BOUND caps the cond(A) eps error that a
+    route through L^{-1} adds.  The pivots L_ii^2 are at least lambda_min,
+    so B >= tr A / min L_ii^2 rejects an ill-conditioned A before L^{-1} is
+    formed.
+    """
+    bound = min(COND_BOUND, 1.0 / (2 * RANK_CUTOFF * A.shape[-1]))
+    tr = A.trace(axis1=-2, axis2=-1).real
+    if np.count_nonzero(tr <= bound * _least_pivots(L)) < tr.size:
+        return None
     L_inv = _lower_inverse(L)
     norm = np.linalg.norm(L_inv, axis=(-2, -1))
     if np.count_nonzero(tr * norm ** 2 <= bound) < tr.size:
-        return L, None
-    return L, L_inv
+        return None
+    return L_inv
+
+
+def _least_pivots(L: np.ndarray) -> np.ndarray:
+    """min L_ii^2 of a Cholesky factor (of each of a stack)."""
+    return np.minimum.reduce(np.diagonal(L, axis1=-2, axis2=-1).real ** 2, axis=-1)
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
@@ -208,7 +182,7 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
 
     A block with a half below 2 CHOLESKY_MIN_DIM rows is inverted whole,
     where a split's numpy calls cost more than its LAPACK time saves.
-    Measured on the host of conditioned_cholesky (best of 11 interleaved
+    Measured on the host of cholesky_factor (best of 11 interleaved
     runs on one factor): np.linalg.inv against this took 20 against 21 us
     at dim 16, 68 against 69 us at 32 (the first split), 302 against
     173 us at 64 and 1.53 against 0.52 ms at 128.

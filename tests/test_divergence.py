@@ -141,6 +141,19 @@ class TestDMax:
             with pytest.raises(errors.InvalidOperator):
                 minimal_reverse_test(rho, sigma)
 
+    @pytest.mark.parametrize("n", [3, 8, 16, 32])
+    def test_two_faults_raise_one_error_at_every_dim(self, n):
+        # sigma, then rho, are checked Hermitian before any PSD decision, so
+        # the error does not depend on which route the dim picks
+        rng = np.random.default_rng(n)
+        rho = random_state(rng, n)
+        rho[0, -1] += 0.1
+        sigma = rotated(rng, np.concatenate(([-0.5], np.ones(n - 1))))
+        with pytest.raises(errors.InvalidOperator):
+            d_max(rho, sigma, GENS[0])
+        with pytest.raises(errors.NotPSD):
+            d_max(random_state(rng, n), sigma, GENS[0])
+
     def test_commuting_matches_classical(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -384,6 +397,24 @@ class TestHeldWeights:
         # ValueError or ignored a column
         with pytest.raises(errors.DimensionMismatch):
             ReverseTest(factors, sizes, p, p)
+
+    def test_non_finite_factors_raise_when_built(self):
+        # such a test would reconstruct NaN while reverse_test_value reads
+        # a finite value off the weights
+        with pytest.raises(errors.InvalidOperator):
+            ReverseTest(np.full((2, 1), np.nan), [1], [1.0], [1.0])
+        rt = minimal_reverse_test(np.diag([0.5, 0.5]), np.diag([0.25, 0.75]))
+        factors = np.array(rt.factors)
+        factors[1, 0] = np.inf
+        with pytest.raises(errors.InvalidOperator):
+            ReverseTest(factors, rt.sizes, rt.p, rt.q)
+        # a pickled or copied test is checked anew
+        held = ReverseTest(np.array(rt.factors), rt.sizes, rt.p, rt.q)
+        held.factors[0, 0] = np.nan
+        with pytest.raises(errors.InvalidOperator):
+            pickle.loads(pickle.dumps(held))
+        with pytest.raises(errors.InvalidOperator):
+            copy.copy(held)
 
     def test_weights_are_read_only_copies(self):
         p, q = np.array([0.5, 0.5]), np.array([0.25, -1e-14])
@@ -1119,24 +1150,25 @@ class TestSchurSplit:
         rho, sigma = make()
         n, (k, r) = rho.shape[0], leak_shape(rho, sigma)
         chol, eigh = ("cholesky", (n, n)), ("eigh", (n, n))
-        schur = [("svd", (k, r)), ("eigh", (n - k, n - k))]
+        # the eigen route: one eigh each of sigma and rho, then the split,
+        # with no Cholesky after eigh(sigma)
+        eigen = [eigh, eigh, ("svd", (k, r)), ("eigh", (n - k, n - k))]
         # from CHOLESKY_MIN_DIM up, sigma's Cholesky fails (on its kernel,
         # or on the bound) first
         expected = {
             # rho's conditioned factor whitens sigma: one eigh, no SVD
             "wishart-128": [chol, chol, *inverse_calls(n), eigh, ("qr", (n, k))],
             # the whitening's proof fails (mu_max / mu_min above
-            # COND_BOUND): eigh decides sigma, and rho's factor is reused
-            "ill-16-leak": [chol, chol, *inverse_calls(n), eigh, eigh, *schur],
-            # no whitening (below its crossover, or sigma's factor exists
-            # but fails the bound): rho proved full rank by its shifted
-            # Cholesky and factored, or not
-            "ill-150": [chol, eigh, chol, chol, *schur],
-            "ill-8-leak": [chol, eigh, chol, chol, *schur],
-            "ill-8-inside": [chol, eigh, chol, eigh, *schur],
-            # rho's Cholesky fails: eigh decides both
-            "ill-16-inside": [chol, chol, eigh, eigh, *schur],
-        }.get(case, [eigh, eigh, *schur])   # below CHOLESKY_MIN_DIM
+            # COND_BOUND): the eigen route runs
+            "ill-16-leak": [chol, chol, *inverse_calls(n), eigh, *eigen],
+            # no whitening: below its crossover, or sigma's factor exists
+            # but fails the bound
+            "ill-150": [chol, *eigen],
+            "ill-8-leak": [chol, *eigen],
+            "ill-8-inside": [chol, *eigen],
+            # rho's Cholesky fails
+            "ill-16-inside": [chol, chol, *eigen],
+        }.get(case, eigen)   # below CHOLESKY_MIN_DIM
         decompositions.clear()
         assert not analyze(rho, sigma).dominated
         assert decompositions == expected
@@ -1202,70 +1234,61 @@ def unwhitened(rho, sigma):
 
 
 class TestCholeskyProof:
-    """From linalg.CHOLESKY_MIN_DIM up, one Cholesky may settle rho's PSD and
-    rank decisions; each decision is still the eigen rule's."""
+    """From linalg.CHOLESKY_MIN_DIM up, Cholesky factors may settle the PSD
+    and rank decisions of sigma and rho; each decision is still the eigen
+    rule's."""
 
     @staticmethod
     def rhos(rng, n):
-        """(rho, least eigenvalue, Cholesky shift t): spectra of largest
-        eigenvalue 1 whose least sits at multiples of psd_slack, of the
-        support_mask cutoff and of the shift, and rank-deficient ones."""
+        """(rho, least eigenvalue, pivot floor RANK_CUTOFF dim tr rho):
+        spectra of largest eigenvalue 1 whose least sits at multiples of
+        psd_slack, of the support_mask cutoff and of the pivot floor, and
+        rank-deficient ones."""
         rest = np.concatenate(([1.0], rng.uniform(0.1, 1.0, n - 2)))
         cutoff = linalg.RANK_CUTOFF * n
         slack = linalg.PSD_SLACK * cutoff
-        shift = 2 * cutoff * rest.sum()       # t up to the least eigenvalue's share
+        floor = cutoff * rest.sum()       # up to the least eigenvalue's share
         lows = ([m * -slack for m in (2, 1.01, 0.99)]
                 + [m * cutoff for m in (0.5, 1, 1.5, 2, 4)]
-                + [m * shift for m in (0.5, 0.9, 1.1, 2)])
+                + [m * floor for m in (0.5, 0.9, 1.1, 2)])
         for low in lows:
-            yield rotated(rng, np.concatenate(([low], rest))), low, shift
+            yield rotated(rng, np.concatenate(([low], rest))), low, floor
         for kernel in (1, n // 2):
             spec = np.concatenate((np.zeros(kernel), rest[:n - kernel]))
-            yield rotated(rng, spec), 0.0, shift
+            yield rotated(rng, spec), 0.0, floor
 
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_decisions_are_the_eigen_rules(self, decompositions, n):
+        # on sigma's factor route rho needs only its PSD decision: rho's
+        # own factor proves it, or eigvalsh decides
         rng = np.random.default_rng(n)
-        sigmas = [random_state(rng, n), random_state(rng, n, n - 1),
-                  random_state(rng, n, n // 2)]
+        sigma = random_state(rng, n)
+        L = linalg.cholesky_factor(sigma)
+        assert linalg.conditioned_inverse(sigma, L) is not None
         routes = set()
-        for rho, low, shift in self.rhos(rng, n):
-            for sigma in sigmas:
-                _, s_evals, s_vecs = linalg.psd_spectrum(sigma)
-                k = n - np.count_nonzero(linalg.support_mask(s_evals))
-                try:       # the eigen route's check, as analyze made it before
-                    _, r_evals, r_vecs = linalg.psd_spectrum(rho, vectors=k > 0)
-                except errors.NotPSD as exc:
-                    with pytest.raises(errors.NotPSD) as got:
-                        analyze(rho, sigma)
-                    assert str(got.value) == str(exc)
-                    continue
-                decompositions.clear()
-                pair = analyze(rho, sigma)
-                # besides d's eigensolve, and sigma's unless its Cholesky
-                # route held: rho's, unless the Cholesky proof held
-                solves = [c for c in decompositions if c[0] in ("eigh", "eigvalsh")]
-                factored = linalg.conditioned_cholesky(sigma)
-                proved = len(solves) == 2 - (factored is not None and factored[1] is not None)
-                routes.add(proved)
-                if low < 0.9 * shift:
-                    assert not proved, (n, low)
-                elif low > 1.1 * shift:
-                    assert proved, (n, low)
-                if proved:
-                    assert np.count_nonzero(linalg.support_mask(r_evals)) == n
-                assert pair.factor.shape[1] == n - k
-                if not k:
-                    assert pair.dominated and pair.escaped == 0.0
-                    continue
-                off = np.abs((s_vecs.conj().T @ r_vecs)[:k, linalg.support_mask(r_evals)])
-                assert pair.dominated == (off.max(initial=0.0) <= linalg.DOMINATION_TOL)
-                if pair.dominated:
-                    assert pair.escaped == 0.0
-                    continue
-                _, escaped, _, live = eigh_route(rho, sigma)
-                assert pair.excess.shape[1] == live
-                assert pair.escaped == pytest.approx(escaped, rel=1e-12, abs=0)
+        for rho, low, floor in self.rhos(rng, n):
+            try:       # the eigen route's check
+                linalg.psd_spectrum(rho, vectors=False)
+            except errors.NotPSD as exc:
+                with pytest.raises(errors.NotPSD) as got:
+                    analyze(rho, sigma)
+                assert str(got.value) == str(exc)
+                continue
+            decompositions.clear()
+            pair = analyze(rho, sigma)
+            # sigma's factor and its inverse, then rho's Cholesky, then d'
+            # alone when that proved rho PSD
+            solves = [c for c in decompositions if c[0] in ("eigh", "eigvalsh")]
+            proved = solves == [("eigh", (n, n))]
+            assert proved or solves == [("eigvalsh", (n, n)), ("eigh", (n, n))]
+            assert decompositions[0] == ("cholesky", (n, n))
+            routes.add(proved)
+            if low < 0:
+                assert not proved, (n, low)
+            elif low > 1.1 * floor:
+                assert proved, (n, low)
+            assert pair.dominated and pair.escaped == 0.0
+            assert pair.factor.shape == (n, n)
         assert routes == {False, True}
 
     @staticmethod

@@ -398,3 +398,17 @@ def test_no_threshold_outside_the_policy():
                  if isinstance(node, ast.Constant) and isinstance(node.value, float)
                  and 0 < abs(node.value) < 1e-6 and id(node) not in exempt]
     assert not bare
+
+
+def test_no_cholesky_outside_linalg():
+    # every Cholesky of the package is linalg.cholesky_factor's, so its
+    # pivot rule is the one proof a factor gives
+    calls = []
+    for info in pkgutil.iter_modules(qfdiv.__path__):
+        if info.name == "linalg":
+            continue
+        path = pathlib.Path(qfdiv.__path__[0]) / f"{info.name}.py"
+        calls += [f"{info.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr == "cholesky"]
+    assert not calls
