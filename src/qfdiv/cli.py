@@ -34,12 +34,9 @@ import sys
 import numpy as np
 
 from . import matio
-from .channels import check_tolerance, equality_check
 from .divergence import analyze, minimal_reverse_test
 from .errors import QfdivError
 from .generators import from_spec
-from .rld import second_derivative_check
-from .suites import SUITE_NAMES, SuiteConfig, _csv, run_suite
 
 
 def _cmd_compute(args) -> int:
@@ -77,6 +74,7 @@ def _cmd_reverse_test(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .channels import check_tolerance, equality_check
     check_tolerance(args.tol)   # a bad --tol is a usage error, before any file is read
     rho = matio.load_matrix(args.rho)
     sigma = matio.load_matrix(args.sigma)
@@ -88,6 +86,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_rld(args) -> int:
+    from .rld import second_derivative_check
     rho = matio.load_matrix(args.rho)
     X = matio.load_matrix(args.x)
     Y = matio.load_matrix(args.y)
@@ -106,6 +105,7 @@ def _int(text: str, what: str) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .suites import SUITE_NAMES, SuiteConfig, _csv, run_suite
     reports = []
     seed = (_int(os.environ.get("QFDIV_SEED", "0"), "QFDIV_SEED")
             if args.seed is None else args.seed)
@@ -131,6 +131,17 @@ def _cmd_suite(args) -> int:
     return 0 if all(r.ok() for r in reports) else 1
 
 
+class _SuiteHelpFormatter(argparse.HelpFormatter):
+    """Names the suites in `suite --help` as that help is printed, so that
+    only the suite command loads qfdiv.suites."""
+
+    def _get_help_string(self, action):
+        if action.dest != "suite":
+            return super()._get_help_string(action)
+        from .suites import SUITE_NAMES
+        return f"one of {', '.join(SUITE_NAMES)}, a comma list, or 'all'"
+
+
 def build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False: a prefix such as --f must not be read as --format.
     parser = argparse.ArgumentParser(
@@ -138,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="maximal quantum f-divergences and their property suites")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help):
-        return sub.add_parser(name, help=help, allow_abbrev=False)
+    def command(name, help, **kwargs):
+        return sub.add_parser(name, help=help, allow_abbrev=False, **kwargs)
 
     def add_common(p, channel=False, xy=False):
         p.add_argument("--rho", required=True, help="matrix JSON file")
@@ -173,9 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1e-3)
     p.set_defaults(func=_cmd_rld)
 
-    p = command("suite", "run a property suite")
+    p = command("suite", "run a property suite",
+                formatter_class=_SuiteHelpFormatter)
     p.add_argument("--suite", required=True,
-                   help=f"one of {', '.join(SUITE_NAMES)}, a comma list, or 'all'")
+                   help="a suite name, a comma list, or 'all'")
     p.add_argument("--dims", default="2,3,4", help="comma list of dimensions")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=None,

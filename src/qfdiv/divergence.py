@@ -49,9 +49,10 @@ class ReverseTest:
     reverse_test_value.
     The layout is checked then too: DimensionMismatch unless factors is 2-D
     and sizes holds positive integers, one per weight, that sum to its
-    column count; sizes is then the test's own read-only copy.  Then
-    InvalidOperator on a non-finite entry of factors.  A pickled or copied
-    test is built, and checked, anew.
+    column count.  Then InvalidOperator on a non-finite entry of factors.
+    factors and sizes are then the test's own read-only copies, so neither
+    the checked layout nor the checked entries can change.  A pickled or
+    copied test is built, and checked, anew.
     """
 
     factors: np.ndarray
@@ -62,7 +63,8 @@ class ReverseTest:
     def __post_init__(self):
         p, q = _weights(np.array(self.p, dtype=float),
                         np.array(self.q, dtype=float))
-        shape, sizes = np.shape(self.factors), np.array(self.sizes)
+        factors, sizes = np.array(self.factors), np.array(self.sizes)
+        shape = factors.shape
         if (len(shape) != 2 or sizes.shape != p.shape
                 or sizes.dtype.kind not in "iu"
                 or np.minimum.reduce(sizes, initial=1) < 1
@@ -70,9 +72,10 @@ class ReverseTest:
             raise DimensionMismatch(
                 f"sizes {sizes.tolist()} do not lay out {len(p)} atoms over "
                 f"the columns of factors of shape {shape}")
-        if not np.isfinite(self.factors).all():
+        if not np.isfinite(factors).all():
             raise InvalidOperator("factors has a non-finite entry")
-        for name, value in (("p", p), ("q", q), ("sizes", sizes)):
+        for name, value in (("factors", factors), ("p", p), ("q", q),
+                            ("sizes", sizes)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_split", _split(p, q))

@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import KrausChannel
 from .errors import InvalidOperator
+
+if TYPE_CHECKING:
+    from .channels import KrausChannel
 
 
 def matrix_to_json(A) -> dict:
@@ -60,6 +63,7 @@ def channel_to_json(ch: KrausChannel) -> dict:
 
 
 def channel_from_json(obj) -> KrausChannel:
+    from .channels import KrausChannel
     if (not isinstance(obj, dict) or not isinstance(obj.get("kraus"), list)
             or "dim_in" not in obj or "dim_out" not in obj):
         raise InvalidOperator("channel JSON needs dim_in, dim_out and a kraus list")

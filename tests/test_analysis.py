@@ -19,7 +19,7 @@ from qfdiv.divergence import (PairAnalysis, analyze, d_max, d_prime,
                               minimal_reverse_test, reverse_test_value)
 from qfdiv.errors import DimensionMismatch, InvalidOperator, NotPSD, ZeroSigma
 from qfdiv.generators import builtin
-from qfdiv.matio import save_matrix
+from qfdiv.matio import channel_to_json, save_matrix
 from qfdiv.suites import SuiteConfig, _ill_conditioned_pair, run_suite
 
 GENS = [builtin("xlogx"), builtin("square"), builtin("neg_power", 0.5),
@@ -230,9 +230,9 @@ class TestKeptPair:
         assert len(held) == 7 and not any(a.flags.writeable for a in held)
         rt = pair.reverse_test()
         rt.outputs[0][...] = 0.0
-        rt.factors[...] = 0.0
-        with pytest.raises(ValueError):
-            rt.p[...] = 0.0
+        for held in (rt.factors, rt.p):
+            with pytest.raises(ValueError):
+                held[...] = 0.0
         again = analyze(*schur_pair())
         assert again is pair
         assert again.reverse_test().p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -497,6 +497,110 @@ def _run_python(code: str) -> None:
 
 def test_import_does_not_load_scipy():
     _run_python("import qfdiv, sys; assert 'scipy' not in sys.modules")
+
+
+# The package's public names, each under the module that defines it.
+PUBLIC = {
+    "channels": ("DpiResult", "EqualityReport", "KrausChannel",
+                 "depolarizing_channel", "dpi_check", "embedding_channel",
+                 "equality_check", "lambda_sigma", "random_channel",
+                 "random_state", "unitary_channel", "v_operator"),
+    "divergence": ("PairAnalysis", "ReverseTest", "analyze", "d_max",
+                   "d_prime", "minimal_reverse_test",
+                   "perturbation_limit_probe", "reverse_test_value"),
+    "errors": ("DimensionMismatch", "DomainError", "InfiniteDivergence",
+               "InvalidDistribution", "InvalidOperator", "MissingRecession",
+               "NonCommuting", "NotPSD", "QfdivError", "StepError",
+               "SupportError", "UnsupportedGenerator", "ZeroSigma"),
+    "generators": ("DivergenceGenerator", "LownerForm", "builtin",
+                   "classical_f_divergence", "custom", "from_spec",
+                   "lebesgue_atoms", "lowner_quadrature_check",
+                   "recession_value"),
+    "linalg": ("gen_inverse_sqrt", "matrix_sqrt", "support_projector"),
+    "oracles": ("bs_relative_entropy", "classical_oracle",
+                "umegaki_relative_entropy"),
+    "rld": ("SecondDerivativeResult", "TangentPerturbation", "random_tangent",
+            "rld_metric", "second_derivative_check"),
+    "suites": ("SUITE_NAMES", "SuiteConfig", "SuiteReport", "run_suite",
+               "trial_rng"),
+}
+LAZY_MODULES = {"channels", "oracles", "rld", "suites"}
+
+
+def _loaded(modules) -> str:
+    """Child code asserting that, of LAZY_MODULES, exactly modules are loaded."""
+    return ("loaded = {m for m in %r if 'qfdiv.' + m in sys.modules}\n"
+            "assert loaded == %r, loaded\n" % (sorted(LAZY_MODULES), set(modules)))
+
+
+def test_public_names_are_pinned():
+    names = sorted([*PUBLIC, *(n for names in PUBLIC.values() for n in names)])
+    assert len(names) == 66 and qfdiv.__all__ == names
+    assert set(names) <= set(dir(qfdiv))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qfdiv.no_such_name
+
+
+def test_lazy_names_resolve_to_their_modules_objects():
+    # in a fresh interpreter, so that each lazy name is resolved here first
+    _run_python(
+        "import importlib, sys, qfdiv\n"
+        + _loaded(()) +
+        "assert set(qfdiv.__all__) <= set(dir(qfdiv))\n"
+        f"for module, names in {PUBLIC!r}.items():\n"
+        "    mod = importlib.import_module('qfdiv.' + module)\n"
+        "    assert getattr(qfdiv, module) is mod, module\n"
+        "    for name in names:\n"
+        "        assert getattr(qfdiv, name) is getattr(mod, name), name\n"
+        "        assert name in vars(qfdiv), name\n")
+    _run_python(
+        "from qfdiv import *\n"
+        "import qfdiv\n"
+        "missing = [n for n in qfdiv.__all__ if globals().get(n) is not getattr(qfdiv, n)]\n"
+        "assert missing == [], missing\n")
+
+
+def test_divergences_load_no_lazy_module():
+    _run_python(
+        "import sys, numpy as np, qfdiv\n"
+        "rho, sigma = np.diag([0.5, 0.3, 0.2]), np.diag([0.2, 0.3, 0.5])\n"
+        "qfdiv.d_max(rho, sigma, qfdiv.builtin('xlogx'))\n"
+        "qfdiv.minimal_reverse_test(rho, sigma)\n"
+        + _loaded(()))
+
+
+@pytest.mark.parametrize("command, modules", [
+    ("compute", set()), ("reverse-test", set()), ("check", {"channels"}),
+    ("rld", {"channels", "rld"}), ("suite", LAZY_MODULES)])
+def test_each_command_loads_only_its_modules(tmp_path, command, modules):
+    rho, sigma = np.diag([0.5, 0.3, 0.2]), np.diag([0.2, 0.3, 0.5])
+    files = {}
+    for name, A in (("rho", rho), ("sigma", sigma), ("x", sigma - rho),
+                    ("y", rho - sigma)):
+        files[name] = str(tmp_path / f"{name}.json")
+        save_matrix(files[name], A)
+    files["channel"] = str(tmp_path / "channel.json")
+    with open(files["channel"], "w") as fh:
+        json.dump(channel_to_json(unitary_channel(np.eye(3))), fh)
+    argv = {
+        "compute": ["--rho", files["rho"], "--sigma", files["sigma"], "--f", "xlogx"],
+        "reverse-test": ["--rho", files["rho"], "--sigma", files["sigma"]],
+        "check": ["--rho", files["rho"], "--sigma", files["sigma"],
+                  "--channel", files["channel"], "--f", "xlogx"],
+        "rld": ["--rho", files["rho"], "--x", files["x"], "--y", files["y"],
+                "--f", "xlogx"],
+        "suite": ["--suite", "lowner-quadrature", "--dims", "2", "--trials", "1",
+                  "--out", str(tmp_path / "report.json")],
+    }[command]
+    # what `python -m qfdiv COMMAND ...` runs, then a look at sys.modules
+    _run_python(
+        "import runpy, sys\n"
+        f"sys.argv = ['qfdiv', {command!r}, *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('qfdiv', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        + _loaded(modules))
 
 
 def test_suites_do_not_load_scipy():

@@ -573,6 +573,9 @@ class TestNoToleranceKnobs:
         text = capsys.readouterr().out
         assert "--suite" in text
         assert not re.search(r"--f\b", text)
+        # the names, as argparse wraps them: a line may break after a hyphen
+        flat = re.sub(r"-\s+", "-", " ".join(text.split()))
+        assert [name for name in SUITE_NAMES if name not in flat] == []
 
     def test_help_lists_no_tol_or_alpha(self, capsys):
         for command, flags in (("compute", ("--tol", "--alpha")),

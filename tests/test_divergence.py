@@ -408,25 +408,34 @@ class TestHeldWeights:
         factors[1, 0] = np.inf
         with pytest.raises(errors.InvalidOperator):
             ReverseTest(factors, rt.sizes, rt.p, rt.q)
-        # a pickled or copied test is checked anew
-        held = ReverseTest(np.array(rt.factors), rt.sizes, rt.p, rt.q)
-        held.factors[0, 0] = np.nan
-        with pytest.raises(errors.InvalidOperator):
-            pickle.loads(pickle.dumps(held))
-        with pytest.raises(errors.InvalidOperator):
-            copy.copy(held)
+        # the checked entries are the test's own: neither a write to the
+        # held factors nor one to the caller's array reaches them
+        F = np.array(rt.factors)
+        held = ReverseTest(F, rt.sizes, rt.p, rt.q)
+        with pytest.raises(ValueError):
+            held.factors[0, 0] = np.nan
+        F[0, 0] = np.nan
+        assert np.isfinite(held.reconstruct()[0]).all()
+        # a pickled or copied test is built anew, with its own read-only copy
+        for again in (pickle.loads(pickle.dumps(held)), copy.copy(held)):
+            assert again.factors is not held.factors
+            assert not again.factors.flags.writeable
+            np.testing.assert_array_equal(again.factors, held.factors)
 
     def test_weights_are_read_only_copies(self):
         p, q = np.array([0.5, 0.5]), np.array([0.25, -1e-14])
         sizes = np.ones(2, dtype=int)
-        rt = ReverseTest(np.eye(2, dtype=complex), sizes, p, q)
-        for held in (rt.p, rt.q, rt.sizes):
+        F = np.eye(2, dtype=complex)
+        rt = ReverseTest(F, sizes, p, q)
+        for held in (rt.p, rt.q, rt.sizes, rt.factors):
             with pytest.raises(ValueError):
                 held[0] = 0.0
         p[0] = 7.0
         sizes[0] = 2    # the checked layout is the test's own
+        F[0, 0] = 0.0
         assert rt.p.tolist() == [0.5, 0.5] and p.flags.writeable
         assert rt.sizes.tolist() == [1, 1]
+        assert rt.factors[0, 0] == 1.0 and F.flags.writeable
         # the dust below 0 that the check lets pass is held as 0
         assert rt.q.tolist() == [0.25, 0.0]
 
