@@ -33,7 +33,7 @@ print(f"d_max(rho||sigma)              = {d_max(rho, sigma, f):.12f}")
 
 print("\nAny other reverse test can only do worse:")
 alternatives = {
-    "disjoint ensembles": disjoint_reverse_test(rho, sigma, rng),
+    "disjoint eigenbases": disjoint_reverse_test(rho, sigma),
     "refined weights":    refine_reverse_test(rt, rng, splits=3),
 }
 for name, alt in alternatives.items():

@@ -226,14 +226,15 @@ def dpi_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
 
     The pair and its image are read as in equality_check, and the image is
     not kept; holds when d_max of the image is at most d_max of the pair
-    plus tol * s, s = max(tr rho, tr sigma), so the verdict is the same for
-    (c rho, c sigma) at every c > 0.  ValueError unless tol is finite and
-    >= 0.
+    plus tol * max(s, |d_max|), s = max(tr rho, tr sigma), equality_check's
+    scale, so the verdict is the same for (c rho, c sigma) at every c > 0.
+    ValueError unless tol is finite and >= 0.
     """
     check_tolerance(tol)
     pair, image, s = _pair_and_image(rho, sigma, ch)
     before, after = pair.d_max(f), image.d_max(f)
-    return DpiResult(before, after, bool(after <= before + tol * s))
+    bound = before + tol * max(s, abs(before)) if math.isfinite(before) else before
+    return DpiResult(before, after, bool(after <= bound))
 
 
 def v_operator(ch: KrausChannel, sigma, Z) -> np.ndarray:

@@ -518,9 +518,9 @@ def d_prime(rho, sigma, f: DivergenceGenerator):
     stack whose sigmas all have full rank takes one eigensolve of each kind
     (one Cholesky of the sigma stack in its place when its bound holds for
     every sigma, one of the rho stack when it proves every rho PSD; see
-    analyze); a stack where some sigma has a kernel is read pair by pair.  A stack neither reads nor replaces the pair analyze()
-    keeps, and NotPSD (or any other error) on one pair raises for the
-    stack.
+    analyze); a stack where some sigma has a kernel is read pair by pair.
+    A stack neither reads nor replaces the pair analyze() keeps, and
+    NotPSD (or any other error) on one pair raises for the stack.
     """
     if np.ndim(sigma) == np.ndim(rho) == 2:
         return analyze(rho, sigma).d_prime(f)

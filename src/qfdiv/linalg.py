@@ -44,6 +44,9 @@ TP_TOL = 1e-10
 SUPPORT_TOL = 1e-10
 # Classical weights (generators._as_weights): entries down to -this * max|v| are 0.
 WEIGHT_SLACK = 1e-12
+# Commutation (oracles.joint_eigenvalues): ||[rho, sigma]||_F up to this
+# * ||rho||_F ||sigma||_F.
+COMM_TOL = 1e-10
 # Cholesky routes (cholesky_factor): the least dim where one Cholesky beats
 # an eigensolve.
 CHOLESKY_MIN_DIM = 8

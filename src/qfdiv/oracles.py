@@ -1,13 +1,16 @@
 """Independent brute-force evaluators used to cross-check the main path.
 
 Nothing here reuses the divergence engine's computation route: the
-commutative oracle goes through joint diagonalization, the entropy
-comparisons through direct matrix logarithms, and the alternative reverse
-tests through random rank-1 resolutions of each operand or through the
-spectrum of rho relative to a random mixture of the pair.
+commutative oracle reads the joint spectrum from one eigensolve of a fixed
+mixture of the pair, the entropy comparisons go through direct matrix
+logarithms, and the alternative reverse tests through each operand's own
+eigenvectors or through the spectrum of rho relative to a random mixture of
+the pair.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,13 +19,6 @@ from .channels import _is_int
 from .divergence import ReverseTest
 from .errors import DimensionMismatch, NonCommuting, NotPSD, ZeroSigma
 from .generators import DivergenceGenerator, classical_f_divergence
-
-# Frobenius norm of [rho, sigma], relative to ||rho||_F ||sigma||_F, above
-# which a pair does not commute.
-_COMM_TOL = 1e-10
-# Columns of a Haar rank-1 resolution of A with weight at most this * tr A
-# are dropped (_rank1_resolution): a random column can carry almost none.
-_ATOM_FLOOR = 1e-14
 
 
 def _same_shape(rho: np.ndarray, sigma: np.ndarray) -> None:
@@ -33,35 +29,29 @@ def _same_shape(rho: np.ndarray, sigma: np.ndarray) -> None:
 def joint_eigenvalues(rho, sigma):
     """Simultaneously diagonalize a commuting PSD pair.
 
-    Returns (p, q): the eigenvalues of rho and sigma in a common eigenbasis.
-    Raises NonCommuting when ||[rho, sigma]||_F exceeds
-    _COMM_TOL * ||rho||_F ||sigma||_F, DimensionMismatch on unequal shapes.
+    Returns (p, q): the eigenvalues of rho and sigma in a common eigenbasis,
+    read as the diagonals v^H rho v and v^H sigma v over the eigenvectors v
+    of the one mixture rho / tr rho + t sigma / tr sigma, t = sqrt(2) - 1
+    (a zero trace read as 1), and kernel-snapped (linalg.snap_kernel).  The
+    mixture needs one condition: no two joint eigenpairs (p_i, q_i) !=
+    (p_j, q_j) fall on one of its eigenvalues within eigh's error.  Raises
+    NonCommuting when ||[rho, sigma]||_F exceeds linalg.COMM_TOL
+    ||rho||_F ||sigma||_F, DimensionMismatch on unequal shapes.
     """
     rho = linalg.psd_spectrum(rho, vectors=False)[0]
-    sigma, w, V = linalg.psd_spectrum(sigma)
+    sigma = linalg.psd_spectrum(sigma, vectors=False)[0]
     _same_shape(rho, sigma)
     scale = float(np.linalg.norm(rho)) * float(np.linalg.norm(sigma))
-    if float(np.linalg.norm(rho @ sigma - sigma @ rho)) > _COMM_TOL * scale:
+    if float(np.linalg.norm(rho @ sigma - sigma @ rho)) > linalg.COMM_TOL * scale:
         raise NonCommuting("inputs do not commute within tolerance")
-    n = w.size
-    gap = linalg.RANK_CUTOFF * n * float(np.abs(w).max())
-    p = np.empty(n)
-    q = np.empty(n)
-    start = 0
-    for stop in range(1, n + 1):
-        if stop < n and w[stop] - w[stop - 1] <= gap:
-            continue
-        idx = slice(start, stop)
-        B = V[:, idx]
-        block = B.conj().T @ rho @ B
-        wr, U = np.linalg.eigh((block + block.conj().T) / 2)
-        p[idx] = wr
-        q[idx] = np.diag(U.conj().T @ np.diag(w[idx]) @ U).real
-        start = stop
+    tr_r, tr_s = (float(A.trace().real) or 1.0 for A in (rho, sigma))
+    # an irrational weight, so that distinct joint eigenpairs do not meet
+    _, V = np.linalg.eigh(rho / tr_r + (math.sqrt(2.0) - 1.0) / tr_s * sigma)
+    p, q = (np.einsum("ij,ij->j", V.conj(), A @ V).real for A in (rho, sigma))
     # snap diagonalization dust to exact zero so a vanishing entry cannot
     # masquerade as escaped mass and trigger a recession term
-    return (linalg.snap_kernel(p, p, float(p.sum()), n),
-            linalg.snap_kernel(q, q, float(q.sum()), n))
+    return (linalg.snap_kernel(p, p, float(p.sum()), p.size),
+            linalg.snap_kernel(q, q, float(q.sum()), q.size))
 
 
 def classical_oracle(rho, sigma, f: DivergenceGenerator) -> float:
@@ -103,32 +93,25 @@ def bs_relative_entropy(rho, sigma) -> float:
     return float(np.trace(rho @ log_m).real)
 
 
-def _rank1_resolution(A, root, rng):
-    """A = sum_j |c_j><c_j| with c_j the columns of root U, root = A^{1/2} and
-    U Haar; columns of weight at most _ATOM_FLOOR * tr A are dropped."""
-    n = A.shape[0]
-    floor = _ATOM_FLOOR * float(np.trace(A).real)
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    U, _ = np.linalg.qr(G)
-    cols = root @ U
-    w = (cols.real ** 2 + cols.imag ** 2).sum(axis=0)
-    keep = w > floor
-    return cols[:, keep] / np.sqrt(w[keep]), w[keep]   # c_j / |c_j|, |c_j|^2
-
-
-def disjoint_reverse_test(rho, sigma, rng: np.random.Generator) -> ReverseTest:
-    """The always-valid reverse test from separate rank-1 ensembles.
+def disjoint_reverse_test(rho, sigma) -> ReverseTest:
+    """The always-valid reverse test from separate ensembles: the
+    eigenvectors of each operand on its support (linalg.support_mask),
+    weighted by their eigenvalues.
 
     rho-atoms carry q = 0 and sigma-atoms carry p = 0, so its divergence is
-    tr(rho) times the recession constant; exact by construction.
+    tr(rho) times the recession constant whatever the atoms are; exact by
+    construction.  DimensionMismatch on unequal shapes.
     """
-    rho, r_half = linalg._spectral_map(rho, np.sqrt)
-    sigma, s_half = linalg._spectral_map(sigma, np.sqrt)
-    X_r, w_r = _rank1_resolution(rho, r_half, rng)
-    X_s, w_s = _rank1_resolution(sigma, s_half, rng)
+    rho, r_evals, r_vecs = linalg.psd_spectrum(rho)
+    sigma, s_evals, s_vecs = linalg.psd_spectrum(sigma)
+    _same_shape(rho, sigma)
+    r_keep = linalg.support_mask(r_evals)
+    s_keep = linalg.support_mask(s_evals)
+    w_r, w_s = r_evals[r_keep], s_evals[s_keep]
     p = np.concatenate([w_r, np.zeros(w_s.size)])
     q = np.concatenate([np.zeros(w_r.size), w_s])
-    return ReverseTest(np.hstack((X_r, X_s)), np.ones(p.size, dtype=int), p, q)
+    return ReverseTest(np.hstack((r_vecs[:, r_keep], s_vecs[:, s_keep])),
+                       np.ones(p.size, dtype=int), p, q)
 
 
 def refine_reverse_test(rt: ReverseTest, rng: np.random.Generator,

@@ -6,7 +6,8 @@ seed, i) and cycles through the configured dims and the fixed generators,
 so runs are reproducible across platforms and any failing trial can be
 replayed from its recorded index.  A suite yields one row per checked
 inequality; ``margin`` is the signed violation the check rule compares
-against its tolerance, which ``_SUITES`` keeps next to the suite.
+against its tolerance, which ``_SUITES`` keeps next to the suite (an
+inequality lhs <= rhs scales it by max(1, |rhs|), ``_le_row``).
 """
 
 from __future__ import annotations
@@ -141,9 +142,11 @@ def _le_margin(lhs: float, rhs: float) -> float:
 
 
 def _le_row(prop, dim, index, lhs, rhs, tol) -> TrialRow:
-    """The row of the check lhs <= rhs within tol."""
+    """The row of the check lhs <= rhs within tol * max(1, |rhs|), the
+    scale of channels.equality_check for unit-trace pairs."""
     margin = _le_margin(lhs, rhs)
-    return TrialRow(prop, dim, index, lhs, rhs, margin, margin <= tol)
+    scale = max(1.0, abs(rhs)) if math.isfinite(rhs) else 1.0
+    return TrialRow(prop, dim, index, lhs, rhs, margin, margin <= tol * scale)
 
 
 # ---------------------------------------------------------------- ensembles
@@ -347,7 +350,7 @@ def _suite_reverse_test_optimality(cfg, tol):
         best = reverse_test_value(minimal, f)
         if not math.isfinite(best):
             continue  # an infinite optimum cannot be undercut
-        disjoint = oracles.disjoint_reverse_test(rho, sigma, rng)
+        disjoint = oracles.disjoint_reverse_test(rho, sigma)
         alternatives = [
             disjoint,
             oracles.refine_reverse_test(minimal, rng,

@@ -337,7 +337,7 @@ def held_weight_tests():
     yield "rank-deficient", minimal_reverse_test(*rank_deficient)
     yield "escaping", minimal_reverse_test(*escaping)
     yield "degenerate", minimal_reverse_test(*degenerate)
-    yield "disjoint", oracles.disjoint_reverse_test(*escaping, rng)
+    yield "disjoint", oracles.disjoint_reverse_test(*escaping)
     yield "refined", oracles.refine_reverse_test(minimal, rng, 3)
     yield "concatenated", oracles.concat_reverse_tests(
         minimal, oracles.random_reverse_test(*dominated, rng), 0.3)
@@ -628,8 +628,8 @@ class TestClassicalOracle:
             classical_oracle(1e-6 * rho, 1e-6 * sigma, XLOGX)
 
     def test_degenerate_rho_at_small_scale(self):
-        # sigma's eigenvalues split into blocks by a gap relative to sigma,
-        # so at small scale they stay apart and a degenerate rho cannot mix them
+        # joint_eigenvalues mixes rho and sigma at unit trace, so at small
+        # scale sigma's part still splits rho's degenerate eigenspace
         rng = np.random.default_rng(0)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3))
                             + 1j * rng.standard_normal((3, 3)))
@@ -643,8 +643,8 @@ class TestClassicalOracle:
 
 def degenerate_commuting_pairs():
     """(rho, sigma) with sigma = 1/n, and with sigma having a 2-fold
-    eigenvalue whose block of rho is not diagonal in eigh's basis: both make
-    joint_eigenvalues merge eigenvalues of sigma into one block."""
+    eigenvalue whose block of rho is not diagonal in eigh's basis: in both,
+    sigma's own eigenvectors are not a joint eigenbasis."""
     for n in range(2, 6):
         rng = np.random.default_rng(n)
         yield f"flat-{n}", seeded_state(n, n, [40, n]), np.eye(n) / n
@@ -671,6 +671,40 @@ def test_classical_oracle_merges_degenerate_sigma(case, f):
     _, rho, sigma = case
     assert classical_oracle(rho, sigma, f) == pytest.approx(
         d_max(rho, sigma, f), abs=1e-12)
+
+
+@pytest.mark.parametrize("rho, sigma", [
+    ([[0.5, 0.2], [0.2, 0.5]], np.diag([0.5, 0.5 + 1e-10])),
+    ([[0.3, 0.1, 0.0], [0.1, 0.3, 0.0], [0.0, 0.0, 0.4]],
+     np.diag([1e-4, 1e-4 + 1e-11, 1.0])),
+], ids=["split-1e-10", "split-1e-11"])
+def test_classical_oracle_at_a_split_below_the_commutator_cut(rho, sigma):
+    # sigma's two close eigenvalues leave [rho, sigma] under COMM_TOL; a
+    # per-group eigensolve of sigma merged them and read -1.0e-10 and 4.4373
+    assert abs(classical_oracle(rho, sigma, XLOGX)
+               - d_max(rho, sigma, XLOGX)) <= 1e-12
+
+
+def test_classical_oracle_on_a_degenerate_commuting_family():
+    # exactly commuting pairs, dims 2-5: sigma with a kernel and an
+    # eigenvalue 1e-6 above it, both spectra with repeated values; none is
+    # refused, and each value agrees with d_max to its roundoff
+    rng = np.random.default_rng(30)
+    for i in range(600):
+        n = int(rng.integers(2, 6))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+        kernel = int(rng.integers(0, n - 1))
+        s = np.concatenate([np.zeros(kernel), [1e-6],
+                            rng.choice([0.2, 0.5, 0.5, 1.0], n - kernel - 1)])
+        p = rng.choice([0.0, 0.3, 0.3, 0.7, 1.0], n)
+        p[-1] = p[-1] or 1.0
+        rho = (Q * p) @ Q.conj().T
+        sigma = (Q * rng.permutation(s)) @ Q.conj().T
+        f = GENS[i % len(GENS)]
+        got = classical_oracle(rho, sigma, f)
+        want = d_max(rho, sigma, f)
+        assert got == want or abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("call", [

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qfdiv
-from qfdiv import channels, divergence, errors, generators, linalg, rld
+from qfdiv import channels, divergence, errors, generators, linalg, oracles, rld
 from qfdiv.divergence import analyze
 from qfdiv.linalg import (KERNEL_FLOOR, as_hermitian, as_matrix,
                           cluster_starts, gen_inverse_sqrt, matrix_sqrt,
@@ -348,7 +348,7 @@ class TestToleranceTable:
             for name in names:
                 head, *rest = name.split(".")
                 owner = next((m for m in (linalg, divergence, channels,
-                                          generators, rld)
+                                          generators, rld, oracles)
                               if hasattr(m, head)), None)
                 assert owner is not None, f"{name} of {row}"
                 obj = getattr(owner, head)
@@ -361,8 +361,7 @@ def test_no_threshold_outside_the_policy():
     # every numeric upper-case name of a qfdiv module outside linalg is one
     # of these, so a new cut joins the table above instead of hiding in its
     # own module
-    allowed = {"generators.INF", "rld.DEFAULT_STEP", "oracles._COMM_TOL",
-               "oracles._ATOM_FLOOR"}
+    allowed = {"generators.INF", "rld.DEFAULT_STEP"}
     modules = {info.name: importlib.import_module(f"qfdiv.{info.name}")
                for info in pkgutil.iter_modules(qfdiv.__path__)
                if info.name not in ("__main__", "linalg")}
