@@ -39,9 +39,10 @@ class ReverseTest:
     X_x X_x^H.  factors is one (n, m) array whose consecutive column groups,
     sizes[x] columns each, are the X_x, each of unit Frobenius norm; so
     each atom is PSD by construction and a test costs O(n m), not O(m n^2).
-    PairAnalysis.reverse_test gives the minimal test's layout.
+    PairAnalysis.reverse_test gives the minimal test's layout, and builds
+    it from arrays its analysis proves valid, without the checks below.
 
-    The weights are checked once, when the test is built, by the rules of
+    A test that a caller builds is checked once, then, by the rules of
     classical_f_divergence: InvalidDistribution on a non-finite entry, on
     one below -linalg.WEIGHT_SLACK max|v|, or on unequal lengths.  p and q
     are then the test's own read-only float copies (the entries below 0
@@ -74,6 +75,11 @@ class ReverseTest:
                 f"the columns of factors of shape {shape}")
         if not np.isfinite(factors).all():
             raise InvalidOperator("factors has a non-finite entry")
+        self._hold(factors, sizes, p, q)
+
+    def _hold(self, factors, sizes, p, q) -> None:
+        """Store checked arrays, the test's own, read-only, with the split
+        of p and q."""
         for name, value in (("factors", factors), ("p", p), ("q", q),
                             ("sizes", sizes)):
             value.setflags(write=False)
@@ -213,6 +219,11 @@ class PairAnalysis:
         Y / |Y|_F for rho - rho_tilde = Y Y^H (excess).  It forms no dense
         atom and no product: the factors are the columns of X = factor,
         scaled.
+
+        The test is built from these arrays without ReverseTest's checks,
+        which they meet by construction: p and q are sums of non-negative
+        weights, q > 0 but on the escaped atom, the layout is the clusters',
+        and the factors are finite and new.
         """
         starts = linalg.cluster_starts(self.evals)
         sizes = np.concatenate((starts[1:], [self.evals.size])) - starts
@@ -221,10 +232,13 @@ class PairAnalysis:
         X = self.factor * np.repeat(1.0 / np.sqrt(q), sizes)
         if self.escaped:
             Y = self.excess
-            X = np.hstack((X, Y / np.linalg.norm(Y)))
-            p, q = np.append(p, self.escaped), np.append(q, 0.0)
-            sizes = np.append(sizes, Y.shape[1])
-        return ReverseTest(X, sizes, p, q)
+            X = np.concatenate((X, Y / np.linalg.norm(Y)), axis=1)
+            p = np.concatenate((p, [self.escaped]))
+            q = np.concatenate((q, [0.0]))
+            sizes = np.concatenate((sizes, [Y.shape[1]]))
+        test = object.__new__(ReverseTest)
+        test._hold(X, sizes, p, q)
+        return test
 
 
 def _require_operator_convex(f: DivergenceGenerator) -> None:
@@ -278,7 +292,7 @@ def _sigma_factor_route(rho, sigma, L, L_inv) -> PairAnalysis:
     decides."""
     if linalg.cholesky_factor(rho) is None:
         linalg.psd_eigh(rho, vectors=False)
-    evals, U = np.linalg.eigh(_hermitian_part(_whitened(L_inv, rho)))
+    evals, U = np.linalg.eigh(_whitened(L_inv, rho))
     X = L @ U
     excess = np.zeros(rho.shape[:-1] + (0,), dtype=complex)
     return _spectrum(rho, sigma, None, excess, 0.0, evals, X,
@@ -298,8 +312,10 @@ def _eigen_route(rho, sigma) -> PairAnalysis | None:
     sigma and the k x r leak off it, and one SVD of the leak give the Schur
     reduction rho_tilde = T T^H, T = basis M with M = R_1 (1 - P), P onto
     the row space of the leak: PSD, with no division.  d is formed on
-    supp sigma, from rho there or from M M^H, and its eigensolve gives its
-    spectrum and, with X = basis s^{1/2} U, the sigma-weights.
+    supp sigma as W^H rho W for W = basis s^{-1/2}, or as M' M'^H for
+    M' = s^{-1/2} M, unsymmetrized (eigh reads one triangle), and its
+    eigensolve gives its spectrum and, with X = basis s^{1/2} U, the
+    sigma-weights.
     """
     n = sigma.shape[-1]
     s_evals, s_vecs = linalg.psd_eigh(sigma)
@@ -327,14 +343,15 @@ def _eigen_route(rho, sigma) -> PairAnalysis | None:
             first = n - np.count_nonzero(cols)
             R = Z[:, first:] * np.sqrt(r_evals[first:])
     basis, s = s_vecs[..., k:], s_evals[..., k:]
-    if R is None:
-        d = _adjoint(basis) @ rho @ basis
-    else:
-        d, tilde, excess, escaped = _schur_reduction(R, k, s_vecs, tr_rho)
     root = np.sqrt(s)
-    inv_sqrt = 1.0 / root
-    d *= inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
-    evals, coords = np.linalg.eigh(_hermitian_part(d))
+    if R is None:
+        W = basis / root[..., None, :]
+        d = _adjoint(W) @ rho @ W
+    else:
+        M, tilde, excess, escaped = _schur_reduction(R, k, s_vecs, tr_rho)
+        M /= root[:, None]
+        d = M @ _adjoint(M)
+    evals, coords = np.linalg.eigh(d)
     weights = (s[..., None, :] @ np.abs(coords) ** 2)[..., 0, :]
     X = (basis * root[..., None, :]) @ coords
     return _spectrum(rho, sigma, tilde, excess, escaped, evals, X, weights,
@@ -342,9 +359,10 @@ def _eigen_route(rho, sigma) -> PairAnalysis | None:
 
 
 def _schur_reduction(R: np.ndarray, k: int, s_vecs: np.ndarray, tr_rho):
-    """(rho_tilde in sigma's eigenbasis on supp sigma, a factor T of
-    rho_tilde, a factor Y of rho - rho_tilde, escaped) from rho's factor R
-    in sigma's eigenbasis s_vecs, whose leading k rows are the leak."""
+    """(a factor M of rho_tilde in sigma's eigenbasis on supp sigma, a
+    factor T = basis M of rho_tilde, a factor Y of rho - rho_tilde, escaped)
+    from rho's factor R in sigma's eigenbasis s_vecs, whose leading k rows
+    are the leak.  M is new, so the caller may scale it in place."""
     _, sv, Vh = np.linalg.svd(R[:k], full_matrices=True)
     # the leading live rows of Vh span the leak's row space (P), the rest
     # its kernel (1 - P); the rank is read from the squared singular
@@ -359,7 +377,7 @@ def _schur_reduction(R: np.ndarray, k: int, s_vecs: np.ndarray, tr_rho):
     Y = s_vecs @ (R @ _adjoint(Vh[:live]))
     missing = float(tr_rho - np.vdot(T, T).real)
     escaped = 0.0 if linalg.negligible_mass(missing, tr_rho) else missing
-    return M @ _adjoint(M), T, Y, escaped
+    return M, T, Y, escaped
 
 
 def _whitened_kernel(rho, sigma, C, C_inv) -> PairAnalysis | None:
@@ -394,7 +412,7 @@ def _whitened_kernel(rho, sigma, C, C_inv) -> PairAnalysis | None:
     same rotation, to first order: O(dim^2 k) work.  escaped is |Y|_F^2.
     """
     n = rho.shape[-1]
-    mu, V = np.linalg.eigh(_hermitian_part(_whitened(C_inv, sigma)))
+    mu, V = np.linalg.eigh(_whitened(C_inv, sigma))
     cutoff = linalg.RANK_CUTOFF * n
     tr_sigma = sigma.trace().real
     k = np.count_nonzero(mu <= 2 * cutoff * tr_sigma * np.vdot(C_inv, C_inv).real)
@@ -431,13 +449,6 @@ def _whitened(L_inv: np.ndarray, rho: np.ndarray) -> np.ndarray:
     d = L_inv @ rho
     # rho is Hermitian, so rho L^{-H} = (L^{-1} rho)^H
     return L_inv @ np.conjugate(d, out=d).swapaxes(-1, -2)
-
-
-def _hermitian_part(A: np.ndarray) -> np.ndarray:
-    """(A + A^H) / 2, formed in A's own memory."""
-    A += _adjoint(A)
-    A *= 0.5
-    return A
 
 
 def _spectrum(rho, sigma, tilde, excess, escaped, evals, X, weights,

@@ -53,8 +53,10 @@ class DivergenceGenerator:
 
 
 def _xlogx(y: np.ndarray) -> np.ndarray:
+    """y log y where y > 0, else 0 (NaN and negative y too)."""
     pos = y > 0
-    return np.where(pos, y * np.log(np.where(pos, y, 1.0)), 0.0)
+    out = np.log(y, out=np.zeros(y.shape), where=pos)
+    return np.multiply(out, y, out=out, where=pos)
 
 
 def builtin(name: str, param: float | None = None) -> DivergenceGenerator:
@@ -193,8 +195,10 @@ def _f_sum(f: DivergenceGenerator, ratios, weights, escaped):
     d_max of a pair or a stack.  DomainError when f gives NaN at a ratio."""
     vals = np.asarray(f.eval(ratios), dtype=float)
     base = np.vecdot(weights, vals)
-    # a NaN of f reaches the sum, so vals is searched only when the sum is NaN
-    if np.count_nonzero(np.isnan(base)) and np.count_nonzero(np.isnan(vals)):
+    # a NaN of f reaches the sum, so vals is searched only when the sum is
+    # NaN; a one-pair sum is a scalar, compared without a numpy call
+    nan = base != base
+    if (nan.any() if nan.ndim else nan) and np.isnan(vals).any():
         raise DomainError(f"generator {f.name!r} returned NaN on a likelihood ratio")
     return base + escaped * recession_value(f) if escaped else base
 

@@ -45,7 +45,8 @@ SUPPORT_TOL = 1e-10
 # Classical weights (generators._as_weights): entries down to -this * max|v| are 0.
 WEIGHT_SLACK = 1e-12
 # Commutation (oracles.joint_eigenvalues): ||[rho, sigma]||_F up to this
-# * ||rho||_F ||sigma||_F.
+# * ||rho||_F ||sigma||_F, and an operand's off-diagonal in the joint
+# eigenbasis up to this * its ||.||_F.
 COMM_TOL = 1e-10
 # Cholesky routes (cholesky_factor): the least dim where one Cholesky beats
 # an eigensolve.
@@ -67,11 +68,13 @@ def as_hermitian(A) -> np.ndarray:
     """Check A finite and Hermitian (see HERMITIAN_TOL), each matrix of a
     stack against its own scale; return (A + A†)/2."""
     A = as_matrix(A)
-    scale = np.maximum.reduce(np.abs(A), axis=(-2, -1), keepdims=True)
+    mag = np.abs(A)
+    scale = np.maximum.reduce(mag, axis=(-2, -1), keepdims=True)
     if np.count_nonzero(scale < np.inf) < scale.size:
         raise InvalidOperator("matrix has a non-finite entry")
     H = A.conj().swapaxes(-1, -2)
-    if np.count_nonzero(np.abs(A - H) > HERMITIAN_TOL * scale):
+    # |A - A†| in the buffer of |A|, which scale has been read from
+    if np.count_nonzero(np.abs(A - H, out=mag) > HERMITIAN_TOL * scale):
         raise InvalidOperator("matrix is not Hermitian within tolerance")
     out = A + H
     out *= 0.5
@@ -115,22 +118,10 @@ def cholesky_factor(A: np.ndarray):
     conditioned_inverse then decides whether L proves A of full rank too.
 
     None below CHOLESKY_MIN_DIM without a Cholesky, where one costs more
-    than the eigensolve it saves.  Measured with numpy 2.4.6 on one BLAS
-    thread of a shared 2-core host (best of 15 interleaved runs of
-    divergence.analyze's body and the reverse test): a dominated random
-    complex pair whose rho was checked by one Cholesky in place of
-    eigvalsh took 107 against 104 us at dim 6 and 105 against 110 us at
-    dim 8, and at dim 128 that Cholesky took 0.38 ms, eigvalsh 2.0 ms.
-    sigma's factor route (floored Wishart pairs, two passes) took 170
-    against 170 and 291 against 285 us at dim 8, 213 against 219 and 271
-    against 289 us at 12, 1.75 against 2.25 ms at 64 and 6.7 against 9.4 ms
-    at 128; a sigma with a kernel pays the failed Cholesky, 380 against 368
-    and 227 against 217 us at dim 8, 506 against 490 and 312 against 306 us
-    at 16.  The whitening of a sigma with a kernel by rho's factor (best of
-    60 interleaved runs, floored Wishart rho against a Wishart sigma with a
-    kernel of 1 or dim/2) took 220-232 against 210-219 us at dim 8, 241-256
-    against 238-245 us at 12, 271-298 against 286-292 us at 16, and 6.8-7.1
-    against 7.9-9.4 ms at 128: so analyze whitens from dim 16.
+    than the eigensolve it saves; sigma's factor route breaks even at
+    dim 8.  The whitening of a sigma with a kernel by rho's factor breaks
+    even at dim 16, so analyze whitens from 2 CHOLESKY_MIN_DIM.  The
+    timings behind both crossovers are kept in CHANGES.md.
     """
     n = A.shape[-1]
     if n < CHOLESKY_MIN_DIM:
@@ -184,11 +175,8 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     zero upper triangle (numpy has no triangular inverse).
 
     A block with a half below 2 CHOLESKY_MIN_DIM rows is inverted whole,
-    where a split's numpy calls cost more than its LAPACK time saves.
-    Measured on the host of cholesky_factor (best of 11 interleaved
-    runs on one factor): np.linalg.inv against this took 20 against 21 us
-    at dim 16, 68 against 69 us at 32 (the first split), 302 against
-    173 us at 64 and 1.53 against 0.52 ms at 128.
+    where a split's numpy calls cost more than its LAPACK time saves: the
+    split breaks even at dim 32 (timings in CHANGES.md).
     """
     h = L.shape[-1] // 2
     if h < 2 * CHOLESKY_MIN_DIM:
@@ -241,16 +229,19 @@ def snap_kernel(evals: np.ndarray, shares: np.ndarray, total,
 
 
 def cluster_starts(evals: np.ndarray) -> np.ndarray:
-    """Start index of each run of ascending (kernel-snapped) eigenvalues
-    sharing a cluster; the first is 0.
+    """Start index of each run of eigenvalues sharing a cluster; the first
+    is 0.  evals must be non-negative and ascending, as snap_kernel leaves
+    d's spectrum once sorted.
 
     Neighbours merge when their gap is at most CLUSTER_GAP times the larger
-    of the two magnitudes.  The gap is local and relative, so one large
-    eigenvalue cannot pull distinct small ones together, and the exact zeros
-    left by snap_kernel form one cluster.
+    of the two magnitudes, which for such a spectrum is the upper one.  The
+    gap is local and relative, so one large eigenvalue cannot pull distinct
+    small ones together, and the exact zeros left by snap_kernel form one
+    cluster.
     """
-    bound = CLUSTER_GAP * np.maximum(np.abs(evals[1:]), np.abs(evals[:-1]))
-    return np.flatnonzero(np.concatenate(([True], evals[1:] - evals[:-1] > bound)))
+    upper = evals[1:]
+    return np.flatnonzero(
+        np.concatenate(([True], upper - evals[:-1] > CLUSTER_GAP * upper)))
 
 
 def support_projector(A) -> np.ndarray:

@@ -32,26 +32,63 @@ def joint_eigenvalues(rho, sigma):
     Returns (p, q): the eigenvalues of rho and sigma in a common eigenbasis,
     read as the diagonals v^H rho v and v^H sigma v over the eigenvectors v
     of the one mixture rho / tr rho + t sigma / tr sigma, t = sqrt(2) - 1
-    (a zero trace read as 1), and kernel-snapped (linalg.snap_kernel).  The
-    mixture needs one condition: no two joint eigenpairs (p_i, q_i) !=
-    (p_j, q_j) fall on one of its eigenvalues within eigh's error.  Raises
-    NonCommuting when ||[rho, sigma]||_F exceeds linalg.COMM_TOL
-    ||rho||_F ||sigma||_F, DimensionMismatch on unequal shapes.
+    (a zero trace read as 1), and kernel-snapped (linalg.snap_kernel).
+    Where two joint eigenpairs (p_i, q_i) != (p_j, q_j) fall on one
+    eigenvalue of the mixture, its eigenvectors mix them: an off-diagonal
+    entry of V^H rho V or V^H sigma V above linalg.COMM_TOL times the
+    operand's Frobenius norm shows it, and sigma is diagonalized again
+    inside each run of eigenvectors that such entries link.  Raises
+    NonCommuting when ||[rho, sigma]||_F exceeds COMM_TOL ||rho||_F
+    ||sigma||_F or when an off-diagonal entry is still above its cut after
+    that, DimensionMismatch on unequal shapes.
     """
     rho = linalg.psd_spectrum(rho, vectors=False)[0]
     sigma = linalg.psd_spectrum(sigma, vectors=False)[0]
     _same_shape(rho, sigma)
-    scale = float(np.linalg.norm(rho)) * float(np.linalg.norm(sigma))
-    if float(np.linalg.norm(rho @ sigma - sigma @ rho)) > linalg.COMM_TOL * scale:
+    norms = float(np.linalg.norm(rho)), float(np.linalg.norm(sigma))
+    if (float(np.linalg.norm(rho @ sigma - sigma @ rho))
+            > linalg.COMM_TOL * norms[0] * norms[1]):
         raise NonCommuting("inputs do not commute within tolerance")
     tr_r, tr_s = (float(A.trace().real) or 1.0 for A in (rho, sigma))
-    # an irrational weight, so that distinct joint eigenpairs do not meet
+    # an irrational weight, so that distinct joint eigenpairs seldom meet
     _, V = np.linalg.eigh(rho / tr_r + (math.sqrt(2.0) - 1.0) / tr_s * sigma)
-    p, q = (np.einsum("ij,ij->j", V.conj(), A @ V).real for A in (rho, sigma))
+    R, S, mixed = _in_basis(V, rho, sigma, norms)
+    if mixed.any():
+        for run in _linked_runs(mixed):
+            V[:, run] = V[:, run] @ np.linalg.eigh(S[np.ix_(run, run)])[1]
+        R, S, mixed = _in_basis(V, rho, sigma, norms)
+        if mixed.any():
+            raise NonCommuting("no joint eigenbasis within tolerance")
+    p, q = R.diagonal().real, S.diagonal().real
     # snap diagonalization dust to exact zero so a vanishing entry cannot
     # masquerade as escaped mass and trigger a recession term
     return (linalg.snap_kernel(p, p, float(p.sum()), p.size),
             linalg.snap_kernel(q, q, float(q.sum()), q.size))
+
+
+def _in_basis(V, rho, sigma, norms):
+    """(V^H rho V, V^H sigma V, where either has an off-diagonal entry
+    above linalg.COMM_TOL times its operand's norm)."""
+    R, S = (V.conj().T @ A @ V for A in (rho, sigma))
+    mixed = np.zeros(R.shape, dtype=bool)
+    for B, norm in ((R, norms[0]), (S, norms[1])):
+        off = np.abs(B)
+        np.fill_diagonal(off, 0.0)
+        mixed |= off > linalg.COMM_TOL * norm
+    return R, S, mixed
+
+
+def _linked_runs(mixed: np.ndarray) -> list[np.ndarray]:
+    """The runs of consecutive indices, two or more long, that the entries
+    of mixed link: i and j > i share a run with every index between."""
+    runs, start, end = [], 0, 0
+    for i, row in enumerate(mixed | mixed.T):
+        end = max(end, i, *np.flatnonzero(row))
+        if end == i:
+            if i > start:
+                runs.append(np.arange(start, i + 1))
+            start = i + 1
+    return runs
 
 
 def classical_oracle(rho, sigma, f: DivergenceGenerator) -> float:

@@ -7,7 +7,8 @@ so runs are reproducible across platforms and any failing trial can be
 replayed from its recorded index.  A suite yields one row per checked
 inequality; ``margin`` is the signed violation the check rule compares
 against its tolerance, which ``_SUITES`` keeps next to the suite (an
-inequality lhs <= rhs scales it by max(1, |rhs|), ``_le_row``).
+inequality lhs <= rhs holds it as (lhs - rhs) / max(1, |rhs|),
+``_le_row``).
 """
 
 from __future__ import annotations
@@ -143,10 +144,13 @@ def _le_margin(lhs: float, rhs: float) -> float:
 
 def _le_row(prop, dim, index, lhs, rhs, tol) -> TrialRow:
     """The row of the check lhs <= rhs within tol * max(1, |rhs|), the
-    scale of channels.equality_check for unit-trace pairs."""
+    scale of channels.equality_check for unit-trace pairs.  Its margin is
+    the violation at that scale, (lhs - rhs) / max(1, |rhs|), so it reads
+    against tol like every other row's."""
     margin = _le_margin(lhs, rhs)
     scale = max(1.0, abs(rhs)) if math.isfinite(rhs) else 1.0
-    return TrialRow(prop, dim, index, lhs, rhs, margin, margin <= tol * scale)
+    return TrialRow(prop, dim, index, lhs, rhs, margin / scale,
+                    margin <= tol * scale)
 
 
 # ---------------------------------------------------------------- ensembles

@@ -15,9 +15,11 @@ import qfdiv.cli
 from qfdiv import divergence, generators, linalg, oracles
 from qfdiv.channels import (dpi_check, embedding_channel, equality_check,
                             unitary_channel)
-from qfdiv.divergence import (PairAnalysis, analyze, d_max, d_prime,
-                              minimal_reverse_test, reverse_test_value)
-from qfdiv.errors import DimensionMismatch, InvalidOperator, NotPSD, ZeroSigma
+from qfdiv.divergence import (PairAnalysis, ReverseTest, analyze, d_max,
+                              d_prime, minimal_reverse_test,
+                              reverse_test_value)
+from qfdiv.errors import (DimensionMismatch, InvalidDistribution,
+                          InvalidOperator, NotPSD, ZeroSigma)
 from qfdiv.generators import builtin
 from qfdiv.matio import channel_to_json, save_matrix
 from qfdiv.suites import SuiteConfig, _ill_conditioned_pair, run_suite
@@ -178,9 +180,9 @@ class TestKeptPair:
                 (V @ random_state(rng, 2) @ V.T, low),
                 (random_state(rng, 3), low)]
 
-    def test_pairs_op_analyses_once_and_checks_weights_once(self, monkeypatch):
-        # one pair op of perfbench: 4 d_max, the minimal test, 4 test values
-        analyses = count_pair_analyses(monkeypatch)
+    @staticmethod
+    def count_weight_checks(monkeypatch):
+        """Records the label of each generators._as_weights call."""
         checked = []
         original = generators._as_weights
 
@@ -188,6 +190,14 @@ class TestKeptPair:
             checked.append(label)
             return original(v, label)
         monkeypatch.setattr(generators, "_as_weights", counted)
+        return checked
+
+    def test_pairs_op_analyses_once_and_checks_weights_once(self, monkeypatch):
+        # one pair op of perfbench: 4 d_max, the minimal test, 4 test values.
+        # The inputs are checked once, by the analysis; the test it builds
+        # from its own proven weights checks none of them again
+        analyses = count_pair_analyses(monkeypatch)
+        checked = self.count_weight_checks(monkeypatch)
         for rho, sigma in self.dim3_pairs():
             analyses.clear()
             checked.clear()
@@ -196,7 +206,26 @@ class TestKeptPair:
             assert [reverse_test_value(rt, f) for f in GENS] == pytest.approx(
                 values, rel=1e-9)
             assert len(analyses) == 1
-            assert checked == ["p", "q"]
+            assert checked == []
+
+    def test_a_caller_built_test_is_checked(self, monkeypatch):
+        rt = minimal_reverse_test(*schur_pair())
+        assert rt.q[-1] == 0.0 < rt.p[-1]     # the escaped atom is held too
+        checked = self.count_weight_checks(monkeypatch)
+        again = ReverseTest(rt.factors, rt.sizes, rt.p, rt.q)
+        assert checked == ["p", "q"]
+        for name in ("factors", "sizes", "p", "q"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(rt, name))
+        assert again._split[2] == rt._split[2] > 0.0
+        negative = np.array(rt.p)
+        negative[0] = -0.1
+        with pytest.raises(InvalidDistribution):
+            ReverseTest(rt.factors, rt.sizes, negative, rt.q)
+        for bad in (np.nan, np.inf):
+            factors = np.array(rt.factors)
+            factors[0, 0] = bad
+            with pytest.raises(InvalidOperator):
+                ReverseTest(factors, rt.sizes, rt.p, rt.q)
 
     @pytest.mark.parametrize("operand", [0, 1])
     def test_in_place_change_is_analysed_afresh(self, operand):

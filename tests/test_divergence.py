@@ -707,6 +707,64 @@ def test_classical_oracle_on_a_degenerate_commuting_family():
         assert got == want or abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
+def tied_mixture_pair(rng, p, q):
+    """rho, sigma with spectra p, q in one random complex eigenbasis."""
+    n = len(p)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    return (Q * p) @ Q.conj().T, (Q * q) @ Q.conj().T
+
+
+def test_classical_oracle_splits_a_shared_mixture_eigenvalue():
+    # (0.2, 0.5) and (0.2 + 0.1 t, 0.4) fall on one eigenvalue of the
+    # mixture rho + t sigma, t = sqrt 2 - 1; the diagonals in its
+    # eigenvectors read 0.65397 where the divergence is 0.65572
+    t = math.sqrt(2.0) - 1.0
+    p = np.array([0.2, 0.2 + 0.1 * t, 0.6 - 0.1 * t])
+    q = np.array([0.5, 0.4, 0.1])
+    rho, sigma = tied_mixture_pair(np.random.default_rng(3), p, q)
+    want = classical_f_divergence(p, q, XLOGX)
+    assert want == pytest.approx(0.65572427, abs=1e-8)
+    assert classical_oracle(rho, sigma, XLOGX) == pytest.approx(want, abs=1e-12)
+    assert d_max(rho, sigma, XLOGX) == pytest.approx(want, abs=1e-12)
+    got = sorted(zip(*joint_eigenvalues(rho, sigma)))
+    np.testing.assert_allclose(got, sorted(zip(p, q)), atol=1e-14)
+
+
+def test_classical_oracle_on_a_family_of_shared_mixture_eigenvalues():
+    # dims 3-5: the first two joint eigenpairs meet on one eigenvalue of
+    # the mixture at unit traces; the rest carry weights of their own
+    t = math.sqrt(2.0) - 1.0
+    rng = np.random.default_rng(31)
+    for i in range(200):
+        n = 3 + i % 3
+        q = rng.uniform(0.05, 1.0, n)
+        q /= q.sum()
+        p = np.empty(n)
+        p[0] = rng.uniform(0.0, 0.2)
+        p[1] = p[0] + t * (q[0] - q[1])
+        if p[1] < 0:
+            p[[0, 1]] -= p[1]
+        p[2:] = rng.uniform(0.1, 1.0, n - 2)
+        p[2:] *= (1.0 - p[0] - p[1]) / p[2:].sum()
+        f = GENS[i % len(GENS)]
+        want = classical_f_divergence(p, q, f)
+        got = classical_oracle(*tied_mixture_pair(rng, p, q), f)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), i
+
+
+def test_joint_eigenvalues_refuses_a_pair_with_no_joint_basis():
+    # the commutator, 1.4e-11, passes its cut, and the mixture is
+    # degenerate on the first two directions, but rho keeps an entry of
+    # 1e-8 off sigma's eigenbasis there
+    t = math.sqrt(2.0) - 1.0
+    sigma = np.diag([0.3, 0.301, 0.399])
+    rho = np.array([[0.3, 1e-8, 0.0], [1e-8, 0.3 - 1e-3 * t, 0.0],
+                    [0.0, 0.0, 0.4 + 1e-3 * t]])
+    with pytest.raises(errors.NonCommuting, match="joint eigenbasis"):
+        joint_eigenvalues(rho, sigma)
+
+
 @pytest.mark.parametrize("call", [
     joint_eigenvalues,
     lambda a, b: classical_oracle(a, b, XLOGX),

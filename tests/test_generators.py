@@ -38,6 +38,21 @@ def test_zero_at_zero(f):
     assert float(f.eval(0.0)) == 0.0
 
 
+def test_xlogx_is_pinned_bit_for_bit():
+    # y log y where y > 0 and 0 elsewhere, NaN and negative y included,
+    # to the bit of the formula it replaced (which warned on -inf * 0)
+    y = np.array([0.0, 5e-324, 1e-300, 0.5, 1.0, 1e300, np.inf,
+                  -0.5, -np.inf, np.nan])
+    pos = y > 0
+    with np.errstate(invalid="ignore"):
+        want = np.where(pos, y * np.log(np.where(pos, y, 1.0)), 0.0)
+    xlogx = builtin("xlogx")
+    assert xlogx.eval(y).tobytes() == want.tobytes()
+    for one, expected in zip(y, want):
+        got = xlogx.eval(one)
+        assert got.shape == () and got.tobytes() == expected.tobytes()
+
+
 def test_builtin_values():
     assert float(builtin("xlogx").eval(1.0)) == 0.0
     assert float(builtin("neg_power", 0.5).eval(4.0)) == pytest.approx(-2.0)

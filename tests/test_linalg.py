@@ -34,17 +34,29 @@ def eig2x2(A):
     return mid - disc, mid + disc
 
 
+def signed_cluster_starts(evals):
+    """linalg.cluster_starts over an ascending spectrum of either sign.  It
+    takes a non-negative one, so the negative head is clustered as its
+    mirror image, whose cluster ends are the head's starts; a sign change
+    always starts a cluster."""
+    neg = np.count_nonzero(evals < 0)
+    head = (neg - np.append(cluster_starts(-evals[neg - 1::-1])[1:], neg)
+            if neg else [])
+    tail = neg + cluster_starts(evals[neg:]) if neg < evals.size else []
+    return np.concatenate((np.sort(head), tail)).astype(int)
+
+
 def herm_eig(A):
     """The clustered decomposition  A = sum_x d_x P_x  of a Hermitian A,
     formed as the analysis clusters d: eigh, eigenvalues within
     KERNEL_FLOOR * dim * spectral radius of 0 snapped to exact zeros (A need
     not be PSD, so no share of a trace applies), then one projector per
-    linalg.cluster_starts run, its eigenvalue the mean of the run."""
+    signed_cluster_starts run, its eigenvalue the mean of the run."""
     A = as_hermitian(A)
     evals, vecs = np.linalg.eigh(A)
     floor = KERNEL_FLOOR * A.shape[0] * np.abs(evals).max()
     evals = np.where(np.abs(evals) > floor, evals, 0.0)
-    starts = cluster_starts(evals)
+    starts = signed_cluster_starts(evals)
     sizes = np.diff(starts, append=evals.size)
     return SimpleNamespace(
         eigenvalues=np.add.reduceat(evals, starts) / sizes,
@@ -312,6 +324,43 @@ class TestClusterRule:
                 if b - a > 1e-8 * max(abs(a), abs(b)):
                     starts.append(i)
             assert cluster_starts(evals).tolist() == starts
+
+    @staticmethod
+    def symmetric_rule(evals):
+        """The cut of cluster_starts by the larger magnitude of the two
+        neighbours, the rule it states, for an ascending spectrum of either
+        sign."""
+        larger = np.maximum(np.abs(evals[1:]), np.abs(evals[:-1]))
+        cut = evals[1:] - evals[:-1] > linalg.CLUSTER_GAP * larger
+        return np.flatnonzero(np.concatenate(([True], cut))).tolist()
+
+    def test_upper_neighbour_is_the_larger_magnitude(self):
+        # snapped spectra: exact ties, runs of zeros, ties 1e-6 apart, gaps
+        # at CLUSTER_GAP's edge and one ulp either side of it
+        edge = 1.0 - linalg.CLUSTER_GAP
+        cases = [np.zeros(3), np.array([0.0, 0.0, 0.0, 0.4, 0.4, 0.4]),
+                 np.array([0.0, 1e-6, 1e-6, 2e-6, 3e-6, 1.0]),
+                 np.array([0.0, 0.0, 5e-324, 1e-300, 1.0]),
+                 np.array([edge, 1.0]), np.array([np.nextafter(edge, 2), 1.0]),
+                 np.array([np.nextafter(edge, 0), 1.0])]
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            values = rng.choice([0.0, 1e-6, 2e-6, 0.3, 0.3 + 1e-9, 0.7], n)
+            values = np.repeat(values, rng.integers(1, 3, n))
+            shares = values * rng.choice([1.0, 1e-20], values.size)
+            cases.append(np.sort(snap_kernel(values, shares, 1.0, values.size)))
+        for evals in cases:
+            assert cluster_starts(evals).tolist() == self.symmetric_rule(evals)
+
+    def test_signed_spectra_keep_the_symmetric_rule(self):
+        # herm_eig's clusters of a spectrum of either sign
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            values = rng.choice([-1.0, -1.0 + 1e-9, -0.5, -1e-6, -2e-6, 0.0,
+                                 1e-6, 0.5, 0.5 + 1e-9], int(rng.integers(1, 9)))
+            evals = np.sort(values)
+            assert signed_cluster_starts(evals).tolist() == self.symmetric_rule(evals)
 
 
 @pytest.mark.parametrize("dim", [8, 33, 64, 128])

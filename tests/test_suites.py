@@ -119,6 +119,22 @@ class TestRunner:
                                     seed=seed))
         assert rep.ok(), [r for r in rep.rows if not r.passed]
 
+    def test_margin_is_read_at_the_rows_scale(self):
+        # the dim-3 row compares 57258.09597208624 with 57258.09597190851:
+        # lhs - rhs = 1.8e-7 passes at tol * |rhs|, and its margin is that
+        # difference over |rhs|, below tol as the row passes
+        rep = run_suite(SuiteConfig(suite="dpi", dims=(2, 3, 4), trials=3,
+                                    seed=109650))
+        assert rep.ok()
+        row = rep.rows[1]
+        assert row.lhs - row.rhs == pytest.approx(1.777e-7, rel=1e-3)
+        assert row.margin == (row.lhs - row.rhs) / row.rhs
+        worst = rep.property_summary()["dpi"]["worst_violation"]
+        assert worst == row.margin and 0.0 < worst <= rep.tol
+        # a small value keeps its raw margin: its scale is 1
+        assert rep.rows[2].margin == rep.rows[2].lhs - rep.rows[2].rhs < 0.0
+        assert _csv([rep]).splitlines()[2].split(",")[5] == repr(row.margin)
+
     @pytest.mark.parametrize("name", SUITE_NAMES)
     def test_shorter_run_is_a_prefix(self, name):
         # trial i reads only its own stream, so the trials of a short run
