@@ -75,16 +75,16 @@ class ReverseTest:
                 f"the columns of factors of shape {shape}")
         if not np.isfinite(factors).all():
             raise InvalidOperator("factors has a non-finite entry")
-        self._hold(factors, sizes, p, q)
+        self._hold(factors, sizes, p, q, _split(p, q))
 
-    def _hold(self, factors, sizes, p, q) -> None:
-        """Store checked arrays, the test's own, read-only, with the split
-        of p and q."""
+    def _hold(self, factors, sizes, p, q, split) -> None:
+        """Store checked arrays, the test's own, read-only, with split, the
+        split of p and q (generators._split) that reverse_test_value reads."""
         for name, value in (("factors", factors), ("p", p), ("q", q),
                             ("sizes", sizes)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_split", _split(p, q))
+        object.__setattr__(self, "_split", split)
 
     def __reduce__(self):
         return type(self), (self.factors, self.sizes, self.p, self.q)
@@ -166,8 +166,9 @@ class PairAnalysis:
     dominated = property(lambda self: self.excess.shape[-1] == 0)
 
     def __post_init__(self):
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
+        for value in (self.rho, self.sigma, self.tilde, self.excess,
+                      self.evals, self.factor, self.weights):
+            if value is not None:
                 value.setflags(write=False)
 
     def __reduce__(self):
@@ -223,13 +224,15 @@ class PairAnalysis:
         The test is built from these arrays without ReverseTest's checks,
         which they meet by construction: p and q are sums of non-negative
         weights, q > 0 but on the escaped atom, the layout is the clusters',
-        and the factors are finite and new.
+        and the factors are finite and new.  The test gets the split this
+        proves, (p / q over the clusters, their q, escaped): no q is searched.
         """
         starts = linalg.cluster_starts(self.evals)
         sizes = np.concatenate((starts[1:], [self.evals.size])) - starts
         q = np.add.reduceat(self.weights, starts)
         p = np.add.reduceat(self.evals * self.weights, starts)
-        X = self.factor * np.repeat(1.0 / np.sqrt(q), sizes)
+        split = p / q, q, self.escaped
+        X = self.factor * (1.0 / np.sqrt(q)).repeat(sizes)
         if self.escaped:
             Y = self.excess
             X = np.concatenate((X, Y / np.linalg.norm(Y)), axis=1)
@@ -237,7 +240,7 @@ class PairAnalysis:
             q = np.concatenate((q, [0.0]))
             sizes = np.concatenate((sizes, [Y.shape[1]]))
         test = object.__new__(ReverseTest)
-        test._hold(X, sizes, p, q)
+        test._hold(X, sizes, p, q, split)
         return test
 
 

@@ -184,7 +184,7 @@ def _weights(p, q) -> tuple[np.ndarray, np.ndarray]:
 def _split(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """(p/q where q > 0, q there, the p-mass where q = 0): the arguments of
     _f_sum for checked weights, read by classical_f_divergence and held by
-    each divergence.ReverseTest."""
+    each divergence.ReverseTest a caller builds."""
     pos = q > 0
     return p[pos] / q[pos], q[pos], float(np.add.reduce(p[~pos]))
 

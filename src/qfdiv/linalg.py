@@ -69,16 +69,22 @@ def as_hermitian(A) -> np.ndarray:
     stack against its own scale; return (A + A†)/2."""
     A = as_matrix(A)
     mag = np.abs(A)
-    scale = np.maximum.reduce(mag, axis=(-2, -1), keepdims=True)
-    if np.count_nonzero(scale < np.inf) < scale.size:
+    scale = np.maximum.reduce(mag, axis=(-2, -1))
+    if not _every(scale < np.inf):
         raise InvalidOperator("matrix has a non-finite entry")
     H = A.conj().swapaxes(-1, -2)
-    # |A - A†| in the buffer of |A|, which scale has been read from
-    if np.count_nonzero(np.abs(A - H, out=mag) > HERMITIAN_TOL * scale):
+    # max|A - A†| from the buffer of |A|, which scale has been read from
+    asym = np.maximum.reduce(np.abs(A - H, out=mag), axis=(-2, -1))
+    if not _every(asym <= HERMITIAN_TOL * scale):
         raise InvalidOperator("matrix is not Hermitian within tolerance")
     out = A + H
     out *= 0.5
     return out
+
+
+def _every(ok) -> bool:
+    """Whether each matrix's verdict holds: a scalar test, a count for a stack."""
+    return ok if ok.ndim == 0 else np.count_nonzero(ok) == ok.size
 
 
 def psd_spectrum(A, vectors: bool = True):
@@ -94,17 +100,18 @@ def psd_spectrum(A, vectors: bool = True):
 def psd_eigh(A: np.ndarray, vectors: bool = True):
     """(ascending eigenvalues, eigenvectors or None) of a Hermitian A (or of
     each matrix of a stack).  Eigenvalues down to -psd_slack(eigenvalues)
-    are accepted; NotPSD when a matrix of a stack dips lower.
-    """
+    are accepted, the slack read only when a least eigenvalue is negative
+    (a NaN spectrum passes); NotPSD when a matrix of a stack dips lower."""
     if vectors:
         evals, vecs = np.linalg.eigh(A)
     else:
         evals, vecs = np.linalg.eigvalsh(A), None
-    low, tol = evals[..., :1], psd_slack(evals)
-    bad = low < -tol
-    if np.count_nonzero(bad):
-        at = np.unravel_index(np.argmax(bad), bad.shape)
-        raise NotPSD(f"minimum eigenvalue {low[at]:.3e} below -{tol[at]:.3e}")
+    if not _every(evals[..., 0] >= 0):
+        low, tol = evals[..., :1], psd_slack(evals)
+        bad = low < -tol
+        if np.count_nonzero(bad):
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            raise NotPSD(f"minimum eigenvalue {low[at]:.3e} below -{tol[at]:.3e}")
     return evals, vecs
 
 
@@ -240,8 +247,8 @@ def cluster_starts(evals: np.ndarray) -> np.ndarray:
     cluster.
     """
     upper = evals[1:]
-    return np.flatnonzero(
-        np.concatenate(([True], upper - evals[:-1] > CLUSTER_GAP * upper)))
+    return np.concatenate(
+        ([True], upper - evals[:-1] > CLUSTER_GAP * upper)).nonzero()[0]
 
 
 def support_projector(A) -> np.ndarray:

@@ -227,6 +227,79 @@ class TestKeptPair:
             with pytest.raises(InvalidOperator):
                 ReverseTest(factors, rt.sizes, rt.p, rt.q)
 
+    @staticmethod
+    def count_calls(monkeypatch, name, *modules):
+        """Records the arguments of each call of modules[0].name, under
+        that name in every module of modules."""
+        calls = []
+        original = getattr(modules[0], name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @staticmethod
+    def exact_kernel_pairs():
+        """Dim-3 pairs whose kernels eigh finds as exact zeros: dominated,
+        rank-deficient, escaping and commuting with a shared kernel."""
+        rng = np.random.default_rng(41)
+
+        def block(A):
+            out = np.zeros((3, 3), dtype=complex)
+            out[:2, :2] = A
+            return out
+        low = block(random_state(rng, 2))
+        return [(random_state(rng, 3), random_state(rng, 3)),
+                (block(random_state(rng, 2)), low),
+                (random_state(rng, 3), low),
+                (np.diag([0.3, 0.7, 0.0]), np.diag([0.6, 0.4, 0.0]))]
+
+    def test_analysis_hands_its_test_the_split_it_proved(self):
+        # every kind of pair, a Schur pair and a whitened dim-16 pair with
+        # escaped mass, and a pair of one cluster: the split the analysis
+        # hands its test is the one searched from p and q, bit for bit
+        rng = np.random.default_rng(42)
+        U = np.linalg.qr(rng.standard_normal((3, 3))
+                         + 1j * rng.standard_normal((3, 3)))[0]
+        shared = tuple((U * w) @ U.conj().T
+                       for w in ([0.2, 0.8, 0.0], [0.5, 0.5, 0.0]))
+        state = random_state(rng, 3)
+        wide = random_state(rng, 16), random_state(rng, 16, rank=12)
+        tests = [analyze(rho, sigma).reverse_test() for rho, sigma in
+                 self.dim3_pairs() + self.exact_kernel_pairs()
+                 + [shared, schur_pair(), wide, (state, state)]]
+        for rt in tests:
+            ratios, q, escaped = rt._split
+            want = generators._split(rt.p, rt.q)
+            np.testing.assert_array_equal(ratios, want[0], strict=True)
+            np.testing.assert_array_equal(q, want[1], strict=True)
+            assert escaped == want[2]
+        assert tests[-3]._split[2] > 0.0 and tests[-2]._split[2] > 0.0
+        assert len(tests[-1]) == 1      # d is 1 on supp sigma: one cluster
+
+    def test_pairs_op_reads_no_psd_slack_and_searches_no_split(self, monkeypatch):
+        # one perfbench pair op on spectra with no negative eigenvalue: no
+        # PSD slack can matter, and the test holds the analysis's split
+        slack = self.count_calls(monkeypatch, "psd_slack", linalg)
+        split = self.count_calls(monkeypatch, "_split", generators, divergence)
+        for rho, sigma in self.exact_kernel_pairs():
+            for A in (rho, sigma):
+                assert np.linalg.eigvalsh(linalg.as_hermitian(A))[0] >= 0
+            divergence._last = None
+            values = [d_max(rho, sigma, f) for f in GENS]
+            rt = minimal_reverse_test(rho, sigma)
+            assert [reverse_test_value(rt, f) for f in GENS] == pytest.approx(
+                values, rel=1e-9)
+            assert slack == [] and split == []
+        # the counters count: a negative roundoff eigenvalue reads the
+        # slack, a caller-built test searches its split
+        linalg.psd_eigh(np.diag([1.0, -1e-17]))
+        ReverseTest(rt.factors, rt.sizes, rt.p, rt.q)
+        assert len(slack) == len(split) == 1
+
     @pytest.mark.parametrize("operand", [0, 1])
     def test_in_place_change_is_analysed_afresh(self, operand):
         pair = list(dominated_pair())

@@ -194,6 +194,47 @@ class TestSupport:
             with pytest.raises(errors.InvalidOperator):
                 as_matrix(np.zeros(shape))
 
+    # The validation boundaries, one matrix alone or planted in a stack of
+    # three valid ones: (where in the stack, entry, value, error or None).
+    # SLACK is psd_slack of GOOD's spectrum: a planted least eigenvalue
+    # below 1 in magnitude leaves its radius at 1.
+    GOOD = np.diag([1.0, 0.5, 0.25]).astype(complex)
+    SLACK = float(linalg.psd_slack(np.array([0.25, 0.5, 1.0]))[0])
+    DECISIONS = {
+        "nan": (1, (0, 1), np.nan, errors.InvalidOperator),
+        "+inf": (1, (0, 1), np.inf, errors.InvalidOperator),
+        "-inf": (1, (2, 2), -np.inf, errors.InvalidOperator),
+        "imaginary inf": (1, (1, 1), complex(0.0, np.inf), errors.InvalidOperator),
+        "asymmetry at the bound": (2, (0, 1), linalg.HERMITIAN_TOL, None),
+        "asymmetry just above": (2, (0, 1), np.nextafter(linalg.HERMITIAN_TOL, 1.0),
+                                 errors.InvalidOperator),
+        "least eigenvalue -0.0": (2, (2, 2), -0.0, None),
+        "negative within the slack": (2, (2, 2), -0.5 * SLACK, None),
+        "negative just past the slack": (2, (2, 2), -1.5 * SLACK, errors.NotPSD),
+    }
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("row", DECISIONS)
+    def test_validation_decision_table(self, row, stacked):
+        at, entry, value, error = self.DECISIONS[row]
+        A = np.array([self.GOOD] * 3)
+        A[(at,) + entry] = value
+        if not stacked:
+            A = A[at]
+        checks = [linalg.psd_spectrum,
+                  lambda A: linalg.psd_spectrum(A, vectors=False)]
+        if error is errors.InvalidOperator:
+            checks.append(as_hermitian)
+        else:       # a finite Hermitian input: psd_eigh alone decides
+            as_hermitian(A)
+            checks.append(linalg.psd_eigh)
+        for check in checks:
+            if error is None:
+                check(A)
+            else:
+                with pytest.raises(error):
+                    check(A)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(errors.InvalidOperator):
