@@ -196,8 +196,9 @@ def lambda_sigma(ch: KrausChannel, sigma, Z) -> np.ndarray:
 
 
 def check_tolerance(tol) -> None:
-    """ValueError unless a check's comparison tolerance is finite and >= 0."""
-    if not 0 <= tol < math.inf:
+    """ValueError unless a check's comparison tolerance is finite and >= 0
+    (a bool is not a number here)."""
+    if isinstance(tol, (bool, np.bool_)) or not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
 
 
@@ -326,7 +327,7 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
     if f.mu_full_support:
         # S = Lambda(sigma)^{-1/2}, and the image's eigenvectors of d',
         # S X' for its factor X', grouped by its atoms
-        S = image.sigma_inv_sqrt
+        S = linalg.gen_inverse_sqrt(image.sigma)
         groups_out = np.split(S @ image.factor, rt_out.starts[1:], axis=1)
         live = np.flatnonzero(rt_out.q > 0.0)
         d_out = rt_out.p[live] / rt_out.q[live]

@@ -9,7 +9,7 @@ weighted by the recession constant of f.  The minimal reverse test realizes
 the same value as a classical f-divergence and reconstructs the pair.
 
 analyze() makes one spectral analysis of a pair (PairAnalysis); d_max,
-d_prime, the reverse test, rho_tilde and d all read from it, and a repeated
+d_prime, the reverse test and rho_tilde all read from it, and a repeated
 call on the same pair returns the same analysis.  d_max and d_prime also
 take a stack of pairs: the same analysis body reads it at once when every
 sigma has full rank, and pair by pair otherwise.
@@ -120,14 +120,13 @@ class PairAnalysis:
     """The spectral analysis of one (rho, sigma) pair, made once by analyze().
 
     Every quantity of the pair reads from it: the divergence for any
-    generator, the minimal reverse test, rho_tilde and d.
+    generator, the minimal reverse test and rho_tilde.
 
     Every array it holds is read-only: analyze() hands the same object to
     each caller of a repeated pair.  A pickled or copied analysis is built
     anew, so its arrays are read-only too.  It holds no basis of supp sigma
-    and no sigma^{-1/2}: rho_tilde, d and eigenvectors are built when read,
-    and the last two take one eigensolve of sigma (sigma_inv_sqrt), which
-    the values and the reverse test never need.
+    and no sigma^{-1/2}, which the values and the reverse test never need,
+    and no reader makes an eigensolve.
 
     rho, sigma     the validated, symmetrized inputs
     tilde          a factor T of the Schur reduction of rho into supp
@@ -180,25 +179,6 @@ class PairAnalysis:
         rho lies inside supp sigma, else T T^H built afresh on each read."""
         T = self.tilde
         return self.rho if T is None else T @ _adjoint(T)
-
-    @property
-    def sigma_inv_sqrt(self) -> np.ndarray:
-        """sigma^{-1/2} on supp sigma, 0 on its kernel, from one eigensolve
-        of sigma made on each read (linalg.gen_inverse_sqrt)."""
-        return linalg.gen_inverse_sqrt(self.sigma)
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """The eigenvectors of d as columns of the full space,
-        sigma^{-1/2} X for X = factor."""
-        return self.sigma_inv_sqrt @ self.factor
-
-    @property
-    def d(self) -> np.ndarray:
-        """The commutative Radon-Nikodym derivative d as a matrix."""
-        V = self.eigenvectors
-        out = (V * self.evals) @ V.conj().T
-        return (out + out.conj().T) / 2
 
     def d_prime(self, f: DivergenceGenerator) -> float:
         """weights . f(evals) + escaped * recession(f); see d_prime()."""
@@ -275,9 +255,8 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
         L_inv = linalg.conditioned_inverse(sigma, L)
         if L_inv is not None:
             return _sigma_factor_route(rho, sigma, L, L_inv)
-    elif sigma.ndim == 2 and sigma.shape[-1] >= 2 * linalg.CHOLESKY_MIN_DIM:
-        # sigma may have a kernel: from the measured crossover up, one pair
-        # whitens it by rho's factor
+    elif sigma.ndim == 2:
+        # sigma may have a kernel: one pair whitens it by rho's factor
         C = linalg.cholesky_factor(rho)
         C_inv = None if C is None else linalg.conditioned_inverse(rho, C)
         if C_inv is not None:
@@ -481,18 +460,18 @@ def analyze(rho, sigma) -> PairAnalysis:
 
     sigma, then rho, is checked Hermitian (linalg.as_hermitian) before any
     PSD decision, so a pair with two faults raises the same error at every
-    dim.  Then one of three routes runs, picked by the dim and by which
-    operand has a conditioned Cholesky factor: one whose pivots prove it
-    PSD (linalg.cholesky_factor) and whose inverse bounds its condition by
-    linalg.COND_BOUND (linalg.conditioned_inverse), tried from
-    linalg.CHOLESKY_MIN_DIM up.
+    dim.  Then one of three routes runs, picked by which operand has a
+    conditioned Cholesky factor: one whose pivots prove it PSD
+    (linalg.cholesky_factor) and whose inverse bounds its condition by
+    linalg.COND_BOUND (linalg.conditioned_inverse).  cholesky_factor tries
+    one only from the crossover linalg.CHOLESKY_MIN_DIM up, so below it
+    the eigen route runs.
     1. sigma's factor (_sigma_factor_route): one eigensolve of
        L^{-1} rho L^{-H} for sigma = L L^H.
-    2. From dim 2 CHOLESKY_MIN_DIM, the measured crossover (see
-       linalg.cholesky_factor), a sigma with no factor may have a kernel,
-       and rho's factor whitens it (_whitened_kernel): one eigensolve of
-       C^{-1} sigma C^{-H} for rho = C C^H, when that proves the eigen
-       rules' decisions on sigma and d's spectrum accurate.
+    2. A sigma with no factor may have a kernel, and rho's factor whitens
+       it (_whitened_kernel): one eigensolve of C^{-1} sigma C^{-H} for
+       rho = C C^H, when that proves the eigen rules' decisions on sigma
+       and d's spectrum accurate.
     3. Otherwise the eigen route (_eigen_route): one eigensolve each of
        sigma, rho and d, and the Schur reduction when rho leaks out of
        supp sigma.
@@ -582,10 +561,12 @@ def perturbation_limit_probe(rho, sigma, f: DivergenceGenerator,
     The sequence is non-decreasing as eps decreases; for finite recession it
     converges to d_max(rho||sigma), otherwise it diverges when supp rho is
     not inside supp sigma.  ValueError unless epsilons is an iterable of
-    real numbers, every eps positive and finite, that strictly descends.
+    real numbers (a bool is none), every eps positive and finite, that
+    strictly descends.
     """
     grid = list(epsilons) if np.iterable(epsilons) else None
-    if grid is None or not all(isinstance(e, numbers.Real) for e in grid):
+    if grid is None or not all(isinstance(e, numbers.Real)
+                               and not isinstance(e, bool) for e in grid):
         raise ValueError(
             f"epsilons must be an iterable of real numbers, got {epsilons!r}")
     eps = [float(e) for e in grid]

@@ -50,7 +50,7 @@ WEIGHT_SLACK = 1e-12
 COMM_TOL = 1e-10
 # Cholesky routes (cholesky_factor): the least dim where one Cholesky beats
 # an eigensolve.
-CHOLESKY_MIN_DIM = 8
+CHOLESKY_MIN_DIM = 16
 # Factor condition (conditioned_inverse): tr A |L^{-1}|_F^2 at most this for A = L L^H.
 COND_BOUND = 1e7
 
@@ -125,10 +125,9 @@ def cholesky_factor(A: np.ndarray):
     conditioned_inverse then decides whether L proves A of full rank too.
 
     None below CHOLESKY_MIN_DIM without a Cholesky, where one costs more
-    than the eigensolve it saves; sigma's factor route breaks even at
-    dim 8.  The whitening of a sigma with a kernel by rho's factor breaks
-    even at dim 16, so analyze whitens from 2 CHOLESKY_MIN_DIM.  The
-    timings behind both crossovers are kept in CHANGES.md.
+    than the eigensolve it saves: the package's one Cholesky crossover,
+    for sigma's factor and for rho's whitening of sigma alike (timings in
+    CHANGES.md).
     """
     n = A.shape[-1]
     if n < CHOLESKY_MIN_DIM:
@@ -181,12 +180,12 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     C^{-1}]], which does not spend the work of a general inverse on the
     zero upper triangle (numpy has no triangular inverse).
 
-    A block with a half below 2 CHOLESKY_MIN_DIM rows is inverted whole,
+    A block with a half below CHOLESKY_MIN_DIM rows is inverted whole,
     where a split's numpy calls cost more than its LAPACK time saves: the
     split breaks even at dim 32 (timings in CHANGES.md).
     """
     h = L.shape[-1] // 2
-    if h < 2 * CHOLESKY_MIN_DIM:
+    if h < CHOLESKY_MIN_DIM:
         return np.linalg.inv(L)
     A_inv = _lower_inverse(L[..., :h, :h])
     C_inv = _lower_inverse(L[..., h:, h:])

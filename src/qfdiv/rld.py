@@ -132,8 +132,8 @@ def second_derivative_check(rho, X, Y, f: DivergenceGenerator,
 
     The raw step is rescaled by lambda_min(rho)/||direction|| per direction
     so the perturbed operators stay PSD; StepError if they do not, or if the
-    step is not finite and positive.  The 12 divergences of the three
-    layouts come from one stacked d_prime call.
+    step is not a finite positive number (a bool is none).  The 12
+    divergences of the three layouts come from one stacked d_prime call.
     """
     if f.second_deriv_at_1 is None:
         raise UnsupportedGenerator(
@@ -147,7 +147,8 @@ def second_derivative_check(rho, X, Y, f: DivergenceGenerator,
     norm_y = float(np.linalg.norm(Y, 2))
     s = step * lam_min / norm_x if norm_x > 0 else step
     t = step * lam_min / norm_y if norm_y > 0 else step
-    if not (0 < step < math.inf and s * t > 0):
+    if (isinstance(step, (bool, np.bool_))
+            or not (0 < step < math.inf and s * t > 0)):
         raise StepError(f"step {step} is not finite and positive, or underflows")
 
     # the 12 probes as one stack: the sign pairs (a, b) of each layout

@@ -33,10 +33,10 @@ def decompositions(monkeypatch):
 def inverse_calls():
     """inverse_calls(n, stack=()): the entries that linalg._lower_inverse
     adds to decompositions for an n x n factor (of each of a stack), its
-    halves split down to a half below 2 CHOLESKY_MIN_DIM."""
+    halves split down to a half below CHOLESKY_MIN_DIM."""
     def calls(n, stack=()):
         h = n // 2
-        if h < 2 * linalg.CHOLESKY_MIN_DIM:
+        if h < linalg.CHOLESKY_MIN_DIM:
             return [("inv", (*stack, n, n))]
         return calls(h, stack) + calls(n - h, stack)
     return calls

@@ -578,13 +578,9 @@ class TestReaders:
         np.testing.assert_allclose(pair.weights, np.sum(np.abs(X) ** 2, axis=0),
                                    atol=1e-15)
         np.testing.assert_allclose(X @ X.conj().T, sigma, atol=1e-12)
-        half = linalg.matrix_sqrt(sigma)
-        inv = pair.sigma_inv_sqrt
-        np.testing.assert_allclose(inv @ sigma @ inv, linalg.support_projector(sigma),
-                                   atol=1e-10)
-        # sigma^{1/2} d sigma^{1/2} gives rho_tilde back
-        np.testing.assert_allclose(half @ pair.d @ half, pair.rho_tilde,
-                                   atol=1e-12)
+        # sigma^{1/2} d sigma^{1/2} = X diag(evals) X^H gives rho_tilde back
+        np.testing.assert_allclose((X * pair.evals) @ X.conj().T,
+                                   pair.rho_tilde, atol=1e-12)
 
     def test_mass_tol_sets_escape_threshold(self):
         rho = np.diag([1.0, 1e-9]).astype(complex)
@@ -642,6 +638,14 @@ def test_public_names_are_pinned():
     assert set(names) <= set(dir(qfdiv))
     with pytest.raises(AttributeError, match="no_such_name"):
         qfdiv.no_such_name
+
+
+def test_pair_analysis_surface_is_pinned():
+    # every public reader of an analysis; none makes an eigensolve on read
+    names = {n for n in dir(analyze(*schur_pair())) if not n.startswith("_")}
+    assert names == {"rho", "sigma", "tilde", "excess", "escaped", "evals",
+                     "factor", "weights", "rho_tilde", "dominated", "d_prime",
+                     "d_max", "reverse_test"}
 
 
 def test_lazy_names_resolve_to_their_modules_objects():

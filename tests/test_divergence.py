@@ -50,16 +50,25 @@ class TestRnDerivative:
     def test_equal_pair_gives_support_projector(self):
         rng = np.random.default_rng(1)
         sigma = random_state(rng, 4, rank=2)
-        d = analyze(sigma, sigma).d
-        np.testing.assert_allclose(d, support_projector(sigma), atol=1e-10)
+        pair = analyze(sigma, sigma)
+        # d is the projector onto supp sigma: 1 on each of its 2 dimensions
+        np.testing.assert_allclose(pair.evals, [1.0, 1.0], atol=1e-10)
+        X = pair.factor
+        np.testing.assert_allclose(X @ X.conj().T, sigma, atol=1e-12)
 
     def test_diagonal_arithmetic(self):
-        d = analyze(np.diag([0.5, 0.5]), np.diag([0.25, 0.75])).d
-        np.testing.assert_allclose(d, np.diag([2.0, 2.0 / 3.0]), atol=1e-12)
+        # d = diag(2, 2/3), with the sigma-weights 1/4 and 3/4 of e_0, e_1
+        pair = analyze(np.diag([0.5, 0.5]), np.diag([0.25, 0.75]))
+        np.testing.assert_allclose(pair.evals, [2.0 / 3.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(pair.weights, [0.75, 0.25], atol=1e-12)
 
     def test_scalar_scaling(self):
-        d = analyze(PROJ0, np.eye(2) / 2).d
-        np.testing.assert_allclose(d, 2.0 * PROJ0, atol=1e-12)
+        # d = 2 |0><0|: X diag(evals) X^H = sigma^{1/2} d sigma^{1/2} = rho
+        pair = analyze(PROJ0, np.eye(2) / 2)
+        np.testing.assert_allclose(pair.evals, [0.0, 2.0], atol=1e-12)
+        X = pair.factor
+        np.testing.assert_allclose((X * pair.evals) @ X.conj().T, PROJ0,
+                                   atol=1e-12)
 
     def test_reconstructs_rho(self):
         rng = np.random.default_rng(2)
@@ -71,10 +80,10 @@ class TestRnDerivative:
             rho = raw / np.trace(raw).real
             pair = analyze(rho, sigma)
             assert pair.dominated
-            d = pair.d
-            from qfdiv.linalg import matrix_sqrt
-            s = matrix_sqrt(sigma)
-            assert np.abs(s @ d @ s - rho).max() < 1e-9
+            # X = sigma^{1/2} U: X X^H = sigma, X diag(evals) X^H = rho
+            X = pair.factor
+            assert np.abs(X @ X.conj().T - sigma).max() < 1e-9
+            assert np.abs((X * pair.evals) @ X.conj().T - rho).max() < 1e-9
 
     def test_support_violation(self):
         assert not analyze(PROJ0, PROJP).dominated
@@ -275,7 +284,8 @@ class TestMinimalReverseTest:
             sigma = random_state(rng, dim)
             rho = random_state(rng, dim)
             rt = minimal_reverse_test(rho, sigma)
-            d = analyze(rho, sigma).d
+            S = linalg.gen_inverse_sqrt(sigma)
+            d = S @ rho @ S
             distinct = len(np.unique(np.round(np.linalg.eigvalsh(d), 6)))
             assert len(rt) == distinct
 
@@ -587,9 +597,10 @@ class TestPerturbationProbe:
             perturbation_limit_probe(PROJ0, PROJP, HALF, grid)
 
     @pytest.mark.parametrize("grid", [["a", "b"], ["1e-2", "1e-3"], "1e-3",
-                                      [1e-2, None], [1e-2, 1e-3j]],
+                                      [1e-2, None], [1e-2, 1e-3j], [True],
+                                      [np.True_]],
                              ids=["words", "numerals", "string", "none",
-                                  "complex"])
+                                  "complex", "bool", "numpy-bool"])
     def test_rejects_a_grid_of_non_numbers(self, grid):
         with pytest.raises(ValueError, match="epsilons"):
             perturbation_limit_probe(PROJ0, PROJP, HALF, grid)
@@ -1113,11 +1124,12 @@ class TestIllConditionedSigma:
     @pytest.mark.parametrize("make", [
         *(pytest.param(functools.partial(ill_conditioned_pair, seed), id=str(seed))
           for seed in (216, 350, 546, 666, 1003, 377, 521, 871)),
-        # at dims 8 and 16, sigma's Cholesky route runs on the draws whose
-        # bound B = tr sigma |L^{-1}|_F^2 is below linalg.COND_BOUND (615 at
-        # 9.6e6, 2091 at 8.9e6, 827 at 5.1e6, 1862 at 9.4e6); on a leaking
-        # draw above it (1584 at 7.8e7, 132 at 1.4e8, 1472 at 8.3e8) that
-        # route would rebuild the pair only to 1.1e-9..1.6e-9
+        # at dim 16, sigma's Cholesky route runs on the draws whose bound
+        # B = tr sigma |L^{-1}|_F^2 is below linalg.COND_BOUND (2091 at
+        # 8.9e6, 827 at 5.1e6); on a leaking draw above it (1472 at 8.3e8)
+        # that route would rebuild the pair only to about 1e-9.  The dim-8
+        # draws (B of 9.6e6 at 615, 9.4e6 at 1862, 7.8e7 at 1584 and 1.4e8
+        # at 132) run the eigen route, below linalg.CHOLESKY_MIN_DIM
         *(pytest.param(functools.partial(ill_conditioned_at, seed, n, inside),
                        id=f"{n}-{'inside' if inside else 'leak'}-{seed}")
           for n, inside, seeds in ((8, False, (615, 1584, 132)),
@@ -1262,11 +1274,6 @@ class TestSchurSplit:
             # the whitening's proof fails (mu_max / mu_min above
             # COND_BOUND): the eigen route runs
             "ill-16-leak": [chol, chol, *inverse_calls(n), eigh, *eigen],
-            # no whitening: below its crossover, or sigma's factor exists
-            # but fails the bound
-            "ill-150": [chol, *eigen],
-            "ill-8-leak": [chol, *eigen],
-            "ill-8-inside": [chol, *eigen],
             # rho's Cholesky fails
             "ill-16-inside": [chol, chol, *eigen],
         }.get(case, eigen)   # below CHOLESKY_MIN_DIM
@@ -1339,6 +1346,25 @@ class TestCholeskyProof:
     and rank decisions of sigma and rho; each decision is still the eigen
     rule's."""
 
+    @pytest.mark.parametrize("n", [2, 8, 12, 15, 16])
+    def test_one_crossover(self, decompositions, n):
+        # both Cholesky routes start at dim 16: below it no pair makes a
+        # Cholesky, and from it sigma's comes first, whatever the supports
+        rng = np.random.default_rng(300 + n)
+
+        def floored(rank=None):
+            return 0.9 * random_state(rng, n, rank) + 0.1 * np.eye(n) / n
+        pairs = [(floored(), floored()),
+                 (random_state(rng, n, n // 2), floored()),
+                 (floored(), random_state(rng, n, n // 2))]
+        for rho, sigma in pairs:
+            decompositions.clear()
+            analyze(rho, sigma)
+            if n < 16:
+                assert all(name != "cholesky" for name, _ in decompositions)
+            else:
+                assert decompositions[0] == ("cholesky", (n, n))
+
     @staticmethod
     def rhos(rng, n):
         """(rho, least eigenvalue, pivot floor RANK_CUTOFF dim tr rho):
@@ -1358,7 +1384,7 @@ class TestCholeskyProof:
             spec = np.concatenate((np.zeros(kernel), rest[:n - kernel]))
             yield rotated(rng, spec), 0.0, floor
 
-    @pytest.mark.parametrize("n", [8, 16, 64])
+    @pytest.mark.parametrize("n", [16, 24, 64])
     def test_decisions_are_the_eigen_rules(self, decompositions, n):
         # on sigma's factor route rho needs only its PSD decision: rho's
         # own factor proves it, or eigvalsh decides
@@ -1421,7 +1447,7 @@ class TestCholeskyProof:
                 continue
             yield sigma, np.trace(sigma).real * np.linalg.norm(np.linalg.inv(L)) ** 2
 
-    @pytest.mark.parametrize("n", [8, 16, 64])
+    @pytest.mark.parametrize("n", [16, 24, 64])
     def test_sigma_decisions_are_the_eigen_rules(self, decompositions, monkeypatch, n):
         rng = np.random.default_rng(100 + n)
         rhos = [random_state(rng, n), random_state(rng, n, n // 2)]
@@ -1502,7 +1528,7 @@ class TestCholeskyProof:
                     for rho, bound in rhos + [with_bound(shared)]:
                         yield rho, sigma, bound
 
-    @pytest.mark.parametrize("n", [8, 16, 64])
+    @pytest.mark.parametrize("n", [16, 24, 64])
     def test_sigma_kernel_decisions_are_the_eigen_rules(self, decompositions,
                                                         monkeypatch, n):
         # whitening sigma by rho's factor decides sigma's PSD, rank and
@@ -1544,5 +1570,4 @@ class TestCholeskyProof:
             assert pair.escaped == pytest.approx(want.escaped, rel=tol, abs=0)
             for got, value in values:
                 assert got == pytest.approx(value, rel=tol)
-        # the whitening's measured crossover is dim 16
-        assert routes == {False, n >= 2 * linalg.CHOLESKY_MIN_DIM}
+        assert routes == {False, n >= linalg.CHOLESKY_MIN_DIM}

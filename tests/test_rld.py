@@ -130,6 +130,13 @@ class TestSecondDerivative:
         with pytest.raises(errors.StepError):
             second_derivative_check(MAX_MIXED, Z_DIR, Z_DIR, XLOGX, step=step)
 
+    @pytest.mark.parametrize("step", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_step_must_not_be_a_bool(self, step):
+        # along the zero direction step=True ran, as a step of 1.0
+        zero = np.zeros((2, 2), dtype=complex)
+        with pytest.raises(errors.StepError):
+            second_derivative_check(MAX_MIXED, zero, zero, XLOGX, step=step)
+
     def test_requires_curvature(self):
         bare = custom("lin", lambda y: y - 1 + (1 - y), recession=0.0)
         with pytest.raises(errors.UnsupportedGenerator):

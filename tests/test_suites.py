@@ -66,12 +66,14 @@ class TestRunner:
 
     @pytest.mark.parametrize("field", [
         {"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")},
+        {"tol": True}, {"tol": np.True_},
         {"trials": 2.5}, {"trials": True}, {"dims": (2.5, 3)}],
-        ids=["tol-nan", "tol-negative", "tol-inf", "trials-float", "trials-bool",
-             "dims-float"])
+        ids=["tol-nan", "tol-negative", "tol-inf", "tol-bool", "tol-numpy-bool",
+             "trials-float", "trials-bool", "dims-float"])
     def test_bad_config_is_rejected(self, field):
         # trials=2.5 and dims=(2.5, 3) raised TypeError mid-suite, trials=True
-        # ran, and a NaN, negative or infinite tol judged every row
+        # and tol=True ran, and a NaN, negative or infinite tol judged every
+        # row
         with pytest.raises(ValueError):
             run_suite(SuiteConfig(suite="dpi", **field))
 
