@@ -84,7 +84,7 @@ def depolarizing_channel(dim: int, noise: float) -> KrausChannel:
     _check_dims(dim)
     if dim < 1:
         raise DimensionMismatch(f"dim must be at least 1, got {dim}")
-    if not 0.0 <= noise <= 1.0:
+    if isinstance(noise, (bool, np.bool_)) or not 0.0 <= noise <= 1.0:
         raise InvalidOperator(f"noise must lie in [0, 1], got {noise}")
     # the identity, then the matrix units |i><j| in row-major order, each
     # part kept only when its weight is not zero

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,8 @@ class ReverseTest:
     Gamma(q) = sigma,  where Gamma maps the point mass at x to the atom
     X_x X_x^H.  factors is one (n, m) array whose consecutive column groups,
     sizes[x] columns each, are the X_x, each of unit Frobenius norm; so
-    each atom is PSD by construction and a test costs O(n m), not O(m n^2).
+    each atom is PSD by construction and a test costs O(n m), not O(m n^2);
+    outputs forms the dense atoms only as they are read.
     PairAnalysis.reverse_test gives the minimal test's layout, and builds
     it from arrays its analysis proves valid, without the checks below.
 
@@ -102,9 +104,12 @@ class ReverseTest:
         return [self.factors[:, a:a + k] for a, k in zip(self.starts, self.sizes)]
 
     @property
-    def outputs(self) -> tuple[np.ndarray, ...]:
-        """The dense atoms X_x X_x^H, built afresh (and writable) on each read."""
-        return tuple(X @ X.conj().T for X in self.groups())
+    def outputs(self) -> Sequence[np.ndarray]:
+        """The dense atoms X_x X_x^H as a read-only sequence over groups():
+        each atom is formed afresh (and writable) when it is read, so a
+        reader that takes them one at a time holds n^2 entries per atom, not
+        n^2 for every atom at once."""
+        return _Atoms(self.groups())
 
     def reconstruct(self) -> tuple[np.ndarray, np.ndarray]:
         """(Gamma(p), Gamma(q)): F diag(p) F^H and F diag(q) F^H, each weight
@@ -113,6 +118,33 @@ class ReverseTest:
         Fh = F.conj().T
         return ((F * np.repeat(self.p, sizes)) @ Fh,
                 (F * np.repeat(self.q, sizes)) @ Fh)
+
+
+class _Atoms(Sequence):
+    """The dense atoms X_x X_x^H of a reverse test's factor groups X_x.
+
+    len() is the atom count.  Indexing by an int (a numpy integer, a
+    negative index) forms that atom, IndexError out of range; a slice gives
+    a tuple of atoms; iterating forms them in order.  Each read is new."""
+
+    def __init__(self, groups: list[np.ndarray]):
+        self._groups = groups
+
+    def __len__(self) -> int:
+        return len(self._groups)
+
+    def __getitem__(self, x):
+        if isinstance(x, slice):
+            return tuple(map(_gram, self._groups[x]))
+        return _gram(self._groups[x])
+
+    def __iter__(self):
+        return map(_gram, self._groups)
+
+
+def _gram(X: np.ndarray) -> np.ndarray:
+    """X X^H."""
+    return X @ X.conj().T
 
 
 @dataclass(frozen=True, eq=False)     # holds arrays: compared by identity
@@ -178,7 +210,7 @@ class PairAnalysis:
         """The Schur reduction of rho into supp sigma: rho itself when supp
         rho lies inside supp sigma, else T T^H built afresh on each read."""
         T = self.tilde
-        return self.rho if T is None else T @ _adjoint(T)
+        return self.rho if T is None else _gram(T)
 
     def d_prime(self, f: DivergenceGenerator) -> float:
         """weights . f(evals) + escaped * recession(f); see d_prime()."""
@@ -541,8 +573,10 @@ def d_max(rho, sigma, f: DivergenceGenerator):
 
 def minimal_reverse_test(rho, sigma) -> ReverseTest:
     """The reverse test achieving d_max: analyze(rho, sigma).reverse_test()
-    (see PairAnalysis.reverse_test).  ReverseTest.outputs builds the dense
-    atoms when read."""
+    (see PairAnalysis.reverse_test).  ReverseTest.outputs is a read-only
+    sequence over its factor groups that forms each dense n x n atom when it
+    is read: a reader that takes them one at a time holds n^2 entries per
+    atom it keeps, not n^2 for each of the test's atoms at once."""
     return analyze(rho, sigma).reverse_test()
 
 

@@ -64,7 +64,10 @@ def builtin(name: str, param: float | None = None) -> DivergenceGenerator:
 
     neg_power and power take the exponent as parameter, psi the pole
     location; xlogx and square take none (UnsupportedGenerator if given).
+    A bool is no parameter.
     """
+    if isinstance(param, (bool, np.bool_)):
+        raise UnsupportedGenerator(f"{name} takes a real parameter, got {param}")
     if name in ("xlogx", "square") and param is not None:
         raise UnsupportedGenerator(f"{name} takes no parameter, got {param}")
     if name == "xlogx":
@@ -130,16 +133,20 @@ def custom(name: str, fn: Callable, recession: float | None = None,
     fn(0) must be exactly zero; recession must be declared explicitly for
     the generator to be usable on support-deficient pairs, and lies in
     (-inf, +inf] when it is; second_deriv_at_1, when declared, is finite.
+    Neither is a bool.
     """
     value0 = float(np.asarray(fn(np.asarray(0.0))))
     if value0 != 0.0:
         raise UnsupportedGenerator(f"generator must satisfy f(0) = 0, got {value0}")
-    if recession is not None and not recession > -INF:
+    if recession is not None and (isinstance(recession, (bool, np.bool_))
+                                  or not recession > -INF):
         raise UnsupportedGenerator(
-            f"recession constant cannot be -inf or nan, got {recession}")
-    if second_deriv_at_1 is not None and not math.isfinite(second_deriv_at_1):
+            f"recession constant cannot be a bool, -inf or nan, got {recession}")
+    if second_deriv_at_1 is not None and (
+            isinstance(second_deriv_at_1, (bool, np.bool_))
+            or not math.isfinite(second_deriv_at_1)):
         raise UnsupportedGenerator(
-            f"second derivative at 1 must be finite, got {second_deriv_at_1}")
+            f"second derivative at 1 must be a finite number, got {second_deriv_at_1}")
     return DivergenceGenerator(name, fn, recession, second_deriv_at_1,
                                operator_convex)
 

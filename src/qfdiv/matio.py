@@ -7,7 +7,8 @@ Channel: {"dim_in": n, "dim_out": m, "kraus": [kraus, ...]},
 Readers raise InvalidOperator unless the file is UTF-8 JSON, the document
 an object with those fields, "kraus" a list, the dimensions positive
 integers and the entries dim**2 [re, im] pairs of numbers (dim_out * dim_in
-for a Kraus operator, whose own dim fields are not read).
+for a Kraus operator, whose own dim fields are not read).  A number is an
+int or a float; a string or a bool is none.
 """
 
 from __future__ import annotations
@@ -41,12 +42,17 @@ def _entries(obj, rows, cols) -> np.ndarray:
     if any(type(n) is not int or n < 1 for n in (rows, cols)):
         raise InvalidOperator(f"dimensions {rows!r}, {cols!r} are not positive ints")
     try:
-        pairs = np.array(obj["entries"], dtype=float)
+        entries = obj["entries"]
+        pairs = np.array(entries, dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidOperator(f"malformed matrix JSON: {exc}") from exc
     if pairs.shape != (rows * cols, 2):
         raise InvalidOperator(
             f"entries of shape {pairs.shape} are not {rows}x{cols} [re, im] pairs")
+    # numpy reads "1" and true as numbers too
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for pair in entries for v in pair):
+        raise InvalidOperator("an entry's re or im is not a JSON number")
     return pairs.view(complex).reshape(rows, cols)
 
 

@@ -92,11 +92,15 @@ class TestKrausBasics:
         (lambda: random_channel(0, 2, 1, 0), errors.DimensionMismatch),
         (lambda: random_channel(2, 2, 0, 0), errors.DimensionMismatch),
         (lambda: random_channel(3, 2, 1, 0), errors.DimensionMismatch),
+        # a bool noise read as 1, the fully depolarizing channel
+        (lambda: depolarizing_channel(2, True), errors.InvalidOperator),
+        (lambda: depolarizing_channel(2, np.True_), errors.InvalidOperator),
     ], ids=["kraus-empty-family", "kraus-square-shapes-differ",
             "kraus-column-counts-differ", "depolarizing-noise-negative",
             "depolarizing-noise-above-one", "depolarizing-noise-nan",
             "embedding-shrinks", "random-dim-zero", "random-env-zero",
-            "random-env-too-small"])
+            "random-env-too-small", "depolarizing-noise-bool",
+            "depolarizing-noise-numpy-bool"])
     def test_constructor_rejects(self, make, error):
         with pytest.raises(error):
             make()
@@ -490,6 +494,22 @@ class TestEqualityCheck:
             assert rep.multiplicative_domain_ok
             assert rep.reverse_test_preserved
             assert rep.p_match and rep.q_match
+
+    @pytest.mark.parametrize("f", [XLOGX, SQUARE], ids=lambda f: f.name)
+    def test_dim_64_check_forms_one_image_atom_at_a_time(self, f):
+        import tracemalloc
+        rho, sigma = random_state(64, 64, 1), random_state(64, 64, 101)
+        ch = random_channel(64, 64, 1, 7)      # unitary: 64 image atoms
+        tracemalloc.start()
+        try:
+            rep = equality_check(rho, sigma, ch, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.equal and rep.reverse_test_preserved
+        # the 64 image atoms as one tuple took 4 MB, for a peak of 5.1 MB;
+        # read one at a time the peak is 1.1 MB (xlogx) and 0.9 MB (square)
+        assert peak < 2_000_000
 
     def test_prepare_then_discard_ancilla_is_identity(self):
         rng = np.random.default_rng(17)

@@ -67,6 +67,30 @@ class TestMatrixJson:
             channel_from_json({"dim_in": 1, "dim_out": 1,
                                "kraus": [{"entries": [entry]}]})
 
+    @pytest.mark.parametrize("entry", [["1", "0"], [1.0, "0"], [True, 0.0],
+                                       [0.0, False], [True, 0.5]],
+                             ids=["string", "string-im", "bool", "bool-im",
+                                  "bool-and-float"])
+    def test_rejects_entry_that_is_not_a_json_number(self, entry):
+        # numpy read "1" and true as 1.0 and false as 0.0
+        with pytest.raises(errors.InvalidOperator):
+            matrix_from_json({"dim": 1, "entries": [entry]})
+
+    @pytest.mark.parametrize("entry", [["1", "0"], [True, False]],
+                             ids=["string", "bool"])
+    def test_rejects_kraus_entry_that_is_not_a_json_number(self, entry):
+        # either read as K = [[1]], a channel that passed its own check
+        with pytest.raises(errors.InvalidOperator):
+            channel_from_json({"dim_in": 1, "dim_out": 1,
+                               "kraus": [{"entries": [entry]}]})
+
+    def test_int_entries_are_numbers(self):
+        A = matrix_from_json({"dim": 2, "entries": [[1, 0], [0, 2], [0, -2], [3, 0]]})
+        np.testing.assert_array_equal(A, [[1, 2j], [-2j, 3]])
+        ch = channel_from_json({"dim_in": 1, "dim_out": 1,
+                                "kraus": [{"entries": [[0, 1]]}]})
+        np.testing.assert_array_equal(ch.kraus[0], [[1j]])
+
     def test_channel_roundtrip(self):
         ch = depolarizing_channel(2, 0.3)
         back = channel_from_json(channel_to_json(ch))
@@ -175,7 +199,10 @@ class TestComputeCommand:
     @pytest.mark.parametrize("entries", [
         [["a", 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
         [[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
-        [[float("inf"), 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]])
+        [[float("inf"), 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
+        # read as diag(1/2, 1/2) and diag(1, 0), each a valid operand
+        [["0.5", 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
+        [[True, 0.0], [0.0, 0.0], [0.0, 0.0], [False, 0.0]]])
     def test_malformed_or_non_finite_entries_exit_three(
             self, tmp_path, capsys, qubit_files, entries):
         bad = tmp_path / "bad.json"

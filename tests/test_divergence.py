@@ -1103,6 +1103,60 @@ class TestFactoredReverseTest:
         # the 64 dense atoms alone take 64 * 64 * 64 * 16 bytes = 4 MB
         assert peak < 1_000_000
 
+    def test_dim_64_atoms_are_formed_one_at_a_time(self):
+        import tracemalloc
+        rng = np.random.default_rng(64)
+        rt = analyze(wishart(rng, 64), wishart(rng, 64)).reverse_test()
+        count = 0
+        tracemalloc.start()
+        try:
+            for atom in rt.outputs:
+                count += 1
+                del atom
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 64
+        # one atom takes 64 * 64 * 16 bytes = 64 KB (a peak of 76 KB here);
+        # read as one tuple the 64 atoms peaked at 4.2 MB
+        assert peak < 3 * 64 * 64 * 16
+
+    @staticmethod
+    def readable_tests():
+        """A minimal reverse test with an escaped atom, and a test a caller
+        builds with a two-column group."""
+        rho, sigma = _undominated_pair(np.random.default_rng(34), 4)
+        rng = np.random.default_rng(35)
+        F = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        built = ReverseTest(F, [1, 2, 1], [0.2, 0.3, 0.5], [0.5, 0.5, 0.0])
+        return {"analysis": analyze(rho, sigma).reverse_test(), "caller": built}
+
+    @pytest.mark.parametrize("which", ["analysis", "caller"])
+    def test_outputs_is_a_sequence_over_the_groups(self, which):
+        rt = self.readable_tests()[which]
+        atoms, groups = rt.outputs, rt.groups()
+        m = len(groups)
+        assert len(atoms) == len(rt) == m >= 3
+        want = [(X @ X.conj().T).tobytes() for X in groups]
+        assert [A.tobytes() for A in atoms] == want       # in the groups' order
+        for x in range(m):
+            for index in (x, np.int64(x), x - m):
+                assert atoms[index].tobytes() == want[x]
+        for index in (m, -m - 1, np.int64(m)):
+            with pytest.raises(IndexError):
+                atoms[index]
+        for part, xs in ((atoms[1:], range(1, m)), (atoms[::-1], range(m)[::-1]),
+                         (atoms[m:], ())):
+            assert type(part) is tuple
+            assert [A.tobytes() for A in part] == [want[x] for x in xs]
+        # each read forms a new, writable atom: writing one changes no other
+        first, again = atoms[0], atoms[0]
+        assert first.flags.writeable and not np.shares_memory(first, again)
+        assert not np.shares_memory(first, rt.factors)
+        first[...] = 0.0
+        assert atoms[0].tobytes() == again.tobytes() == want[0]
+        assert [A.tobytes() for A in atoms] == want
+
 
 def ill_conditioned_pair(seed):
     """The pair of the ill-conditioned ensemble (suites._ill_conditioned_pair)

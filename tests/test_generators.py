@@ -121,16 +121,26 @@ def test_parameter_validation():
     lambda: builtin("xlogx", 7.0),
     lambda: from_spec("square:-3"),
     lambda: from_spec("xlogx:7"),
+    lambda: builtin("neg_power", True),
+    lambda: builtin("neg_power", np.True_),
+    lambda: builtin("psi", True),
+    lambda: builtin("psi", np.True_),
+    lambda: custom("rec-bool", lambda y: y * y, recession=True),
+    lambda: custom("rec-numpy-bool", lambda y: y * y, recession=np.True_),
+    lambda: custom("d2-bool", lambda y: y * y, second_deriv_at_1=True),
 ], ids=["psi-nan", "psi-inf", "spec-psi-inf", "spec-psi-nan",
         "custom-recession-nan", "custom-recession-neg-inf",
         "custom-second-derivative-nan", "custom-second-derivative-inf",
         "custom-second-derivative-neg-inf", "square-with-parameter",
         "xlogx-with-parameter", "spec-square-with-parameter",
-        "spec-xlogx-with-parameter"])
+        "spec-xlogx-with-parameter", "neg-power-bool", "neg-power-numpy-bool",
+        "psi-bool", "psi-numpy-bool", "custom-recession-bool",
+        "custom-recession-numpy-bool", "custom-second-derivative-bool"])
 def test_parameter_outside_the_family_is_rejected(make):
     # psi:inf read d_max = 0 for every pair, a NaN recession gave a NaN
     # d_max where mass escapes supp sigma, a NaN second derivative gave
-    # second_derivative_check analytic = nan, and square:-3 read as square
+    # second_derivative_check analytic = nan, square:-3 read as square, and
+    # a bool read as 1: neg_power:1, psi:1 and a recession constant True
     with pytest.raises(errors.UnsupportedGenerator):
         make()
 
