@@ -84,7 +84,7 @@ def depolarizing_channel(dim: int, noise: float) -> KrausChannel:
     _check_dims(dim)
     if dim < 1:
         raise DimensionMismatch(f"dim must be at least 1, got {dim}")
-    if isinstance(noise, (bool, np.bool_)) or not 0.0 <= noise <= 1.0:
+    if not linalg.is_real(noise) or not 0.0 <= noise <= 1.0:
         raise InvalidOperator(f"noise must lie in [0, 1], got {noise}")
     # the identity, then the matrix units |i><j| in row-major order, each
     # part kept only when its weight is not zero
@@ -104,35 +104,10 @@ def embedding_channel(dim_in: int, dim_out: int) -> KrausChannel:
     return KrausChannel([np.eye(dim_out, dim_in)])
 
 
-def _is_int(x) -> bool:
-    """Whether x is an int or a numpy integer; a bool is not one here."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _check_dims(*dims) -> None:
-    """DimensionMismatch unless every dimension is an int (see _is_int)."""
-    if not all(map(_is_int, dims)):
+    """DimensionMismatch unless every dimension is an int (see linalg._is_int)."""
+    if not all(map(linalg._is_int, dims)):
         raise DimensionMismatch(f"dimensions must be integers, got {dims!r}")
-
-
-def _is_seed(x) -> bool:
-    """Whether x is one Philox key entry: an int in 0..2**64-1."""
-    return _is_int(x) and 0 <= x < 2 ** 64
-
-
-def _rng(seed) -> np.random.Generator:
-    # The package's one seed convention.  Philox: 64-bit counter-based, so
-    # (seed, index) keys give independent reproducible streams on every
-    # platform.  An existing Generator is passed through so callers can
-    # chain draws.  Any other seed is an int or a tuple or list of ints, each
-    # checked by _is_seed so that none is truncated or wrapped into uint64.
-    if isinstance(seed, np.random.Generator):
-        return seed
-    keys = seed if isinstance(seed, (tuple, list)) else (seed,)
-    if not all(map(_is_seed, keys)):
-        raise ValueError(
-            f"seed entries must be integers in 0..2**64-1, got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=np.asarray(seed, dtype=np.uint64)))
 
 
 def random_state(dim: int, rank: int, seed) -> np.ndarray:
@@ -140,7 +115,7 @@ def random_state(dim: int, rank: int, seed) -> np.ndarray:
     _check_dims(dim, rank)
     if not 1 <= rank <= dim:
         raise DimensionMismatch(f"rank must lie in [1, {dim}], got {rank}")
-    rng = _rng(seed)
+    rng = linalg._rng(seed)
     G = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = G @ G.conj().T
     return rho / np.trace(rho).real
@@ -158,7 +133,7 @@ def random_channel(dim_in: int, dim_out: int, env_dim: int, seed) -> KrausChanne
     if dim_out * env_dim < dim_in:
         raise DimensionMismatch(
             "no isometry into a space smaller than the input")
-    rng = _rng(seed)
+    rng = linalg._rng(seed)
     G = (rng.standard_normal((dim_out * env_dim, dim_in))
          + 1j * rng.standard_normal((dim_out * env_dim, dim_in)))
     Q, R = np.linalg.qr(G)
@@ -195,13 +170,6 @@ def lambda_sigma(ch: KrausChannel, sigma, Z) -> np.ndarray:
     return (res + res.conj().T) / 2
 
 
-def check_tolerance(tol) -> None:
-    """ValueError unless a check's comparison tolerance is finite and >= 0
-    (a bool is not a number here)."""
-    if isinstance(tol, (bool, np.bool_)) or not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-
-
 @dataclass(frozen=True)
 class DpiResult:
     value_in: float
@@ -231,7 +199,7 @@ def dpi_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
     scale, so the verdict is the same for (c rho, c sigma) at every c > 0.
     ValueError unless tol is finite and >= 0.
     """
-    check_tolerance(tol)
+    linalg.check_tolerance(tol)
     pair, image, s = _pair_and_image(rho, sigma, ch)
     before, after = pair.d_max(f), image.d_max(f)
     bound = before + tol * max(s, abs(before)) if math.isfinite(before) else before
@@ -303,7 +271,7 @@ def equality_check(rho, sigma, ch: KrausChannel, f: DivergenceGenerator,
 
     ValueError unless tol is finite and >= 0.
     """
-    check_tolerance(tol)
+    linalg.check_tolerance(tol)
     pair, image, s = _pair_and_image(rho, sigma, ch)
     value_in = pair.d_max(f)
     value_out = image.d_max(f)

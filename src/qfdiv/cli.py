@@ -33,7 +33,7 @@ import sys
 
 import numpy as np
 
-from . import matio
+from . import linalg, matio
 from .divergence import analyze, minimal_reverse_test
 from .errors import QfdivError
 from .generators import from_spec
@@ -74,8 +74,8 @@ def _cmd_reverse_test(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .channels import check_tolerance, equality_check
-    check_tolerance(args.tol)   # a bad --tol is a usage error, before any file is read
+    from .channels import equality_check
+    linalg.check_tolerance(args.tol)   # a usage error, before any file is read
     rho = matio.load_matrix(args.rho)
     sigma = matio.load_matrix(args.sigma)
     ch = matio.load_channel(args.channel)

@@ -18,7 +18,6 @@ sigma has full rank, and pair by pair otherwise.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -257,7 +256,7 @@ class PairAnalysis:
 
 
 def _require_operator_convex(f: DivergenceGenerator) -> None:
-    if not f.operator_convex:
+    if f.operator_convex is not True and f.operator_convex is not np.True_:
         raise UnsupportedGenerator(
             f"d_max requires an operator convex generator, {f.name!r} is "
             "not flagged as one")
@@ -265,6 +264,11 @@ def _require_operator_convex(f: DivergenceGenerator) -> None:
 
 def _adjoint(A: np.ndarray) -> np.ndarray:
     return A.conj().swapaxes(-1, -2)
+
+
+def _same_shape(rho: np.ndarray, sigma: np.ndarray) -> None:
+    if rho.shape != sigma.shape:
+        raise DimensionMismatch("rho and sigma must have equal dimensions")
 
 
 def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
@@ -278,8 +282,7 @@ def _analysis(rho: np.ndarray, sigma: np.ndarray) -> PairAnalysis | None:
     and keeps its mass.  A stack where some sigma has a kernel gives None,
     and d_prime reads it pair by pair.
     """
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch("rho and sigma must have equal dimensions")
+    _same_shape(rho, sigma)
     sigma = linalg.as_hermitian(sigma)
     rho = linalg.as_hermitian(rho)
     L = linalg.cholesky_factor(sigma)
@@ -563,9 +566,9 @@ def d_prime(rho, sigma, f: DivergenceGenerator):
 def d_max(rho, sigma, f: DivergenceGenerator):
     """Maximal f-divergence: the infimum of D_f(p||q) over reverse tests.
 
-    Computed in closed form (it coincides with d_prime for operator convex
-    generators); refuses generators not flagged operator convex, since the
-    closed form is only valid for them.  Takes stacks as d_prime does.
+    The closed form d_prime, valid for operator convex f only: so
+    UnsupportedGenerator unless f.operator_convex is True (or numpy's
+    True).  Takes stacks as d_prime does.
     """
     _require_operator_convex(f)
     return d_prime(rho, sigma, f)
@@ -595,12 +598,11 @@ def perturbation_limit_probe(rho, sigma, f: DivergenceGenerator,
     The sequence is non-decreasing as eps decreases; for finite recession it
     converges to d_max(rho||sigma), otherwise it diverges when supp rho is
     not inside supp sigma.  ValueError unless epsilons is an iterable of
-    real numbers (a bool is none), every eps positive and finite, that
+    real numbers (linalg.is_real), every eps positive and finite, that
     strictly descends.
     """
     grid = list(epsilons) if np.iterable(epsilons) else None
-    if grid is None or not all(isinstance(e, numbers.Real)
-                               and not isinstance(e, bool) for e in grid):
+    if grid is None or not all(map(linalg.is_real, grid)):
         raise ValueError(
             f"epsilons must be an iterable of real numbers, got {epsilons!r}")
     eps = [float(e) for e in grid]

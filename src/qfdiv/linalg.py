@@ -1,19 +1,22 @@
 """Dense complex Hermitian linear algebra.
 
 Eigenvalue clustering, functional calculus, support projectors and
-generalized inverses, and the package's tolerance policy: one constant for
-each numerical decision, and one function for each of the PSD, Hermiticity,
-rank, kernel, clustering and mass decisions (divergence.analyze makes the
-domination one).  The PSD and rank decisions are read off an eigensolve
-(psd_eigh, support_mask); from CHOLESKY_MIN_DIM up, one Cholesky rule
-settles them more cheaply when it holds: a factor A = L L^H whose pivots
-pass proves A PSD (cholesky_factor), and an inverse L^{-1} that bounds
-cond(A) by COND_BOUND proves A of full rank too (conditioned_inverse).
-All functions are pure: inputs are never mutated and outputs are freshly
-allocated.
+generalized inverses; the package's rules for a scalar argument (is_real,
+_is_int, _is_seed, check_tolerance) and its seed convention (_rng); and its
+tolerance policy: one constant for each numerical decision, and one
+function for each of the PSD, Hermiticity, rank, kernel, clustering and
+mass decisions (divergence.analyze makes the domination one).  The PSD and
+rank decisions are read off an eigensolve (psd_eigh, support_mask); from
+CHOLESKY_MIN_DIM up, one Cholesky rule settles them more cheaply when it
+holds: a factor A = L L^H whose pivots pass proves A PSD (cholesky_factor),
+and an inverse L^{-1} that bounds cond(A) by COND_BOUND proves A of full
+rank too (conditioned_inverse).  The array functions are pure: inputs are
+never mutated and outputs are freshly allocated.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -53,6 +56,41 @@ COMM_TOL = 1e-10
 CHOLESKY_MIN_DIM = 16
 # Factor condition (conditioned_inverse): tr A |L^{-1}|_F^2 at most this for A = L L^H.
 COND_BOUND = 1e7
+
+
+def is_real(x) -> bool:
+    """Whether x is a real number (numbers.Real); a bool is not one here."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_int(x) -> bool:
+    """Whether x is an int or a numpy integer; a bool is not one here."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_seed(x) -> bool:
+    """Whether x is one Philox key entry: an int in 0..2**64-1."""
+    return _is_int(x) and 0 <= x < 2 ** 64
+
+
+def _rng(seed) -> np.random.Generator:
+    # The package's one seed convention.  Philox: 64-bit counter-based, so
+    # (seed, index) keys give independent reproducible streams on every
+    # platform.  A Generator passes through, so callers can chain draws; any
+    # other seed is an int or a tuple or list of ints, each an _is_seed.
+    if isinstance(seed, np.random.Generator):
+        return seed
+    keys = seed if isinstance(seed, (tuple, list)) else (seed,)
+    if not all(map(_is_seed, keys)):
+        raise ValueError(
+            f"seed entries must be integers in 0..2**64-1, got {seed!r}")
+    return np.random.Generator(np.random.Philox(key=np.asarray(seed, dtype=np.uint64)))
+
+
+def check_tolerance(tol) -> None:
+    """ValueError unless a check's comparison tolerance is finite and >= 0 (is_real)."""
+    if not is_real(tol) or not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
 
 
 def as_matrix(A) -> np.ndarray:

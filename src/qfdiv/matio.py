@@ -7,8 +7,8 @@ Channel: {"dim_in": n, "dim_out": m, "kraus": [kraus, ...]},
 Readers raise InvalidOperator unless the file is UTF-8 JSON, the document
 an object with those fields, "kraus" a list, the dimensions positive
 integers and the entries dim**2 [re, im] pairs of numbers (dim_out * dim_in
-for a Kraus operator, whose own dim fields are not read).  A number is an
-int or a float; a string or a bool is none.
+for a Kraus operator, whose own dim fields are not read), each checked by
+linalg's rule (_is_int, is_real): a string or a bool is no number.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import linalg
 from .errors import InvalidOperator
 
 if TYPE_CHECKING:
@@ -39,7 +40,7 @@ def _entries_json(A) -> list:
 
 def _entries(obj, rows, cols) -> np.ndarray:
     """The rows x cols matrix of obj's row-major [re, im] 'entries'."""
-    if any(type(n) is not int or n < 1 for n in (rows, cols)):
+    if not all(linalg._is_int(n) and n >= 1 for n in (rows, cols)):
         raise InvalidOperator(f"dimensions {rows!r}, {cols!r} are not positive ints")
     try:
         entries = obj["entries"]
@@ -50,8 +51,7 @@ def _entries(obj, rows, cols) -> np.ndarray:
         raise InvalidOperator(
             f"entries of shape {pairs.shape} are not {rows}x{cols} [re, im] pairs")
     # numpy reads "1" and true as numbers too
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for pair in entries for v in pair):
+    if not all(linalg.is_real(v) for pair in entries for v in pair):
         raise InvalidOperator("an entry's re or im is not a JSON number")
     return pairs.view(complex).reshape(rows, cols)
 

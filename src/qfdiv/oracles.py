@@ -15,15 +15,9 @@ import math
 import numpy as np
 
 from . import linalg
-from .channels import _is_int
-from .divergence import ReverseTest
-from .errors import DimensionMismatch, NonCommuting, NotPSD, ZeroSigma
+from .divergence import ReverseTest, _same_shape
+from .errors import NonCommuting, NotPSD, ZeroSigma
 from .generators import DivergenceGenerator, classical_f_divergence
-
-
-def _same_shape(rho: np.ndarray, sigma: np.ndarray) -> None:
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch("rho and sigma must have equal dimensions")
 
 
 def joint_eigenvalues(rho, sigma):
@@ -159,7 +153,7 @@ def refine_reverse_test(rt: ReverseTest, rng: np.random.Generator,
     exact reverse test of the same pair; its divergence can only be larger.
     ValueError unless splits is an int >= 1.
     """
-    if not _is_int(splits) or splits < 1:
+    if not linalg._is_int(splits) or splits < 1:
         raise ValueError(f"splits must be an integer >= 1, got {splits!r}")
     # each atom's factor again per copy; per atom, the shares of p then of q
     share = rng.dirichlet(np.ones(splits), size=(len(rt), 2))

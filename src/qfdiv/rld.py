@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import _rng
 from .divergence import d_prime
 from .errors import (DimensionMismatch, NotPSD, StepError, SupportError,
                      UnsupportedGenerator)
@@ -87,7 +86,7 @@ def random_tangent(rho, seed_or_rng) -> TangentPerturbation:
     seed_or_rng is a Generator, or a Philox key as for random_state.
     SupportError when rho is 0.
     """
-    rng = _rng(seed_or_rng)
+    rng = linalg._rng(seed_or_rng)
     rho, evals, _, pi = _spectrum(rho)
     rank = round(float(np.trace(pi).real))
     if not rank:
@@ -132,7 +131,7 @@ def second_derivative_check(rho, X, Y, f: DivergenceGenerator,
 
     The raw step is rescaled by lambda_min(rho)/||direction|| per direction
     so the perturbed operators stay PSD; StepError if they do not, or if the
-    step is not a finite positive number (a bool is none).  The 12
+    step is not a finite positive number (linalg.is_real).  The 12
     divergences of the three layouts come from one stacked d_prime call.
     """
     if f.second_deriv_at_1 is None:
@@ -142,14 +141,15 @@ def second_derivative_check(rho, X, Y, f: DivergenceGenerator,
     X = _check_in_support(pi, X, "X")
     Y = _check_in_support(pi, Y, "Y")
 
+    if not (linalg.is_real(step) and 0 < step < math.inf):
+        raise StepError(f"step {step!r} is not a finite positive number")
     lam_min = _lam_min(evals)
     norm_x = float(np.linalg.norm(X, 2))
     norm_y = float(np.linalg.norm(Y, 2))
     s = step * lam_min / norm_x if norm_x > 0 else step
     t = step * lam_min / norm_y if norm_y > 0 else step
-    if (isinstance(step, (bool, np.bool_))
-            or not (0 < step < math.inf and s * t > 0)):
-        raise StepError(f"step {step} is not finite and positive, or underflows")
+    if not s * t > 0:
+        raise StepError(f"step {step} underflows")
 
     # the 12 probes as one stack: the sign pairs (a, b) of each layout
     a = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * s

@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracles
-from .channels import (_is_int, _is_seed, _rng, check_tolerance,
-                       depolarizing_channel, embedding_channel, random_channel,
+from .channels import (depolarizing_channel, embedding_channel, random_channel,
                        random_state, equality_check, dpi_check)
 from .divergence import (analyze, d_max, d_prime, minimal_reverse_test,
                          perturbation_limit_probe, reverse_test_value)
 from .generators import (LownerForm, builtin, lebesgue_atoms,
                          lowner_quadrature_check)
+from .linalg import _is_int, _is_seed, _rng, check_tolerance
 from .rld import random_tangent, second_derivative_check
 
 # The generators the ensembles cycle through, trial by trial.
@@ -474,11 +474,11 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     """Execute one suite; deterministic in (config, seed).
 
-    ValueError unless trials is an int >= 1, dims a non-empty tuple or list
-    of ints >= 2 (bool is not an int here), the seed an int in 0..2**64-1
-    and tol, when given, finite and >= 0.
+    ValueError unless suite is a string of SUITE_NAMES, trials an int >= 1,
+    dims a non-empty tuple or list of ints >= 2 (linalg._is_int), the seed
+    an int in 0..2**64-1 and tol, when given, finite and >= 0.
     """
-    if cfg.suite not in _SUITES:
+    if not (isinstance(cfg.suite, str) and cfg.suite in _SUITES):
         raise ValueError(f"unknown suite {cfg.suite!r}; available: "
                          f"{', '.join(SUITE_NAMES)}")
     if not _is_int(cfg.trials) or cfg.trials < 1:

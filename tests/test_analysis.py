@@ -678,7 +678,7 @@ def test_divergences_load_no_lazy_module():
 
 @pytest.mark.parametrize("command, modules", [
     ("compute", set()), ("reverse-test", set()), ("check", {"channels"}),
-    ("rld", {"channels", "rld"}), ("suite", LAZY_MODULES)])
+    ("rld", {"rld"}), ("suite", LAZY_MODULES)])
 def test_each_command_loads_only_its_modules(tmp_path, command, modules):
     rho, sigma = np.diag([0.5, 0.3, 0.2]), np.diag([0.2, 0.3, 0.5])
     files = {}
@@ -708,6 +708,11 @@ def test_each_command_loads_only_its_modules(tmp_path, command, modules):
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
         + _loaded(modules))
+
+
+def test_oracles_load_no_channels():
+    # the oracles read the scalar rules from linalg, not from channels
+    _run_python("import sys, qfdiv.oracles\n" + _loaded({"oracles"}))
 
 
 def test_suites_do_not_load_scipy():

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from qfdiv import errors
-from qfdiv.channels import (KrausChannel, _rng, depolarizing_channel,
+from qfdiv.channels import (KrausChannel, depolarizing_channel,
                             dpi_check, embedding_channel, equality_check,
                             lambda_sigma, random_channel, random_state,
                             unitary_channel, v_operator)
 from qfdiv.divergence import analyze
 from qfdiv.generators import builtin
-from qfdiv.linalg import (gen_inverse_sqrt, matrix_sqrt, projector,
+from qfdiv.linalg import (_rng, gen_inverse_sqrt, matrix_sqrt, projector,
                           support_projector)
 from qfdiv.rld import random_tangent
 from qfdiv.suites import _ill_conditioned_pair, trial_rng

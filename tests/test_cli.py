@@ -40,6 +40,10 @@ class TestMatrixJson:
         B = matrix_from_json(matrix_to_json(A))
         np.testing.assert_array_equal(A, B)
 
+    def test_writer_rejects_a_matrix_that_is_not_square(self):
+        with pytest.raises(errors.InvalidOperator):
+            matrix_to_json(np.zeros((2, 3)))
+
     def test_rejects_wrong_entry_count(self):
         with pytest.raises(errors.InvalidOperator):
             matrix_from_json({"dim": 2, "entries": [[1.0, 0.0]] * 3})

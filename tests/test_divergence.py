@@ -16,8 +16,9 @@ from qfdiv.cli import main
 from qfdiv.divergence import (ReverseTest, analyze, d_max, d_prime,
                               minimal_reverse_test, perturbation_limit_probe,
                               reverse_test_value)
-from qfdiv.generators import (builtin, classical_f_divergence, custom,
-                               from_spec, recession_value)
+from qfdiv.generators import (DivergenceGenerator, builtin,
+                               classical_f_divergence, custom, from_spec,
+                               recession_value)
 from qfdiv.linalg import support_projector
 from qfdiv.matio import save_matrix
 from qfdiv.oracles import (bs_relative_entropy, classical_oracle,
@@ -139,6 +140,26 @@ class TestDMax:
         plain = custom("plain", lambda y: y * y, recession=math.inf)
         with pytest.raises(errors.UnsupportedGenerator):
             d_max(np.eye(2) / 2, np.eye(2) / 2, plain)
+
+    @pytest.mark.parametrize("flag", ["no", 1, 1.0, np.array(True), [True]],
+                             ids=["string", "int", "float", "0-d-array", "list"])
+    def test_operator_convex_flag_must_be_true(self, flag):
+        # y**3 is not operator convex: a truthy flag that is not True read
+        # 3.866 as its d_max
+        rho, sigma = np.diag([0.7, 0.3]), np.diag([0.3, 0.7])
+        cube = custom("cube", lambda y: y ** 3, recession=math.inf,
+                      operator_convex=flag)
+        by_hand = DivergenceGenerator("cube", lambda y: y ** 3, math.inf,
+                                      operator_convex=flag)
+        for f in (cube, by_hand):
+            with pytest.raises(errors.UnsupportedGenerator):
+                d_max(rho, sigma, f)
+            with pytest.raises(errors.UnsupportedGenerator):
+                analyze(rho, sigma).d_max(f)
+        for flag in (True, np.True_):
+            f = custom("cube", lambda y: y ** 3, recession=math.inf,
+                       operator_convex=flag)
+            assert d_max(rho, sigma, f) == analyze(rho, sigma).d_max(f)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_operand(self, bad):
@@ -576,6 +597,12 @@ class TestPerturbationProbe:
         probe = perturbation_limit_probe(PROJ0, PROJP, SQUARE, [1e-4, 1e-8])
         assert probe[-1][1] > 1e6
         assert d_max(PROJ0, PROJP, SQUARE) == math.inf
+
+    def test_empty_grid(self):
+        # no eps gives no value, but the pair is still checked
+        assert perturbation_limit_probe(PROJ0, PROJP, HALF, []) == []
+        with pytest.raises(errors.NotPSD):
+            perturbation_limit_probe(np.diag([1.0, -0.5]), PROJP, HALF, [])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -489,19 +489,44 @@ def test_no_threshold_outside_the_policy():
     assert not bare
 
 
+def _outside_linalg():
+    """(module name, node) for each AST node of the package but linalg."""
+    for info in pkgutil.iter_modules(qfdiv.__path__):
+        if info.name != "linalg":
+            path = pathlib.Path(qfdiv.__path__[0]) / f"{info.name}.py"
+            for node in ast.walk(ast.parse(path.read_text())):
+                yield info.name, node
+
+
+def _names(node, names) -> bool:
+    """Whether node names one of names, as a name, an attribute or an import."""
+    return (isinstance(node, ast.Attribute) and node.attr in names
+            or isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.alias) and node.name in names)
+
+
 def test_no_cholesky_outside_linalg():
     # every Cholesky of the package is linalg.cholesky_factor's, so its
     # pivot rule is the one proof a factor gives, and only linalg reads the
     # crossover CHOLESKY_MIN_DIM, so that it has one meaning
-    names = ("cholesky", "CHOLESKY_MIN_DIM")
-    calls = []
-    for info in pkgutil.iter_modules(qfdiv.__path__):
-        if info.name == "linalg":
-            continue
-        path = pathlib.Path(qfdiv.__path__[0]) / f"{info.name}.py"
-        calls += [f"{info.name}:{node.lineno}"
-                  for node in ast.walk(ast.parse(path.read_text()))
-                  if isinstance(node, ast.Attribute) and node.attr in names
-                  or isinstance(node, ast.Name) and node.id in names
-                  or isinstance(node, ast.alias) and node.name in names]
+    calls = [f"{name}:{node.lineno}" for name, node in _outside_linalg()
+             if _names(node, ("cholesky", "CHOLESKY_MIN_DIM"))]
     assert not calls
+
+
+def _is_call_of(node, name: str) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name)
+
+
+def test_no_scalar_rule_outside_linalg():
+    # what a scalar argument may be is linalg's to say (is_real, _is_int,
+    # _is_seed, check_tolerance), so no other module names numbers or
+    # np.bool_, puts bool in an isinstance type or tests type(x) is int
+    rules = [f"{name}:{node.lineno}" for name, node in _outside_linalg()
+             if _names(node, ("numbers", "bool_"))
+             or _is_call_of(node, "isinstance") and any(
+                 _names(leaf, ("bool",)) for leaf in ast.walk(node.args[1]))
+             or isinstance(node, ast.Compare) and _is_call_of(node.left, "type")
+             and any(_names(leaf, ("int",)) for leaf in node.comparators)]
+    assert not rules

@@ -9,7 +9,7 @@ import pytest
 from qfdiv import matio
 from qfdiv.channels import random_state
 from qfdiv.divergence import minimal_reverse_test, reverse_test_value
-from qfdiv.errors import DimensionMismatch, NotPSD
+from qfdiv.errors import DimensionMismatch, NotPSD, ZeroSigma
 from qfdiv.generators import builtin
 from qfdiv.oracles import (concat_reverse_tests, disjoint_reverse_test,
                            random_reverse_test, refine_reverse_test)
@@ -313,3 +313,5 @@ class TestAlternativeReverseTests:
             random_reverse_test(rho, sigma, fixed_t)
         with pytest.raises(DimensionMismatch):
             random_reverse_test(np.eye(2) / 2, np.eye(3) / 3, rng)
+        with pytest.raises(ZeroSigma):
+            random_reverse_test(np.zeros((2, 2)), np.zeros((2, 2)), rng)
